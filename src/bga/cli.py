@@ -16,6 +16,7 @@ import sys
 
 from .deform import deform, deformed_algebra, semisimplicity, verify_formal
 from .errors import (
+    DOCUMENT_ERRORS,
     BgaError,
     Disconnected,
     InvalidBipartition,
@@ -36,7 +37,7 @@ from .presentation import (
     rules_from_doc,
     two_cycle_set,
 )
-from .rewrite import check_diamond, irreducible_basis
+from .rewrite import check_diamond, irreducible_basis, irreducible_words
 from .ribbon import Bipartition, bipartition, boundary_walks, parse_ribbon_graph
 from .scalars import FormalCtx
 
@@ -63,8 +64,11 @@ def emit(doc, args):
     else:
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -152,12 +156,12 @@ def cmd_validate(args):
 def cmd_info(args):
     g = _load_graph(args)
     system, _ = _load_system(args, g)
-    alg = irreducible_basis(system)
+    dim = len(irreducible_words(system))
     doc = _graph_doc(g)
     doc.update({
-        "dim": alg.dim,
+        "dim": dim,
         "formula": g.dimension_sum(),
-        "match": alg.dim == g.dimension_sum(),
+        "match": dim == g.dimension_sum(),
         "betti": len(g.edge_ids()) - len(g.vertices()) + 1,
         "rules": len(system.rules),
         "two_cycles": len(two_cycle_set(None, system)),
@@ -214,9 +218,9 @@ def cmd_cocycles(args):
     if bp is None:
         bp = (_parse_bipartition(args.bipartition) if args.bipartition
               else bipartition(g))
-    alg = irreducible_basis(system)
-    family = standard_cocycles(g, bp, system, alg)
-    report = verify_basis(system, alg, [s.cochain for s in family])
+    family = standard_cocycles(g, bp, system)
+    report = verify_basis(hh2(system, irreducible_basis(system)),
+                          [s.cochain for s in family])
     emit({"cocycles": [s.to_doc(system) for s in family],
           "verification": report.to_doc()}, args)
     return 0 if report.complete else 1
@@ -225,12 +229,15 @@ def cmd_cocycles(args):
 def _cochain_from_values_doc(system, doc):
     by_tip = {rule.tip[1]: ri for ri, rule in enumerate(system.rules)}
     cochain = {}
-    for entry in doc["values"]:
-        tip = tuple(entry["tip"])
-        if tip not in by_tip:
-            raise UsageError(f"no rule with tip {'*'.join(tip)}")
-        cochain[by_tip[tip]] = element_from_doc(system.quiver,
-                                                entry["element"])
+    try:
+        for entry in doc["values"]:
+            tip = tuple(entry["tip"])
+            if tip not in by_tip:
+                raise UsageError(f"no rule with tip {'*'.join(tip)}")
+            cochain[by_tip[tip]] = element_from_doc(system.quiver,
+                                                    entry["element"])
+    except DOCUMENT_ERRORS as exc:
+        raise SchemaError(f"malformed cochain document: {exc!r}") from exc
     return cochain
 
 
@@ -247,8 +254,7 @@ def _select_cochain(args, g, system, bp):
     if bp is None:
         bp = (_parse_bipartition(args.bipartition) if args.bipartition
               else bipartition(g))
-    alg = irreducible_basis(system)
-    for s in standard_cocycles(g, bp, system, alg):
+    for s in standard_cocycles(g, bp, system):
         if s.kind == args.deform_type:
             return s.cochain, s.label
     raise NotApplicable(
@@ -324,8 +330,8 @@ def _selftest_fixture(name):
         checks.append({"name": "formula_matches", "expected": True,
                        "got": report.formula_matches})
     if bp is not None and len(g.edge_ids()) > 1:
-        family = standard_cocycles(g, bp, system, alg)
-        basis = verify_basis(system, alg, [s.cochain for s in family])
+        family = standard_cocycles(g, bp, system)
+        basis = verify_basis(report, [s.cochain for s in family])
         checks.append({"name": "standard_basis_complete", "expected": True,
                        "got": basis.complete})
         a_shift = family[0].cochain

@@ -21,7 +21,7 @@ from .rewrite import (
     Rule,
     enumerate_ambiguities,
     irreducible_words,
-    reduce,
+    resolve_overlap,
 )
 
 _F0 = Fraction(0)
@@ -114,21 +114,13 @@ def verify_formal(dsys, max_steps=MAX_REDUCE_STEPS):
     Equality of all the normal forms is exactly liftability of the deformed
     multiplication to the chosen truncation order.
     """
-    system = dsys.system
-    q = system.quiver
     one = dsys.ctx.one()
     # tips are untouched by the deformation, so the base overlaps are the
     # deformed ones as well
     ambiguities = enumerate_ambiguities(dsys.base)
     witness = None
     for amb in ambiguities:
-        rule = system.rules[amb.rule_index]
-        w_el = Element.path(q, q.arrows[amb.w[-1]][0], amb.w, coeff=one)
-        v_el = Element.path(q, q.arrows[amb.v[-1]][0], amb.v, coeff=one)
-        u_el = Element.path(q, q.arrows[amb.u][0], (amb.u,), coeff=one)
-        left = reduce(system, rule.rhs * w_el, max_steps=max_steps)
-        inner = reduce(system, v_el * w_el, max_steps=max_steps)
-        right = reduce(system, u_el * inner, max_steps=max_steps)
+        left, right = resolve_overlap(dsys.system, amb, one, max_steps)
         if left != right:
             diff = left - right
             orders = [o for o in map(_lowest_order, diff.terms.values())

@@ -6,6 +6,10 @@ to build machine readable reports.
 
 from __future__ import annotations
 
+# what reading a malformed JSON document as if it were well formed raises
+DOCUMENT_ERRORS = (KeyError, IndexError, TypeError, ValueError,
+                   ZeroDivisionError)
+
 
 class BgaError(Exception):
     code = "error"

@@ -133,10 +133,6 @@ _RULES = {
 }
 
 
-def fixture_names():
-    return sorted(_GRAPHS) + ["LOC"]
-
-
 def fixture_doc(name, m=2):
     """JSON text of a bundled graph.  LOC takes a multiplicity parameter;
     the spellings LOC, LOC_m and LOC_3 style names are accepted."""

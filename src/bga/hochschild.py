@@ -24,14 +24,7 @@ from .errors import (
     NotApplicable,
     RequiresConfluentSystem,
 )
-from .linalg import (
-    kernel_basis,
-    quotient_dim,
-    quotient_representatives,
-    rank,
-    residual,
-    rref,
-)
+from .linalg import kernel_basis, quotient, rank, residual, rref
 from .paths import Element, element_to_doc
 from .presentation import cycle_word, dimension_formula
 from .rewrite import (
@@ -41,6 +34,7 @@ from .rewrite import (
     check_diamond,
     enumerate_ambiguities,
     reduce,
+    resolve_overlap,
 )
 from .ribbon import spanning_tree
 from .scalars import FormalCtx, LinearCtx
@@ -228,14 +222,7 @@ def cocycle_space(system, alg, coords=None, max_steps=MAX_REDUCE_STEPS):
     one = ctx.one()
     rows = []
     for amb in enumerate_ambiguities(system):
-        w_el = Element.path(q, q.arrows[amb.w[-1]][0], amb.w, coeff=one)
-        v_el = Element.path(q, q.arrows[amb.v[-1]][0], amb.v, coeff=one)
-        u_el = Element.path(q, q.arrows[amb.u][0], (amb.u,), coeff=one)
-        left = reduce(dsys, dsys.rules[amb.rule_index].rhs * w_el,
-                      max_steps=max_steps)
-        right = reduce(dsys,
-                       u_el * reduce(dsys, v_el * w_el, max_steps=max_steps),
-                       max_steps=max_steps)
+        left, right = resolve_overlap(dsys, amb, one, max_steps)
         diff = left - right
         for key in sorted(diff.terms):
             c = diff.terms[key]
@@ -257,21 +244,26 @@ def cocycle_space(system, alg, coords=None, max_steps=MAX_REDUCE_STEPS):
 # -- the quotient -------------------------------------------------------------
 
 class HH2Report:
-    """Dimension data and normalized representatives of the quotient."""
+    """Dimension data and normalized representatives of the quotient.
+
+    ``coboundaries`` is the eliminated coboundary image, the (rows, pivots)
+    pair of ``rref``, kept so that cochains can be reduced modulo it later.
+    """
 
     __slots__ = ("system", "alg", "coords", "cochain_dim", "cocycle_dim",
-                 "coboundary_dim", "hh2_dim", "formula", "formula_matches",
-                 "representatives")
+                 "coboundaries", "coboundary_dim", "hh2_dim", "formula",
+                 "formula_matches", "representatives")
 
-    def __init__(self, system, alg, coords, cocycle_dim, coboundary_dim,
-                 hh2_dim, formula, formula_matches, representatives):
+    def __init__(self, system, alg, coords, cocycle_dim, coboundaries,
+                 formula, formula_matches, representatives):
         self.system = system
         self.alg = alg
         self.coords = coords
         self.cochain_dim = len(coords)
         self.cocycle_dim = cocycle_dim
-        self.coboundary_dim = coboundary_dim
-        self.hh2_dim = hh2_dim
+        self.coboundaries = coboundaries
+        self.coboundary_dim = len(coboundaries[1])
+        self.hh2_dim = len(representatives)
         self.formula = formula
         self.formula_matches = formula_matches
         self.representatives = representatives
@@ -302,20 +294,19 @@ def hh2(system, alg, graph=None, max_steps=MAX_REDUCE_STEPS):
         raise RequiresConfluentSystem(
             f"{len(report.failures)} unresolved overlaps")
     coords = cochain_space(system, alg)
-    cocycles = cocycle_space(system, alg, coords, max_steps=max_steps)
-    cobs = coboundary_image(system, alg, coords)
     n = len(coords)
-    hh2_dim = quotient_dim(cobs, cocycles, n)
-    reps = quotient_representatives(cobs, cocycles, n)
+    cocycles = cocycle_space(system, alg, coords, max_steps=max_steps)
+    red, pivots = rref(coboundary_image(system, alg, coords), n)
+    reps = quotient(red, pivots, cocycles, n)
     formula = matches = None
     if graph is not None:
         try:
             formula = dimension_formula(graph)
-            matches = formula == hh2_dim
+            matches = formula == len(reps)
         except NotApplicable:
             pass
-    return HH2Report(system, alg, coords, len(cocycles), rank(cobs, n),
-                     hh2_dim, formula, matches, reps)
+    return HH2Report(system, alg, coords, len(cocycles), (red, pivots),
+                     formula, matches, reps)
 
 
 # -- the standard family ------------------------------------------------------
@@ -361,7 +352,7 @@ def _rule_index(system):
     return a_rule, b_rule, c_rule
 
 
-def standard_cocycles(graph, bp, system, alg):
+def standard_cocycles(graph, bp, system):
     """The explicit cocycle family of a bipartite, non-local Brauer graph.
 
     Four shapes: (A) one idempotent/arrow pair spread over all rules,
@@ -464,17 +455,9 @@ def verify_cocycle(system, cochain, max_steps=MAX_REDUCE_STEPS):
     solver."""
     ctx = FormalCtx(2)
     dsys = deform(system, cochain, ctx).system
-    q = system.quiver
     one = ctx.one()
     for amb in enumerate_ambiguities(system):
-        w_el = Element.path(q, q.arrows[amb.w[-1]][0], amb.w, coeff=one)
-        v_el = Element.path(q, q.arrows[amb.v[-1]][0], amb.v, coeff=one)
-        u_el = Element.path(q, q.arrows[amb.u][0], (amb.u,), coeff=one)
-        left = reduce(dsys, dsys.rules[amb.rule_index].rhs * w_el,
-                      max_steps=max_steps)
-        right = reduce(dsys,
-                       u_el * reduce(dsys, v_el * w_el, max_steps=max_steps),
-                       max_steps=max_steps)
+        left, right = resolve_overlap(dsys, amb, one, max_steps)
         if left != right:
             return False
     return True
@@ -501,18 +484,16 @@ class BasisReport:
                 "complete": self.complete}
 
 
-def verify_basis(system, alg, cochains, max_steps=MAX_REDUCE_STEPS):
-    """Check a list of cochains against the computed cohomology: each one a
-    cocycle, jointly independent modulo coboundaries, count matching."""
-    coords = cochain_space(system, alg)
-    n = len(coords)
-    vecs = [vector_from_cochain(system, alg, coords, c) for c in cochains]
+def verify_basis(report, cochains, max_steps=MAX_REDUCE_STEPS):
+    """Check a list of cochains against the cohomology an ``hh2`` report
+    computed: each one a cocycle, jointly independent modulo coboundaries,
+    count matching."""
+    system = report.system
+    vecs = [vector_from_cochain(system, report.alg, report.coords, c)
+            for c in cochains]
     all_cocycles = all(
         verify_cocycle(system, c, max_steps=max_steps) for c in cochains)
-    cobs = coboundary_image(system, alg, coords)
-    red, pivots = rref(cobs, n)
+    red, pivots = report.coboundaries
     residues = [residual(red, pivots, v) for v in vecs]
-    independent = rank(residues, n) == len(vecs)
-    cocycles = cocycle_space(system, alg, coords, max_steps=max_steps)
-    hh2_dim = quotient_dim(cobs, cocycles, n)
-    return BasisReport(all_cocycles, independent, len(vecs), hh2_dim)
+    independent = rank(residues, report.cochain_dim) == len(vecs)
+    return BasisReport(all_cocycles, independent, len(vecs), report.hh2_dim)

@@ -80,24 +80,17 @@ def in_span(red, pivots, vec):
     return not any(residual(red, pivots, vec))
 
 
-def quotient_dim(sub_rows, space_rows, ncols):
-    """dim(span(space) / span(sub)); raises NotASubspace if containment fails."""
-    red, pivots = rref(space_rows, ncols)
-    for v in sub_rows:
-        if not in_span(red, pivots, v):
-            raise NotASubspace("vector outside the ambient span")
-    return len(pivots) - rank(sub_rows, ncols)
+def quotient(sub_red, sub_pivots, space_rows, ncols):
+    """Representatives of span(space) / span(sub), sub given by its rref.
 
-
-def quotient_representatives(sub_rows, space_rows, ncols):
-    """Vectors of space reduced mod sub and rref-normalized.
-
-    The result is a deterministic list of quotient-space representatives:
-    reduce each spanning vector of the space against the subspace, then rref
-    the residuals.
+    Raises NotASubspace if sub is not contained in span(space).  Each
+    spanning vector of the space is reduced against the subspace and the
+    nonzero residuals are rref-normalized, so the result is a deterministic
+    list whose length is the quotient dimension.
     """
-    sred, spiv = rref(sub_rows, ncols)
-    reduced = [residual(sred, spiv, v) for v in space_rows]
-    reduced = [v for v in reduced if any(v)]
-    out, _ = rref(reduced, ncols)
-    return out
+    red, pivots = rref(space_rows, ncols)
+    if not all(in_span(red, pivots, v) for v in sub_red):
+        raise NotASubspace("vector outside the ambient span")
+    reduced = [residual(sub_red, sub_pivots, v) for v in space_rows]
+    reps, _ = rref([v for v in reduced if any(v)], ncols)
+    return reps

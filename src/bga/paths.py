@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import DOCUMENT_ERRORS, SchemaError
 
 _F1 = Fraction(1)
 
@@ -170,12 +170,6 @@ class Element:
                     terms.pop(k, None)
         return Element(q, terms)
 
-    def map_coeffs(self, f):
-        return Element(self.quiver, {k: f(c) for k, c in self.terms.items()})
-
-    def support(self):
-        return sorted(self.terms)
-
     def __repr__(self):
         return f"Element({render(self)})"
 
@@ -222,9 +216,13 @@ def element_to_doc(el):
 
 
 def element_from_doc(quiver, doc):
+    """Inverse of element_to_doc; raises SchemaError on a malformed list."""
     terms = {}
-    for entry in doc:
-        key = quiver.key(entry["vertex"], tuple(entry["word"]))
-        c = Fraction(entry["coeff"])
-        terms[key] = terms.get(key, 0) + c
+    try:
+        for entry in doc:
+            key = quiver.key(entry["vertex"], tuple(entry["word"]))
+            c = Fraction(entry["coeff"])
+            terms[key] = terms.get(key, 0) + c
+    except DOCUMENT_ERRORS as exc:
+        raise SchemaError(f"malformed element: {exc!r}") from exc
     return Element(quiver, terms)

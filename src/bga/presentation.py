@@ -17,11 +17,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (
+    DOCUMENT_ERRORS,
     InvalidBipartition,
     NotApplicable,
     NotBipartite,
     NonBipartite,
     RequiresConfluentSystem,
+    SchemaError,
 )
 from .paths import Element, Quiver
 from .rewrite import ReductionSystem, Rule, check_diamond, reduce
@@ -209,13 +211,16 @@ def build_reduction_system(pres, bp=None):
 def rules_from_doc(quiver, doc, word_cap=None):
     """ReductionSystem from a JSON rule document on an existing quiver."""
     rules = []
-    for entry in doc["rules"]:
-        tip = quiver.word_key(tuple(entry["tip"]))
-        terms = {}
-        for coeff, word in entry["rhs"]:
-            key = quiver.word_key(tuple(word)) if word else (tip[0], ())
-            terms[key] = terms.get(key, Fraction(0)) + Fraction(coeff)
-        rules.append(Rule(tip, Element(quiver, terms)))
+    try:
+        for entry in doc["rules"]:
+            tip = quiver.word_key(tuple(entry["tip"]))
+            terms = {}
+            for coeff, word in entry["rhs"]:
+                key = quiver.word_key(tuple(word)) if word else (tip[0], ())
+                terms[key] = terms.get(key, Fraction(0)) + Fraction(coeff)
+            rules.append(Rule(tip, Element(quiver, terms)))
+    except DOCUMENT_ERRORS as exc:
+        raise SchemaError(f"malformed rules document: {exc!r}") from exc
     return ReductionSystem(quiver, rules, word_cap=word_cap)
 
 

@@ -49,7 +49,7 @@ class Rule:
 class ReductionSystem:
     """Validated rule list over a fixed quiver."""
 
-    __slots__ = ("quiver", "rules", "_tip_words", "word_cap")
+    __slots__ = ("quiver", "rules", "_tip_words", "word_cap", "_ambiguities")
 
     def __init__(self, quiver, rules, word_cap=None):
         self.quiver = quiver
@@ -80,6 +80,7 @@ class ReductionSystem:
         if word_cap is None:
             word_cap = 2 * max(len(t) for t in tips) + 2 if tips else 2
         self.word_cap = word_cap
+        self._ambiguities = None    # filled by enumerate_ambiguities
 
     def first_redex(self, word):
         """Leftmost (position, rule_index) redex, or None if irreducible."""
@@ -93,9 +94,6 @@ class ReductionSystem:
                     best = (i, ri)
                     break
         return best
-
-    def is_irreducible_word(self, word):
-        return self.first_redex(word) is None
 
     def tip_is_suffix(self, word):
         return any(word[-len(t):] == t for t in self._tip_words
@@ -196,19 +194,21 @@ class Ambiguity:
 
 
 def enumerate_ambiguities(system):
-    """All overlap ambiguities of the system.
+    """All overlap ambiguities of the system, as a tuple.
 
     u runs over tip head letters, v over the matching tip tails, and w over
     irreducible words making v*w reducible while every proper written prefix
     v*w[:j] stays irreducible.  Minimality forces the completing tip to end
     at the last letter of w and begin inside v, so w is shorter than the
     longest tip; the search is a capped right extension, never the full
-    basis, and works on infinite-dimensional algebras too.
+    basis, and works on infinite-dimensional algebras too.  The rules are
+    fixed at construction, so the search runs once per system and later
+    calls return the same tuple.
     """
+    if system._ambiguities is not None:
+        return system._ambiguities
     q = system.quiver
-    if not system.rules:
-        return []
-    max_w = max(len(t) for t in system._tip_words) - 1
+    max_w = max(map(len, system._tip_words), default=0) - 1
     out = []
     for ri, rule in enumerate(system.rules):
         origin, tip_word = rule.tip
@@ -225,7 +225,25 @@ def enumerate_ambiguities(system):
                 elif len(w2) < max_w:
                     frontier.append(w2)
     out.sort(key=lambda a: (a.rule_index, a.word))
-    return out
+    system._ambiguities = tuple(out)
+    return system._ambiguities
+
+
+def resolve_overlap(system, amb, one=_F1, max_steps=MAX_REDUCE_STEPS):
+    """Normal forms (left, right) of the overlap u*v*w reduced both ways.
+
+    ``left`` rewrites the tip u*v first, ``right`` reduces v*w first and then
+    the product with u.  ``one`` is the unit of the coefficient ring the
+    rules of ``system`` use.  The overlap resolves iff left == right.
+    """
+    q = system.quiver
+    w_el = Element.path(q, q.arrows[amb.w[-1]][0], amb.w, coeff=one)
+    v_el = Element.path(q, q.arrows[amb.v[-1]][0], amb.v, coeff=one)
+    u_el = Element.path(q, q.arrows[amb.u][0], (amb.u,), coeff=one)
+    left = reduce(system, system.rules[amb.rule_index].rhs * w_el,
+                  max_steps=max_steps)
+    vw = reduce(system, v_el * w_el, max_steps=max_steps)
+    return left, reduce(system, u_el * vw, max_steps=max_steps)
 
 
 class DiamondReport:
@@ -243,16 +261,9 @@ class DiamondReport:
 def check_diamond(system, max_steps=MAX_REDUCE_STEPS):
     """Resolve every overlap ambiguity both ways and compare normal forms."""
     ambiguities = enumerate_ambiguities(system)
-    q = system.quiver
     failures = []
     for amb in ambiguities:
-        rule = system.rules[amb.rule_index]
-        w_el = Element.path(q, q.arrows[amb.w[-1]][0], amb.w)
-        left = reduce(system, rule.rhs * w_el, max_steps=max_steps)
-        v_el = Element.path(q, q.arrows[amb.v[-1]][0], amb.v)
-        u_el = Element.path(q, q.arrows[amb.u][0], (amb.u,))
-        vw = reduce(system, v_el * w_el, max_steps=max_steps)
-        right = reduce(system, u_el * vw, max_steps=max_steps)
+        left, right = resolve_overlap(system, amb, max_steps=max_steps)
         if left != right:
             failures.append((amb, left, right))
     return DiamondReport(not failures, failures, len(ambiguities))

@@ -58,9 +58,6 @@ class RibbonGraph:
     def vertices(self):
         return sorted(self.multiplicity)
 
-    def vertex_of(self, h):
-        return self.incidence[h]
-
     def partner(self, h):
         return self.pairing[h]
 
@@ -92,10 +89,6 @@ class RibbonGraph:
 
     def edge_ids(self):
         return sorted(f"{a}|{b}" for a, b in self.edges())
-
-    def edge_endpoints(self, edge_id):
-        a, b = edge_id.split("|")
-        return (self.incidence[a], self.incidence[b])
 
     def valence(self, v):
         return len(self.rotation[v])

@@ -206,24 +206,6 @@ class LinScalar:
         return f"LinScalar({self.c0}, {self.c1}, {self.lin})"
 
 
-class FractionCtx:
-    """Plain rational coefficients."""
-
-    name = "rational"
-
-    def zero(self):
-        return _F0
-
-    def one(self):
-        return _F1
-
-    def from_fraction(self, c):
-        return _as_fraction(c)
-
-    def times_t(self, c):
-        raise ScalarContextMismatch("plain rationals carry no parameter t")
-
-
 class FormalCtx:
     """Coefficients in Q[t]/(t^D)."""
 

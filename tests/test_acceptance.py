@@ -159,8 +159,8 @@ def test_criterion_5_standard_basis_everywhere():
         bp = bipartition(g)
         sys_ = build_reduction_system(build_presentation(g, bp))
         alg = irreducible_basis(sys_)
-        std = standard_cocycles(g, bp, sys_, alg)
-        report = verify_basis(sys_, alg, [s.cochain for s in std])
+        std = standard_cocycles(g, bp, sys_)
+        report = verify_basis(hh2(sys_, alg), [s.cochain for s in std])
         assert report.all_cocycles, label
         assert report.independent, label
         assert report.count == report.hh2_dim, \
@@ -174,13 +174,13 @@ def test_criterion_6_formal_deformations():
         g = graph(name)
         bp = bipartition(g)
         sys_, alg = _setup(name)
-        for s in standard_cocycles(g, bp, sys_, alg):
+        for s in standard_cocycles(g, bp, sys_):
             check = verify_formal(deform(sys_, s.cochain, FormalCtx(4)))
             assert check.passes, (name, s.label)
     g = graph("DBL")
     sys_, alg = _setup("DBL")
     std = {s.label: s.cochain
-           for s in standard_cocycles(g, bipartition(g), sys_, alg)}
+           for s in standard_cocycles(g, bipartition(g), sys_)}
     pair = dict(std["D1(w1,w2)"])
     for ri, el in std["D2(w1,w2)"].items():
         pair[ri] = pair[ri] + el if ri in pair else el
@@ -195,7 +195,7 @@ def test_criterion_7_semisimple_unit_shift():
         g = graph(name)
         sys_, alg = _setup(name)
         assert semisimplicity(alg).radical_dim > 0, name
-        shift = standard_cocycles(g, bipartition(g), sys_, alg)[0]
+        shift = standard_cocycles(g, bipartition(g), sys_)[0]
         assert shift.kind == "A"
         dalg = deformed_algebra(deform(sys_, shift.cochain, FormalCtx(2)))
         report = semisimplicity(dalg)

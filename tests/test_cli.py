@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bga.cli import main
 
 
@@ -186,3 +188,33 @@ def test_selftest_green(capsys):
         "ANNULUS", "TORUS", "ANN2"]
     for f in doc["fixtures"]:
         assert f["ok"], f["fixture"]
+
+
+@pytest.mark.parametrize("rules", [
+    {"rules": [{"tip": ["x"]}]},                        # unknown arrow
+    [{"tip": ["b", "b"], "rhs": []}],                   # top-level list
+    {"rules": [{"tip": ["b", "b"], "rhs": [["one", []]]}]},
+], ids=["unknown_arrow", "top_level_list", "non_numeric_coeff"])
+def test_malformed_rules_document(tmp_path, capsys, rules):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(rules))
+    code, doc = run_doc(capsys, "info", "--input", "EX1",
+                        "--rules", str(path))
+    assert code == 2
+    assert doc["error"] == "schema"
+
+
+def test_cochain_document_without_values(tmp_path, capsys):
+    path = tmp_path / "cochain.json"
+    path.write_text(json.dumps({"cocycles": []}))
+    code, doc = run_doc(capsys, "deform", "--input", "EX1",
+                        "--deform-type", "custom", "--cochain", str(path))
+    assert code == 2
+    assert doc["error"] == "schema"
+
+
+def test_out_flag_to_missing_directory(tmp_path, capsys):
+    code, doc = run_doc(capsys, "validate", "--input", "EX1",
+                        "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert doc["error"] == "usage"

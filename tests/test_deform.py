@@ -20,7 +20,12 @@ from bga.presentation import (
     quiver_from_graph,
     rules_from_doc,
 )
-from bga.rewrite import ReductionSystem, Rule, irreducible_basis
+from bga.rewrite import (
+    ReductionSystem,
+    Rule,
+    irreducible_basis,
+    resolve_overlap,
+)
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 from bga.scalars import FormalCtx
 
@@ -98,7 +103,7 @@ def test_zero_cochain_reflects_base_confluence():
 def test_every_standard_cocycle_lifts_to_degree_four():
     for name in ("EX1", "DBL"):
         g, bp, sys_, alg = standard_setup(name)
-        for s in standard_cocycles(g, bp, sys_, alg):
+        for s in standard_cocycles(g, bp, sys_):
             check = verify_formal(deform(sys_, s.cochain, FormalCtx(4)))
             assert check.passes, (name, s.label)
             assert check.witness is None
@@ -106,7 +111,7 @@ def test_every_standard_cocycle_lifts_to_degree_four():
 
 def test_bigon_pair_sum_obstructed_at_order_two():
     g, bp, sys_, alg = standard_setup("DBL")
-    std = {s.label: s.cochain for s in standard_cocycles(g, bp, sys_, alg)}
+    std = {s.label: s.cochain for s in standard_cocycles(g, bp, sys_)}
     mixed = cochain_sum(std["D1(w1,w2)"], std["D2(w1,w2)"])
     check = verify_formal(deform(sys_, mixed, FormalCtx(4)))
     assert not check
@@ -119,6 +124,16 @@ def test_bigon_pair_sum_obstructed_at_order_two():
     assert verify_formal(deform(sys_, across, FormalCtx(4)))
 
 
+def test_resolve_overlap_reproduces_the_formal_witness():
+    g, bp, sys_, alg = standard_setup("DBL")
+    std = {s.label: s.cochain for s in standard_cocycles(g, bp, sys_)}
+    ds = deform(sys_, cochain_sum(std["D1(w1,w2)"], std["D2(w1,w2)"]),
+                FormalCtx(4))
+    amb, diff, _ = verify_formal(ds).witness
+    left, right = resolve_overlap(ds.system, amb, ds.ctx.one())
+    assert left - right == diff
+
+
 # -- specialization at t = 1 --------------------------------------------------------
 
 def test_unit_shift_deformation_is_semisimple():
@@ -126,7 +141,7 @@ def test_unit_shift_deformation_is_semisimple():
         g, bp, sys_, alg = standard_setup(name)
         base = semisimplicity(alg)
         assert base.radical_dim > 0
-        a = standard_cocycles(g, bp, sys_, alg)[0]
+        a = standard_cocycles(g, bp, sys_)[0]
         assert a.kind == "A"
         dalg = deformed_algebra(deform(sys_, a.cochain, FormalCtx(2)))
         assert dalg.dim == dim == g.dimension_sum()

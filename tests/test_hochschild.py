@@ -247,7 +247,7 @@ def test_ann2_subspaces():
 def test_standard_family_ex1_both_bipartitions():
     g = graph("EX1")
     sys_, alg = setup("EX1", EX1_BP1)
-    std = standard_cocycles(g, EX1_BP1, sys_, alg)
+    std = standard_cocycles(g, EX1_BP1, sys_)
     assert [s.label for s in std] == ["A", "B(v2,1)"]
     assert [s.tag for s in std] == ["A", "B"]
     by_tip = {r.tip[1]: i for i, r in enumerate(sys_.rules)}
@@ -265,7 +265,7 @@ def test_standard_family_ex1_both_bipartitions():
     }
     bp2 = bipartition(g)
     sys2, alg2 = setup("EX1")
-    std2 = standard_cocycles(g, bp2, sys2, alg2)
+    std2 = standard_cocycles(g, bp2, sys2)
     assert [s.label for s in std2] == ["A", "B(v2,1)"]
     tips2 = {r.tip[1]: i for i, r in enumerate(sys2.rules)}
     assert std2[1].cochain == {
@@ -276,7 +276,7 @@ def test_standard_family_dbl():
     g = graph("DBL")
     bp = bipartition(g)
     sys_, alg = setup("DBL")
-    std = standard_cocycles(g, bp, sys_, alg)
+    std = standard_cocycles(g, bp, sys_)
     assert [s.label for s in std] == [
         "A", "C(v2|w2)",
         "D1(w1,w2)", "D2(w1,w2)", "D1(w2,w1)", "D2(w2,w1)",
@@ -290,8 +290,8 @@ def test_standard_family_is_a_basis():
         if bp is None:
             bp = bipartition(g)
         sys_, alg = setup(name, bp)
-        std = standard_cocycles(g, bp, sys_, alg)
-        report = verify_basis(sys_, alg, [s.cochain for s in std])
+        std = standard_cocycles(g, bp, sys_)
+        report = verify_basis(hh2(sys_, alg), [s.cochain for s in std])
         assert report.complete, name
         assert report.count == report.hh2_dim
 
@@ -303,23 +303,23 @@ def test_standard_family_on_tree_with_higher_multiplicities():
         alg = irreducible_basis(sys_)
         rep = hh2(sys_, alg, graph=g)
         assert rep.hh2_dim == 4 and rep.formula_matches
-        std = standard_cocycles(g, bp, sys_, alg)
+        std = standard_cocycles(g, bp, sys_)
         assert [s.label for s in std] == ["A", "B(u,1)", "B(w,1)", "B(w,2)"]
-        assert verify_basis(sys_, alg, [s.cochain for s in std]).complete
+        assert verify_basis(hh2(sys_, alg), [s.cochain for s in std]).complete
 
 
 def test_standard_family_needs_construction_data():
     g = graph("TORUS")
     sys_, alg = setup("TORUS")
     with pytest.raises(NotApplicable):
-        standard_cocycles(g, Bipartition({"p"}, set()), sys_, alg)
+        standard_cocycles(g, Bipartition({"p"}, set()), sys_)
 
 
 def test_standard_family_rejects_single_edge():
     g = graph("LOC", m=2)
     sys_, alg = setup("LOC", m=2)
     with pytest.raises(NotApplicable):
-        standard_cocycles(g, Bipartition({"p"}, {"q"}), sys_, alg)
+        standard_cocycles(g, Bipartition({"p"}, {"q"}), sys_)
 
 
 # -- verification -----------------------------------------------------------------
@@ -334,8 +334,8 @@ def test_verify_cocycle_discriminates():
 def test_verify_basis_flags_short_lists():
     sys_, alg = setup("DBL")
     g = graph("DBL")
-    std = standard_cocycles(g, bipartition(g), sys_, alg)
-    report = verify_basis(sys_, alg, [s.cochain for s in std[:3]])
+    std = standard_cocycles(g, bipartition(g), sys_)
+    report = verify_basis(hh2(sys_, alg), [s.cochain for s in std[:3]])
     assert report.all_cocycles and report.independent
     assert not report.complete
 

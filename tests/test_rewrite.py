@@ -20,6 +20,7 @@ from bga.rewrite import (
     irreducible_basis,
     irreducible_words,
     reduce,
+    resolve_overlap,
 )
 from bga.ribbon import Bipartition, parse_ribbon_graph
 
@@ -168,6 +169,22 @@ def test_diamond_fails_on_planted_system():
     assert amb.word == ("x", "y", "x")
     nfs = {frozenset(left.terms.items()), frozenset(right.terms.items())}
     assert nfs == {frozenset({(("1", ("x",)), F(1))}), frozenset()}
+
+
+def test_resolve_overlap_gives_the_diamond_failures():
+    sys = planted_broken_system()
+    resolved = {amb.word: resolve_overlap(sys, amb)
+                for amb in enumerate_ambiguities(sys)}
+    report = check_diamond(sys)
+    assert [amb.word for amb, _, _ in report.failures] == \
+        [word for word, (left, right) in resolved.items() if left != right]
+    for amb, left, right in report.failures:
+        assert resolved[amb.word] == (left, right)
+
+
+def test_ambiguities_are_enumerated_once_per_system():
+    sys = system_for("EX1", EX1_BP1)
+    assert enumerate_ambiguities(sys) is enumerate_ambiguities(sys)
 
 
 # -- bases ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bga.errors import ScalarContextMismatch
-from bga.scalars import FormalCtx, FractionCtx, LinearCtx, LinScalar, TruncPoly
+from bga.scalars import FormalCtx, LinearCtx, LinScalar, TruncPoly
 
 F = Fraction
 
@@ -53,11 +53,6 @@ def test_formal_ctx_times_t():
     assert ctx.times_t(tp(1, 1, 1)).coeffs == (F(0), F(1), F(1))
     d1 = FormalCtx(1)
     assert not d1.times_t(d1.one())
-
-
-def test_fraction_ctx_has_no_t():
-    with pytest.raises(ScalarContextMismatch):
-        FractionCtx().times_t(F(1))
 
 
 def test_linscalar_unknowns_are_nilpotent():
