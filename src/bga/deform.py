@@ -133,10 +133,15 @@ def verify_formal(dsys, max_steps=MAX_REDUCE_STEPS):
 def deformed_algebra(dsys, max_steps=MAX_REDUCE_STEPS):
     """The t = 1 specialization as a finite-dimensional algebra.
 
-    Tips are unchanged, so the basis of irreducible words is the base one;
-    associativity of the resulting structure constants is checked on all
-    basis triples and NonAssociative raised when the specialization fails
-    to be a well-defined algebra.
+    Tips are unchanged, so the basis of irreducible words is the base one.
+    The specialization is a well-defined algebra iff its structure
+    constants are associative, and that is checked on the triples (x, y, g)
+    with x, y basis paths and g an idempotent or an arrow only: every other
+    basis path is z = z' * a with z' a shorter basis path and a an arrow,
+    and induction on |z| gives
+    (xy)z = ((xy)z')a = (x(yz'))a = x((yz')a) = x(y(z'a)) = x(yz).
+    NonAssociative is raised when a triple fails, naming the first failing
+    basis triple of the full scan.
     """
     base = dsys.base
     rules = []
@@ -148,7 +153,7 @@ def deformed_algebra(dsys, max_steps=MAX_REDUCE_STEPS):
         rules.append(Rule(rule.tip, rhs, info=rule.info))
     at_one = ReductionSystem(base.quiver, rules, word_cap=base.word_cap)
     alg = FiniteDimAlgebra(at_one, irreducible_words(at_one))
-    alg.check_associative()
+    alg.check_generator_triples()
     return alg
 
 

@@ -61,7 +61,10 @@ class Quiver:
     # -- path keys ----------------------------------------------------------
 
     def key(self, origin, word):
-        """Validated path key; raises SchemaError on a non-composable word."""
+        """Validated path key; raises SchemaError on an unknown origin or a
+        non-composable word."""
+        if origin not in self._by_target:
+            raise SchemaError(f"unknown vertex {origin!r}")
         word = tuple(word)
         at = origin
         for name in reversed(word):

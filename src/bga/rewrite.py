@@ -298,28 +298,50 @@ def irreducible_words(system):
     return out
 
 
-class FiniteDimAlgebra:
-    """Irreducible-path basis plus the structure constants of NF(b_i * b_j)."""
+def _combine(scaled_rows):
+    """Sparse sum of c * row over (c, row) pairs, zero entries dropped."""
+    out = {}
+    for c, row in scaled_rows:
+        for k, d in row.items():
+            out[k] = out.get(k, 0) + c * d
+    return {k: v for k, v in out.items() if v}
 
-    __slots__ = ("system", "quiver", "basis", "index", "table")
+
+class FiniteDimAlgebra:
+    """Irreducible-path basis plus the structure constants of NF(b_i * b_j).
+
+    ``table`` maps (i, j) to the sparse row {k: c} with NF(b_i * b_j) =
+    sum c * b_k, zero products omitted.  It costs dim^2 reductions and is
+    built on first read, so callers that need only the basis never pay it.
+    """
+
+    __slots__ = ("system", "quiver", "basis", "index", "_table")
 
     def __init__(self, system, basis_keys):
         self.system = system
         self.quiver = system.quiver
         self.basis = list(basis_keys)
         self.index = {k: i for i, k in enumerate(self.basis)}
-        self.table = {}
-        q = self.quiver
-        for i, ki in enumerate(self.basis):
-            for j, kj in enumerate(self.basis):
-                if not q.composable(ki, kj):
-                    continue
-                nf = reduce(self.system, Element(q, {q.concat_key(ki, kj): _F1}))
-                row = {}
-                for key, c in nf.terms.items():
-                    row[self.index[key]] = c
-                if row:
-                    self.table[(i, j)] = row
+        self._table = None
+
+    @property
+    def table(self):
+        if self._table is None:
+            table = {}
+            q = self.quiver
+            for i, ki in enumerate(self.basis):
+                for j, kj in enumerate(self.basis):
+                    if not q.composable(ki, kj):
+                        continue
+                    nf = reduce(self.system,
+                                Element(q, {q.concat_key(ki, kj): _F1}))
+                    row = {}
+                    for key, c in nf.terms.items():
+                        row[self.index[key]] = c
+                    if row:
+                        table[(i, j)] = row
+            self._table = table
+        return self._table
 
     @property
     def dim(self):
@@ -333,6 +355,7 @@ class FiniteDimAlgebra:
         return vec
 
     def multiply_coords(self, x, y):
+        table = self.table
         out = [Fraction(0)] * self.dim
         for i, xi in enumerate(x):
             if not xi:
@@ -340,35 +363,75 @@ class FiniteDimAlgebra:
             for j, yj in enumerate(y):
                 if not yj:
                     continue
-                row = self.table.get((i, j))
+                row = table.get((i, j))
                 if row:
                     f = xi * yj
                     for k, c in row.items():
                         out[k] += f * c
         return out
 
-    def check_associative(self, triples=None):
-        """Associativity of the structure constants; raises NonAssociative.
+    def _dense(self, row):
+        vec = [Fraction(0)] * self.dim
+        for k, c in row.items():
+            vec[k] = c
+        return vec
 
-        With no argument checks all basis triples.
+    def check_associative(self):
+        """Associativity on all dim^3 basis triples; raises NonAssociative.
+
+        The brute-force oracle for ``check_generator_triples``, and its
+        failure path: the error names the lexicographically first failing
+        triple (i, j, k) with the coordinate vectors of (b_i b_j) b_k and
+        b_i (b_j b_k).  Products come from the sparse rows of ``table``.
         """
+        table = self.table
+        empty = {}
         idx = range(self.dim)
-        if triples is None:
-            triples = [(i, j, k) for i in idx for j in idx for k in idx]
-        unit = [Fraction(0)] * self.dim
+        for i in idx:
+            for j in idx:
+                ij = table.get((i, j), empty)
+                for k in idx:
+                    lhs = _combine((c, table.get((m, k), empty))
+                                   for m, c in ij.items())
+                    rhs = _combine((c, table.get((i, m), empty))
+                                   for m, c in table.get((j, k), empty).items())
+                    if lhs != rhs:
+                        raise NonAssociative(
+                            f"triple {i},{j},{k}: {self._dense(lhs)} != "
+                            f"{self._dense(rhs)}")
+        return True
 
-        def basis_vec(i):
-            v = list(unit)
-            v[i] = _F1
-            return v
+    def check_generator_triples(self):
+        """Associativity from the triples (x, y, g), g an idempotent or arrow.
 
-        for (i, j, k) in triples:
-            a, b, c = basis_vec(i), basis_vec(j), basis_vec(k)
-            lhs = self.multiply_coords(self.multiply_coords(a, b), c)
-            rhs = self.multiply_coords(a, self.multiply_coords(b, c))
-            if lhs != rhs:
-                raise NonAssociative(
-                    f"triple {i},{j},{k}: {lhs} != {rhs}")
+        Every basis path z != e(v) is z' * a with z' a shorter basis path
+        (prefixes of irreducible words are irreducible) and a an arrow, so
+        by induction on |z| these dim^2 * (|Q0| + |Q1|) triples imply all
+        dim^3.  Table rows are parallel to their paths, so only composable
+        triples can fail and only those are visited.  On a failure the full
+        ``check_associative`` scan raises NonAssociative for the first
+        failing triple of all.
+        """
+        q = self.quiver
+        table = self.table
+        empty = {}
+        by_origin = {v: [] for v in q.vertices}
+        gens_into = {v: [] for v in q.vertices}
+        for i, key in enumerate(self.basis):
+            by_origin[key[0]].append(i)
+            if len(key[1]) <= 1:
+                gens_into[q.path_target(key)].append(i)
+        for j, kj in enumerate(self.basis):
+            right = [(g, table.get((j, g), empty)) for g in gens_into[kj[0]]]
+            for i in by_origin[q.path_target(kj)]:
+                ij = table.get((i, j), empty)
+                for g, jg in right:
+                    lhs = _combine((c, table.get((m, g), empty))
+                                   for m, c in ij.items())
+                    rhs = _combine((c, table.get((i, m), empty))
+                                   for m, c in jg.items())
+                    if lhs != rhs:
+                        return self.check_associative()
         return True
 
 

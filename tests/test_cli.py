@@ -218,3 +218,35 @@ def test_out_flag_to_missing_directory(tmp_path, capsys):
                         "--out", str(tmp_path / "missing" / "x.json"))
     assert code == 2
     assert doc["error"] == "usage"
+
+
+def _cochain_file(tmp_path, tip, element):
+    path = tmp_path / "cochain.json"
+    path.write_text(json.dumps({"values": [{"tip": tip, "element": element}]}))
+    return str(path)
+
+
+def test_cochain_with_unknown_vertex_is_schema_error(tmp_path, capsys):
+    path = _cochain_file(tmp_path, ["a", "a"],
+                         [{"vertex": "nowhere", "word": [], "coeff": "1"}])
+    code, doc = run_doc(capsys, "deform", "--input", "EX1",
+                        "--bipartition", "w|v1,v2", "--deform-type", "custom",
+                        "--cochain", path)
+    assert code == 2
+    assert doc == {"error": "schema", "detail": "unknown vertex 'nowhere'"}
+
+
+# x*y -> y*x + e(x|y) on the annulus: the non-cocycle {rule 0: e(x|y)}
+ANNULUS_NON_ASSOCIATIVE = (
+    '{"detail":"triple 1,1,2: [Fraction(0, 1), Fraction(0, 1), '
+    'Fraction(0, 1), Fraction(0, 1)] != [Fraction(0, 1), Fraction(2, 1), '
+    'Fraction(0, 1), Fraction(0, 1)]","error":"non_associative"}\n')
+
+
+def test_deform_t1_non_cocycle_names_first_failing_triple(tmp_path, capsys):
+    path = _cochain_file(tmp_path, ["x", "y"],
+                         [{"vertex": "x|y", "word": [], "coeff": "1"}])
+    code, out = run(capsys, "deform", "--input", "ANNULUS",
+                    "--deform-type", "custom", "--cochain", path, "--t", "1")
+    assert code == 1
+    assert out == ANNULUS_NON_ASSOCIATIVE

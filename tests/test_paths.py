@@ -26,6 +26,9 @@ def test_key_validation():
         q.key("1", ("de", "ga"))  # ga ends at 1, de starts at 1: ok backwards only
     with pytest.raises(SchemaError):
         q.key("2", ("al",))
+    assert q.key("2", ()) == ("2", ())
+    with pytest.raises(SchemaError):
+        q.key("3", ())  # an idempotent needs a known vertex too
 
 
 def test_word_key_infers_origin():

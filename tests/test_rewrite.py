@@ -5,7 +5,8 @@ from fractions import Fraction
 
 from bga.errors import InfiniteDimensional, NonAssociative, SchemaError
 from bga.fixtures import fixture_doc, fixture_rules
-from bga.paths import Element, Quiver
+from bga.hochschild import hh2
+from bga.paths import Element, Quiver, concat
 from bga.presentation import (
     build_presentation,
     build_reduction_system,
@@ -238,6 +239,21 @@ def test_mult_table_matches_reduce():
     # g * d is the tip of the first rule, normal form a
     assert alg.table[(i, j)] == {alg.index[("a|d", ("a",))]: F(1)}
     assert (j, j) not in alg.table
+
+
+def test_mult_table_is_built_on_first_read():
+    sys = system_for("DBL")
+    alg = irreducible_basis(sys)
+    hh2(sys, alg)
+    assert alg._table is None  # HH^2 reads the basis only
+    table = alg.table
+    assert alg.table is table
+    q = sys.quiver
+    for i, ki in enumerate(alg.basis):
+        for j, kj in enumerate(alg.basis):
+            nf = reduce(sys, concat(q, ki, kj))
+            assert table.get((i, j), {}) == {
+                alg.index[k]: c for k, c in nf.terms.items()}
 
 
 def test_mult_table_associativity():
