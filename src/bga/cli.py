@@ -111,13 +111,21 @@ def _load_system(args, g):
             raise UsageError(f"cannot read {args.rules}: {exc}") from exc
     elif args.fixture:
         rules_text = fixture_rules(args.fixture)
+    bp = _parse_bipartition(args.bipartition) if args.bipartition else None
     if rules_text is not None:
-        bp = _parse_bipartition(args.bipartition) if args.bipartition else None
         quiver = quiver_from_graph(g, bp)
         return rules_from_doc(quiver, json.loads(rules_text)), None
-    bp = _parse_bipartition(args.bipartition) if args.bipartition else None
     pres = build_presentation(g, bp)
     return build_reduction_system(pres), pres.bp
+
+
+def _family_bipartition(args, g, bp):
+    """The bipartition the standard cocycles use: the one the presentation
+    was built from, else --bipartition, else the graph's own."""
+    if bp is not None:
+        return bp
+    return _parse_bipartition(args.bipartition) if args.bipartition \
+        else bipartition(g)
 
 
 def _graph_doc(g):
@@ -215,10 +223,7 @@ def cmd_hh2(args):
 def cmd_cocycles(args):
     g = _load_graph(args)
     system, bp = _load_system(args, g)
-    if bp is None:
-        bp = (_parse_bipartition(args.bipartition) if args.bipartition
-              else bipartition(g))
-    family = standard_cocycles(g, bp, system)
+    family = standard_cocycles(g, _family_bipartition(args, g, bp), system)
     report = verify_basis(hh2(system, irreducible_basis(system)),
                           [s.cochain for s in family])
     emit({"cocycles": [s.to_doc(system) for s in family],
@@ -251,10 +256,7 @@ def _select_cochain(args, g, system, bp):
         except OSError as exc:
             raise UsageError(f"cannot read {args.cochain}: {exc}") from exc
         return _cochain_from_values_doc(system, doc), "custom"
-    if bp is None:
-        bp = (_parse_bipartition(args.bipartition) if args.bipartition
-              else bipartition(g))
-    for s in standard_cocycles(g, bp, system):
+    for s in standard_cocycles(g, _family_bipartition(args, g, bp), system):
         if s.kind == args.deform_type:
             return s.cochain, s.label
     raise NotApplicable(

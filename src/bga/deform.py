@@ -15,7 +15,6 @@ from .errors import NonParallelCochain
 from .linalg import rank
 from .paths import Element, render, render_key
 from .rewrite import (
-    MAX_REDUCE_STEPS,
     FiniteDimAlgebra,
     ReductionSystem,
     Rule,
@@ -108,7 +107,7 @@ class FormalCheck:
                 f"difference {render(diff)}")
 
 
-def verify_formal(dsys, max_steps=MAX_REDUCE_STEPS):
+def verify_formal(dsys):
     """Resolve every overlap ambiguity of the deformed system both ways.
 
     Equality of all the normal forms is exactly liftability of the deformed
@@ -120,7 +119,7 @@ def verify_formal(dsys, max_steps=MAX_REDUCE_STEPS):
     ambiguities = enumerate_ambiguities(dsys.base)
     witness = None
     for amb in ambiguities:
-        left, right = resolve_overlap(dsys.system, amb, one, max_steps)
+        left, right = resolve_overlap(dsys.system, amb, one)
         if left != right:
             diff = left - right
             orders = [o for o in map(_lowest_order, diff.terms.values())
@@ -130,7 +129,7 @@ def verify_formal(dsys, max_steps=MAX_REDUCE_STEPS):
     return FormalCheck(witness is None, len(ambiguities), witness)
 
 
-def deformed_algebra(dsys, max_steps=MAX_REDUCE_STEPS):
+def deformed_algebra(dsys):
     """The t = 1 specialization as a finite-dimensional algebra.
 
     Tips are unchanged, so the basis of irreducible words is the base one.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .deform import check_parallel, deform
+from .deform import check_parallel, deform, verify_formal
 from .errors import (
     NonParallelCochain,
     NotApplicable,
@@ -28,7 +28,6 @@ from .linalg import kernel_basis, quotient, rank, residual, rref
 from .paths import Element, element_to_doc
 from .presentation import cycle_word, dimension_formula
 from .rewrite import (
-    MAX_REDUCE_STEPS,
     ReductionSystem,
     Rule,
     check_diamond,
@@ -66,7 +65,7 @@ def cochain_space(system, alg):
     return out
 
 
-def cochain_from_vector(system, alg, coords, vec):
+def cochain_from_vector(alg, coords, vec):
     """Cochain dict rule_index -> Element from a coordinate vector."""
     q = alg.quiver
     values = {}
@@ -79,7 +78,7 @@ def cochain_from_vector(system, alg, coords, vec):
     return values
 
 
-def vector_from_cochain(system, alg, coords, cochain):
+def vector_from_cochain(system, coords, cochain):
     """Coordinate vector of a cochain; every monomial must be a parallel
     irreducible basis path."""
     check_parallel(system, cochain)
@@ -110,7 +109,7 @@ def cochain_values_doc(system, cochain):
 
 # -- differentials ------------------------------------------------------------
 
-def zeroth_differential(system, alg, phi):
+def zeroth_differential(system, phi):
     """1-cochain (d phi)(arrow) = NF(arrow * phi(origin) - phi(target) * arrow).
 
     ``phi`` maps vertices to algebra elements; missing vertices count as 0.
@@ -132,7 +131,7 @@ def zeroth_differential(system, alg, phi):
     return out
 
 
-def first_differential(system, alg, psi):
+def first_differential(system, psi):
     """2-cochain obtained by substituting psi into each rule.
 
     For every monomial of tip - rhs (tip with coefficient +1, rhs monomials
@@ -184,14 +183,14 @@ def coboundary_image(system, alg, coords=None):
     vecs = []
     for name, key in one_cochain_coords(alg):
         psi = {name: Element(q, {key: _F1})}
-        image = first_differential(system, alg, psi)
-        vecs.append(vector_from_cochain(system, alg, coords, image))
+        image = first_differential(system, psi)
+        vecs.append(vector_from_cochain(system, coords, image))
     return vecs
 
 
 # -- cocycles -----------------------------------------------------------------
 
-def cocycle_space(system, alg, coords=None, max_steps=MAX_REDUCE_STEPS):
+def cocycle_space(system, alg, coords=None):
     """Basis of the cocycle subspace in cochain coordinates.
 
     Each rhs is deformed by t times a generic combination of the rule's
@@ -205,7 +204,7 @@ def cocycle_space(system, alg, coords=None, max_steps=MAX_REDUCE_STEPS):
     if coords is None:
         coords = cochain_space(system, alg)
     n = len(coords)
-    ctx = LinearCtx(n)
+    ctx = LinearCtx()
     q = system.quiver
     by_rule = {}
     for j, (ri, key) in enumerate(coords):
@@ -222,7 +221,7 @@ def cocycle_space(system, alg, coords=None, max_steps=MAX_REDUCE_STEPS):
     one = ctx.one()
     rows = []
     for amb in enumerate_ambiguities(system):
-        left, right = resolve_overlap(dsys, amb, one, max_steps)
+        left, right = resolve_overlap(dsys, amb, one)
         diff = left - right
         for key in sorted(diff.terms):
             c = diff.terms[key]
@@ -271,8 +270,7 @@ class HH2Report:
     def to_doc(self):
         basis = []
         for vec in self.representatives:
-            cochain = cochain_from_vector(self.system, self.alg,
-                                          self.coords, vec)
+            cochain = cochain_from_vector(self.alg, self.coords, vec)
             basis.append({"tag": "generic",
                           "values": cochain_values_doc(self.system, cochain)})
         return {
@@ -286,16 +284,16 @@ class HH2Report:
         }
 
 
-def hh2(system, alg, graph=None, max_steps=MAX_REDUCE_STEPS):
+def hh2(system, alg, graph=None):
     """Cocycles modulo coboundaries, with the closed count when a bipartite
     (or two-vertex local) graph is supplied."""
-    report = check_diamond(system, max_steps=max_steps)
+    report = check_diamond(system)
     if not report:
         raise RequiresConfluentSystem(
             f"{len(report.failures)} unresolved overlaps")
     coords = cochain_space(system, alg)
     n = len(coords)
-    cocycles = cocycle_space(system, alg, coords, max_steps=max_steps)
+    cocycles = cocycle_space(system, alg, coords)
     red, pivots = rref(coboundary_image(system, alg, coords), n)
     reps = quotient(red, pivots, cocycles, n)
     formula = matches = None
@@ -449,18 +447,11 @@ def standard_cocycles(graph, bp, system):
 
 # -- verification -------------------------------------------------------------
 
-def verify_cocycle(system, cochain, max_steps=MAX_REDUCE_STEPS):
+def verify_cocycle(system, cochain):
     """Whether the first-order deformation along the cochain still resolves
     every 1-ambiguity; an independent check that never touches the symbolic
     solver."""
-    ctx = FormalCtx(2)
-    dsys = deform(system, cochain, ctx).system
-    one = ctx.one()
-    for amb in enumerate_ambiguities(system):
-        left, right = resolve_overlap(dsys, amb, one, max_steps)
-        if left != right:
-            return False
-    return True
+    return verify_formal(deform(system, cochain, FormalCtx(2))).passes
 
 
 class BasisReport:
@@ -484,15 +475,13 @@ class BasisReport:
                 "complete": self.complete}
 
 
-def verify_basis(report, cochains, max_steps=MAX_REDUCE_STEPS):
+def verify_basis(report, cochains):
     """Check a list of cochains against the cohomology an ``hh2`` report
     computed: each one a cocycle, jointly independent modulo coboundaries,
     count matching."""
     system = report.system
-    vecs = [vector_from_cochain(system, report.alg, report.coords, c)
-            for c in cochains]
-    all_cocycles = all(
-        verify_cocycle(system, c, max_steps=max_steps) for c in cochains)
+    vecs = [vector_from_cochain(system, report.coords, c) for c in cochains]
+    all_cocycles = all(verify_cocycle(system, c) for c in cochains)
     red, pivots = report.coboundaries
     residues = [residual(red, pivots, v) for v in vecs]
     independent = rank(residues, report.cochain_dim) == len(vecs)

@@ -15,6 +15,7 @@ below is exhaustive.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import (
     InfiniteDimensional,
@@ -27,11 +28,6 @@ from .paths import Element, render_key
 _F1 = Fraction(1)
 
 MAX_REDUCE_STEPS = 200_000
-
-
-def _contains(word, sub):
-    n, k = len(word), len(sub)
-    return any(word[i:i + k] == sub for i in range(n - k + 1))
 
 
 class Rule:
@@ -47,9 +43,16 @@ class Rule:
 
 
 class ReductionSystem:
-    """Validated rule list over a fixed quiver."""
+    """Validated rule list over a fixed quiver.
 
-    __slots__ = ("quiver", "rules", "_tip_words", "word_cap", "_ambiguities")
+    The tips are indexed as ``{tip word: rule index}`` together with the
+    sorted tip lengths.  No tip is a subword of another, so at most one tip
+    starts at any position of a word, and every redex query is a lookup of
+    the slices starting (or ending) there.
+    """
+
+    __slots__ = ("quiver", "rules", "_tips", "_tip_lens", "word_cap",
+                 "_ambiguities")
 
     def __init__(self, quiver, rules, word_cap=None):
         self.quiver = quiver
@@ -61,13 +64,17 @@ class ReductionSystem:
             if len(word) < 2:
                 raise SchemaError(f"tip {word!r} shorter than 2 arrows")
             tips.append(tuple(word))
-        if len(set(tips)) != len(tips):
+        self._tips = {tip: ri for ri, tip in enumerate(tips)}
+        if len(self._tips) != len(tips):
             raise SchemaError("duplicate tip")
+        self._tip_lens = sorted({len(tip) for tip in tips})
         for a in tips:
-            for b in tips:
-                if a is not b and _contains(a, b):
-                    raise SchemaError(f"tip {b!r} is a subword of tip {a!r}")
-        self._tip_words = tips
+            inner = [self._tips[a[i:i + k]]
+                     for k in self._tip_lens if k < len(a)
+                     for i in range(len(a) - k + 1) if a[i:i + k] in self._tips]
+            if inner:
+                raise SchemaError(
+                    f"tip {tips[min(inner)]!r} is a subword of tip {a!r}")
         for rule in self.rules:
             t_end = quiver.path_target(rule.tip)
             for (origin, word) in rule.rhs.terms:
@@ -78,100 +85,92 @@ class ReductionSystem:
                     raise SchemaError(
                         f"rhs of {render_key(rule.tip)} is itself reducible")
         if word_cap is None:
-            word_cap = 2 * max(len(t) for t in tips) + 2 if tips else 2
+            word_cap = 2 * self._tip_lens[-1] + 2 if tips else 2
         self.word_cap = word_cap
         self._ambiguities = None    # filled by enumerate_ambiguities
 
+    def _redex(self, word, positions):
+        """First (position, rule_index) over the positions, or None."""
+        tips, n = self._tips, len(word)
+        for i in positions:
+            for k in self._tip_lens:
+                if i + k > n:
+                    break
+                ri = tips.get(word[i:i + k])
+                if ri is not None:
+                    return i, ri
+        return None
+
     def first_redex(self, word):
         """Leftmost (position, rule_index) redex, or None if irreducible."""
-        best = None
-        for ri, tip in enumerate(self._tip_words):
-            k = len(tip)
-            for i in range(len(word) - k + 1):
-                if best is not None and (i, ri) >= best:
-                    break
-                if word[i:i + k] == tip:
-                    best = (i, ri)
-                    break
-        return best
+        return self._redex(word, range(len(word) - 1))
+
+    def last_redex(self, word):
+        """Rightmost (position, rule_index) redex, or None if irreducible."""
+        return self._redex(word, range(len(word) - 2, -1, -1))
 
     def tip_is_suffix(self, word):
-        return any(word[-len(t):] == t for t in self._tip_words
-                   if len(t) <= len(word))
+        n = len(word)
+        return any(word[n - k:] in self._tips for k in self._tip_lens if k <= n)
 
 
-def _splice(system, key, pos, rule_index, coeff):
-    """Element obtained by replacing the tip at pos inside the word by its rhs.
-
-    The rhs is parallel to the tip, so the origin of the spliced path never
-    moves, whatever part of the word was replaced.
-    """
-    origin, word = key
-    rule = system.rules[rule_index]
-    k = len(rule.tip[1])
-    left, right = word[:pos], word[pos + k:]
-    terms = {}
-    for (_, r_word), c in rule.rhs.terms.items():
-        new_key = (origin, left + r_word + right)
-        s = terms.get(new_key)
-        v = coeff * c
-        s = v if s is None else s + v
-        if s:
-            terms[new_key] = s
-        else:
-            terms.pop(new_key, None)
-    return Element(system.quiver, terms)
-
-
-def reduce(system, element, strategy="leftmost", max_steps=MAX_REDUCE_STEPS):
+def reduce(system, element, strategy="leftmost"):
     """Normal form of an element under the reduction system.
 
-    ``strategy`` picks which reducible monomial/position goes first and must
-    not change the result on confluent systems:
+    One worklist over a single term dict: a heap pops the smallest key not
+    yet known to be irreducible, and its redex is replaced in place.  Keys
+    found irreducible are never scanned again.  ``strategy`` picks the redex
+    inside a word and must not change the result on confluent systems:
 
-    * ``leftmost``: smallest key, leftmost redex (the default),
-    * ``rightmost``: largest key, rightmost redex.
+    * ``leftmost``: leftmost redex (the default),
+    * ``rightmost``: rightmost redex.
 
-    Raises NonTerminating when max_steps replacements were not enough.
+    Raises NonTerminating when ``MAX_REDUCE_STEPS`` replacements were not
+    enough.
     """
-    if strategy not in ("leftmost", "rightmost"):
+    if strategy == "leftmost":
+        find = system.first_redex
+    elif strategy == "rightmost":
+        find = system.last_redex
+    else:
         raise SchemaError(f"unknown strategy {strategy!r}")
-    current = element
+    budget = MAX_REDUCE_STEPS
+    terms = dict(element.terms)
+    heap = list(terms)
+    heapify(heap)
+    irreducible = set()
     steps = 0
-    while True:
-        pick = None
-        keys = sorted(current.terms)
-        if strategy == "rightmost":
-            keys.reverse()
-        for key in keys:
-            origin, word = key
-            if strategy == "leftmost":
-                redex = system.first_redex(word)
-                if redex is not None:
-                    pick = (key, redex)
-                    break
-            else:
-                best = None
-                for ri, tip in enumerate(system._tip_words):
-                    k = len(tip)
-                    for i in range(len(word) - k, -1, -1):
-                        if word[i:i + k] == tip:
-                            if best is None or (i, ri) > best:
-                                best = (i, ri)
-                            break
-                if best is not None:
-                    pick = (key, best)
-                    break
-        if pick is None:
-            return current
+    while heap:
+        key = heappop(heap)
+        if key in irreducible or key not in terms:
+            continue
+        origin, word = key
+        redex = find(word)
+        if redex is None:
+            irreducible.add(key)
+            continue
         steps += 1
-        if steps > max_steps:
-            raise NonTerminating(f"no normal form within {max_steps} steps")
-        key, (pos, ri) = pick
-        rest = dict(current.terms)
-        coeff = rest.pop(key)
-        current = Element(system.quiver, rest) + \
-            _splice(system, key, pos, ri, coeff)
+        if steps > budget:
+            raise NonTerminating(f"no normal form within {budget} steps")
+        # the rhs is parallel to the tip, so the origin never moves
+        pos, ri = redex
+        rule = system.rules[ri]
+        left, right = word[:pos], word[pos + len(rule.tip[1]):]
+        coeff = terms.pop(key)
+        for (_, r_word), c in rule.rhs.terms.items():
+            new_key = (origin, left + r_word + right)
+            s = terms.get(new_key)
+            if s is None:
+                s = coeff * c
+                if new_key not in irreducible:
+                    heappush(heap, new_key)
+            else:
+                s = s + coeff * c
+            if s:
+                terms[new_key] = s
+            else:
+                terms.pop(new_key, None)
+    return Element(system.quiver, terms)
 
 
 class Ambiguity:
@@ -208,7 +207,7 @@ def enumerate_ambiguities(system):
     if system._ambiguities is not None:
         return system._ambiguities
     q = system.quiver
-    max_w = max(map(len, system._tip_words), default=0) - 1
+    max_w = max(system._tip_lens, default=0) - 1
     out = []
     for ri, rule in enumerate(system.rules):
         origin, tip_word = rule.tip
@@ -229,7 +228,7 @@ def enumerate_ambiguities(system):
     return system._ambiguities
 
 
-def resolve_overlap(system, amb, one=_F1, max_steps=MAX_REDUCE_STEPS):
+def resolve_overlap(system, amb, one=_F1):
     """Normal forms (left, right) of the overlap u*v*w reduced both ways.
 
     ``left`` rewrites the tip u*v first, ``right`` reduces v*w first and then
@@ -240,10 +239,8 @@ def resolve_overlap(system, amb, one=_F1, max_steps=MAX_REDUCE_STEPS):
     w_el = Element.path(q, q.arrows[amb.w[-1]][0], amb.w, coeff=one)
     v_el = Element.path(q, q.arrows[amb.v[-1]][0], amb.v, coeff=one)
     u_el = Element.path(q, q.arrows[amb.u][0], (amb.u,), coeff=one)
-    left = reduce(system, system.rules[amb.rule_index].rhs * w_el,
-                  max_steps=max_steps)
-    vw = reduce(system, v_el * w_el, max_steps=max_steps)
-    return left, reduce(system, u_el * vw, max_steps=max_steps)
+    left = reduce(system, system.rules[amb.rule_index].rhs * w_el)
+    return left, reduce(system, u_el * reduce(system, v_el * w_el))
 
 
 class DiamondReport:
@@ -258,12 +255,12 @@ class DiamondReport:
         return self.confluent
 
 
-def check_diamond(system, max_steps=MAX_REDUCE_STEPS):
+def check_diamond(system):
     """Resolve every overlap ambiguity both ways and compare normal forms."""
     ambiguities = enumerate_ambiguities(system)
     failures = []
     for amb in ambiguities:
-        left, right = resolve_overlap(system, amb, max_steps=max_steps)
+        left, right = resolve_overlap(system, amb)
         if left != right:
             failures.append((amb, left, right))
     return DiamondReport(not failures, failures, len(ambiguities))

@@ -209,15 +209,10 @@ class LinScalar:
 class FormalCtx:
     """Coefficients in Q[t]/(t^D)."""
 
-    name = "formal"
-
     def __init__(self, degree):
         if degree < 1:
             raise ValueError("truncation degree must be >= 1")
         self.degree = degree
-
-    def zero(self):
-        return TruncPoly(_F0, self.degree)
 
     def one(self):
         return TruncPoly(_F1, self.degree)
@@ -233,14 +228,6 @@ class FormalCtx:
 
 class LinearCtx:
     """Coefficients affine-linear in unknowns over Q[t]/(t^2)."""
-
-    name = "linear"
-
-    def __init__(self, n_unknowns):
-        self.n_unknowns = n_unknowns
-
-    def zero(self):
-        return LinScalar()
 
     def one(self):
         return LinScalar(_F1)

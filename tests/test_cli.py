@@ -250,3 +250,43 @@ def test_deform_t1_non_cocycle_names_first_failing_triple(tmp_path, capsys):
                     "--deform-type", "custom", "--cochain", path, "--t", "1")
     assert code == 1
     assert out == ANNULUS_NON_ASSOCIATIVE
+
+
+# the broken annulus rules of test_diamond_failure_exit_and_witness, pinned
+# byte for byte so that a change of redex choice in reduce shows up
+BROKEN_ANNULUS_DIAMOND = (
+    '{"ambiguities":2,"confluent":false,"failures":['
+    '{"left":[{"coeff":"1","vertex":"x|y","word":["x"]}],"right":[],'
+    '"word":["x","y","x"]},'
+    '{"left":[],"right":[{"coeff":"1","vertex":"x|y","word":["y"]}],'
+    '"word":["y","x","y"]}]}\n')
+BROKEN_ANNULUS_HH2 = (
+    '{"detail":"irreducible word longer than cap 6",'
+    '"error":"infinite_dimensional"}\n')
+
+
+def test_non_confluent_rules_output_is_pinned(tmp_path, capsys):
+    rules = tmp_path / "broken.json"
+    rules.write_text(json.dumps({"rules": [
+        {"tip": ["x", "y"], "rhs": [["1", []]]},
+        {"tip": ["y", "x"], "rhs": []},
+    ]}))
+    assert run(capsys, "diamond", "--input", "ANNULUS",
+               "--rules", str(rules)) == (1, BROKEN_ANNULUS_DIAMOND)
+    assert run(capsys, "hh2", "--input", "ANNULUS",
+               "--rules", str(rules)) == (1, BROKEN_ANNULUS_HH2)
+
+
+def test_step_budget_stops_a_growing_t1_deformation(tmp_path, capsys,
+                                                    monkeypatch):
+    # a2*bq -> -2 a2*a1*bq at t = 1 lengthens the word at every step, so
+    # only the step budget ends the reduction
+    monkeypatch.setattr("bga.rewrite.MAX_REDUCE_STEPS", 500)
+    path = _cochain_file(tmp_path, ["a2", "bq"],
+                         [{"vertex": "bp|bq", "word": ["a2", "a1", "bq"],
+                           "coeff": "-2"}])
+    code, out = run(capsys, "deform", "--input", "ANN2",
+                    "--deform-type", "custom", "--cochain", path, "--t", "1")
+    assert code == 1
+    assert out == ('{"detail":"no normal form within 500 steps",'
+                   '"error":"non_terminating"}\n')

@@ -88,8 +88,8 @@ def test_vector_cochain_round_trip():
     coords = cochain_space(sys_, alg)
     vec = [F(0)] * len(coords)
     vec[3], vec[4], vec[11] = F(2), F(-1), F(5)
-    cochain = cochain_from_vector(sys_, alg, coords, vec)
-    assert vector_from_cochain(sys_, alg, coords, cochain) == vec
+    cochain = cochain_from_vector(alg, coords, vec)
+    assert vector_from_cochain(sys_, coords, cochain) == vec
     assert cochain[0] == Element.path(q, "x|y", ("y", "x"), F(2))
 
 
@@ -98,7 +98,7 @@ def test_vector_from_cochain_rejects_reducible_value():
     coords = cochain_space(sys_, alg)
     bad = {0: Element.path(sys_.quiver, "x|y", ("x", "y"))}
     with pytest.raises(NonParallelCochain):
-        vector_from_cochain(sys_, alg, coords, bad)
+        vector_from_cochain(sys_, coords, bad)
 
 
 # -- differentials --------------------------------------------------------------
@@ -110,9 +110,8 @@ def test_differentials_compose_to_zero():
     phi = {"a|d": Element.path(q, "a|d", ("a",), F(3)),
            "b|g": Element.path(q, "b|g", ("b", "b"), F(-2))
            + Element.idempotent(q, "b|g")}
-    psi = zeroth_differential(sys_, alg, phi)
-    vec = vector_from_cochain(sys_, alg, coords,
-                              first_differential(sys_, alg, psi))
+    psi = zeroth_differential(sys_, phi)
+    vec = vector_from_cochain(sys_, coords, first_differential(sys_, psi))
     assert not any(vec)
 
 

@@ -134,9 +134,9 @@ def test_differentials_compose_to_zero():
         coords = cochain_space(sys_, alg)
         for _ in range(TRIALS):
             phi = random_zero_cochain(rng, sys_.quiver, alg)
-            psi = zeroth_differential(sys_, alg, phi)
-            vec = vector_from_cochain(sys_, alg, coords,
-                                      first_differential(sys_, alg, psi))
+            psi = zeroth_differential(sys_, phi)
+            vec = vector_from_cochain(sys_, coords,
+                                      first_differential(sys_, psi))
             assert not any(vec), label
 
 

@@ -130,6 +130,35 @@ def test_strategies_agree_on_confluent_system():
         reduce(sys, el, strategy="rightmost")
 
 
+
+def test_strategy_picks_the_redex_inside_a_word():
+    # x*y*x holds x*y at 0 and y*x at 1; the broken system tells them apart
+    sys = planted_broken_system()
+    el = Element.path(sys.quiver, "1", ("x", "y", "x"))
+    assert reduce(sys, el) == Element.path(sys.quiver, "1", ("x",))
+    assert not reduce(sys, el, strategy="rightmost")
+
+
+def _composable_words(q, max_len):
+    level = [(a,) for a in sorted(q.arrows)]
+    while level:
+        yield from level
+        level = [word + (name,) for word in level if len(word) < max_len
+                 for name in q.arrows_into(q.arrows[word[-1]][0])]
+
+
+def test_tip_index_matches_a_scan_of_every_tip():
+    for name in ("EX1", "DBL", "ANNULUS", "TORUS", "LOC_3"):
+        sys = system_for(name)
+        for word in _composable_words(sys.quiver, 6):
+            hits = [(i, ri) for ri, rule in enumerate(sys.rules)
+                    for i in range(len(word))
+                    if word[i:i + len(rule.tip[1])] == rule.tip[1]]
+            assert sys.first_redex(word) == min(hits, default=None)
+            assert sys.last_redex(word) == max(hits, default=None)
+            assert sys.tip_is_suffix(word) == any(
+                i + len(sys.rules[ri].tip[1]) == len(word) for i, ri in hits)
+
 # -- ambiguities ---------------------------------------------------------------
 
 def test_loc_plain_power_rule_has_one_ambiguity():

@@ -74,7 +74,7 @@ def test_linscalar_constant_product():
 
 
 def test_linear_ctx_times_t():
-    ctx = LinearCtx(2)
+    ctx = LinearCtx()
     v = ctx.times_t(LinScalar(3, 4, {1: F(2)}))
     assert v.c0 == 0 and v.c1 == 3 and v.lin == {}
 
