@@ -9,8 +9,6 @@ is confluence, and the checks here measure exactly that.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NonParallelCochain
 from .linalg import rank
 from .paths import Element, render, render_key
@@ -22,8 +20,6 @@ from .rewrite import (
     irreducible_words,
     resolve_overlap,
 )
-
-_F0 = Fraction(0)
 
 
 def check_parallel(system, cochain):
@@ -175,24 +171,15 @@ def semisimplicity(alg):
     Over the rationals the kernel of this form is the Jacobson radical, so
     the rank defect of the Gram matrix is the radical dimension.
     """
-    n = alg.dim
-    traces = [_F0] * n
-    for m in range(n):
-        t = _F0
-        for k in range(n):
-            row = alg.table.get((m, k))
-            if row:
-                t += row.get(k, _F0)
-        traces[m] = t
-    gram = []
-    for i in range(n):
-        grow = []
-        for j in range(n):
-            row = alg.table.get((i, j))
-            s = _F0
-            if row:
-                for m, c in row.items():
-                    s += c * traces[m]
-            grow.append(s)
-        gram.append(grow)
-    return SemisimplicityReport(n, rank(gram, n))
+    table = alg.table
+    traces = {}
+    for (m, k), row in table.items():
+        c = row.get(k)
+        if c:
+            traces[m] = traces.get(m, 0) + c
+    gram = {}
+    for (i, j), row in table.items():
+        s = sum(c * traces[m] for m, c in row.items() if m in traces)
+        if s:
+            gram.setdefault(i, {})[j] = s
+    return SemisimplicityReport(alg.dim, rank(list(gram.values())))

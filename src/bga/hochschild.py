@@ -38,7 +38,6 @@ from .rewrite import (
 from .ribbon import spanning_tree
 from .scalars import FormalCtx, LinearCtx
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -66,24 +65,20 @@ def cochain_space(system, alg):
 
 
 def cochain_from_vector(alg, coords, vec):
-    """Cochain dict rule_index -> Element from a coordinate vector."""
-    q = alg.quiver
-    values = {}
-    for (ri, key), c in zip(coords, vec):
-        if not c:
-            continue
-        cur = values.get(ri)
-        add = Element(q, {key: Fraction(c)})
-        values[ri] = add if cur is None else cur + add
-    return values
+    """Cochain dict rule_index -> Element from a sparse coordinate vector."""
+    terms = {}
+    for j, c in sorted(vec.items()):
+        ri, key = coords[j]
+        terms.setdefault(ri, {})[key] = c
+    return {ri: Element(alg.quiver, t) for ri, t in terms.items()}
 
 
 def vector_from_cochain(system, coords, cochain):
-    """Coordinate vector of a cochain; every monomial must be a parallel
-    irreducible basis path."""
+    """Sparse coordinate vector {j: c} of a cochain; every monomial must be
+    a parallel irreducible basis path."""
     check_parallel(system, cochain)
     index = {pair: j for j, pair in enumerate(coords)}
-    vec = [_F0] * len(coords)
+    vec = {}
     for ri, value in cochain.items():
         for key, c in value.terms.items():
             j = index.get((ri, key))
@@ -91,7 +86,7 @@ def vector_from_cochain(system, coords, cochain):
                 raise NonParallelCochain(
                     f"monomial {key!r} on rule {ri} is not an irreducible "
                     "basis path")
-            vec[j] += c
+            vec[j] = c
     return vec
 
 
@@ -203,7 +198,6 @@ def cocycle_space(system, alg, coords=None):
     """
     if coords is None:
         coords = cochain_space(system, alg)
-    n = len(coords)
     ctx = LinearCtx()
     q = system.quiver
     by_rule = {}
@@ -233,11 +227,8 @@ def cocycle_space(system, alg, coords=None):
             # cannot appear
             assert not c.c1, "constraint with constant t-part"
             if c.lin:
-                row = [_F0] * n
-                for j, v in c.lin.items():
-                    row[j] = v
-                rows.append(row)
-    return kernel_basis(rows, n)
+                rows.append(c.lin)
+    return kernel_basis(rows, len(coords))
 
 
 # -- the quotient -------------------------------------------------------------
@@ -292,10 +283,9 @@ def hh2(system, alg, graph=None):
         raise RequiresConfluentSystem(
             f"{len(report.failures)} unresolved overlaps")
     coords = cochain_space(system, alg)
-    n = len(coords)
     cocycles = cocycle_space(system, alg, coords)
-    red, pivots = rref(coboundary_image(system, alg, coords), n)
-    reps = quotient(red, pivots, cocycles, n)
+    red, pivots = rref(coboundary_image(system, alg, coords))
+    reps = quotient(red, pivots, cocycles)
     formula = matches = None
     if graph is not None:
         try:
@@ -484,5 +474,5 @@ def verify_basis(report, cochains):
     all_cocycles = all(verify_cocycle(system, c) for c in cochains)
     red, pivots = report.coboundaries
     residues = [residual(red, pivots, v) for v in vecs]
-    independent = rank(residues, report.cochain_dim) == len(vecs)
+    independent = rank(residues) == len(vecs)
     return BasisReport(all_cocycles, independent, len(vecs), report.hh2_dim)

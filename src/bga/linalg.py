@@ -1,7 +1,8 @@
-"""Dense exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the rationals.
 
-Vectors are lists of Fractions, matrices are lists of row vectors.  All
-eliminations are fraction-exact; nothing here is numerical.
+A vector is a dict {column: Fraction} of its nonzero entries, a matrix is a
+list of such rows.  All eliminations are fraction-exact Gauss-Jordan on
+these rows; nothing here is numerical.
 """
 
 from __future__ import annotations
@@ -10,41 +11,61 @@ from fractions import Fraction
 
 from .errors import NotASubspace
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+def _sub_scaled(row, f, other):
+    """row -= f * other, in place; entries that cancel are dropped."""
+    for c, x in other.items():
+        v = row.get(c)
+        if v is None:
+            row[c] = -f * x
+        else:
+            v -= f * x
+            if v:
+                row[c] = v
+            else:
+                del row[c]
+
+
+def _clear_pivots(row, done):
+    """Clear the pivot columns of done {pivot: row} from row, in place.
+
+    Each row in done is zero in every other pivot column, so one pass does.
+    """
+    for p in [c for c in row if c in done]:
+        _sub_scaled(row, row[p], done[p])
 
 
 def rref(rows, ncols=None):
     """Reduced row echelon form.
 
-    Returns (reduced_rows, pivot_columns); zero rows are dropped, pivot
-    entries are 1 and pivot columns are cleared above and below.
+    Returns (reduced_rows, pivot_columns) in increasing pivot order; zero
+    rows are dropped, pivot entries are 1 and pivot columns are cleared in
+    every other row.  Each row is cleared of the known pivots, scaled at
+    its leading column p, and p is cleared from the rows holding it.
+    ``ncols`` is not read; it stays for callers that pass it positionally.
     """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    work = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot is None:
+    done = {}
+    for r in rows:
+        row = {c: x for c, x in r.items() if x}
+        _clear_pivots(row, done)
+        if not row:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = _F1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+        p = min(row)
+        inv = _F1 / row[p]
+        row = {c: x * inv for c, x in row.items()}
+        for other in done.values():
+            f = other.get(p)
+            if f:
+                _sub_scaled(other, f, row)
+        done[p] = row
+    pivots = sorted(done)
+    return [done[p] for p in pivots], pivots
 
 
-def rank(rows, ncols=None):
-    return len(rref(rows, ncols)[1])
+def rank(rows):
+    return len(rref(rows)[1])
 
 
 def kernel_basis(rows, ncols):
@@ -53,34 +74,32 @@ def kernel_basis(rows, ncols):
     One basis vector per free column, taken in increasing column order with
     the free variable set to 1, so the result is deterministic.
     """
-    red, pivots = rref(rows, ncols)
+    red, pivots = rref(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [_F0] * ncols
-        v[fc] = _F1
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = {fc: _F1}
+        for row, pc in zip(red, pivots):
+            if fc in row:
+                v[pc] = -row[fc]
         basis.append(v)
     return basis
 
 
 def residual(red, pivots, vec):
-    """Reduce vec against rref rows; zero vector iff vec is in their span."""
-    v = [Fraction(x) for x in vec]
-    for i, pc in enumerate(pivots):
-        if v[pc]:
-            f = v[pc]
-            v = [a - f * b for a, b in zip(v, red[i])]
+    """Reduce vec against rref rows; empty iff vec is in their span."""
+    v = {c: x for c, x in vec.items() if x}
+    _clear_pivots(v, dict(zip(pivots, red)))
     return v
 
 
 def in_span(red, pivots, vec):
-    return not any(residual(red, pivots, vec))
+    return not residual(red, pivots, vec)
 
 
-def quotient(sub_red, sub_pivots, space_rows, ncols):
+def quotient(sub_red, sub_pivots, space_rows):
     """Representatives of span(space) / span(sub), sub given by its rref.
 
     Raises NotASubspace if sub is not contained in span(space).  Each
@@ -88,9 +107,9 @@ def quotient(sub_red, sub_pivots, space_rows, ncols):
     nonzero residuals are rref-normalized, so the result is a deterministic
     list whose length is the quotient dimension.
     """
-    red, pivots = rref(space_rows, ncols)
+    red, pivots = rref(space_rows)
     if not all(in_span(red, pivots, v) for v in sub_red):
         raise NotASubspace("vector outside the ambient span")
     reduced = [residual(sub_red, sub_pivots, v) for v in space_rows]
-    reps, _ = rref([v for v in reduced if any(v)], ncols)
+    reps, _ = rref([v for v in reduced if v])
     return reps

@@ -189,7 +189,7 @@ def render_key(key):
     return "*".join(word) if word else f"e({origin})"
 
 
-def render(el, coeff_text=str):
+def render(el):
     """Human-readable form, terms in sorted key order."""
     if not el.terms:
         return "0"
@@ -202,7 +202,7 @@ def render(el, coeff_text=str):
         elif c == -1:
             parts.append(f"-{body}")
         else:
-            txt = coeff_text(c.text() if hasattr(c, "text") else c)
+            txt = c.text() if hasattr(c, "text") else str(c)
             if any(ch in txt for ch in "+- ") and not txt.lstrip("-").isdigit():
                 txt = f"({txt})"
             parts.append(f"{txt} {body}")

@@ -344,13 +344,6 @@ class FiniteDimAlgebra:
     def dim(self):
         return len(self.basis)
 
-    def coords(self, element):
-        nf = reduce(self.system, element)
-        vec = [Fraction(0)] * self.dim
-        for key, c in nf.terms.items():
-            vec[self.index[key]] = c
-        return vec
-
     def multiply_coords(self, x, y):
         table = self.table
         out = [Fraction(0)] * self.dim

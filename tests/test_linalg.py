@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bga.errors import NotASubspace
 from bga.linalg import (
@@ -17,7 +17,12 @@ F = Fraction
 
 
 def m(*rows):
-    return [[F(x) for x in r] for r in rows]
+    """Sparse rows {column: Fraction} from dense lists."""
+    return [{j: F(x) for j, x in enumerate(r) if x} for r in rows]
+
+
+def dot(row, vec):
+    return sum(x * vec.get(c, 0) for c, x in row.items())
 
 
 def test_rref_small():
@@ -29,7 +34,7 @@ def test_rref_small():
 def test_rank():
     assert rank(m([1, 2], [3, 4])) == 2
     assert rank(m([1, 2], [2, 4])) == 1
-    assert rank([], 5) == 0
+    assert rank([]) == 0
     assert rank(m([0, 0, 0])) == 0
 
 
@@ -38,7 +43,7 @@ def test_kernel_basis_free_columns_in_order():
     ker = kernel_basis(m([1, 2, 3]), 3)
     assert ker == m([-2, 1, 0], [-3, 0, 1])
     for v in ker:
-        assert sum(a * b for a, b in zip([1, 2, 3], v)) == 0
+        assert dot(m([1, 2, 3])[0], v) == 0
 
 
 def test_kernel_of_full_rank_matrix_is_trivial():
@@ -52,30 +57,30 @@ def test_kernel_of_zero_matrix_is_everything():
 
 def test_residual_and_in_span():
     red, piv = rref(m([1, 0, 1], [0, 1, 1]))
-    assert in_span(red, piv, [2, 3, 5])
-    assert not in_span(red, piv, [0, 0, 1])
-    r = residual(red, piv, [2, 3, 4])
-    assert r == [F(0), F(0), F(-1)]
+    assert in_span(red, piv, m([2, 3, 5])[0])
+    assert not in_span(red, piv, m([0, 0, 1])[0])
+    r = residual(red, piv, m([2, 3, 4])[0])
+    assert r == {2: F(-1)}
 
 
 def test_quotient_dim():
     space = m([1, 0, 0], [0, 1, 0], [1, 1, 0])
     sub = m([1, 1, 0])
-    assert len(quotient(*rref(sub, 3), space, 3)) == 1
-    assert len(quotient(*rref([], 3), space, 3)) == 2
+    assert len(quotient(*rref(sub), space)) == 1
+    assert len(quotient(*rref([]), space)) == 2
 
 
 def test_quotient_dim_rejects_non_subspace():
     with pytest.raises(NotASubspace):
-        quotient(*rref(m([0, 0, 1]), 3), m([1, 0, 0]), 3)
+        quotient(*rref(m([0, 0, 1])), m([1, 0, 0]))
 
 
 def test_quotient_representatives():
     space = m([1, 0, 0], [0, 1, 0], [0, 0, 1])
     sub = m([0, 0, 1])
-    reps = quotient(*rref(sub, 3), space, 3)
+    reps = quotient(*rref(sub), space)
     assert reps == m([1, 0, 0], [0, 1, 0])
-    assert quotient(*rref(space, 3), space, 3) == []
+    assert quotient(*rref(space), space) == []
 
 
 @st.composite
@@ -84,17 +89,17 @@ def small_matrices(draw):
     ncols = draw(st.integers(1, 4))
     rows = [[F(draw(st.integers(-4, 4))) for _ in range(ncols)]
             for _ in range(nrows)]
-    return rows, ncols
+    return m(*rows), ncols
 
 
 @given(small_matrices())
 def test_rank_nullity(mn):
     rows, ncols = mn
     ker = kernel_basis(rows, ncols)
-    assert rank(rows, ncols) + len(ker) == ncols
+    assert rank(rows) + len(ker) == ncols
     for v in ker:
         for row in rows:
-            assert sum(a * b for a, b in zip(row, v)) == 0
+            assert dot(row, v) == 0
 
 
 @given(small_matrices())
@@ -103,3 +108,156 @@ def test_rref_idempotent(mn):
     red, piv = rref(rows, ncols)
     red2, piv2 = rref(red, ncols)
     assert red2 == red and piv2 == piv
+
+
+# -- the dense reference ---------------------------------------------------------
+#
+# Dense Gauss-Jordan on lists of Fractions, as the engine did it before its
+# rows became sparse.  The RREF of a row space is unique, so the sparse
+# routines must reproduce these results entry for entry.
+
+def dense_rref(rows, ncols):
+    work = [[F(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = F(1) / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivots
+
+
+def dense_kernel(rows, ncols):
+    red, pivots = dense_rref(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -red[i][fc]
+        basis.append(v)
+    return basis
+
+
+def dense_residual(red, pivots, vec):
+    v = [F(x) for x in vec]
+    for i, pc in enumerate(pivots):
+        if v[pc]:
+            f = v[pc]
+            v = [a - f * b for a, b in zip(v, red[i])]
+    return v
+
+
+def dense_quotient(sub_red, sub_pivots, space_rows, ncols):
+    red, pivots = dense_rref(space_rows, ncols)
+    if any(any(dense_residual(red, pivots, v)) for v in sub_red):
+        raise NotASubspace("vector outside the ambient span")
+    reduced = [dense_residual(sub_red, sub_pivots, v) for v in space_rows]
+    reps, _ = dense_rref([v for v in reduced if any(v)], ncols)
+    return reps
+
+
+def densify(row, ncols):
+    out = [F(0)] * ncols
+    for c, x in row.items():
+        out[c] = x
+    return out
+
+
+def dense_vectors(ncols):
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                      st.fractions(min_value=-2, max_value=2,
+                                   max_denominator=3))
+    return st.lists(entry.map(F), min_size=ncols, max_size=ncols)
+
+
+@st.composite
+def dense_matrices(draw, ncols=None):
+    """Small dense matrices, mostly zeros, wide or tall, with zero rows and
+    repeated (rescaled) rows mixed in."""
+    if ncols is None:
+        ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(dense_vectors(ncols), max_size=7))
+    for op in draw(st.lists(st.integers(0, 2), max_size=3)):
+        if op == 0:
+            rows.append([F(0)] * ncols)
+        elif rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            f = F(1) if op == 1 else F(draw(st.integers(-3, 3)))
+            rows.insert(draw(st.integers(0, len(rows))),
+                        [f * x for x in rows[i]])
+    return rows, ncols
+
+
+def sparse_form_ok(rows):
+    return all(isinstance(x, F) and x for r in rows for x in r.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_matrices())
+def test_sparse_rref_equals_dense_rref(mn):
+    rows, ncols = mn
+    red, piv = rref(m(*rows), ncols)
+    dred, dpiv = dense_rref(rows, ncols)
+    assert piv == dpiv
+    assert [densify(r, ncols) for r in red] == dred
+    assert sparse_form_ok(red)
+    assert rank(m(*rows)) == len(dpiv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_matrices())
+def test_sparse_kernel_equals_dense_kernel(mn):
+    rows, ncols = mn
+    ker = kernel_basis(m(*rows), ncols)
+    assert [densify(v, ncols) for v in ker] == dense_kernel(rows, ncols)
+    assert sparse_form_ok(ker)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_residual_equals_dense_residual(data):
+    rows, ncols = data.draw(dense_matrices())
+    vec = data.draw(dense_vectors(ncols))
+    red, piv = rref(m(*rows))
+    dred, dpiv = dense_rref(rows, ncols)
+    expected = dense_residual(dred, dpiv, vec)
+    got = residual(red, piv, m(vec)[0])
+    assert densify(got, ncols) == expected
+    assert sparse_form_ok([got])
+    assert in_span(red, piv, m(vec)[0]) == (not any(expected))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_quotient_equals_dense_quotient(data):
+    space, ncols = data.draw(dense_matrices())
+    # a subspace spanned by some of the space's rows, or an arbitrary
+    # matrix of the same width that may stick out of the space
+    if data.draw(st.booleans()):
+        sub = data.draw(st.lists(st.sampled_from(space), max_size=3)
+                        if space else st.just([]))
+    else:
+        sub, _ = data.draw(dense_matrices(ncols))
+    sub_red, sub_piv = rref(m(*sub))
+    dsub_red, dsub_piv = dense_rref(sub, ncols)
+    try:
+        expected = dense_quotient(dsub_red, dsub_piv, space, ncols)
+    except NotASubspace:
+        with pytest.raises(NotASubspace):
+            quotient(sub_red, sub_piv, m(*space))
+        return
+    reps = quotient(sub_red, sub_piv, m(*space))
+    assert [densify(r, ncols) for r in reps] == expected
+    assert sparse_form_ok(reps)
