@@ -268,12 +268,14 @@ def cmd_deform(args):
     system, bp = _load_system(args, g)
     if not args.deform_type:
         raise UsageError("deform needs --deform-type")
-    cochain, label = _select_cochain(args, g, system, bp)
     m = re.fullmatch(r"formal:(\d+)", args.t)
-    if m:
-        degree = int(m.group(1))
-        if degree < 1:
-            raise UsageError("truncation degree must be >= 1")
+    if m is None and args.t != "1":
+        raise UsageError('--t must be "1" or "formal:D"')
+    degree = int(m.group(1)) if m else None
+    if degree is not None and degree < 1:
+        raise UsageError("truncation degree must be >= 1")
+    cochain, label = _select_cochain(args, g, system, bp)
+    if degree is not None:
         ds = deform(system, cochain, FormalCtx(degree))
         check = verify_formal(ds)
         doc = {"type": args.deform_type, "label": label, "t": args.t,
@@ -285,8 +287,6 @@ def cmd_deform(args):
                               "detail": check.describe()}
         emit(doc, args)
         return 0 if check.passes else 1
-    if args.t != "1":
-        raise UsageError('--t must be "1" or "formal:D"')
     ds = deform(system, cochain, FormalCtx(2))
     alg = deformed_algebra(ds)
     doc = {"type": args.deform_type, "label": label, "t": "1",

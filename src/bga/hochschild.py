@@ -5,13 +5,21 @@ A 2-cochain assigns to each rule an algebra element parallel to its tip
 (rule, parallel irreducible basis path), tips in rule order and parallels
 in basis order, so every report is deterministic.
 
-Cocycles are found by deforming each right-hand side with symbolic
-first-order coefficients and reducing every tip-on-tip overlap both ways:
-the order-t parts of the two normal forms must agree, which is a
-homogeneous linear system in the coefficients.  Coboundaries are the image
-of the arrow-indexed 1-cochains under the usual differential.  For algebras
-built from a bipartite Brauer graph, the closed dimension count and the
-explicit standard cocycle family are available as cross-checks.
+A cochain psi is a cocycle iff deforming every rhs to rhs + t * psi
+resolves each tip-on-tip overlap to first order in t.  Both linear maps are
+built from reductions in the base system alone, with exact rational
+coefficients:
+
+* cocycle constraints: each overlap is resolved both ways once, recording
+  the reduction steps; an unknown coordinate (rule r, path p) contributes
+  the normal form of ``left p right`` for every step that rewrote the tip
+  of r between ``left`` and ``right`` (see ``cocycle_space`` for why this
+  equals the order-t part of the deformed reduction);
+* coboundaries: the arrow-indexed 1-cochains are substituted into the
+  letter occurrences of every tip - rhs.
+
+For algebras built from a bipartite Brauer graph, the closed dimension count
+and the explicit standard cocycle family are available as cross-checks.
 """
 
 from __future__ import annotations
@@ -27,16 +35,9 @@ from .errors import (
 from .linalg import kernel_basis, quotient, rank, residual, rref
 from .paths import Element, element_to_doc
 from .presentation import cycle_word, dimension_formula
-from .rewrite import (
-    ReductionSystem,
-    Rule,
-    check_diamond,
-    enumerate_ambiguities,
-    reduce,
-    resolve_overlap,
-)
+from .rewrite import enumerate_ambiguities, reduce
 from .ribbon import spanning_tree
-from .scalars import FormalCtx, LinearCtx
+from .scalars import FormalCtx
 
 _F1 = Fraction(1)
 
@@ -126,33 +127,61 @@ def zeroth_differential(system, phi):
     return out
 
 
+def _letter_occurrences(system):
+    """{arrow: [(rule_index, coeff, origin, left, right)]} over every letter
+    of every monomial of tip - rhs: the tip with coefficient +1, the rhs
+    monomials negated, ``left`` and ``right`` the words around the letter."""
+    out = {}
+    for ri, rule in enumerate(system.rules):
+        monomials = [(rule.tip, _F1)]
+        monomials += [(k, -c) for k, c in rule.rhs.terms.items()]
+        for (origin, word), c in monomials:
+            for i, letter in enumerate(word):
+                out.setdefault(letter, []).append(
+                    (ri, c, origin, word[:i], word[i + 1:]))
+    return out
+
+
+def _substitute(occurrences, letter, terms):
+    """(rule_index, key, coeff) for each word made by putting a path of
+    ``terms`` ({key: coeff}, parallel to the letter) in place of one
+    occurrence of the letter; the words are not reduced."""
+    for ri, c, origin, left, right in occurrences.get(letter, ()):
+        for (_, word), d in terms.items():
+            yield ri, (origin, left + word + right), c * d
+
+
+def _normal_forms(system):
+    """Memoised normal form of a single path: key -> {key: coeff}.  The base
+    system is confluent, so NF is linear and a sum may be reduced term by
+    term."""
+    q = system.quiver
+    memo = {}
+
+    def nf(key):
+        terms = memo.get(key)
+        if terms is None:
+            terms = memo[key] = reduce(system, Element(q, {key: _F1})).terms
+        return terms
+    return nf
+
+
 def first_differential(system, psi):
     """2-cochain obtained by substituting psi into each rule.
 
-    For every monomial of tip - rhs (tip with coefficient +1, rhs monomials
-    with their negated coefficients) and every letter position, the letter is
-    replaced by psi(letter) and the product reduced; the signed sum is the
-    value on that rule.
+    ``psi`` maps arrows to elements parallel to them.  Every occurrence of a
+    letter in tip - rhs is replaced by psi(letter); the signed sum over a
+    rule, reduced, is the value on that rule.
     """
-    q = system.quiver
+    occurrences = _letter_occurrences(system)
+    totals = {}
+    for letter in sorted(psi):
+        for ri, key, c in _substitute(occurrences, letter, psi[letter].terms):
+            total = totals.setdefault(ri, {})
+            total[key] = total.get(key, 0) + c
     out = {}
-    for ri, rule in enumerate(system.rules):
-        total = Element.zero(q)
-        monomials = [(rule.tip, _F1)]
-        monomials += [(k, -c) for k, c in rule.rhs.terms.items()]
-        for (m_origin, word), c in monomials:
-            for i, letter in enumerate(word):
-                repl = psi.get(letter)
-                if repl is None or not repl:
-                    continue
-                left_w, right_w = word[:i], word[i + 1:]
-                lo, lt = q.arrows[letter]
-                left_el = (Element.path(q, q.arrows[left_w[-1]][0], left_w)
-                           if left_w else Element.idempotent(q, lt))
-                right_el = (Element.path(q, m_origin, right_w)
-                            if right_w else Element.idempotent(q, lo))
-                total = total + (left_el * repl * right_el).scaled(c)
-        nf = reduce(system, total)
+    for ri in sorted(totals):
+        nf = reduce(system, Element(system.quiver, totals[ri]))
         if nf:
             out[ri] = nf
     return out
@@ -171,64 +200,110 @@ def one_cochain_coords(alg):
 
 
 def coboundary_image(system, alg, coords=None):
-    """Spanning set of the coboundary subspace in cochain coordinates."""
+    """Spanning set of the coboundary subspace in cochain coordinates.
+
+    One vector per ``one_cochain_coords`` pair (arrow, path): the first
+    differential of that 1-cochain, from the letter occurrences of the rules
+    with each substituted word reduced once.
+    """
     if coords is None:
         coords = cochain_space(system, alg)
-    q = alg.quiver
+    index = {pair: j for j, pair in enumerate(coords)}
+    occurrences = _letter_occurrences(system)
+    nf = _normal_forms(system)
     vecs = []
     for name, key in one_cochain_coords(alg):
-        psi = {name: Element(q, {key: _F1})}
-        image = first_differential(system, psi)
-        vecs.append(vector_from_cochain(system, coords, image))
+        vec = {}
+        for ri, word_key, c in _substitute(occurrences, name, {key: _F1}):
+            for k, d in nf(word_key).items():
+                j = index[(ri, k)]
+                vec[j] = vec.get(j, 0) + c * d
+        vecs.append({j: c for j, c in vec.items() if c})
     return vecs
 
 
 # -- cocycles -----------------------------------------------------------------
 
+def _traced_overlaps(system):
+    """Every overlap u|v|w resolved in the base system, with the traces of
+    its three reductions: (amb, left, inner, outer) steps of rhs(uv)*w,
+    v*w and u*NF(v*w).  Raises RequiresConfluentSystem, counting the
+    overlaps whose two normal forms differ."""
+    q = system.quiver
+    out = []
+    unresolved = 0
+    for amb in enumerate_ambiguities(system):
+        w_el = Element.path(q, q.arrows[amb.w[-1]][0], amb.w)
+        v_el = Element.path(q, q.arrows[amb.v[-1]][0], amb.v)
+        u_el = Element.path(q, q.arrows[amb.u][0], (amb.u,))
+        left, inner, outer = [], [], []
+        nf_left = reduce(system, system.rules[amb.rule_index].rhs * w_el,
+                         trace=left)
+        nf_vw = reduce(system, v_el * w_el, trace=inner)
+        nf_right = reduce(system, u_el * nf_vw, trace=outer)
+        unresolved += nf_left != nf_right
+        out.append((amb, left, inner, outer))
+    if unresolved:
+        raise RequiresConfluentSystem(f"{unresolved} unresolved overlaps")
+    return out
+
+
+def _cocycle_rows(system, coords, overlaps):
+    """Constraint rows {j: c}: per overlap, one row for each normal-form key
+    at which the order-t parts of the two resolutions differ, keys in order.
+
+    Unknown j = (rule r, path p) enters the rhs of r as t * x_j * p.  A base
+    step c * left (tip r) right then adds c * t * x_j * left p right, and so
+    does the overlap's own rule for p * w; the t-part of a resolution is the
+    normal form of the sum over its steps.  Inner steps (of v*w) sit under
+    the prefix u.
+    """
+    by_rule = {}
+    for j, (ri, (_, p)) in enumerate(coords):
+        by_rule.setdefault(ri, []).append((j, p))
+    nf = _normal_forms(system)
+    rows = []
+    for amb, left, inner, outer in overlaps:
+        origin = system.quiver.arrows[amb.w[-1]][0]
+        steps = [(_F1, origin, (), amb.rule_index, amb.w)]
+        steps += left
+        steps += [(-c, o, (amb.u,) + lw, ri, rw) for c, o, lw, ri, rw in inner]
+        steps += [(-c, o, lw, ri, rw) for c, o, lw, ri, rw in outer]
+        diff = {}
+        for c, o, lw, ri, rw in steps:
+            for j, p in by_rule.get(ri, ()):
+                for k, d in nf((o, lw + p + rw)).items():
+                    row = diff.setdefault(k, {})
+                    row[j] = row.get(j, 0) + c * d
+        for k in sorted(diff):
+            row = {j: c for j, c in diff[k].items() if c}
+            if row:
+                rows.append(row)
+    return rows
+
+
 def cocycle_space(system, alg, coords=None):
     """Basis of the cocycle subspace in cochain coordinates.
 
-    Each rhs is deformed by t times a generic combination of the rule's
-    parallel paths with symbolic coefficients; for every 1-ambiguity u|v|w
-    the two resolutions (rewrite uv first, or vw first) are reduced to
-    normal form and their order-t parts compared.  The kernel of the
-    resulting homogeneous system is returned (the order-1 parts cancel
-    because the base system is confluent; a nonzero constant means it
-    was not).
+    A cochain psi is a cocycle iff deforming every rhs to rhs + t * psi
+    resolves each overlap u|v|w to first order in t.  The constraints come
+    from reductions in the base system only, and they are exact:
+
+    * t^2 = 0, so a t-term, once made, is rewritten by base rules only;
+    * the base system is confluent, so its normal form is linear and the
+      t-part of a resolution is the normal form of what its steps add;
+    * reduce always rewrites the smallest reducible key, so the steps on
+      the constant part of a deformed reduction are, one for one, the
+      steps of the base reduction.
+
+    The kernel of the constraint rows is returned.  Raises
+    RequiresConfluentSystem when an overlap does not resolve in the base
+    system.
     """
+    overlaps = _traced_overlaps(system)
     if coords is None:
         coords = cochain_space(system, alg)
-    ctx = LinearCtx()
-    q = system.quiver
-    by_rule = {}
-    for j, (ri, key) in enumerate(coords):
-        by_rule.setdefault(ri, []).append((j, key))
-    def_rules = []
-    for ri, rule in enumerate(system.rules):
-        terms = {k: ctx.from_fraction(c) for k, c in rule.rhs.terms.items()}
-        for j, key in by_rule.get(ri, []):
-            u = ctx.unknown(j)
-            s = terms.get(key)
-            terms[key] = u if s is None else s + u
-        def_rules.append(Rule(rule.tip, Element(q, terms)))
-    dsys = ReductionSystem(q, def_rules, word_cap=system.word_cap)
-    one = ctx.one()
-    rows = []
-    for amb in enumerate_ambiguities(system):
-        left, right = resolve_overlap(dsys, amb, one)
-        diff = left - right
-        for key in sorted(diff.terms):
-            c = diff.terms[key]
-            if c.c0:
-                raise RequiresConfluentSystem(
-                    f"overlap {'*'.join(amb.word)} does not resolve in the "
-                    "base system")
-            # unknowns always enter with one factor of t, so a bare t-term
-            # cannot appear
-            assert not c.c1, "constraint with constant t-part"
-            if c.lin:
-                rows.append(c.lin)
-    return kernel_basis(rows, len(coords))
+    return kernel_basis(_cocycle_rows(system, coords, overlaps), len(coords))
 
 
 # -- the quotient -------------------------------------------------------------
@@ -277,13 +352,16 @@ class HH2Report:
 
 def hh2(system, alg, graph=None):
     """Cocycles modulo coboundaries, with the closed count when a bipartite
-    (or two-vertex local) graph is supplied."""
-    report = check_diamond(system)
-    if not report:
-        raise RequiresConfluentSystem(
-            f"{len(report.failures)} unresolved overlaps")
+    (or two-vertex local) graph is supplied.
+
+    The traced overlap resolutions are also the confluence check: a system
+    with an unresolved overlap raises RequiresConfluentSystem before the
+    basis is read.
+    """
+    overlaps = _traced_overlaps(system)
     coords = cochain_space(system, alg)
-    cocycles = cocycle_space(system, alg, coords)
+    cocycles = kernel_basis(_cocycle_rows(system, coords, overlaps),
+                            len(coords))
     red, pivots = rref(coboundary_image(system, alg, coords))
     reps = quotient(red, pivots, cocycles)
     formula = matches = None
@@ -439,8 +517,8 @@ def standard_cocycles(graph, bp, system):
 
 def verify_cocycle(system, cochain):
     """Whether the first-order deformation along the cochain still resolves
-    every 1-ambiguity; an independent check that never touches the symbolic
-    solver."""
+    every 1-ambiguity; an independent check that never touches the
+    constraint rows."""
     return verify_formal(deform(system, cochain, FormalCtx(2))).passes
 
 

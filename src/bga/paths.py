@@ -5,9 +5,9 @@ names written left to right with the rightmost arrow applied first, so the
 word ``(u, v)`` means "v, then u" and needs ``origin(u) == target(v)``.
 The empty word at vertex v is the idempotent e(v).
 
-Elements are finite rational (or TruncPoly / LinScalar) combinations of
-paths, stored as a zero-free dict.  Multiplication is the bilinear extension
-of concatenation; non-composable products are zero, not an error.
+Elements are finite rational (or TruncPoly) combinations of paths, stored
+as a zero-free dict.  Multiplication is the bilinear extension of
+concatenation; non-composable products are zero, not an error.
 """
 
 from __future__ import annotations
@@ -94,9 +94,9 @@ class Quiver:
 class Element:
     """Linear combination of paths of one quiver.
 
-    Coefficients may be Fractions, TruncPoly, or LinScalar values; they are
-    only added, negated, multiplied, and truth-tested, and must not be mixed
-    within one computation (TruncPoly raises on mismatched truncations).
+    Coefficients may be Fractions or TruncPoly values; they are only added,
+    negated, multiplied, and truth-tested, and must not be mixed within one
+    computation (TruncPoly raises on mismatched truncations).
     """
 
     __slots__ = ("quiver", "terms")

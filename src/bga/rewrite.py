@@ -114,7 +114,7 @@ class ReductionSystem:
         return any(word[n - k:] in self._tips for k in self._tip_lens if k <= n)
 
 
-def reduce(system, element, strategy="leftmost"):
+def reduce(system, element, strategy="leftmost", trace=None):
     """Normal form of an element under the reduction system.
 
     One worklist over a single term dict: a heap pops the smallest key not
@@ -124,6 +124,10 @@ def reduce(system, element, strategy="leftmost"):
 
     * ``leftmost``: leftmost redex (the default),
     * ``rightmost``: rightmost redex.
+
+    When ``trace`` is a list, each step appends ``(coeff, origin, left,
+    rule_index, right)``: the term ``coeff * left tip right`` at ``origin``
+    was replaced by ``coeff * left rhs right``.
 
     Raises NonTerminating when ``MAX_REDUCE_STEPS`` replacements were not
     enough.
@@ -157,6 +161,8 @@ def reduce(system, element, strategy="leftmost"):
         rule = system.rules[ri]
         left, right = word[:pos], word[pos + len(rule.tip[1]):]
         coeff = terms.pop(key)
+        if trace is not None:
+            trace.append((coeff, origin, left, ri, right))
         for (_, r_word), c in rule.rhs.terms.items():
             new_key = (origin, left + r_word + right)
             s = terms.get(new_key)

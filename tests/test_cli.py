@@ -135,6 +135,16 @@ def test_deform_missing_type_is_usage_error(capsys):
     assert doc["error"] == "usage"
 
 
+def test_deform_bad_t_is_usage_error_before_the_cochain(capsys):
+    # EX1 has no type-(D1) cocycle and LOC_2 no standard family at all: an
+    # unusable --t must still be reported as such, not as not_applicable
+    for argv in (("EX1", "D1", "2"), ("EX1", "D1", "formal:0"),
+                 ("LOC_2", "A", "7")):
+        code, doc = run_doc(capsys, "deform", "--input", argv[0],
+                            "--deform-type", argv[1], "--t", argv[2])
+        assert (code, doc["error"]) == (2, "usage"), argv
+
+
 def test_unavailable_standard_type(capsys):
     code, doc = run_doc(capsys, "deform", "--input", "EX1",
                         "--deform-type", "C")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bga.errors import ScalarContextMismatch
-from bga.scalars import FormalCtx, LinearCtx, LinScalar, TruncPoly
+from bga.scalars import FormalCtx, TruncPoly
 
 F = Fraction
 
@@ -53,30 +53,6 @@ def test_formal_ctx_times_t():
     assert ctx.times_t(tp(1, 1, 1)).coeffs == (F(0), F(1), F(1))
     d1 = FormalCtx(1)
     assert not d1.times_t(d1.one())
-
-
-def test_linscalar_unknowns_are_nilpotent():
-    x0, x1 = LinScalar.unknown(0), LinScalar.unknown(1)
-    assert not (x0 * x1)          # both carry a t
-    assert not (x0 * LinScalar(0, 1))
-    s = 2 * x0 + x1 + LinScalar(F(1, 2))
-    assert s.lin == {0: F(2), 1: F(1)}
-    assert s.c0 == F(1, 2)
-    assert (s * 4).lin == {0: F(8), 1: F(4)}
-    assert (s - s) == LinScalar()
-
-
-def test_linscalar_constant_product():
-    a = LinScalar(2, 3, {0: F(1)})
-    b = LinScalar(5, 7)
-    p = a * b
-    assert p.c0 == 10 and p.c1 == 29 and p.lin == {0: F(5)}
-
-
-def test_linear_ctx_times_t():
-    ctx = LinearCtx()
-    v = ctx.times_t(LinScalar(3, 4, {1: F(2)}))
-    assert v.c0 == 0 and v.c1 == 3 and v.lin == {}
 
 
 @given(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
