@@ -142,15 +142,6 @@ def _letter_occurrences(system):
     return out
 
 
-def _substitute(occurrences, letter, terms):
-    """(rule_index, key, coeff) for each word made by putting a path of
-    ``terms`` ({key: coeff}, parallel to the letter) in place of one
-    occurrence of the letter; the words are not reduced."""
-    for ri, c, origin, left, right in occurrences.get(letter, ()):
-        for (_, word), d in terms.items():
-            yield ri, (origin, left + word + right), c * d
-
-
 def _normal_forms(system):
     """Memoised normal form of a single path: key -> {key: coeff}.  The base
     system is confluent, so NF is linear and a sum may be reduced term by
@@ -166,27 +157,6 @@ def _normal_forms(system):
     return nf
 
 
-def first_differential(system, psi):
-    """2-cochain obtained by substituting psi into each rule.
-
-    ``psi`` maps arrows to elements parallel to them.  Every occurrence of a
-    letter in tip - rhs is replaced by psi(letter); the signed sum over a
-    rule, reduced, is the value on that rule.
-    """
-    occurrences = _letter_occurrences(system)
-    totals = {}
-    for letter in sorted(psi):
-        for ri, key, c in _substitute(occurrences, letter, psi[letter].terms):
-            total = totals.setdefault(ri, {})
-            total[key] = total.get(key, 0) + c
-    out = {}
-    for ri in sorted(totals):
-        nf = reduce(system, Element(system.quiver, totals[ri]))
-        if nf:
-            out[ri] = nf
-    return out
-
-
 def one_cochain_coords(alg):
     """(arrow, parallel basis path) pairs: arrows by name, parallels in
     basis order."""
@@ -199,23 +169,25 @@ def one_cochain_coords(alg):
     return out
 
 
-def coboundary_image(system, alg, coords=None):
+def coboundary_image(system, alg, coords=None, nf=None):
     """Spanning set of the coboundary subspace in cochain coordinates.
 
     One vector per ``one_cochain_coords`` pair (arrow, path): the first
-    differential of that 1-cochain, from the letter occurrences of the rules
-    with each substituted word reduced once.
+    differential of that 1-cochain.  Each occurrence of the arrow in
+    tip - rhs is replaced by the path, and the word so made is reduced once;
+    ``nf`` is a ``_normal_forms`` memo to share with the cocycle rows.
     """
     if coords is None:
         coords = cochain_space(system, alg)
+    if nf is None:
+        nf = _normal_forms(system)
     index = {pair: j for j, pair in enumerate(coords)}
     occurrences = _letter_occurrences(system)
-    nf = _normal_forms(system)
     vecs = []
-    for name, key in one_cochain_coords(alg):
+    for name, (_, path) in one_cochain_coords(alg):
         vec = {}
-        for ri, word_key, c in _substitute(occurrences, name, {key: _F1}):
-            for k, d in nf(word_key).items():
+        for ri, c, origin, left, right in occurrences.get(name, ()):
+            for k, d in nf((origin, left + path + right)).items():
                 j = index[(ri, k)]
                 vec[j] = vec.get(j, 0) + c * d
         vecs.append({j: c for j, c in vec.items() if c})
@@ -248,7 +220,7 @@ def _traced_overlaps(system):
     return out
 
 
-def _cocycle_rows(system, coords, overlaps):
+def _cocycle_rows(system, coords, overlaps, nf):
     """Constraint rows {j: c}: per overlap, one row for each normal-form key
     at which the order-t parts of the two resolutions differ, keys in order.
 
@@ -256,12 +228,11 @@ def _cocycle_rows(system, coords, overlaps):
     step c * left (tip r) right then adds c * t * x_j * left p right, and so
     does the overlap's own rule for p * w; the t-part of a resolution is the
     normal form of the sum over its steps.  Inner steps (of v*w) sit under
-    the prefix u.
+    the prefix u.  ``nf`` is a ``_normal_forms`` memo.
     """
     by_rule = {}
     for j, (ri, (_, p)) in enumerate(coords):
         by_rule.setdefault(ri, []).append((j, p))
-    nf = _normal_forms(system)
     rows = []
     for amb, left, inner, outer in overlaps:
         origin = system.quiver.arrows[amb.w[-1]][0]
@@ -282,7 +253,7 @@ def _cocycle_rows(system, coords, overlaps):
     return rows
 
 
-def cocycle_space(system, alg, coords=None):
+def cocycle_space(system, alg, coords=None, nf=None):
     """Basis of the cocycle subspace in cochain coordinates.
 
     A cochain psi is a cocycle iff deforming every rhs to rhs + t * psi
@@ -296,14 +267,18 @@ def cocycle_space(system, alg, coords=None):
       the constant part of a deformed reduction are, one for one, the
       steps of the base reduction.
 
-    The kernel of the constraint rows is returned.  Raises
-    RequiresConfluentSystem when an overlap does not resolve in the base
-    system.
+    The kernel of the constraint rows is returned.  The overlaps are
+    resolved before the basis is read, so a system with an unresolved
+    overlap raises RequiresConfluentSystem first.  ``nf`` is a
+    ``_normal_forms`` memo to share with the coboundary image.
     """
     overlaps = _traced_overlaps(system)
     if coords is None:
         coords = cochain_space(system, alg)
-    return kernel_basis(_cocycle_rows(system, coords, overlaps), len(coords))
+    if nf is None:
+        nf = _normal_forms(system)
+    return kernel_basis(_cocycle_rows(system, coords, overlaps, nf),
+                        len(coords))
 
 
 # -- the quotient -------------------------------------------------------------
@@ -354,15 +329,13 @@ def hh2(system, alg, graph=None):
     """Cocycles modulo coboundaries, with the closed count when a bipartite
     (or two-vertex local) graph is supplied.
 
-    The traced overlap resolutions are also the confluence check: a system
-    with an unresolved overlap raises RequiresConfluentSystem before the
-    basis is read.
+    The traced overlap resolutions in ``cocycle_space`` are also the
+    confluence check.  Both linear maps share one normal-form memo.
     """
-    overlaps = _traced_overlaps(system)
+    nf = _normal_forms(system)
+    cocycles = cocycle_space(system, alg, nf=nf)
     coords = cochain_space(system, alg)
-    cocycles = kernel_basis(_cocycle_rows(system, coords, overlaps),
-                            len(coords))
-    red, pivots = rref(coboundary_image(system, alg, coords))
+    red, pivots = rref(coboundary_image(system, alg, coords, nf))
     reps = quotient(red, pivots, cocycles)
     formula = matches = None
     if graph is not None:

@@ -7,8 +7,8 @@ rules.  The oracles here are the older whole-system computations:
 * the cocycle rows of the system deformed by t * x_j * p_j, reduced with
   ``LinScalar`` coefficients (affine-linear in symbolic unknowns over
   Q[t]/(t^2)), one row per overlap and differing normal-form key,
-* one ``first_differential``-style substitution loop over every rule per
-  (arrow, parallel path) 1-cochain.
+* one substitution loop over every rule per (arrow, parallel path)
+  1-cochain, by Element products, each rule's sum reduced at once.
 
 Both sides must agree row for row and vector for vector, on the fixtures
 with and without bundled rules, on ``generated_family()`` and on
@@ -24,6 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 from bga.fixtures import fixture_doc, fixture_rules, generated_family
 from bga.hochschild import (
     _cocycle_rows,
+    _normal_forms,
     _traced_overlaps,
     coboundary_image,
     cochain_space,
@@ -274,7 +275,8 @@ SYSTEMS = [(label, sys_, irreducible_basis(sys_))
 
 def assert_same_maps(label, system, alg):
     coords = cochain_space(system, alg)
-    traced = _cocycle_rows(system, coords, _traced_overlaps(system))
+    traced = _cocycle_rows(system, coords, _traced_overlaps(system),
+                           _normal_forms(system))
     assert traced == symbolic_cocycle_rows(system, coords), label
     assert coboundary_image(system, alg, coords) == \
         whole_system_coboundaries(system, alg, coords), label
