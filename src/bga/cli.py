@@ -287,8 +287,7 @@ def cmd_deform(args):
                               "detail": check.describe()}
         emit(doc, args)
         return 0 if check.passes else 1
-    ds = deform(system, cochain, FormalCtx(2))
-    alg = deformed_algebra(ds)
+    alg = deformed_algebra(system, cochain)
     doc = {"type": args.deform_type, "label": label, "t": "1",
            "dimension": alg.dim, "basis": _basis_doc(alg)}
     if args.check_semisimple:
@@ -340,7 +339,7 @@ def _selftest_fixture(name):
         lift = verify_formal(deform(system, a_shift, FormalCtx(4)))
         checks.append({"name": "unit_shift_lifts", "expected": True,
                        "got": lift.passes})
-        dalg = deformed_algebra(deform(system, a_shift, FormalCtx(2)))
+        dalg = deformed_algebra(system, a_shift)
         checks.append({"name": "unit_shift_radical", "expected": 0,
                        "got": semisimplicity(dalg).radical_dim})
     for c in checks:

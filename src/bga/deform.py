@@ -40,11 +40,10 @@ def check_parallel(system, cochain):
 class DeformedSystem:
     """The deformed rules together with what they were built from."""
 
-    __slots__ = ("base", "cochain", "ctx", "system")
+    __slots__ = ("base", "ctx", "system")
 
-    def __init__(self, base, cochain, ctx, system):
+    def __init__(self, base, ctx, system):
         self.base = base
-        self.cochain = cochain
         self.ctx = ctx
         self.system = system
 
@@ -68,7 +67,7 @@ def deform(system, cochain, ctx):
         rules.append(Rule(rule.tip, Element(system.quiver, terms),
                           info=rule.info))
     deformed = ReductionSystem(system.quiver, rules, word_cap=system.word_cap)
-    return DeformedSystem(system, dict(cochain), ctx, deformed)
+    return DeformedSystem(system, ctx, deformed)
 
 
 def _lowest_order(c):
@@ -125,28 +124,29 @@ def verify_formal(dsys):
     return FormalCheck(witness is None, len(ambiguities), witness)
 
 
-def deformed_algebra(dsys):
-    """The t = 1 specialization as a finite-dimensional algebra.
+def deformed_algebra(system, cochain):
+    """The t = 1 specialization, every rhs phi(s) replaced by
+    phi(s) + psi(s), as a finite-dimensional algebra.
 
-    Tips are unchanged, so the basis of irreducible words is the base one.
-    The specialization is a well-defined algebra iff its structure
-    constants are associative, and that is checked on the triples (x, y, g)
-    with x, y basis paths and g an idempotent or an arrow only: every other
-    basis path is z = z' * a with z' a shorter basis path and a an arrow,
-    and induction on |z| gives
+    The cochain is validated by ``check_parallel``.  Tips are unchanged,
+    so the basis of irreducible words is the base one.  The specialization
+    is a well-defined algebra iff its structure constants are associative,
+    and that is checked on the triples (x, y, g) with x, y basis paths and
+    g an idempotent or an arrow only: every other basis path is z = z' * a
+    with z' a shorter basis path and a an arrow, and induction on |z| gives
     (xy)z = ((xy)z')a = (x(yz'))a = x((yz')a) = x(y(z'a)) = x(yz).
     NonAssociative is raised when a triple fails, naming the first failing
     basis triple of the full scan.
     """
-    base = dsys.base
+    check_parallel(system, cochain)
     rules = []
-    for ri, rule in enumerate(base.rules):
+    for ri, rule in enumerate(system.rules):
         rhs = rule.rhs
-        value = dsys.cochain.get(ri)
+        value = cochain.get(ri)
         if value is not None:
             rhs = rhs + value
         rules.append(Rule(rule.tip, rhs, info=rule.info))
-    at_one = ReductionSystem(base.quiver, rules, word_cap=base.word_cap)
+    at_one = ReductionSystem(system.quiver, rules, word_cap=system.word_cap)
     alg = FiniteDimAlgebra(at_one, irreducible_words(at_one))
     alg.check_generator_triples()
     return alg

@@ -18,13 +18,15 @@ coefficients:
 * coboundaries: the arrow-indexed 1-cochains are substituted into the
   letter occurrences of every tip - rhs.
 
+``hh2`` keeps the constraint rows, and ``verify_basis`` tests a cochain
+for being a cocycle against them; ``verify_cocycle``, which resolves the
+overlaps of the deformed system instead, is the independent oracle.
+
 For algebras built from a bipartite Brauer graph, the closed dimension count
 and the explicit standard cocycle family are available as cross-checks.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .deform import check_parallel, deform, verify_formal
 from .errors import (
@@ -39,16 +41,18 @@ from .rewrite import enumerate_ambiguities, reduce
 from .ribbon import spanning_tree
 from .scalars import FormalCtx
 
-_F1 = Fraction(1)
+_F1 = 1
 
 
 # -- coordinates --------------------------------------------------------------
 
-def parallel_paths(alg, origin, target):
-    """Basis keys with the given origin and target, in basis order."""
+def parallel_paths(alg):
+    """{(origin, target): basis keys}, each list in basis order."""
     q = alg.quiver
-    return [k for k in alg.basis
-            if k[0] == origin and q.path_target(k) == target]
+    out = {}
+    for k in alg.basis:
+        out.setdefault((k[0], q.path_target(k)), []).append(k)
+    return out
 
 
 def cochain_space(system, alg):
@@ -58,9 +62,10 @@ def cochain_space(system, alg):
     the cochain dimension.
     """
     q = alg.quiver
+    parallel = parallel_paths(alg)
     out = []
     for ri, rule in enumerate(system.rules):
-        for key in parallel_paths(alg, rule.tip[0], q.path_target(rule.tip)):
+        for key in parallel.get((rule.tip[0], q.path_target(rule.tip)), ()):
             out.append((ri, key))
     return out
 
@@ -160,11 +165,10 @@ def _normal_forms(system):
 def one_cochain_coords(alg):
     """(arrow, parallel basis path) pairs: arrows by name, parallels in
     basis order."""
-    q = alg.quiver
+    parallel = parallel_paths(alg)
     out = []
-    for name in sorted(q.arrows):
-        o, t = q.arrows[name]
-        for key in parallel_paths(alg, o, t):
+    for name in sorted(alg.quiver.arrows):
+        for key in parallel.get(alg.quiver.arrows[name], ()):
             out.append((name, key))
     return out
 
@@ -286,19 +290,22 @@ def cocycle_space(system, alg, coords=None, nf=None):
 class HH2Report:
     """Dimension data and normalized representatives of the quotient.
 
-    ``coboundaries`` is the eliminated coboundary image, the (rows, pivots)
-    pair of ``rref``, kept so that cochains can be reduced modulo it later.
+    ``rows`` are the cocycle constraint rows, so a cochain vector is a
+    cocycle iff its dot product with each of them is 0.  ``coboundaries``
+    is the eliminated coboundary image, the (rows, pivots) pair of
+    ``rref``.  Both are kept so that cochains can be tested later.
     """
 
-    __slots__ = ("system", "alg", "coords", "cochain_dim", "cocycle_dim",
-                 "coboundaries", "coboundary_dim", "hh2_dim", "formula",
-                 "formula_matches", "representatives")
+    __slots__ = ("system", "alg", "coords", "rows", "cochain_dim",
+                 "cocycle_dim", "coboundaries", "coboundary_dim", "hh2_dim",
+                 "formula", "formula_matches", "representatives")
 
-    def __init__(self, system, alg, coords, cocycle_dim, coboundaries,
+    def __init__(self, system, alg, coords, rows, cocycle_dim, coboundaries,
                  formula, formula_matches, representatives):
         self.system = system
         self.alg = alg
         self.coords = coords
+        self.rows = rows
         self.cochain_dim = len(coords)
         self.cocycle_dim = cocycle_dim
         self.coboundaries = coboundaries
@@ -329,12 +336,15 @@ def hh2(system, alg, graph=None):
     """Cocycles modulo coboundaries, with the closed count when a bipartite
     (or two-vertex local) graph is supplied.
 
-    The traced overlap resolutions in ``cocycle_space`` are also the
-    confluence check.  Both linear maps share one normal-form memo.
+    The traced overlap resolutions are also the confluence check, made
+    before the basis is read (see ``cocycle_space``).  The coordinates are
+    listed once, and both linear maps share one normal-form memo.
     """
-    nf = _normal_forms(system)
-    cocycles = cocycle_space(system, alg, nf=nf)
+    overlaps = _traced_overlaps(system)
     coords = cochain_space(system, alg)
+    nf = _normal_forms(system)
+    rows = _cocycle_rows(system, coords, overlaps, nf)
+    cocycles = kernel_basis(rows, len(coords))
     red, pivots = rref(coboundary_image(system, alg, coords, nf))
     reps = quotient(red, pivots, cocycles)
     formula = matches = None
@@ -344,7 +354,7 @@ def hh2(system, alg, graph=None):
             matches = formula == len(reps)
         except NotApplicable:
             pass
-    return HH2Report(system, alg, coords, len(cocycles), (red, pivots),
+    return HH2Report(system, alg, coords, rows, len(cocycles), (red, pivots),
                      formula, matches, reps)
 
 
@@ -491,7 +501,7 @@ def standard_cocycles(graph, bp, system):
 def verify_cocycle(system, cochain):
     """Whether the first-order deformation along the cochain still resolves
     every 1-ambiguity; an independent check that never touches the
-    constraint rows."""
+    constraint rows, kept as the test oracle of ``verify_basis``."""
     return verify_formal(deform(system, cochain, FormalCtx(2))).passes
 
 
@@ -516,13 +526,25 @@ class BasisReport:
                 "complete": self.complete}
 
 
+def _satisfies(rows, vec):
+    """Whether the sparse vector has dot product 0 with every row."""
+    return not any(sum(c * vec[j] for j, c in row.items() if j in vec)
+                   for row in rows)
+
+
 def verify_basis(report, cochains):
     """Check a list of cochains against the cohomology an ``hh2`` report
     computed: each one a cocycle, jointly independent modulo coboundaries,
-    count matching."""
-    system = report.system
-    vecs = [vector_from_cochain(system, report.coords, c) for c in cochains]
-    all_cocycles = all(verify_cocycle(system, c) for c in cochains)
+    count matching.
+
+    A cochain is a cocycle iff its vector satisfies the constraint rows the
+    report kept, which is exact by the argument of ``cocycle_space``;
+    ``verify_cocycle`` decides the same by resolving the overlaps of a
+    deformed system and stays as the oracle in the tests.
+    """
+    vecs = [vector_from_cochain(report.system, report.coords, c)
+            for c in cochains]
+    all_cocycles = all(_satisfies(report.rows, v) for v in vecs)
     red, pivots = report.coboundaries
     residues = [residual(red, pivots, v) for v in vecs]
     independent = rank(residues) == len(vecs)

@@ -1,8 +1,10 @@
 """Sparse exact linear algebra over the rationals.
 
-A vector is a dict {column: Fraction} of its nonzero entries, a matrix is a
-list of such rows.  All eliminations are fraction-exact Gauss-Jordan on
-these rows; nothing here is numerical.
+A vector is a dict {column: value} of its nonzero entries, a matrix is a
+list of such rows.  Values are exact rationals: ``int`` when integral, else
+``Fraction``.  All eliminations are exact Gauss-Jordan on these rows; the
+one division, the pivot inverse in ``rref``, divides ``Fraction(1)``, so
+nothing here is numerical.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ names written left to right with the rightmost arrow applied first, so the
 word ``(u, v)`` means "v, then u" and needs ``origin(u) == target(v)``.
 The empty word at vertex v is the idempotent e(v).
 
-Elements are finite rational (or TruncPoly) combinations of paths, stored
-as a zero-free dict.  Multiplication is the bilinear extension of
+Elements are finite combinations of paths with exact rational coefficients
+(``int`` when integral, else ``Fraction``) or TruncPoly ones, stored as a
+zero-free dict.  Multiplication is the bilinear extension of
 concatenation; non-composable products are zero, not an error.
 """
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .errors import DOCUMENT_ERRORS, SchemaError
 
-_F1 = Fraction(1)
+_F1 = 1
 
 
 class Quiver:
@@ -94,9 +95,10 @@ class Quiver:
 class Element:
     """Linear combination of paths of one quiver.
 
-    Coefficients may be Fractions or TruncPoly values; they are only added,
-    negated, multiplied, and truth-tested, and must not be mixed within one
-    computation (TruncPoly raises on mismatched truncations).
+    Coefficients are exact rationals (``int`` when integral, else
+    ``Fraction``) or TruncPoly values; they are only added, negated,
+    multiplied, and truth-tested, and TruncPoly values must not be mixed
+    within one computation (TruncPoly raises on mismatched truncations).
     """
 
     __slots__ = ("quiver", "terms")
@@ -210,12 +212,18 @@ def render(el):
 
 
 def element_to_doc(el):
-    """JSON-friendly list form, sorted by key; Fraction coefficients only."""
+    """JSON-friendly list form, sorted by key; rational coefficients only."""
     out = []
     for (origin, word) in sorted(el.terms):
         c = el.terms[(origin, word)]
         out.append({"vertex": origin, "word": list(word), "coeff": str(c)})
     return out
+
+
+def rational(text):
+    """Exact value of a coefficient: an int when integral, else a Fraction."""
+    c = Fraction(text)
+    return c.numerator if c.denominator == 1 else c
 
 
 def element_from_doc(quiver, doc):
@@ -224,8 +232,7 @@ def element_from_doc(quiver, doc):
     try:
         for entry in doc:
             key = quiver.key(entry["vertex"], tuple(entry["word"]))
-            c = Fraction(entry["coeff"])
-            terms[key] = terms.get(key, 0) + c
+            terms[key] = terms.get(key, 0) + rational(entry["coeff"])
     except DOCUMENT_ERRORS as exc:
         raise SchemaError(f"malformed element: {exc!r}") from exc
     return Element(quiver, terms)

@@ -14,8 +14,6 @@ once, applying the arrow of h first.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import (
     DOCUMENT_ERRORS,
     InvalidBipartition,
@@ -25,12 +23,12 @@ from .errors import (
     RequiresConfluentSystem,
     SchemaError,
 )
-from .paths import Element, Quiver
+from .paths import Element, Quiver, rational
 from .rewrite import ReductionSystem, Rule, check_diamond, reduce
 from .ribbon import bipartition as default_bipartition
 from .ribbon import boundary_walks, check_bipartition
 
-_F1 = Fraction(1)
+_F1 = 1
 
 
 def _rotation_orbit(g, h):
@@ -217,7 +215,7 @@ def rules_from_doc(quiver, doc, word_cap=None):
             terms = {}
             for coeff, word in entry["rhs"]:
                 key = quiver.word_key(tuple(word)) if word else (tip[0], ())
-                terms[key] = terms.get(key, Fraction(0)) + Fraction(coeff)
+                terms[key] = terms.get(key, 0) + rational(coeff)
             rules.append(Rule(tip, Element(quiver, terms)))
     except DOCUMENT_ERRORS as exc:
         raise SchemaError(f"malformed rules document: {exc!r}") from exc

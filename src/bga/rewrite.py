@@ -25,7 +25,7 @@ from .errors import (
 )
 from .paths import Element, render_key
 
-_F1 = Fraction(1)
+_F1 = 1
 
 MAX_REDUCE_STEPS = 200_000
 
@@ -369,7 +369,7 @@ class FiniteDimAlgebra:
     def _dense(self, row):
         vec = [Fraction(0)] * self.dim
         for k, c in row.items():
-            vec[k] = c
+            vec[k] = Fraction(c)
         return vec
 
     def check_associative(self):

@@ -2,11 +2,12 @@
 
 Two interchangeable coefficient types, both exact:
 
-* plain ``fractions.Fraction`` for ordinary algebra arithmetic,
+* plain rationals for ordinary algebra arithmetic: ``int`` when integral,
+  else ``fractions.Fraction``,
 * ``TruncPoly`` for Q[t]/(t^D), the formal deformation parameter.
 
-Element code only needs +, *, unary -, and truth testing, so Fraction works
-unchanged and ``TruncPoly`` implements the same protocol.
+Element code only needs +, *, unary -, and truth testing, so the rationals
+work unchanged and ``TruncPoly`` implements the same protocol.
 """
 
 from __future__ import annotations
@@ -15,20 +16,19 @@ from fractions import Fraction
 
 from .errors import ScalarContextMismatch
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+_F0 = 0
+_F1 = 1
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
+def _as_rational(x):
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"not a rational scalar: {x!r}")
 
 
 class TruncPoly:
-    """Polynomial in t truncated at degree D, coefficients Fraction."""
+    """Polynomial in t truncated at degree D, with exact rational
+    coefficients: ``int`` when integral, else ``Fraction``."""
 
     __slots__ = ("coeffs",)
 
@@ -37,9 +37,9 @@ class TruncPoly:
             if degree is None:
                 raise ValueError("degree required for constant TruncPoly")
             c = [_F0] * degree
-            c[0] = _as_fraction(coeffs)
+            c[0] = _as_rational(coeffs)
             coeffs = c
-        self.coeffs = tuple(_as_fraction(c) for c in coeffs)
+        self.coeffs = tuple(_as_rational(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("truncation degree must be >= 1")
 

@@ -195,7 +195,7 @@ def test_criterion_7_semisimple_unit_shift():
         assert semisimplicity(alg).radical_dim > 0, name
         shift = standard_cocycles(g, bipartition(g), sys_)[0]
         assert shift.kind == "A"
-        dalg = deformed_algebra(deform(sys_, shift.cochain, FormalCtx(2)))
+        dalg = deformed_algebra(sys_, shift.cochain)
         report = semisimplicity(dalg)
         assert report.radical_dim == 0, name
         assert dalg.dim == g.dimension_sum(), name

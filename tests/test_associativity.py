@@ -142,8 +142,8 @@ def parallel_cochains(draw):
     for ri, rule in enumerate(system.rules):
         if not draw(st.booleans()):
             continue
-        par = [k for k in parallel_paths(alg, rule.tip[0],
-                                         q.path_target(rule.tip))
+        par = [k for k in parallel_paths(alg).get(
+                   (rule.tip[0], q.path_target(rule.tip)), [])
                if len(k[1]) < len(rule.tip[1])]
         keys = draw(st.lists(st.sampled_from(par), max_size=3, unique=True)) \
             if par else []

@@ -300,3 +300,22 @@ def test_step_budget_stops_a_growing_t1_deformation(tmp_path, capsys,
     assert code == 1
     assert out == ('{"detail":"no normal form within 500 steps",'
                    '"error":"non_terminating"}\n')
+
+
+# at t = 1 the deformed rules are validated like any rule document: a value
+# that is itself reducible is unusable input, a non-parallel one a failed
+# check; both pinned byte for byte
+@pytest.mark.parametrize("argv, tip, element, expected", [
+    (("--input", "ANNULUS"), ["x", "y"],
+     [{"vertex": "x|y", "word": ["x", "y"], "coeff": "1"}],
+     (2, '{"detail":"rhs of x*y is itself reducible","error":"schema"}\n')),
+    (("--input", "EX1", "--bipartition", "w|v1,v2"), ["a", "a"],
+     [{"vertex": "a|d", "word": ["d"], "coeff": "1"}],
+     (1, '{"detail":"value on a*a has non-parallel monomial d",'
+         '"error":"non_parallel_cochain"}\n')),
+], ids=["reducible_monomial", "non_parallel_monomial"])
+def test_deform_t1_rejects_a_bad_custom_cochain(tmp_path, capsys, argv, tip,
+                                                element, expected):
+    path = _cochain_file(tmp_path, tip, element)
+    assert run(capsys, "deform", *argv, "--deform-type", "custom",
+               "--cochain", path, "--t", "1") == expected

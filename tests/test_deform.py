@@ -143,7 +143,7 @@ def test_unit_shift_deformation_is_semisimple():
         assert base.radical_dim > 0
         a = standard_cocycles(g, bp, sys_)[0]
         assert a.kind == "A"
-        dalg = deformed_algebra(deform(sys_, a.cochain, FormalCtx(2)))
+        dalg = deformed_algebra(sys_, a.cochain)
         assert dalg.dim == dim == g.dimension_sum()
         report = semisimplicity(dalg)
         assert report.radical_dim == 0
@@ -164,4 +164,4 @@ def test_non_cocycle_specialization_is_caught():
     q = sys_.quiver
     bad = {0: Element.idempotent(q, "x|y")}
     with pytest.raises(NonAssociative):
-        deformed_algebra(deform(sys_, bad, FormalCtx(2)))
+        deformed_algebra(sys_, bad)

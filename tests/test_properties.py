@@ -120,7 +120,7 @@ def random_zero_cochain(rng, quiver, alg):
         if rng.random() < 0.3:
             continue
         el = Element.zero(quiver)
-        for key in parallel_paths(alg, v, v):
+        for key in parallel_paths(alg).get((v, v), []):
             if rng.random() < 0.5:
                 el = el + Element(quiver, {key: F(rng.randint(-5, 5))})
         phi[v] = el
