@@ -35,13 +35,9 @@ from bga.rewrite import irreducible_basis
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 
 
-def rows_say_cocycle(report, cochain):
-    return verify_basis(report, [cochain]).all_cocycles
-
-
 def agree(report, cochain):
     """Both decisions for one cochain; returns the common verdict."""
-    by_rows = rows_say_cocycle(report, cochain)
+    by_rows = verify_basis(report, [cochain]).all_cocycles
     assert by_rows == verify_cocycle(report.system, cochain)
     return by_rows
 
