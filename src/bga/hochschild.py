@@ -257,8 +257,8 @@ def _cocycle_rows(system, coords, overlaps, nf):
     return rows
 
 
-def cocycle_space(system, alg, coords=None, nf=None):
-    """Basis of the cocycle subspace in cochain coordinates.
+def cocycle_space(system, alg, nf=None):
+    """The cochain coordinates and the cocycle constraint rows.
 
     A cochain psi is a cocycle iff deforming every rhs to rhs + t * psi
     resolves each overlap u|v|w to first order in t.  The constraints come
@@ -271,18 +271,18 @@ def cocycle_space(system, alg, coords=None, nf=None):
       the constant part of a deformed reduction are, one for one, the
       steps of the base reduction.
 
-    The kernel of the constraint rows is returned.  The overlaps are
-    resolved before the basis is read, so a system with an unresolved
-    overlap raises RequiresConfluentSystem first.  ``nf`` is a
-    ``_normal_forms`` memo to share with the coboundary image.
+    Returns (coords, rows): a cochain vector over ``coords`` is a cocycle
+    iff its dot product with every row is 0, so the cocycle space is
+    ``kernel_basis(rows, len(coords))``.  The overlaps are resolved before
+    the coordinates are listed, so a system with an unresolved overlap
+    raises RequiresConfluentSystem first.  ``nf`` is a ``_normal_forms``
+    memo to share with the coboundary image.
     """
     overlaps = _traced_overlaps(system)
-    if coords is None:
-        coords = cochain_space(system, alg)
+    coords = cochain_space(system, alg)
     if nf is None:
         nf = _normal_forms(system)
-    return kernel_basis(_cocycle_rows(system, coords, overlaps, nf),
-                        len(coords))
+    return coords, _cocycle_rows(system, coords, overlaps, nf)
 
 
 # -- the quotient -------------------------------------------------------------
@@ -336,14 +336,12 @@ def hh2(system, alg, graph=None):
     """Cocycles modulo coboundaries, with the closed count when a bipartite
     (or two-vertex local) graph is supplied.
 
-    The traced overlap resolutions are also the confluence check, made
-    before the basis is read (see ``cocycle_space``).  The coordinates are
-    listed once, and both linear maps share one normal-form memo.
+    The traced overlap resolutions in ``cocycle_space`` are also the
+    confluence check, made before the basis is read.  Both linear maps
+    share one normal-form memo.
     """
-    overlaps = _traced_overlaps(system)
-    coords = cochain_space(system, alg)
     nf = _normal_forms(system)
-    rows = _cocycle_rows(system, coords, overlaps, nf)
+    coords, rows = cocycle_space(system, alg, nf)
     cocycles = kernel_basis(rows, len(coords))
     red, pivots = rref(coboundary_image(system, alg, coords, nf))
     reps = quotient(red, pivots, cocycles)
