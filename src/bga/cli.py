@@ -14,7 +14,7 @@ import json
 import re
 import sys
 
-from .deform import deform, deformed_algebra, semisimplicity, verify_formal
+from .deform import deformed_algebra, semisimplicity, verify_lift
 from .errors import (
     DOCUMENT_ERRORS,
     BgaError,
@@ -31,15 +31,13 @@ from .fixtures import fixture_doc, fixture_rules
 from .hochschild import hh2, standard_cocycles, verify_basis
 from .paths import element_from_doc, element_to_doc
 from .presentation import (
-    build_presentation,
-    build_reduction_system,
     quiver_from_graph,
+    reduction_system,
     rules_from_doc,
     two_cycle_set,
 )
 from .rewrite import check_diamond, irreducible_basis, irreducible_words
 from .ribbon import Bipartition, bipartition, boundary_walks, parse_ribbon_graph
-from .scalars import FormalCtx
 
 _USAGE_ERRORS = (SchemaError, InvalidInvolution, InvalidRotation, Disconnected,
                  NonBipartite, NotBipartite, InvalidBipartition)
@@ -115,8 +113,7 @@ def _load_system(args, g):
     if rules_text is not None:
         quiver = quiver_from_graph(g, bp)
         return rules_from_doc(quiver, json.loads(rules_text)), None
-    pres = build_presentation(g, bp)
-    return build_reduction_system(pres), pres.bp
+    return reduction_system(g, bp), bp
 
 
 def _family_bipartition(args, g, bp):
@@ -276,8 +273,7 @@ def cmd_deform(args):
         raise UsageError("truncation degree must be >= 1")
     cochain, label = _select_cochain(args, g, system, bp)
     if degree is not None:
-        ds = deform(system, cochain, FormalCtx(degree))
-        check = verify_formal(ds)
+        check = verify_lift(system, cochain, degree)
         doc = {"type": args.deform_type, "label": label, "t": args.t,
                "passes": check.passes, "ambiguities": check.n_ambiguities,
                "witness": None}
@@ -317,7 +313,7 @@ def _selftest_fixture(name):
         bp = None
     else:
         bp = bipartition(g)
-        system = build_reduction_system(build_presentation(g, bp))
+        system = reduction_system(g, bp)
     alg = irreducible_basis(system)
     checks = [
         {"name": "dimension", "expected": g.dimension_sum(), "got": alg.dim},
@@ -336,7 +332,7 @@ def _selftest_fixture(name):
         checks.append({"name": "standard_basis_complete", "expected": True,
                        "got": basis.complete})
         a_shift = family[0].cochain
-        lift = verify_formal(deform(system, a_shift, FormalCtx(4)))
+        lift = verify_lift(system, a_shift, 4)
         checks.append({"name": "unit_shift_lifts", "expected": True,
                        "got": lift.passes})
         dalg = deformed_algebra(system, a_shift)

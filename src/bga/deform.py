@@ -5,21 +5,40 @@ replaces every right-hand side phi(s) by phi(s) + t * psi(s), either formally
 (coefficients in Q[t]/(t^D)) or at t = 1 (plain rationals).  The tips never
 change, so the deformed system has the same irreducible words; what can break
 is confluence, and the checks here measure exactly that.
+
+``verify_lift`` decides the formal case from reductions in the base system
+alone, one plain-rational term dict per power of t, and it is exact.
+``reduce`` always rewrites a given word at the same (leftmost) redex, with
+the same rule, so the deformed normal form NF is linear and it unrolls
+along the base steps:
+
+    NF(x) = NF_0(x) + t * NF(Psi(x))   mod t^D,
+
+where NF_0 is the base normal form and Psi(x) sums c * left psi(r) right
+over the base steps (c, left, r, right) that reduce x.  So the coefficient
+of t^n in NF(sum_i t^i y_i) is NF_0(z_n) with z_0 = y_0 and
+z_n = Psi(z_(n-1)) + y_n.  ``deform`` and ``verify_formal`` resolve the
+overlaps of the deformed system over ``TruncPoly`` coefficients instead;
+they stay as the independent oracle, and ``TruncPoly`` is otherwise only
+the coefficient type of a failure's witness.
 """
 
 from __future__ import annotations
 
-from .errors import NonParallelCochain
+from .errors import NonParallelCochain, SchemaError
 from .linalg import rank
 from .paths import Element, render, render_key
 from .rewrite import (
     FiniteDimAlgebra,
+    NormalForms,
     ReductionSystem,
     Rule,
+    _combine,
     enumerate_ambiguities,
     irreducible_words,
     resolve_overlap,
 )
+from .scalars import TruncPoly
 
 
 def check_parallel(system, cochain):
@@ -122,6 +141,84 @@ def verify_formal(dsys):
             witness = (amb, diff, min(orders))
             break
     return FormalCheck(witness is None, len(ambiguities), witness)
+
+
+def _check_irreducible_values(system, cochain):
+    """The SchemaError the deformed rules raise, in rule order, when a
+    cochain value has a monomial that contains a tip."""
+    for ri, rule in enumerate(system.rules):
+        value = cochain.get(ri)
+        if value is not None and any(system.first_redex(word) is not None
+                                     for _, word in value.terms):
+            raise SchemaError(
+                f"rhs of {render_key(rule.tip)} is itself reducible")
+
+
+def verify_lift(system, cochain, degree):
+    """``verify_formal(deform(system, cochain, FormalCtx(degree)))``, from
+    traced reductions in the base system; see the module docstring.
+
+    The cochain is validated as ``deform`` does: ``check_parallel`` first,
+    then, when t survives the truncation, the SchemaError the deformed
+    rules would raise for a value monomial that contains a tip.  The
+    witness of a failure is built as ``verify_formal`` builds it.
+    """
+    check_parallel(system, cochain)
+    if degree > 1:
+        _check_irreducible_values(system, cochain)
+    q = system.quiver
+    nf = NormalForms(system, trace=True)
+    psi_memo = {}
+
+    def psi(key):
+        out = psi_memo.get(key)
+        if out is None:
+            out = {}
+            for c, origin, left, ri, right in nf.steps(key):
+                value = cochain.get(ri)
+                if value is not None:
+                    for (_, word), d in value.terms.items():
+                        k = (origin, left + word + right)
+                        out[k] = out.get(k, 0) + c * d
+            out = psi_memo[key] = {k: c for k, c in out.items() if c}
+        return out
+
+    def normal_form(parts):
+        """Per-order normal forms of sum t^n parts[n], mod t^degree.  z is
+        never changed in place, so it may be one of the parts."""
+        out = []
+        z = {}
+        for n in range(degree):
+            if z:
+                z = _combine((c, psi(k)) for k, c in z.items())
+            if n < len(parts) and parts[n]:
+                z = _combine(((1, z), (1, parts[n]))) if z else parts[n]
+            out.append(_combine((c, nf(k)) for k, c in z.items()) if z else {})
+        return out
+
+    ambiguities = enumerate_ambiguities(system)
+    for amb in ambiguities:
+        origin = q.arrows[amb.w[-1]][0]
+        # left: (rhs(uv) + t psi(uv)) * w; right: u * NF(v * w)
+        tail = cochain.get(amb.rule_index)
+        rhs = [system.rules[amb.rule_index].rhs.terms,
+               tail.terms if tail is not None else {}]
+        left = normal_form([{(origin, w + amb.w): c for (_, w), c in p.items()}
+                            for p in rhs])
+        inner = normal_form([{(origin, amb.v + amb.w): 1}])
+        right = normal_form([{(origin, (amb.u,) + w): c
+                              for (_, w), c in p.items()} for p in inner])
+        if left != right:
+            terms = {}
+            for k in sorted(set().union(*left, *right)):
+                coeffs = [a.get(k, 0) - b.get(k, 0)
+                          for a, b in zip(left, right)]
+                if any(coeffs):
+                    terms[k] = TruncPoly(coeffs)
+            order = min(c.lowest_nonzero_order() for c in terms.values())
+            return FormalCheck(False, len(ambiguities),
+                               (amb, Element(q, terms), order))
+    return FormalCheck(True, len(ambiguities), None)
 
 
 def deformed_algebra(system, cochain):

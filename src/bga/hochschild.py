@@ -37,7 +37,7 @@ from .errors import (
 from .linalg import kernel_basis, quotient, rank, residual, rref
 from .paths import Element, element_to_doc
 from .presentation import cycle_word, dimension_formula
-from .rewrite import enumerate_ambiguities, reduce
+from .rewrite import NormalForms, enumerate_ambiguities, reduce
 from .ribbon import spanning_tree
 from .scalars import FormalCtx
 
@@ -147,21 +147,6 @@ def _letter_occurrences(system):
     return out
 
 
-def _normal_forms(system):
-    """Memoised normal form of a single path: key -> {key: coeff}.  The base
-    system is confluent, so NF is linear and a sum may be reduced term by
-    term."""
-    q = system.quiver
-    memo = {}
-
-    def nf(key):
-        terms = memo.get(key)
-        if terms is None:
-            terms = memo[key] = reduce(system, Element(q, {key: _F1})).terms
-        return terms
-    return nf
-
-
 def one_cochain_coords(alg):
     """(arrow, parallel basis path) pairs: arrows by name, parallels in
     basis order."""
@@ -179,12 +164,12 @@ def coboundary_image(system, alg, coords=None, nf=None):
     One vector per ``one_cochain_coords`` pair (arrow, path): the first
     differential of that 1-cochain.  Each occurrence of the arrow in
     tip - rhs is replaced by the path, and the word so made is reduced once;
-    ``nf`` is a ``_normal_forms`` memo to share with the cocycle rows.
+    ``nf`` is a ``NormalForms`` memo to share with the cocycle rows.
     """
     if coords is None:
         coords = cochain_space(system, alg)
     if nf is None:
-        nf = _normal_forms(system)
+        nf = NormalForms(system)
     index = {pair: j for j, pair in enumerate(coords)}
     occurrences = _letter_occurrences(system)
     vecs = []
@@ -232,7 +217,7 @@ def _cocycle_rows(system, coords, overlaps, nf):
     step c * left (tip r) right then adds c * t * x_j * left p right, and so
     does the overlap's own rule for p * w; the t-part of a resolution is the
     normal form of the sum over its steps.  Inner steps (of v*w) sit under
-    the prefix u.  ``nf`` is a ``_normal_forms`` memo.
+    the prefix u.  ``nf`` is a ``NormalForms`` memo.
     """
     by_rule = {}
     for j, (ri, (_, p)) in enumerate(coords):
@@ -275,13 +260,13 @@ def cocycle_space(system, alg, nf=None):
     iff its dot product with every row is 0, so the cocycle space is
     ``kernel_basis(rows, len(coords))``.  The overlaps are resolved before
     the coordinates are listed, so a system with an unresolved overlap
-    raises RequiresConfluentSystem first.  ``nf`` is a ``_normal_forms``
+    raises RequiresConfluentSystem first.  ``nf`` is a ``NormalForms``
     memo to share with the coboundary image.
     """
     overlaps = _traced_overlaps(system)
     coords = cochain_space(system, alg)
     if nf is None:
-        nf = _normal_forms(system)
+        nf = NormalForms(system)
     return coords, _cocycle_rows(system, coords, overlaps, nf)
 
 
@@ -340,7 +325,7 @@ def hh2(system, alg, graph=None):
     confluence check, made before the basis is read.  Both linear maps
     share one normal-form memo.
     """
-    nf = _normal_forms(system)
+    nf = NormalForms(system)
     coords, rows = cocycle_space(system, alg, nf)
     cocycles = kernel_basis(rows, len(coords))
     red, pivots = rref(coboundary_image(system, alg, coords, nf))

@@ -4,7 +4,8 @@ A vector is a dict {column: value} of its nonzero entries, a matrix is a
 list of such rows.  Values are exact rationals: ``int`` when integral, else
 ``Fraction``.  All eliminations are exact Gauss-Jordan on these rows; the
 one division, the pivot inverse in ``rref``, divides ``Fraction(1)``, so
-nothing here is numerical.
+nothing here is numerical.  A pivot of 1 or -1 is not divided by, so rows
+of integers with such pivots stay integral.
 """
 
 from __future__ import annotations
@@ -55,8 +56,11 @@ def rref(rows, ncols=None):
         if not row:
             continue
         p = min(row)
-        inv = _F1 / row[p]
-        row = {c: x * inv for c, x in row.items()}
+        if row[p] == -1:
+            row = {c: -x for c, x in row.items()}
+        elif row[p] != 1:
+            inv = _F1 / row[p]
+            row = {c: x * inv for c, x in row.items()}
         for other in done.values():
             f = other.get(p)
             if f:

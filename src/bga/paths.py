@@ -221,7 +221,12 @@ def element_to_doc(el):
 
 
 def rational(text):
-    """Exact value of a coefficient: an int when integral, else a Fraction."""
+    """Exact value of a coefficient given as a string or an integer: an int
+    when integral, else a Fraction.  A JSON float or boolean is refused, so
+    no binary fraction enters the exact arithmetic."""
+    if isinstance(text, (bool, float)):
+        raise SchemaError(
+            f"coefficient {text!r} is not a string or an integer")
     c = Fraction(text)
     return c.numerator if c.denominator == 1 else c
 

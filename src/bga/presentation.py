@@ -68,7 +68,8 @@ def _deleted_halves(g, bp):
 
 
 def quiver_from_graph(g, bp=None):
-    keep = [h for h in g.half_edges if h not in _deleted_halves(g, bp)]
+    deleted = _deleted_halves(g, bp)
+    keep = [h for h in g.half_edges if h not in deleted]
     arrows = {h: (g.edge_of(h), g.edge_of(g.successor(h))) for h in keep}
     sigma = {h: g.predecessor(h) for h in keep}
     return Quiver(g.edge_ids(), arrows, sigma)
@@ -187,12 +188,20 @@ def _derive_rules(g, bp, omega, quiver):
 def build_reduction_system(pres, bp=None):
     """Reduction system of the presentation for the given bipartition.
 
-    Falls back to the presentation's own bipartition, then to the default
-    one of the graph; raises NotBipartite when none exists.
+    Falls back to the presentation's own bipartition, then as
+    ``reduction_system`` does.
     """
-    g = pres.graph
-    if bp is None:
-        bp = pres.bp
+    return reduction_system(pres.graph, pres.bp if bp is None else bp,
+                            pres.omega)
+
+
+def reduction_system(g, bp=None, omega=None):
+    """Reduction system of the graph for the bipartition, straight from
+    the graph: no relations are built and the rules are derived once.
+
+    Without a bipartition the default one of the graph is used; raises
+    NotBipartite when none exists, InvalidBipartition for a bad one.
+    """
     if bp is None:
         try:
             bp = default_bipartition(g)
@@ -201,7 +210,7 @@ def build_reduction_system(pres, bp=None):
     if not check_bipartition(g, bp):
         raise InvalidBipartition("not a proper 2-coloring of the graph")
     quiver = quiver_from_graph(g, bp)
-    rules = _derive_rules(g, bp, pres.omega, quiver)
+    rules = _derive_rules(g, bp, omega or {}, quiver)
     cap = 2 * max(g.multiplicity[v] * g.valence(v) for v in g.vertices()) + 2
     return ReductionSystem(quiver, rules, word_cap=cap)
 

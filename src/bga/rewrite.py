@@ -179,6 +179,44 @@ def reduce(system, element, strategy="leftmost", trace=None):
     return Element(system.quiver, terms)
 
 
+class NormalForms:
+    """Memoised reduction of single paths in one system.
+
+    ``nf(key)`` is the normal form of the path as a term dict, found by one
+    ``reduce`` call.  A reduction always rewrites a given word at the same
+    redex, so the normal form is linear and a sum may be reduced term by
+    term.  With ``trace=True`` the memo also keeps each call's trace, and
+    ``nf.steps(key)`` returns it.  The returned dicts and lists are shared
+    and must not be changed.
+    """
+
+    __slots__ = ("system", "_trace", "_memo")
+
+    def __init__(self, system, trace=False):
+        self.system = system
+        self._trace = trace
+        self._memo = {}
+
+    def _reduce(self, key):
+        steps = [] if self._trace else None
+        terms = reduce(self.system, Element(self.system.quiver, {key: _F1}),
+                       trace=steps).terms
+        hit = self._memo[key] = (terms, steps)
+        return hit
+
+    def __call__(self, key):
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._reduce(key)
+        return hit[0]
+
+    def steps(self, key):
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._reduce(key)
+        return hit[1]
+
+
 class Ambiguity:
     """Overlap witness u*v*w: uv is a tip, v*w reducible, both minimally."""
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from bga.cli import main
+from bga.fixtures import fixture_doc
 
 
 def run(capsys, *argv):
@@ -173,6 +174,18 @@ def test_invalid_bipartition(capsys):
     assert doc["error"] == "invalid_bipartition"
 
 
+def test_graph_file_errors_keep_their_order(tmp_path, capsys):
+    # no bundled rules for a graph file: the system is derived, so a bad
+    # --bipartition is reported before the graph's own bipartiteness
+    path = tmp_path / "annulus.json"
+    path.write_text(fixture_doc("ANNULUS"))
+    code, doc = run_doc(capsys, "hh2", "--input", str(path))
+    assert (code, doc["error"]) == (2, "not_bipartite")
+    code, doc = run_doc(capsys, "deform", "--input", str(path),
+                        "--bipartition", "x|y", "--deform-type", "A")
+    assert (code, doc["error"]) == (2, "invalid_bipartition")
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run(capsys, "info", "--input", "LOC_3",
@@ -204,7 +217,10 @@ def test_selftest_green(capsys):
     {"rules": [{"tip": ["x"]}]},                        # unknown arrow
     [{"tip": ["b", "b"], "rhs": []}],                   # top-level list
     {"rules": [{"tip": ["b", "b"], "rhs": [["one", []]]}]},
-], ids=["unknown_arrow", "top_level_list", "non_numeric_coeff"])
+    {"rules": [{"tip": ["b", "b"], "rhs": [[0.1, []]]}]},
+    {"rules": [{"tip": ["b", "b"], "rhs": [[True, []]]}]},
+], ids=["unknown_arrow", "top_level_list", "non_numeric_coeff",
+        "float_coeff", "bool_coeff"])
 def test_malformed_rules_document(tmp_path, capsys, rules):
     path = tmp_path / "rules.json"
     path.write_text(json.dumps(rules))
@@ -244,6 +260,19 @@ def test_cochain_with_unknown_vertex_is_schema_error(tmp_path, capsys):
                         "--cochain", path)
     assert code == 2
     assert doc == {"error": "schema", "detail": "unknown vertex 'nowhere'"}
+
+
+@pytest.mark.parametrize("coeff", ["one", 0.1, True], ids=[
+    "non_numeric_coeff", "float_coeff", "bool_coeff"])
+def test_malformed_cochain_coefficient(tmp_path, capsys, coeff):
+    path = _cochain_file(tmp_path, ["a", "a"],
+                         [{"vertex": "a|d", "word": [], "coeff": coeff}])
+    for t in ("1", "formal:4"):
+        code, doc = run_doc(capsys, "deform", "--input", "EX1",
+                            "--bipartition", "w|v1,v2", "--deform-type",
+                            "custom", "--cochain", path, "--t", t)
+        assert code == 2
+        assert doc["error"] == "schema"
 
 
 # x*y -> y*x + e(x|y) on the annulus: the non-cocycle {rule 0: e(x|y)}
@@ -317,5 +346,6 @@ def test_step_budget_stops_a_growing_t1_deformation(tmp_path, capsys,
 def test_deform_t1_rejects_a_bad_custom_cochain(tmp_path, capsys, argv, tip,
                                                 element, expected):
     path = _cochain_file(tmp_path, tip, element)
-    assert run(capsys, "deform", *argv, "--deform-type", "custom",
-               "--cochain", path, "--t", "1") == expected
+    for t in ("1", "formal:4"):
+        assert run(capsys, "deform", *argv, "--deform-type", "custom",
+                   "--cochain", path, "--t", t) == expected

@@ -24,7 +24,6 @@ from hypothesis import assume, given, settings, strategies as st
 from bga.fixtures import fixture_doc, fixture_rules, generated_family
 from bga.hochschild import (
     _cocycle_rows,
-    _normal_forms,
     _traced_overlaps,
     coboundary_image,
     cochain_space,
@@ -39,6 +38,7 @@ from bga.presentation import (
     rules_from_doc,
 )
 from bga.rewrite import (
+    NormalForms,
     ReductionSystem,
     Rule,
     enumerate_ambiguities,
@@ -276,7 +276,7 @@ SYSTEMS = [(label, sys_, irreducible_basis(sys_))
 def assert_same_maps(label, system, alg):
     coords = cochain_space(system, alg)
     traced = _cocycle_rows(system, coords, _traced_overlaps(system),
-                           _normal_forms(system))
+                           NormalForms(system))
     assert traced == symbolic_cocycle_rows(system, coords), label
     assert coboundary_image(system, alg, coords) == \
         whole_system_coboundaries(system, alg, coords), label

@@ -46,6 +46,12 @@ def test_rref_of_int_rows_scales_to_fractions():
     assert [type(x) for x in red[0].values()] == [Fraction, Fraction]
 
 
+def test_rref_keeps_rows_with_unit_pivots_integral():
+    red, pivots = rref([{0: -1, 1: 2}, {1: 1, 2: 3}])
+    assert (red, pivots) == ([{0: 1, 2: 6}, {1: 1, 2: 3}], [0, 1])
+    assert {type(x) for row in red for x in row.values()} == {int}
+
+
 int_rows = st.lists(
     st.dictionaries(st.integers(0, 5), st.integers(-3, 3), max_size=4),
     max_size=6)
