@@ -169,7 +169,7 @@ def cmd_info(args):
         "match": dim == g.dimension_sum(),
         "betti": len(g.edge_ids()) - len(g.vertices()) + 1,
         "rules": len(system.rules),
-        "two_cycles": len(two_cycle_set(None, system)),
+        "two_cycles": len(two_cycle_set(system)),
     })
     emit(doc, args)
     return 0 if doc["match"] else 1
@@ -361,6 +361,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
+    """The argument parser, built once at import: parsing does not change
+    it, and every ``main`` call reuses it."""
     parser = _Parser(prog="bga", add_help=True)
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--input", help="bundled fixture name or graph JSON file")
@@ -377,6 +379,8 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()
+
 _DISPATCH = {
     "validate": cmd_validate,
     "info": cmd_info,
@@ -390,9 +394,8 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         args.fixture = None
         return _DISPATCH[args.command](args)
     except UsageError as exc:

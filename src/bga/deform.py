@@ -36,6 +36,7 @@ from .rewrite import (
     _combine,
     enumerate_ambiguities,
     irreducible_words,
+    overlap_sides,
     resolve_overlap,
 )
 from .scalars import TruncPoly
@@ -127,13 +128,13 @@ def verify_formal(dsys):
     Equality of all the normal forms is exactly liftability of the deformed
     multiplication to the chosen truncation order.
     """
-    one = dsys.ctx.one()
     # tips are untouched by the deformation, so the base overlaps are the
     # deformed ones as well
     ambiguities = enumerate_ambiguities(dsys.base)
+    nf = NormalForms(dsys.system)
     witness = None
     for amb in ambiguities:
-        left, right = resolve_overlap(dsys.system, amb, one)
+        left, right = resolve_overlap(nf, amb)
         if left != right:
             diff = left - right
             orders = [o for o in map(_lowest_order, diff.terms.values())
@@ -196,18 +197,22 @@ def verify_lift(system, cochain, degree):
             out.append(_combine((c, nf(k)) for k, c in z.items()) if z else {})
         return out
 
+    def lifted(key):
+        """NF(key) mod t^degree as {path key: [coefficient of t^n]}."""
+        out = {}
+        for n, part in enumerate(normal_form([{key: 1}])):
+            for k, c in part.items():
+                out.setdefault(k, [0] * degree)[n] = c
+        return out
+
     ambiguities = enumerate_ambiguities(system)
     for amb in ambiguities:
-        origin = q.arrows[amb.w[-1]][0]
-        # left: (rhs(uv) + t psi(uv)) * w; right: u * NF(v * w)
-        tail = cochain.get(amb.rule_index)
-        rhs = [system.rules[amb.rule_index].rhs.terms,
-               tail.terms if tail is not None else {}]
-        left = normal_form([{(origin, w + amb.w): c for (_, w), c in p.items()}
-                            for p in rhs])
-        inner = normal_form([{(origin, amb.v + amb.w): 1}])
-        right = normal_form([{(origin, (amb.u,) + w): c
-                              for (_, w), c in p.items()} for p in inner])
+        # left: NF(u*v*w), whose first step rewrites the tip uv to
+        # rhs(uv) + t psi(uv); right: NF(u * NF(v*w)), one part per order
+        uvw, _, right = overlap_sides(system, amb, lifted)
+        left = normal_form([{uvw: 1}])
+        right = normal_form([{k: cs[n] for k, cs in right.items() if cs[n]}
+                             for n in range(degree)])
         if left != right:
             terms = {}
             for k in sorted(set().union(*left, *right)):

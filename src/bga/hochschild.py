@@ -10,11 +10,13 @@ resolves each tip-on-tip overlap to first order in t.  Both linear maps are
 built from reductions in the base system alone, with exact rational
 coefficients:
 
-* cocycle constraints: each overlap is resolved both ways once, recording
-  the reduction steps; an unknown coordinate (rule r, path p) contributes
-  the normal form of ``left p right`` for every step that rewrote the tip
-  of r between ``left`` and ``right`` (see ``cocycle_space`` for why this
-  equals the order-t part of the deformed reduction);
+* cocycle constraints: each overlap is resolved both ways by
+  ``rewrite.overlap_sides`` through one ``NormalForms`` memo that keeps the
+  reduce steps of every path; an unknown coordinate (rule r, path p)
+  contributes the normal form of ``left p right`` for every step that
+  rewrote the tip of r between ``left`` and ``right`` (see
+  ``cocycle_space`` for why this is the order-t part of the deformed
+  reduction);
 * coboundaries: the arrow-indexed 1-cochains are substituted into the
   letter occurrences of every tip - rhs.
 
@@ -37,7 +39,13 @@ from .errors import (
 from .linalg import kernel_basis, quotient, rank, residual, rref
 from .paths import Element, element_to_doc
 from .presentation import cycle_word, dimension_formula
-from .rewrite import NormalForms, enumerate_ambiguities, reduce
+from .rewrite import (
+    NormalForms,
+    enumerate_ambiguities,
+    overlap_sides,
+    reduce,
+    resolve_overlap,
+)
 from .ribbon import spanning_tree
 from .scalars import FormalCtx
 
@@ -185,50 +193,27 @@ def coboundary_image(system, alg, coords=None, nf=None):
 
 # -- cocycles -----------------------------------------------------------------
 
-def _traced_overlaps(system):
-    """Every overlap u|v|w resolved in the base system, with the traces of
-    its three reductions: (amb, left, inner, outer) steps of rhs(uv)*w,
-    v*w and u*NF(v*w).  Raises RequiresConfluentSystem, counting the
-    overlaps whose two normal forms differ."""
-    q = system.quiver
-    out = []
-    unresolved = 0
-    for amb in enumerate_ambiguities(system):
-        w_el = Element.path(q, q.arrows[amb.w[-1]][0], amb.w)
-        v_el = Element.path(q, q.arrows[amb.v[-1]][0], amb.v)
-        u_el = Element.path(q, q.arrows[amb.u][0], (amb.u,))
-        left, inner, outer = [], [], []
-        nf_left = reduce(system, system.rules[amb.rule_index].rhs * w_el,
-                         trace=left)
-        nf_vw = reduce(system, v_el * w_el, trace=inner)
-        nf_right = reduce(system, u_el * nf_vw, trace=outer)
-        unresolved += nf_left != nf_right
-        out.append((amb, left, inner, outer))
-    if unresolved:
-        raise RequiresConfluentSystem(f"{unresolved} unresolved overlaps")
-    return out
-
-
-def _cocycle_rows(system, coords, overlaps, nf):
+def _cocycle_rows(system, coords, nf):
     """Constraint rows {j: c}: per overlap, one row for each normal-form key
     at which the order-t parts of the two resolutions differ, keys in order.
 
     Unknown j = (rule r, path p) enters the rhs of r as t * x_j * p.  A base
-    step c * left (tip r) right then adds c * t * x_j * left p right, and so
-    does the overlap's own rule for p * w; the t-part of a resolution is the
-    normal form of the sum over its steps.  Inner steps (of v*w) sit under
-    the prefix u.  ``nf`` is a ``NormalForms`` memo.
+    step c * left (tip r) right then adds c * t * x_j * left p right; the
+    t-part of a resolution is the normal form of the sum over its steps.
+    The steps are the traces ``nf`` keeps for the ``overlap_sides`` keys:
+    u*v*w on the left; v*w under the prefix u, then u*NF(v*w) on the right.
     """
     by_rule = {}
     for j, (ri, (_, p)) in enumerate(coords):
         by_rule.setdefault(ri, []).append((j, p))
     rows = []
-    for amb, left, inner, outer in overlaps:
-        origin = system.quiver.arrows[amb.w[-1]][0]
-        steps = [(_F1, origin, (), amb.rule_index, amb.w)]
-        steps += left
-        steps += [(-c, o, (amb.u,) + lw, ri, rw) for c, o, lw, ri, rw in inner]
-        steps += [(-c, o, lw, ri, rw) for c, o, lw, ri, rw in outer]
+    for amb in enumerate_ambiguities(system):
+        uvw, vw, right = overlap_sides(system, amb, nf)
+        steps = list(nf.steps(uvw))
+        steps += [(-c, o, (amb.u,) + lw, ri, rw)
+                  for c, o, lw, ri, rw in nf.steps(vw)]
+        steps += [(-e * c, o, lw, ri, rw) for k, e in right.items()
+                  for c, o, lw, ri, rw in nf.steps(k)]
         diff = {}
         for c, o, lw, ri, rw in steps:
             for j, p in by_rule.get(ri, ()):
@@ -254,20 +239,24 @@ def cocycle_space(system, alg, nf=None):
       t-part of a resolution is the normal form of what its steps add;
     * reduce always rewrites the smallest reducible key, so the steps on
       the constant part of a deformed reduction are, one for one, the
-      steps of the base reduction.
+      steps of the base reduction, and a word is rewritten the same way
+      wherever it occurs, so each path's steps may come from the memo.
 
     Returns (coords, rows): a cochain vector over ``coords`` is a cocycle
     iff its dot product with every row is 0, so the cocycle space is
     ``kernel_basis(rows, len(coords))``.  The overlaps are resolved before
     the coordinates are listed, so a system with an unresolved overlap
     raises RequiresConfluentSystem first.  ``nf`` is a ``NormalForms``
-    memo to share with the coboundary image.
+    memo built with ``trace=True``, to share with the coboundary image.
     """
-    overlaps = _traced_overlaps(system)
-    coords = cochain_space(system, alg)
     if nf is None:
-        nf = NormalForms(system)
-    return coords, _cocycle_rows(system, coords, overlaps, nf)
+        nf = NormalForms(system, trace=True)
+    unresolved = sum(left != right for left, right in (
+        resolve_overlap(nf, amb) for amb in enumerate_ambiguities(system)))
+    if unresolved:
+        raise RequiresConfluentSystem(f"{unresolved} unresolved overlaps")
+    coords = cochain_space(system, alg)
+    return coords, _cocycle_rows(system, coords, nf)
 
 
 # -- the quotient -------------------------------------------------------------
@@ -321,11 +310,11 @@ def hh2(system, alg, graph=None):
     """Cocycles modulo coboundaries, with the closed count when a bipartite
     (or two-vertex local) graph is supplied.
 
-    The traced overlap resolutions in ``cocycle_space`` are also the
-    confluence check, made before the basis is read.  Both linear maps
-    share one normal-form memo.
+    The overlap resolutions in ``cocycle_space`` are also the confluence
+    check.  Both linear maps share one normal-form memo, which keeps the
+    reduce steps the cocycle rows are read from.
     """
-    nf = NormalForms(system)
+    nf = NormalForms(system, trace=True)
     coords, rows = cocycle_space(system, alg, nf)
     cocycles = kernel_basis(rows, len(coords))
     red, pivots = rref(coboundary_image(system, alg, coords, nf))

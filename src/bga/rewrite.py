@@ -182,12 +182,13 @@ def reduce(system, element, strategy="leftmost", trace=None):
 class NormalForms:
     """Memoised reduction of single paths in one system.
 
-    ``nf(key)`` is the normal form of the path as a term dict, found by one
-    ``reduce`` call.  A reduction always rewrites a given word at the same
-    redex, so the normal form is linear and a sum may be reduced term by
-    term.  With ``trace=True`` the memo also keeps each call's trace, and
-    ``nf.steps(key)`` returns it.  The returned dicts and lists are shared
-    and must not be changed.
+    ``nf(key)`` is the normal form of the path as a term dict: the path
+    itself when it is irreducible, else the result of one ``reduce`` call.
+    A reduction always rewrites a given word at the same redex, so the
+    normal form is linear and a sum may be reduced term by term.  With
+    ``trace=True`` the memo also keeps each path's reduce steps (none for
+    an irreducible path), and ``nf.steps(key)`` returns them.  The returned
+    dicts and lists are shared and must not be changed.
     """
 
     __slots__ = ("system", "_trace", "_memo")
@@ -199,8 +200,12 @@ class NormalForms:
 
     def _reduce(self, key):
         steps = [] if self._trace else None
-        terms = reduce(self.system, Element(self.system.quiver, {key: _F1}),
-                       trace=steps).terms
+        if self.system.first_redex(key[1]) is None:
+            terms = {key: _F1}
+        else:
+            terms = reduce(self.system,
+                           Element(self.system.quiver, {key: _F1}),
+                           trace=steps).terms
         hit = self._memo[key] = (terms, steps)
         return hit
 
@@ -272,19 +277,32 @@ def enumerate_ambiguities(system):
     return system._ambiguities
 
 
-def resolve_overlap(system, amb, one=_F1):
-    """Normal forms (left, right) of the overlap u*v*w reduced both ways.
+def overlap_sides(system, amb, nf):
+    """The overlap u|v|w as (uvw, vw, right): the path keys u*v*w and v*w,
+    and the term dict u * nf(vw), nf(vw) being the normal form of v*w.
 
-    ``left`` rewrites the tip u*v first, ``right`` reduces v*w first and then
-    the product with u.  ``one`` is the unit of the coefficient ring the
-    rules of ``system`` use.  The overlap resolves iff left == right.
+    The leftmost redex of u*v*w is the tip uv (no tip is a subword of
+    another), so NF(uvw) = NF(rhs(uv)*w) is the left resolution and the
+    reduce steps of uvw start with that rewrite; NF(right) is the right
+    one.  ``nf`` is usually a ``NormalForms`` memo; its coefficients are
+    copied, never combined, so they may be of any type.
     """
-    q = system.quiver
-    w_el = Element.path(q, q.arrows[amb.w[-1]][0], amb.w, coeff=one)
-    v_el = Element.path(q, q.arrows[amb.v[-1]][0], amb.v, coeff=one)
-    u_el = Element.path(q, q.arrows[amb.u][0], (amb.u,), coeff=one)
-    left = reduce(system, system.rules[amb.rule_index].rhs * w_el)
-    return left, reduce(system, u_el * reduce(system, v_el * w_el))
+    origin = system.quiver.arrows[amb.w[-1]][0]
+    vw = (origin, amb.v + amb.w)
+    right = {(origin, (amb.u,) + word): c for (_, word), c in nf(vw).items()}
+    return (origin, (amb.u,) + vw[1]), vw, right
+
+
+def resolve_overlap(nf, amb):
+    """Normal forms (left, right), as Elements, of the overlap u*v*w
+    reduced both ways through the ``NormalForms`` memo ``nf``: ``left``
+    rewrites the tip u*v first, ``right`` reduces v*w first and then the
+    product with u.  The overlap resolves iff left == right.
+    """
+    uvw, _, right = overlap_sides(nf.system, amb, nf)
+    q = nf.system.quiver
+    return (Element(q, nf(uvw)),
+            Element(q, _combine((c, nf(k)) for k, c in right.items())))
 
 
 class DiamondReport:
@@ -302,9 +320,10 @@ class DiamondReport:
 def check_diamond(system):
     """Resolve every overlap ambiguity both ways and compare normal forms."""
     ambiguities = enumerate_ambiguities(system)
+    nf = NormalForms(system)
     failures = []
     for amb in ambiguities:
-        left, right = resolve_overlap(system, amb)
+        left, right = resolve_overlap(nf, amb)
         if left != right:
             failures.append((amb, left, right))
     return DiamondReport(not failures, failures, len(ambiguities))
@@ -352,8 +371,9 @@ class FiniteDimAlgebra:
     """Irreducible-path basis plus the structure constants of NF(b_i * b_j).
 
     ``table`` maps (i, j) to the sparse row {k: c} with NF(b_i * b_j) =
-    sum c * b_k, zero products omitted.  It costs dim^2 reductions and is
-    built on first read, so callers that need only the basis never pay it.
+    sum c * b_k, zero products omitted.  Its dim^2 products go through one
+    ``NormalForms`` memo, and it is built on first read, so callers that
+    need only the basis never pay it.
     """
 
     __slots__ = ("system", "quiver", "basis", "index", "_table")
@@ -369,16 +389,14 @@ class FiniteDimAlgebra:
     def table(self):
         if self._table is None:
             table = {}
-            q = self.quiver
+            q, index = self.quiver, self.index
+            nf = NormalForms(self.system)
             for i, ki in enumerate(self.basis):
                 for j, kj in enumerate(self.basis):
                     if not q.composable(ki, kj):
                         continue
-                    nf = reduce(self.system,
-                                Element(q, {q.concat_key(ki, kj): _F1}))
-                    row = {}
-                    for key, c in nf.terms.items():
-                        row[self.index[key]] = c
+                    row = {index[key]: c
+                           for key, c in nf(q.concat_key(ki, kj)).items()}
                     if row:
                         table[(i, j)] = row
             self._table = table

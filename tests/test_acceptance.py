@@ -26,9 +26,8 @@ from bga.hochschild import (
 from bga.linalg import in_span, rref
 from bga.paths import Element, Quiver
 from bga.presentation import (
-    build_presentation,
-    build_reduction_system,
     quiver_from_graph,
+    reduction_system,
     rules_from_doc,
 )
 from bga.rewrite import (
@@ -53,7 +52,7 @@ def system_for(name, bp=None, **kw):
     g = graph(name, **kw)
     if fixture_rules(name):
         return rules_from_doc(quiver_from_graph(g), json.loads(fixture_rules(name)))
-    return build_reduction_system(build_presentation(g), bp)
+    return reduction_system(g, bp)
 
 
 def family_graphs():
@@ -72,7 +71,7 @@ def test_criterion_1_dimension_formula():
     cases += list(family_graphs())
     assert len(cases) >= 27
     for label, g in cases:
-        sys_ = build_reduction_system(build_presentation(g))
+        sys_ = reduction_system(g)
         alg = irreducible_basis(sys_)
         assert alg.dim == g.dimension_sum(), \
             f"{label}: basis {alg.dim} != formula {g.dimension_sum()}"
@@ -82,7 +81,7 @@ def test_criterion_2_diamond_condition():
     assert check_diamond(system_for("EX1")).confluent
     assert check_diamond(system_for("EX1", EX1_SWAPPED)).confluent
     for label, g in family_graphs():
-        sys_ = build_reduction_system(build_presentation(g))
+        sys_ = reduction_system(g)
         assert check_diamond(sys_).confluent, label
     q = Quiver(vertices=["1"], arrows={"x": ("1", "1"), "y": ("1", "1")})
     planted = ReductionSystem(q, [
@@ -155,7 +154,7 @@ def test_criterion_5_standard_basis_everywhere():
         if len(g.edge_ids()) == 1:
             continue  # local algebras carry no standard family
         bp = bipartition(g)
-        sys_ = build_reduction_system(build_presentation(g, bp))
+        sys_ = reduction_system(g, bp)
         alg = irreducible_basis(sys_)
         std = standard_cocycles(g, bp, sys_)
         report = verify_basis(hh2(sys_, alg), [s.cochain for s in std])

@@ -17,9 +17,8 @@ from bga.fixtures import fixture_doc, fixture_rules, generated_family
 from bga.hochschild import parallel_paths, standard_cocycles
 from bga.paths import Element
 from bga.presentation import (
-    build_presentation,
-    build_reduction_system,
     quiver_from_graph,
+    reduction_system,
     rules_from_doc,
 )
 from bga.rewrite import (
@@ -54,7 +53,7 @@ def _setups():
             bps.append(Bipartition({"w"}, {"v1", "v2"}))
         for bp in bps:
             out.append((label, g, bp,
-                        build_reduction_system(build_presentation(g, bp))))
+                        reduction_system(g, bp)))
     return [s for s in out if len(irreducible_words(s[3])) <= MAX_DIM]
 
 

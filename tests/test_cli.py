@@ -17,6 +17,18 @@ def run_doc(capsys, *argv):
     return code, json.loads(out)
 
 
+def test_pretty_flag_does_not_stick_to_the_next_call(capsys):
+    # main reuses one parser, so each call must start from the defaults
+    argv = ["validate", "--input", "DBL"]
+    pretty = run(capsys, *argv, "--pretty")
+    compact = run(capsys, *argv)
+    doc = json.loads(compact[1])
+    assert pretty == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert compact == (0, json.dumps(doc, sort_keys=True,
+                                     separators=(",", ":")) + "\n")
+    assert pretty[1] != compact[1]
+
+
 def test_validate(capsys):
     code, doc = run_doc(capsys, "validate", "--input", "DBL")
     assert code == 0

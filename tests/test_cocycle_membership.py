@@ -30,7 +30,7 @@ from bga.hochschild import (
     verify_cocycle,
 )
 from bga.linalg import kernel_basis
-from bga.presentation import build_presentation, build_reduction_system
+from bga.presentation import reduction_system
 from bga.rewrite import irreducible_basis
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 
@@ -89,7 +89,7 @@ def test_row_membership_matches_verify_cocycle_on_drawn_cochains(doc, data):
     g = parse_ribbon_graph(doc)
     assume(g.dimension_sum() <= 60 and len(g.edge_ids()) > 1)
     bp = bipartition(g)
-    system = build_reduction_system(build_presentation(g, bp))
+    system = reduction_system(g, bp)
     alg = irreducible_basis(system)
     report = hh2(system, alg)
     vec = {}

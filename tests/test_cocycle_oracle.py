@@ -24,7 +24,6 @@ from hypothesis import assume, given, settings, strategies as st
 from bga.fixtures import fixture_doc, fixture_rules, generated_family
 from bga.hochschild import (
     _cocycle_rows,
-    _traced_overlaps,
     coboundary_image,
     cochain_space,
     one_cochain_coords,
@@ -32,9 +31,8 @@ from bga.hochschild import (
 )
 from bga.paths import Element
 from bga.presentation import (
-    build_presentation,
-    build_reduction_system,
     quiver_from_graph,
+    reduction_system,
     rules_from_doc,
 )
 from bga.rewrite import (
@@ -133,9 +131,6 @@ class LinScalar:
 class LinearCtx:
     """Coefficients affine-linear in unknowns over Q[t]/(t^2)."""
 
-    def one(self):
-        return LinScalar(_F1)
-
     def from_fraction(self, c):
         return LinScalar(c)
 
@@ -193,9 +188,10 @@ def symbolic_cocycle_rows(system, coords):
             terms[key] = u if s is None else s + u
         def_rules.append(Rule(rule.tip, Element(q, terms)))
     dsys = ReductionSystem(q, def_rules, word_cap=system.word_cap)
+    nf = NormalForms(dsys)
     rows = []
     for amb in enumerate_ambiguities(system):
-        left, right = resolve_overlap(dsys, amb, ctx.one())
+        left, right = resolve_overlap(nf, amb)
         diff = left - right
         for key in sorted(diff.terms):
             c = diff.terms[key]
@@ -260,13 +256,11 @@ def fixture_systems():
             yield name, rules_from_doc(quiver_from_graph(g),
                                        json.loads(fixture_rules(name)))
         else:
-            yield name, build_reduction_system(build_presentation(g))
+            yield name, reduction_system(g)
     g = parse_ribbon_graph(fixture_doc("EX1"))
-    yield "EX1-swapped", build_reduction_system(
-        build_presentation(g, Bipartition({"w"}, {"v1", "v2"})))
+    yield "EX1-swapped", reduction_system(g, Bipartition({"w"}, {"v1", "v2"}))
     for label, doc in generated_family():
-        yield label, build_reduction_system(
-            build_presentation(parse_ribbon_graph(doc)))
+        yield label, reduction_system(parse_ribbon_graph(doc))
 
 
 SYSTEMS = [(label, sys_, irreducible_basis(sys_))
@@ -275,8 +269,7 @@ SYSTEMS = [(label, sys_, irreducible_basis(sys_))
 
 def assert_same_maps(label, system, alg):
     coords = cochain_space(system, alg)
-    traced = _cocycle_rows(system, coords, _traced_overlaps(system),
-                           NormalForms(system))
+    traced = _cocycle_rows(system, coords, NormalForms(system, trace=True))
     assert traced == symbolic_cocycle_rows(system, coords), label
     assert coboundary_image(system, alg, coords) == \
         whole_system_coboundaries(system, alg, coords), label
@@ -348,5 +341,5 @@ def bipartite_graphs(draw):
 def test_cocycle_rows_and_coboundaries_match_on_drawn_graphs(doc):
     g = parse_ribbon_graph(doc)
     assume(g.dimension_sum() <= 60)
-    system = build_reduction_system(build_presentation(g))
+    system = reduction_system(g)
     assert_same_maps("drawn", system, irreducible_basis(system))

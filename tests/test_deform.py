@@ -15,12 +15,12 @@ from bga.fixtures import fixture_doc, fixture_rules
 from bga.hochschild import standard_cocycles
 from bga.paths import Element
 from bga.presentation import (
-    build_presentation,
-    build_reduction_system,
     quiver_from_graph,
+    reduction_system,
     rules_from_doc,
 )
 from bga.rewrite import (
+    NormalForms,
     ReductionSystem,
     Rule,
     irreducible_basis,
@@ -40,7 +40,7 @@ def system_for(name, bp=None, **kw):
     g = graph(name, **kw)
     if fixture_rules(name):
         return rules_from_doc(quiver_from_graph(g), json.loads(fixture_rules(name)))
-    return build_reduction_system(build_presentation(g), bp)
+    return reduction_system(g, bp)
 
 
 def standard_setup(name):
@@ -130,7 +130,7 @@ def test_resolve_overlap_reproduces_the_formal_witness():
     ds = deform(sys_, cochain_sum(std["D1(w1,w2)"], std["D2(w1,w2)"]),
                 FormalCtx(4))
     amb, diff, _ = verify_formal(ds).witness
-    left, right = resolve_overlap(ds.system, amb, ds.ctx.one())
+    left, right = resolve_overlap(NormalForms(ds.system), amb)
     assert left - right == diff
 
 

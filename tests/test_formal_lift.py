@@ -38,9 +38,8 @@ from bga.hochschild import (
 )
 from bga.paths import Element, render
 from bga.presentation import (
-    build_presentation,
-    build_reduction_system,
     quiver_from_graph,
+    reduction_system,
     rules_from_doc,
 )
 from bga.rewrite import irreducible_basis
@@ -153,7 +152,7 @@ def test_traced_check_matches_the_oracle_on_drawn_cochains(doc, degree, data):
     g = parse_ribbon_graph(doc)
     assume(g.dimension_sum() <= 60 and len(g.edge_ids()) > 1)
     bp = bipartition(g)
-    system = build_reduction_system(build_presentation(g, bp))
+    system = reduction_system(g, bp)
     alg = irreducible_basis(system)
     coords = cochain_space(system, alg)
     cochain = {}

@@ -21,9 +21,8 @@ from bga.hochschild import (
 from bga.linalg import in_span, kernel_basis, residual, rref
 from bga.paths import Element
 from bga.presentation import (
-    build_presentation,
-    build_reduction_system,
     quiver_from_graph,
+    reduction_system,
     rules_from_doc,
 )
 from bga.rewrite import ReductionSystem, Rule, irreducible_basis
@@ -40,7 +39,7 @@ def system_for(name, bp=None, **kw):
     g = graph(name, **kw)
     if fixture_rules(name):
         return rules_from_doc(quiver_from_graph(g), json.loads(fixture_rules(name)))
-    return build_reduction_system(build_presentation(g), bp)
+    return reduction_system(g, bp)
 
 
 def setup(name, bp=None, **kw):
@@ -301,7 +300,7 @@ def test_standard_family_is_a_basis():
 def test_standard_family_on_tree_with_higher_multiplicities():
     g = parse_ribbon_graph(TREE23)
     for bp in (bipartition(g), bipartition(g).swapped()):
-        sys_ = build_reduction_system(build_presentation(g), bp)
+        sys_ = reduction_system(g, bp)
         alg = irreducible_basis(sys_)
         rep = hh2(sys_, alg, graph=g)
         assert rep.hh2_dim == 4 and rep.formula_matches

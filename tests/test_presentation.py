@@ -6,10 +6,10 @@ from bga.fixtures import fixture_doc, fixture_rules, generated_family
 from bga.paths import Element
 from bga.presentation import (
     build_presentation,
-    build_reduction_system,
     cycle_word,
     dimension_formula,
     quiver_from_graph,
+    reduction_system,
     rules_from_doc,
     two_cycle_set,
 )
@@ -58,7 +58,7 @@ def test_quiver_from_graph_keeps_part_two_truncated_loops():
 
 def test_ex1_system_part_one_w():
     g = graph("EX1")
-    sys1 = build_reduction_system(build_presentation(g), EX1_BP1)
+    sys1 = reduction_system(g, EX1_BP1)
     assert rules_dict(sys1) == {
         ("g", "d"): {("a",): F(1)},
         ("d", "g"): {("b", "b"): F(1)},
@@ -73,7 +73,7 @@ def test_ex1_system_part_one_w():
 
 def test_ex1_system_part_one_vv():
     g = graph("EX1")
-    sys2 = build_reduction_system(build_presentation(g), EX1_BP2)
+    sys2 = reduction_system(g, EX1_BP2)
     assert rules_dict(sys2) == {
         ("b", "b"): {("d", "g"): F(1)},
         ("d", "g", "d"): {},
@@ -85,14 +85,14 @@ def test_ex1_system_part_one_vv():
 
 def test_default_bipartition_is_used():
     g = graph("EX1")
-    sys_d = build_reduction_system(build_presentation(g))
+    sys_d = reduction_system(g)
     assert rules_dict(sys_d) == rules_dict(
-        build_reduction_system(build_presentation(g), EX1_BP2))
+        reduction_system(g, EX1_BP2))
 
 
 def test_dbl_system():
     g = graph("DBL")
-    sys = build_reduction_system(build_presentation(g))
+    sys = reduction_system(g)
     assert rules_dict(sys) == {
         ("v2", "v1"): {("w2", "w1"): F(1)},
         ("v1", "v2"): {("w1", "w2"): F(1)},
@@ -107,21 +107,20 @@ def test_dbl_system():
 
 def test_loc_systems():
     for m in (2, 3, 5):
-        sys = build_reduction_system(build_presentation(graph("LOC", m=m)))
+        sys = reduction_system(graph("LOC", m=m))
         assert rules_dict(sys) == {
             ("x",) * m: {("y",): F(1)},
             ("y", "y"): {},
             ("x", "y"): {},
             ("y", "x"): {},
         }
-    sys1 = build_reduction_system(build_presentation(graph("LOC", m=1)))
+    sys1 = reduction_system(graph("LOC", m=1))
     assert rules_dict(sys1) == {("y", "y"): {}}
 
 
 def test_omega_flips_replacement_sign():
     g = graph("EX1")
-    pres = build_presentation(g, omega={"a|d": 1})
-    sys = build_reduction_system(pres, EX1_BP1)
+    sys = reduction_system(g, EX1_BP1, {"a|d": 1})
     assert rules_dict(sys)[("g", "d")] == {("a",): F(-1)}
     assert rules_dict(sys)[("d", "g")] == {("b", "b"): F(1)}
 
@@ -129,15 +128,15 @@ def test_omega_flips_replacement_sign():
 def test_invalid_bipartition_rejected():
     g = graph("EX1")
     with pytest.raises(InvalidBipartition):
-        build_presentation(g, Bipartition({"v1", "w"}, {"v2"}))
+        reduction_system(g, Bipartition({"v1", "w"}, {"v2"}))
     with pytest.raises(InvalidBipartition):
-        build_reduction_system(build_presentation(g), Bipartition({"v1"}, {"v2", "w"}))
+        reduction_system(g, Bipartition({"v1"}, {"v2", "w"}))
 
 
 def test_non_bipartite_graph_has_no_derived_system():
     g = graph("ANNULUS")
     with pytest.raises(NotBipartite):
-        build_reduction_system(build_presentation(g))
+        reduction_system(g)
 
 
 def test_plain_presentation_of_loc_is_one_power():
@@ -161,7 +160,7 @@ def test_plain_presentation_of_annulus():
 def test_plain_relations_vanish_in_derived_system():
     g = graph("EX1")
     pres = build_presentation(g)
-    sys = build_reduction_system(pres, EX1_BP2)  # same quiver as the plain one
+    sys = reduction_system(g, EX1_BP2)  # same quiver as the plain one
     for rel in pres.relations:
         assert not reduce(sys, rel)
 
@@ -178,10 +177,10 @@ def test_rules_from_doc_annulus():
 
 def test_two_cycle_set():
     dbl = graph("DBL")
-    pairs = two_cycle_set(build_presentation(dbl))
+    pairs = two_cycle_set(reduction_system(dbl))
     assert pairs == [("v1", "w2"), ("v2", "w1"), ("w1", "v2"), ("w2", "v1")]
     ex1 = graph("EX1")
-    assert two_cycle_set(build_presentation(ex1)) == []
+    assert two_cycle_set(reduction_system(ex1)) == []
 
 
 def test_dimension_formula():
@@ -205,5 +204,5 @@ def test_generated_family_systems_build():
     assert len(fam) >= 20
     for label, doc in fam:
         g = parse_ribbon_graph(doc)
-        sys = build_reduction_system(build_presentation(g))
+        sys = reduction_system(g)
         assert sys.rules, label

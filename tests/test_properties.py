@@ -19,9 +19,8 @@ from bga.hochschild import (
 from bga.linalg import in_span, kernel_basis, rref
 from bga.paths import Element
 from bga.presentation import (
-    build_presentation,
-    build_reduction_system,
     quiver_from_graph,
+    reduction_system,
     rules_from_doc,
 )
 from bga.rewrite import irreducible_basis, reduce
@@ -35,7 +34,7 @@ def system_for(name, bp=None, **kw):
     g = parse_ribbon_graph(fixture_doc(name, **kw))
     if fixture_rules(name):
         return rules_from_doc(quiver_from_graph(g), json.loads(fixture_rules(name)))
-    return build_reduction_system(build_presentation(g), bp)
+    return reduction_system(g, bp)
 
 
 def labeled_systems():
@@ -167,7 +166,7 @@ def test_hh2_invariant_under_bipartition_swap():
         g = parse_ribbon_graph(doc)
         dims = []
         for bp in (bipartition(g), bipartition(g).swapped()):
-            sys_ = build_reduction_system(build_presentation(g, bp))
+            sys_ = reduction_system(g, bp)
             dims.append(hh2(sys_, irreducible_basis(sys_), graph=g).hh2_dim)
         assert dims[0] == dims[1], label
 

@@ -8,18 +8,19 @@ from bga.fixtures import fixture_doc, fixture_rules
 from bga.hochschild import hh2
 from bga.paths import Element, Quiver, concat
 from bga.presentation import (
-    build_presentation,
-    build_reduction_system,
     quiver_from_graph,
+    reduction_system,
     rules_from_doc,
 )
 from bga.rewrite import (
+    NormalForms,
     Rule,
     ReductionSystem,
     check_diamond,
     enumerate_ambiguities,
     irreducible_basis,
     irreducible_words,
+    overlap_sides,
     reduce,
     resolve_overlap,
 )
@@ -36,7 +37,7 @@ def system_for(name, bp=None, **kw):
     g = graph(name, **kw)
     if fixture_rules(name):
         return rules_from_doc(quiver_from_graph(g), json.loads(fixture_rules(name)))
-    return build_reduction_system(build_presentation(g), bp)
+    return reduction_system(g, bp)
 
 
 EX1_BP1 = Bipartition({"w"}, {"v1", "v2"})
@@ -203,13 +204,55 @@ def test_diamond_fails_on_planted_system():
 
 def test_resolve_overlap_gives_the_diamond_failures():
     sys = planted_broken_system()
-    resolved = {amb.word: resolve_overlap(sys, amb)
+    nf = NormalForms(sys)
+    resolved = {amb.word: resolve_overlap(nf, amb)
                 for amb in enumerate_ambiguities(sys)}
     report = check_diamond(sys)
     assert [amb.word for amb, _, _ in report.failures] == \
         [word for word, (left, right) in resolved.items() if left != right]
     for amb, left, right in report.failures:
         assert resolved[amb.word] == (left, right)
+
+
+def test_overlap_left_key_rewrites_its_tip_first():
+    for args in (("EX1", EX1_BP1), ("DBL", None), ("ANNULUS", None),
+                 ("ANN2", None)):
+        sys = system_for(*args)
+        q = sys.quiver
+        nf = NormalForms(sys, trace=True)
+        for amb in enumerate_ambiguities(sys):
+            uvw, vw, right = overlap_sides(sys, amb, nf)
+            origin = q.arrows[amb.w[-1]][0]
+            assert (uvw, vw) == ((origin, amb.word),
+                                 (origin, amb.v + amb.w))
+            assert nf.steps(uvw)[0] == (1, origin, (), amb.rule_index, amb.w)
+            w_el = Element.path(q, origin, amb.w)
+            rhs_w = reduce(sys, sys.rules[amb.rule_index].rhs * w_el)
+            assert Element(q, nf(uvw)) == rhs_w, (args, amb)
+            u_el = Element.path(q, q.arrows[amb.u][0], (amb.u,))
+            assert Element(q, right) == u_el * Element(q, nf(vw))
+
+
+def test_normal_forms_skip_reduce_for_irreducible_paths(monkeypatch):
+    sys = system_for("EX1", EX1_BP1)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr("bga.rewrite.reduce", counted)
+    for trace in (False, True):
+        nf = NormalForms(sys, trace=trace)
+        key = ("b|g", ("b", "b"))
+        assert sys.first_redex(key[1]) is None
+        assert nf(key) == {key: 1}
+        assert nf.steps(key) == ([] if trace else None)
+        assert calls == []
+        tip = sys.rules[0].tip
+        assert nf(tip) == reduce(sys, Element(sys.quiver, {tip: 1})).terms
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_ambiguities_are_enumerated_once_per_system():
