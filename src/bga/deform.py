@@ -25,6 +25,8 @@ the coefficient type of a failure's witness.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .errors import NonParallelCochain, SchemaError
 from .linalg import rank
 from .paths import Element, render, render_key
@@ -162,7 +164,12 @@ def verify_lift(system, cochain, degree):
     The cochain is validated as ``deform`` does: ``check_parallel`` first,
     then, when t survives the truncation, the SchemaError the deformed
     rules would raise for a value monomial that contains a tip.  The
-    witness of a failure is built as ``verify_formal`` builds it.
+    witness of a failure is built as ``verify_formal`` builds it, except
+    that its ``TruncPoly`` coefficients stop at the highest order either
+    side reaches; the rendered text and the order are the same.  The
+    per-order normal forms stop at their last nonzero order, so a nilpotent
+    Psi costs the same at every large ``degree``; one that is not
+    nilpotent costs O(degree).
     """
     check_parallel(system, cochain)
     if degree > 1:
@@ -185,8 +192,10 @@ def verify_lift(system, cochain, degree):
         return out
 
     def normal_form(parts):
-        """Per-order normal forms of sum t^n parts[n], mod t^degree.  z is
-        never changed in place, so it may be one of the parts."""
+        """Per-order normal forms of sum t^n parts[n], mod t^degree, as a
+        list that ends at the last nonzero order.  Once z is 0 and no part
+        is left, every later order is 0 too, so the loop stops there.  z
+        is never changed in place, so it may be one of the parts."""
         out = []
         z = {}
         for n in range(degree):
@@ -194,15 +203,21 @@ def verify_lift(system, cochain, degree):
                 z = _combine((c, psi(k)) for k, c in z.items())
             if n < len(parts) and parts[n]:
                 z = _combine(((1, z), (1, parts[n]))) if z else parts[n]
+            if not z and n + 1 >= len(parts):
+                break
             out.append(_combine((c, nf(k)) for k, c in z.items()) if z else {})
+        while out and not out[-1]:
+            out.pop()
         return out
 
     def lifted(key):
-        """NF(key) mod t^degree as {path key: [coefficient of t^n]}."""
+        """NF(key) mod t^degree as {path key: [coefficient of t^n]}, each
+        list ending at the last nonzero order of NF(key)."""
+        orders = normal_form([{key: 1}])
         out = {}
-        for n, part in enumerate(normal_form([{key: 1}])):
+        for n, part in enumerate(orders):
             for k, c in part.items():
-                out.setdefault(k, [0] * degree)[n] = c
+                out.setdefault(k, [0] * len(orders))[n] = c
         return out
 
     ambiguities = enumerate_ambiguities(system)
@@ -211,13 +226,14 @@ def verify_lift(system, cochain, degree):
         # rhs(uv) + t psi(uv); right: NF(u * NF(v*w)), one part per order
         uvw, _, right = overlap_sides(system, amb, lifted)
         left = normal_form([{uvw: 1}])
+        top = max(map(len, right.values()), default=0)
         right = normal_form([{k: cs[n] for k, cs in right.items() if cs[n]}
-                             for n in range(degree)])
+                             for n in range(top)])
         if left != right:
             terms = {}
             for k in sorted(set().union(*left, *right)):
                 coeffs = [a.get(k, 0) - b.get(k, 0)
-                          for a, b in zip(left, right)]
+                          for a, b in zip_longest(left, right, fillvalue={})]
                 if any(coeffs):
                     terms[k] = TruncPoly(coeffs)
             order = min(c.lowest_nonzero_order() for c in terms.values())

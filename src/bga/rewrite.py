@@ -45,13 +45,17 @@ class Rule:
 class ReductionSystem:
     """Validated rule list over a fixed quiver.
 
-    The tips are indexed as ``{tip word: rule index}`` together with the
-    sorted tip lengths.  No tip is a subword of another, so at most one tip
-    starts at any position of a word, and every redex query is a lookup of
-    the slices starting (or ending) there.
+    The tips are indexed by their first two letters and by their last two
+    letters, as ``{letter pair: [(length, tip word, rule index)]}``.  Every
+    tip has length >= 2 and no tip is a subword of another, so at most one
+    tip starts (or ends) at any position of a word: a redex query is one
+    pair lookup per position, plus one comparison per tip sharing that
+    pair, and the suffix test is one lookup per word.  An occurrence that
+    starts further left also ends further left, so the leftmost redex by
+    start is the leftmost by end, and the same holds on the right.
     """
 
-    __slots__ = ("quiver", "rules", "_tips", "_tip_lens", "word_cap",
+    __slots__ = ("quiver", "rules", "_heads", "_ends", "word_cap",
                  "_ambiguities")
 
     def __init__(self, quiver, rules, word_cap=None):
@@ -64,14 +68,18 @@ class ReductionSystem:
             if len(word) < 2:
                 raise SchemaError(f"tip {word!r} shorter than 2 arrows")
             tips.append(tuple(word))
-        self._tips = {tip: ri for ri, tip in enumerate(tips)}
-        if len(self._tips) != len(tips):
+        if len(set(tips)) != len(tips):
             raise SchemaError("duplicate tip")
-        self._tip_lens = sorted({len(tip) for tip in tips})
+        heads, ends = {}, {}
+        for ri, tip in enumerate(tips):
+            entry = (len(tip), tip, ri)
+            heads.setdefault(tip[:2], []).append(entry)
+            ends.setdefault(tip[-2:], []).append(entry)
+        self._heads, self._ends = heads, ends
         for a in tips:
-            inner = [self._tips[a[i:i + k]]
-                     for k in self._tip_lens if k < len(a)
-                     for i in range(len(a) - k + 1) if a[i:i + k] in self._tips]
+            inner = [ri for i in range(len(a) - 1)
+                     for k, tip, ri in heads.get(a[i:i + 2], ())
+                     if k < len(a) and a[i:i + k] == tip]
             if inner:
                 raise SchemaError(
                     f"tip {tips[min(inner)]!r} is a subword of tip {a!r}")
@@ -85,33 +93,44 @@ class ReductionSystem:
                     raise SchemaError(
                         f"rhs of {render_key(rule.tip)} is itself reducible")
         if word_cap is None:
-            word_cap = 2 * self._tip_lens[-1] + 2 if tips else 2
+            word_cap = 2 * self.max_tip_length + 2 if self.rules else 2
         self.word_cap = word_cap
         self._ambiguities = None    # filled by enumerate_ambiguities
 
-    def _redex(self, word, positions):
-        """First (position, rule_index) over the positions, or None."""
-        tips, n = self._tips, len(word)
-        for i in positions:
-            for k in self._tip_lens:
-                if i + k > n:
-                    break
-                ri = tips.get(word[i:i + k])
-                if ri is not None:
-                    return i, ri
-        return None
+    @property
+    def max_tip_length(self):
+        return max((len(rule.tip[1]) for rule in self.rules), default=0)
 
     def first_redex(self, word):
         """Leftmost (position, rule_index) redex, or None if irreducible."""
-        return self._redex(word, range(len(word) - 1))
+        heads = self._heads
+        for i in range(len(word) - 1):
+            hit = heads.get(word[i:i + 2])
+            if hit is not None:
+                for k, tip, ri in hit:
+                    if word[i:i + k] == tip:
+                        return i, ri
+        return None
 
     def last_redex(self, word):
         """Rightmost (position, rule_index) redex, or None if irreducible."""
-        return self._redex(word, range(len(word) - 2, -1, -1))
+        ends = self._ends
+        for j in range(len(word), 1, -1):
+            hit = ends.get(word[j - 2:j])
+            if hit is not None:
+                for k, tip, ri in hit:
+                    if k <= j and word[j - k:j] == tip:
+                        return j - k, ri
+        return None
 
     def tip_is_suffix(self, word):
-        n = len(word)
-        return any(word[n - k:] in self._tips for k in self._tip_lens if k <= n)
+        hit = self._ends.get(word[-2:])
+        if hit is not None:
+            for k, tip, _ in hit:
+                # word[-k:] is the whole word when it is shorter than k
+                if word[-k:] == tip:
+                    return True
+        return False
 
 
 def reduce(system, element, strategy="leftmost", trace=None):
@@ -182,10 +201,16 @@ def reduce(system, element, strategy="leftmost", trace=None):
 class NormalForms:
     """Memoised reduction of single paths in one system.
 
-    ``nf(key)`` is the normal form of the path as a term dict: the path
-    itself when it is irreducible, else the result of one ``reduce`` call.
-    A reduction always rewrites a given word at the same redex, so the
-    normal form is linear and a sum may be reduced term by term.  With
+    ``nf(key)`` is the normal form of the path as a term dict, exactly as
+    ``reduce(system, Element.path(...), trace=...)`` gives it: the same
+    terms in the same order, with the same coefficient types.  The path's
+    word is scanned once.  An irreducible path is its own normal form.
+    Otherwise the one rewrite at its leftmost redex is made, and its words
+    are scanned; each found irreducible enters the memo as such.  When all
+    of them are, those terms are the normal form and the single step is
+    the trace; ``reduce`` runs only when that rewrite leaves a reducible
+    word.  A reduction always rewrites a given word at the same redex, so
+    the normal form is linear and a sum may be reduced term by term.  With
     ``trace=True`` the memo also keeps each path's reduce steps (none for
     an irreducible path), and ``nf.steps(key)`` returns them.  The returned
     dicts and lists are shared and must not be changed.
@@ -199,14 +224,32 @@ class NormalForms:
         self._memo = {}
 
     def _reduce(self, key):
-        steps = [] if self._trace else None
-        if self.system.first_redex(key[1]) is None:
-            terms = {key: _F1}
+        system, memo, trace = self.system, self._memo, self._trace
+        origin, word = key
+        redex = system.first_redex(word)
+        if redex is None:
+            hit = memo[key] = ({key: _F1}, [] if trace else None)
+            return hit
+        pos, ri = redex
+        rule = system.rules[ri]
+        left, right = word[:pos], word[pos + len(rule.tip[1]):]
+        # reduce's first step on {key: 1}: coefficients 1 * c in rhs order
+        terms = {}
+        for (_, r_word), c in rule.rhs.terms.items():
+            s = _F1 * c
+            if s:
+                terms[(origin, left + r_word + right)] = s
+        for k in terms:
+            if system.first_redex(k[1]) is not None:
+                steps = [] if trace else None
+                terms = reduce(system, Element(system.quiver, {key: _F1}),
+                               trace=steps).terms
+                break
+            if k not in memo:
+                memo[k] = ({k: _F1}, [] if trace else None)
         else:
-            terms = reduce(self.system,
-                           Element(self.system.quiver, {key: _F1}),
-                           trace=steps).terms
-        hit = self._memo[key] = (terms, steps)
+            steps = [(_F1, origin, left, ri, right)] if trace else None
+        hit = memo[key] = (terms, steps)
         return hit
 
     def __call__(self, key):
@@ -249,14 +292,17 @@ def enumerate_ambiguities(system):
     v*w[:j] stays irreducible.  Minimality forces the completing tip to end
     at the last letter of w and begin inside v, so w is shorter than the
     longest tip; the search is a capped right extension, never the full
-    basis, and works on infinite-dimensional algebras too.  The rules are
-    fixed at construction, so the search runs once per system and later
-    calls return the same tuple.
+    basis, and works on infinite-dimensional algebras too.  v is a proper
+    subword of a tip, so it is irreducible, and w grows only while v*w
+    stays irreducible; a redex of v*w2 = v*w*a must therefore end at its
+    last letter, and ``tip_is_suffix`` decides both tests, for v*w2 and for
+    w2, with one lookup each.  The rules are fixed at construction, so the
+    search runs once per system and later calls return the same tuple.
     """
     if system._ambiguities is not None:
         return system._ambiguities
     q = system.quiver
-    max_w = max(system._tip_lens, default=0) - 1
+    max_w = system.max_tip_length - 1
     out = []
     for ri, rule in enumerate(system.rules):
         origin, tip_word = rule.tip
@@ -267,8 +313,8 @@ def enumerate_ambiguities(system):
             attach = origin if not w else q.arrows[w[-1]][0]
             for name in q.arrows_into(attach):
                 w2 = w + (name,)
-                if system.first_redex(v + w2) is not None:
-                    if system.first_redex(w2) is None:
+                if system.tip_is_suffix(v + w2):
+                    if not system.tip_is_suffix(w2):
                         out.append(Ambiguity(u, v, w2, ri))
                 elif len(w2) < max_w:
                     frontier.append(w2)

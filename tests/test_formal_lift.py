@@ -18,6 +18,7 @@ The command line decides the formal case without a deformed system.
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -113,6 +114,23 @@ def test_sum_of_bigon_cocycles_fails_at_order_two():
         check = verify_lift(system, cochain, 4)
         assert not check.passes and check.witness[2] == 2
         assert agree(system, cochain, 4) is False
+
+
+def test_large_degrees_cost_no_more_than_the_last_nonzero_order(capsys):
+    # the standard cocycles' Psi is nilpotent, so every order past a few
+    # is 0 and the check stops there, at any truncation degree
+    start = time.perf_counter()
+    code = main(["deform", "--input", "DBL", "--deform-type", "A",
+                 "--t", "formal:10000000"])
+    elapsed = time.perf_counter() - start
+    assert (code, json.loads(capsys.readouterr().out)["passes"]) == (0, True)
+    assert elapsed < 1.0
+    # a failing sum renders the witness the oracle renders at degree 40
+    (label, system, _), = [s for s in SYSTEMS if s[0] == "DBL"]
+    for cochain in standard_family(label, system)[-2:]:
+        assert agree(system, cochain, 40) is False
+        assert outcome(verify_lift(system, cochain, 10 ** 7)) == \
+            outcome(verify_lift(system, cochain, 40))
 
 
 BROKEN_ANNULUS = {"rules": [

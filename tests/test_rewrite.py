@@ -2,10 +2,14 @@ import json
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
 
+from test_cocycle_oracle import bipartite_graphs
+
+from bga.deform import deformed_algebra
 from bga.errors import InfiniteDimensional, NonAssociative, SchemaError
-from bga.fixtures import fixture_doc, fixture_rules
-from bga.hochschild import hh2
+from bga.fixtures import fixture_doc, fixture_rules, generated_family, star_doc
+from bga.hochschild import hh2, standard_cocycles
 from bga.paths import Element, Quiver, concat
 from bga.presentation import (
     quiver_from_graph,
@@ -13,6 +17,7 @@ from bga.presentation import (
     rules_from_doc,
 )
 from bga.rewrite import (
+    Ambiguity,
     NormalForms,
     Rule,
     ReductionSystem,
@@ -24,7 +29,7 @@ from bga.rewrite import (
     reduce,
     resolve_overlap,
 )
-from bga.ribbon import Bipartition, parse_ribbon_graph
+from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 
 F = Fraction
 
@@ -53,6 +58,32 @@ def planted_broken_system():
         Rule(q.word_key(("x", "y")), Element.idempotent(q, "1")),
         Rule(q.word_key(("y", "x")), Element.zero(q)),
     ])
+
+
+def shared_pair_system():
+    """Tips x*y*x and x*y*y share their first two letters, x*y*x and
+    y*y*x their last two."""
+    q = two_loop_quiver()
+    return ReductionSystem(q, [
+        Rule(q.word_key(word), Element.zero(q))
+        for word in (("x", "y", "x"), ("x", "y", "y"), ("y", "y", "x"))])
+
+
+def half_unit_shift_system():
+    """The t = 1 system of DBL deformed by half its unit-shift cocycle:
+    rhs coefficients mix int and Fraction."""
+    g = graph("DBL")
+    sys = system_for("DBL")
+    a = standard_cocycles(g, bipartition(g), sys)[0]
+    half = {ri: Element(sys.quiver, {k: c * F(1, 2)
+                                     for k, c in value.terms.items()})
+            for ri, value in a.cochain.items()}
+    return deformed_algebra(sys, half).system
+
+
+def long_tip_star():
+    """star_doc(2, [6, 1, 1]): its two longest tips have length 12."""
+    return reduction_system(parse_ribbon_graph(star_doc(2, [6, 1, 1])))
 
 
 # -- validation ---------------------------------------------------------------
@@ -149,9 +180,16 @@ def _composable_words(q, max_len):
 
 
 def test_tip_index_matches_a_scan_of_every_tip():
-    for name in ("EX1", "DBL", "ANNULUS", "TORUS", "LOC_3"):
-        sys = system_for(name)
-        for word in _composable_words(sys.quiver, 6):
+    cases = [(system_for(name), 6)
+             for name in ("EX1", "DBL", "ANNULUS", "TORUS", "LOC_3")]
+    cases.append((shared_pair_system(), 6))
+    # words one letter longer than the longest tip, which is 12
+    long = long_tip_star()
+    longest = max(len(rule.tip[1]) for rule in long.rules)
+    assert longest >= 7
+    cases.append((long, longest + 1))
+    for sys, max_len in cases:
+        for word in _composable_words(sys.quiver, max_len):
             hits = [(i, ri) for ri, rule in enumerate(sys.rules)
                     for i in range(len(word))
                     if word[i:i + len(rule.tip[1])] == rule.tip[1]]
@@ -178,6 +216,56 @@ def test_ex1_ambiguities_respect_minimality():
     assert ("b", ("b", "b"), ("b",)) in triples
     assert ("b", ("b", "b"), ("d",)) in triples
     assert ("b", ("b", "b"), ("b", "b")) not in triples
+
+
+def oracle_ambiguities(system):
+    """The ambiguity search that scans v*w2 and w2 for a redex anywhere
+    with ``first_redex``, as (u, v, w, rule_index) tuples."""
+    q = system.quiver
+    max_w = max((len(rule.tip[1]) for rule in system.rules), default=0) - 1
+    out = []
+    for ri, rule in enumerate(system.rules):
+        origin, tip_word = rule.tip
+        u, v = tip_word[0], tip_word[1:]
+        frontier = [()]
+        while frontier:
+            w = frontier.pop()
+            attach = origin if not w else q.arrows[w[-1]][0]
+            for name in q.arrows_into(attach):
+                w2 = w + (name,)
+                if system.first_redex(v + w2) is not None:
+                    if system.first_redex(w2) is None:
+                        out.append(Ambiguity(u, v, w2, ri))
+                elif len(w2) < max_w:
+                    frontier.append(w2)
+    out.sort(key=lambda a: (a.rule_index, a.word))
+    return [(a.u, a.v, a.w, a.rule_index) for a in out]
+
+
+def assert_oracle_ambiguities(system):
+    assert [(a.u, a.v, a.w, a.rule_index)
+            for a in enumerate_ambiguities(system)] == \
+        oracle_ambiguities(system)
+
+
+def test_ambiguities_match_the_redex_scan_oracle():
+    systems = [system_for(*args) for args in (
+        ("EX1", EX1_BP1), ("EX1", None), ("DBL", None), ("LOC_3", None),
+        ("ANNULUS", None), ("TORUS", None), ("ANN2", None))]
+    systems += [system_for("LOC", m=m) for m in range(1, 6)]
+    systems += [reduction_system(parse_ribbon_graph(doc))
+                for _, doc in generated_family()]
+    long = long_tip_star()
+    assert max(len(rule.tip[1]) for rule in long.rules) >= 12
+    systems += [long, shared_pair_system(), planted_broken_system()]
+    for sys in systems:
+        assert_oracle_ambiguities(sys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bipartite_graphs())
+def test_ambiguities_match_the_redex_scan_oracle_on_drawn_graphs(doc):
+    assert_oracle_ambiguities(reduction_system(parse_ribbon_graph(doc)))
 
 
 # -- diamond check --------------------------------------------------------------
@@ -235,6 +323,7 @@ def test_overlap_left_key_rewrites_its_tip_first():
 
 def test_normal_forms_skip_reduce_for_irreducible_paths(monkeypatch):
     sys = system_for("EX1", EX1_BP1)
+    q = sys.quiver
     calls = []
 
     def counted(*args, **kwargs):
@@ -249,10 +338,50 @@ def test_normal_forms_skip_reduce_for_irreducible_paths(monkeypatch):
         assert nf(key) == {key: 1}
         assert nf.steps(key) == ([] if trace else None)
         assert calls == []
-        tip = sys.rules[0].tip
-        assert nf(tip) == reduce(sys, Element(sys.quiver, {tip: 1})).terms
-        assert len(calls) == 1
+        # reduce runs iff the first rewrite leaves a reducible word, that
+        # is iff the path takes more than one step
+        seen = set()
+        for word in _composable_words(q, 6):
+            key = (q.arrows[word[-1]][0], word)
+            steps = []
+            reduce(sys, Element(q, {key: 1}), trace=steps)
+            calls.clear()
+            NormalForms(sys, trace=trace)(key)
+            assert len(calls) == (len(steps) > 1), word
+            seen.add(min(len(steps), 2))
+        assert seen == {0, 1, 2}
         calls.clear()
+
+
+def _exact(terms):
+    return [(k, c, type(c)) for k, c in terms.items()]
+
+
+def test_normal_forms_equal_reduce_exactly():
+    systems = [system_for(*args) for args in (
+        ("EX1", EX1_BP1), ("EX1", None), ("DBL", None), ("LOC_3", None),
+        ("ANNULUS", None), ("TORUS", None), ("ANN2", None))]
+    systems.append(half_unit_shift_system())
+    assert any(type(c) is F for rule in systems[-1].rules
+               for c in rule.rhs.terms.values())
+    for sys in systems:
+        q = sys.quiver
+        for trace in (False, True):
+            nf = NormalForms(sys, trace=trace)
+            keys = [(q.arrows[word[-1]][0], word)
+                    for word in _composable_words(q, 6)]
+            for key in keys:
+                nf(key)
+            # every memo entry, also those a single rewrite put there
+            for key in list(nf._memo):
+                steps = [] if trace else None
+                el = Element.path(q, key[0], key[1])
+                expected = reduce(sys, el, trace=steps).terms
+                assert _exact(nf(key)) == _exact(expected), key
+                assert nf.steps(key) == steps, key
+                if trace:
+                    assert [type(step[0]) for step in nf.steps(key)] == \
+                        [type(step[0]) for step in steps]
 
 
 def test_ambiguities_are_enumerated_once_per_system():
