@@ -16,11 +16,12 @@ along the base steps:
 
 where NF_0 is the base normal form and Psi(x) sums c * left psi(r) right
 over the base steps (c, left, r, right) that reduce x.  So the coefficient
-of t^n in NF(sum_i t^i y_i) is NF_0(z_n) with z_0 = y_0 and
-z_n = Psi(z_(n-1)) + y_n.  ``deform`` and ``verify_formal`` resolve the
-overlaps of the deformed system over ``TruncPoly`` coefficients instead;
-they stay as the independent oracle, and ``TruncPoly`` is otherwise only
-the coefficient type of a failure's witness.
+of t^n in NF(x) is NF_0(Psi^n(x)), and ``verify_lift`` keeps that list of
+per-order dicts once per path and sums these lifts for both sides of each
+overlap.  ``deform`` and ``verify_formal`` resolve the overlaps of the
+deformed system over ``TruncPoly`` coefficients instead; they stay as the
+independent oracle, and ``TruncPoly`` is otherwise only the coefficient
+type of a failure's witness.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .rewrite import (
     NormalForms,
     ReductionSystem,
     Rule,
-    _combine,
     enumerate_ambiguities,
     irreducible_words,
     overlap_sides,
@@ -166,17 +166,20 @@ def verify_lift(system, cochain, degree):
     rules would raise for a value monomial that contains a tip.  The
     witness of a failure is built as ``verify_formal`` builds it, except
     that its ``TruncPoly`` coefficients stop at the highest order either
-    side reaches; the rendered text and the order are the same.  The
-    per-order normal forms stop at their last nonzero order, so a nilpotent
-    Psi costs the same at every large ``degree``; one that is not
-    nilpotent costs O(degree).
+    side reaches; the rendered text and the order are the same.  An
+    overlap u|v|w has left side lift(uvw), and its right side sums
+    d_n[k] * lift(u*k) shifted by n, d_n being the orders of lift(vw).
+    Lifts stop at their last nonzero order, so a nilpotent Psi costs the
+    same at every large ``degree``; one that is not nilpotent may carry a
+    word that grows by a letter per order, rescanned at each order, and
+    then the cost is quadratic in ``degree``.
     """
     check_parallel(system, cochain)
     if degree > 1:
         _check_irreducible_values(system, cochain)
-    q = system.quiver
     nf = NormalForms(system, trace=True)
     psi_memo = {}
+    lift_memo = {}
 
     def psi(key):
         out = psi_memo.get(key)
@@ -191,44 +194,47 @@ def verify_lift(system, cochain, degree):
             out = psi_memo[key] = {k: c for k, c in out.items() if c}
         return out
 
-    def normal_form(parts):
-        """Per-order normal forms of sum t^n parts[n], mod t^degree, as a
-        list that ends at the last nonzero order.  Once z is 0 and no part
-        is left, every later order is 0 too, so the loop stops there.  z
-        is never changed in place, so it may be one of the parts."""
-        out = []
-        z = {}
-        for n in range(degree):
-            if z:
-                z = _combine((c, psi(k)) for k, c in z.items())
-            if n < len(parts) and parts[n]:
-                z = _combine(((1, z), (1, parts[n]))) if z else parts[n]
-            if not z and n + 1 >= len(parts):
-                break
-            out.append(_combine((c, nf(k)) for k, c in z.items()) if z else {})
-        while out and not out[-1]:
-            out.pop()
+    def lift(key):
+        """NF(key) mod t^degree: nf's own dict, then NF_0(Psi^n(key))."""
+        out = lift_memo.get(key)
+        if out is None:
+            out = lift_memo[key] = [nf(key)]
+            z = psi(key)
+            while z and len(out) < degree:
+                part, nxt = {}, {}
+                for k, c in z.items():
+                    for k2, d in nf(k).items():
+                        part[k2] = part.get(k2, 0) + c * d
+                    for k2, d in psi(k).items():
+                        nxt[k2] = nxt.get(k2, 0) + c * d
+                out.append({k: c for k, c in part.items() if c})
+                z = {k: c for k, c in nxt.items() if c}
+            while out and not out[-1]:
+                out.pop()
         return out
 
     def lifted(key):
-        """NF(key) mod t^degree as {path key: [coefficient of t^n]}, each
-        list ending at the last nonzero order of NF(key)."""
-        orders = normal_form([{key: 1}])
+        """``lift(key)`` as {path key: [(n, coefficient of t^n)]}."""
         out = {}
-        for n, part in enumerate(orders):
+        for n, part in enumerate(lift(key)):
             for k, c in part.items():
-                out.setdefault(k, [0] * len(orders))[n] = c
+                out.setdefault(k, []).append((n, c))
         return out
 
     ambiguities = enumerate_ambiguities(system)
     for amb in ambiguities:
-        # left: NF(u*v*w), whose first step rewrites the tip uv to
-        # rhs(uv) + t psi(uv); right: NF(u * NF(v*w)), one part per order
         uvw, _, right = overlap_sides(system, amb, lifted)
-        left = normal_form([{uvw: 1}])
-        top = max(map(len, right.values()), default=0)
-        right = normal_form([{k: cs[n] for k, cs in right.items() if cs[n]}
-                             for n in range(top)])
+        left = lift(uvw)
+        sums = []
+        for k, pairs in right.items():
+            for n, c in pairs:
+                for m, part in enumerate(lift(k)[:degree - n], n):
+                    sums += [{} for _ in range(m + 1 - len(sums))]
+                    for k2, d in part.items():
+                        sums[m][k2] = sums[m].get(k2, 0) + c * d
+        right = [{k: c for k, c in part.items() if c} for part in sums]
+        while right and not right[-1]:
+            right.pop()
         if left != right:
             terms = {}
             for k in sorted(set().union(*left, *right)):
@@ -238,7 +244,7 @@ def verify_lift(system, cochain, degree):
                     terms[k] = TruncPoly(coeffs)
             order = min(c.lowest_nonzero_order() for c in terms.values())
             return FormalCheck(False, len(ambiguities),
-                               (amb, Element(q, terms), order))
+                               (amb, Element(system.quiver, terms), order))
     return FormalCheck(True, len(ambiguities), None)
 
 

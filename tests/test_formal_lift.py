@@ -19,6 +19,7 @@ The command line decides the formal case without a deformed system.
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -37,7 +38,7 @@ from bga.hochschild import (
     hh2,
     standard_cocycles,
 )
-from bga.paths import Element, render
+from bga.paths import Element, render, render_key
 from bga.presentation import (
     quiver_from_graph,
     reduction_system,
@@ -131,6 +132,40 @@ def test_large_degrees_cost_no_more_than_the_last_nonzero_order(capsys):
         assert agree(system, cochain, 40) is False
         assert outcome(verify_lift(system, cochain, 10 ** 7)) == \
             outcome(verify_lift(system, cochain, 40))
+
+
+def test_one_check_reads_each_path_trace_once(monkeypatch):
+    # Psi and the lifts are memoised per path, so within one verify_lift
+    # call no path's reduce steps are read twice
+    reads = Counter()
+    steps = rewrite.NormalForms.steps
+
+    def counting_steps(self, key):
+        reads[key] += 1
+        return steps(self, key)
+
+    monkeypatch.setattr(rewrite.NormalForms, "steps", counting_steps)
+    (label, system, _), = [s for s in SYSTEMS if s[0] == "DBL"]
+    family = standard_family(label, system)
+    standard, failing = family[:-2], family[-1]
+    for cochain in standard + [failing]:
+        reads.clear()
+        check = verify_lift(system, cochain, 4)
+        assert check.passes is (cochain is not failing)
+        assert reads and max(reads.values()) == 1
+
+
+def test_non_nilpotent_psi_matches_the_oracle():
+    # Psi is not nilpotent on this cochain's words: one overlap's chain
+    # carries a word that grows by a letter per order
+    (_, system, alg), = [s for s in SYSTEMS if s[0] == "ANN2"]
+    report = hh2(system, alg)
+    cochain = cochain_from_vector(alg, report.coords, {11: 1, 8: 1})
+    assert {render_key(system.rules[ri].tip): render(value)
+            for ri, value in cochain.items()} == \
+        {"a1*a1": "bq*a2", "a2*bq": "a2*a1*bq"}
+    for degree in (8, 32, 200):
+        assert agree(system, cochain, degree)
 
 
 BROKEN_ANNULUS = {"rules": [
