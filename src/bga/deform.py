@@ -18,10 +18,9 @@ where NF_0 is the base normal form and Psi(x) sums c * left psi(r) right
 over the base steps (c, left, r, right) that reduce x.  So the coefficient
 of t^n in NF(x) is NF_0(Psi^n(x)), and ``verify_lift`` keeps that list of
 per-order dicts once per path and sums these lifts for both sides of each
-overlap.  ``deform`` and ``verify_formal`` resolve the overlaps of the
-deformed system over ``TruncPoly`` coefficients instead; they stay as the
-independent oracle, and ``TruncPoly`` is otherwise only the coefficient
-type of a failure's witness.
+overlap.  No deformed system is built; a failure's witness carries one
+``WitnessCoeff`` per path, which only renders.  The test suite keeps the
+deformed system over truncated polynomials as the independent oracle.
 """
 
 from __future__ import annotations
@@ -39,9 +38,7 @@ from .rewrite import (
     enumerate_ambiguities,
     irreducible_words,
     overlap_sides,
-    resolve_overlap,
 )
-from .scalars import TruncPoly
 
 
 def check_parallel(system, cochain):
@@ -59,47 +56,44 @@ def check_parallel(system, cochain):
                     f"monomial {render_key(key)}")
 
 
-class DeformedSystem:
-    """The deformed rules together with what they were built from."""
+class WitnessCoeff:
+    """The coefficients of t^0, t^1, ... of one path in a failed lift's
+    difference.  It is only printed: ``text`` gives the polynomial in t,
+    and it equals an integer c when c is its only coefficient, so that
+    ``render`` prints 1 and -1 bare."""
 
-    __slots__ = ("base", "ctx", "system")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, base, ctx, system):
-        self.base = base
-        self.ctx = ctx
-        self.system = system
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
 
+    def __bool__(self):
+        return any(self.coeffs)
 
-def deform(system, cochain, ctx):
-    """Deform each rhs by t times the cochain value, coefficients in ctx."""
-    check_parallel(system, cochain)
-    rules = []
-    for ri, rule in enumerate(system.rules):
-        terms = {k: ctx.from_fraction(c) for k, c in rule.rhs.terms.items()}
-        value = cochain.get(ri)
-        if value is not None:
-            for k, c in value.terms.items():
-                s = terms.get(k)
-                tc = ctx.times_t(c)
-                s = tc if s is None else s + tc
-                if s:
-                    terms[k] = s
-                else:
-                    terms.pop(k, None)
-        rules.append(Rule(rule.tip, Element(system.quiver, terms),
-                          info=rule.info))
-    deformed = ReductionSystem(system.quiver, rules, word_cap=system.word_cap)
-    return DeformedSystem(system, ctx, deformed)
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
+        return NotImplemented
 
+    def lowest_nonzero_order(self):
+        return next((i for i, c in enumerate(self.coeffs) if c), None)
 
-def _lowest_order(c):
-    if hasattr(c, "lowest_nonzero_order"):
-        return c.lowest_nonzero_order()
-    return 0 if c else None
+    def text(self):
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            elif i == 1:
+                terms.append(f"{c} t" if c != 1 else "t")
+            else:
+                terms.append(f"{c} t^{i}" if c != 1 else f"t^{i}")
+        return " + ".join(terms) if terms else "0"
 
 
 class FormalCheck:
-    """Outcome of resolving every overlap in the deformed system.
+    """Outcome of resolving every overlap of the formally deformed system.
 
     ``witness`` is None when all overlaps agree, else a triple of the first
     failing ambiguity, the normal-form difference, and the lowest t-order at
@@ -124,31 +118,9 @@ class FormalCheck:
                 f"difference {render(diff)}")
 
 
-def verify_formal(dsys):
-    """Resolve every overlap ambiguity of the deformed system both ways.
-
-    Equality of all the normal forms is exactly liftability of the deformed
-    multiplication to the chosen truncation order.
-    """
-    # tips are untouched by the deformation, so the base overlaps are the
-    # deformed ones as well
-    ambiguities = enumerate_ambiguities(dsys.base)
-    nf = NormalForms(dsys.system)
-    witness = None
-    for amb in ambiguities:
-        left, right = resolve_overlap(nf, amb)
-        if left != right:
-            diff = left - right
-            orders = [o for o in map(_lowest_order, diff.terms.values())
-                      if o is not None]
-            witness = (amb, diff, min(orders))
-            break
-    return FormalCheck(witness is None, len(ambiguities), witness)
-
-
 def _check_irreducible_values(system, cochain):
-    """The SchemaError the deformed rules raise, in rule order, when a
-    cochain value has a monomial that contains a tip."""
+    """The SchemaError a system of the deformed rules would raise, in rule
+    order, when a cochain value has a monomial that contains a tip."""
     for ri, rule in enumerate(system.rules):
         value = cochain.get(ri)
         if value is not None and any(system.first_redex(word) is not None
@@ -158,15 +130,16 @@ def _check_irreducible_values(system, cochain):
 
 
 def verify_lift(system, cochain, degree):
-    """``verify_formal(deform(system, cochain, FormalCtx(degree)))``, from
-    traced reductions in the base system; see the module docstring.
+    """Whether the rules deformed to rhs + t * psi over Q[t]/(t^degree)
+    resolve every overlap, from traced reductions in the base system; see
+    the module docstring.
 
-    The cochain is validated as ``deform`` does: ``check_parallel`` first,
-    then, when t survives the truncation, the SchemaError the deformed
-    rules would raise for a value monomial that contains a tip.  The
-    witness of a failure is built as ``verify_formal`` builds it, except
-    that its ``TruncPoly`` coefficients stop at the highest order either
-    side reaches; the rendered text and the order are the same.  An
+    The cochain is validated first: ``check_parallel``, then, when t
+    survives the truncation, the SchemaError the deformed rules would
+    raise for a value monomial that contains a tip.  The witness of a
+    failure is the first failing overlap, the difference of its two sides
+    with one ``WitnessCoeff`` per path, up to the highest order either
+    side reaches, and the lowest order at which they differ.  An
     overlap u|v|w has left side lift(uvw), and its right side sums
     d_n[k] * lift(u*k) shifted by n, d_n being the orders of lift(vw).
     Lifts stop at their last nonzero order, so a nilpotent Psi costs the
@@ -241,7 +214,7 @@ def verify_lift(system, cochain, degree):
                 coeffs = [a.get(k, 0) - b.get(k, 0)
                           for a, b in zip_longest(left, right, fillvalue={})]
                 if any(coeffs):
-                    terms[k] = TruncPoly(coeffs)
+                    terms[k] = WitnessCoeff(coeffs)
             order = min(c.lowest_nonzero_order() for c in terms.values())
             return FormalCheck(False, len(ambiguities),
                                (amb, Element(system.quiver, terms), order))

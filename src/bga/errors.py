@@ -51,10 +51,6 @@ class NotBipartite(BgaError):
     code = "NotBipartite"
 
 
-class ScalarContextMismatch(BgaError):
-    code = "ScalarContextMismatch"
-
-
 class NonTerminating(BgaError):
     code = "NonTerminating"
 

@@ -21,8 +21,8 @@ coefficients:
   letter occurrences of every tip - rhs.
 
 ``hh2`` keeps the constraint rows, and ``verify_basis`` tests a cochain
-for being a cocycle against them; ``verify_cocycle``, which resolves the
-overlaps of the deformed system instead, is the independent oracle.
+for being a cocycle against them.  The test suite keeps the independent
+oracle, which resolves the overlaps of the deformed system instead.
 
 For algebras built from a bipartite Brauer graph, the closed dimension count
 and the explicit standard cocycle family are available as cross-checks.
@@ -30,7 +30,7 @@ and the explicit standard cocycle family are available as cross-checks.
 
 from __future__ import annotations
 
-from .deform import check_parallel, deform, verify_formal
+from .deform import check_parallel
 from .errors import (
     NonParallelCochain,
     NotApplicable,
@@ -43,11 +43,10 @@ from .rewrite import (
     NormalForms,
     enumerate_ambiguities,
     overlap_sides,
-    reduce,
+    reduce,  # noqa: F401 - bench/tests reads the binding hochschild.reduce
     resolve_overlap,
 )
 from .ribbon import spanning_tree
-from .scalars import FormalCtx
 
 _F1 = 1
 
@@ -117,28 +116,6 @@ def cochain_values_doc(system, cochain):
 
 
 # -- differentials ------------------------------------------------------------
-
-def zeroth_differential(system, phi):
-    """1-cochain (d phi)(arrow) = NF(arrow * phi(origin) - phi(target) * arrow).
-
-    ``phi`` maps vertices to algebra elements; missing vertices count as 0.
-    """
-    q = system.quiver
-    out = {}
-    for name in sorted(q.arrows):
-        o, t = q.arrows[name]
-        a_el = Element.path(q, o, (name,))
-        val = Element.zero(q)
-        p = phi.get(o)
-        if p is not None:
-            val = val + reduce(system, a_el * p)
-        p = phi.get(t)
-        if p is not None:
-            val = val - reduce(system, p * a_el)
-        if val:
-            out[name] = val
-    return out
-
 
 def _letter_occurrences(system):
     """{arrow: [(rule_index, coeff, origin, left, right)]} over every letter
@@ -470,13 +447,6 @@ def standard_cocycles(graph, bp, system):
 
 # -- verification -------------------------------------------------------------
 
-def verify_cocycle(system, cochain):
-    """Whether the first-order deformation along the cochain still resolves
-    every 1-ambiguity; an independent check that never touches the
-    constraint rows, kept as the test oracle of ``verify_basis``."""
-    return verify_formal(deform(system, cochain, FormalCtx(2))).passes
-
-
 class BasisReport:
     __slots__ = ("all_cocycles", "independent", "count", "hh2_dim",
                  "complete")
@@ -510,9 +480,7 @@ def verify_basis(report, cochains):
     count matching.
 
     A cochain is a cocycle iff its vector satisfies the constraint rows the
-    report kept, which is exact by the argument of ``cocycle_space``;
-    ``verify_cocycle`` decides the same by resolving the overlaps of a
-    deformed system and stays as the oracle in the tests.
+    report kept, which is exact by the argument of ``cocycle_space``.
     """
     vecs = [vector_from_cochain(report.system, report.coords, c)
             for c in cochains]

@@ -6,9 +6,9 @@ word ``(u, v)`` means "v, then u" and needs ``origin(u) == target(v)``.
 The empty word at vertex v is the idempotent e(v).
 
 Elements are finite combinations of paths with exact rational coefficients
-(``int`` when integral, else ``Fraction``) or TruncPoly ones, stored as a
-zero-free dict.  Multiplication is the bilinear extension of
-concatenation; non-composable products are zero, not an error.
+(``int`` when integral, else ``Fraction``), stored as a zero-free dict.
+Multiplication is the bilinear extension of concatenation; non-composable
+products are zero, not an error.
 """
 
 from __future__ import annotations
@@ -96,9 +96,10 @@ class Element:
     """Linear combination of paths of one quiver.
 
     Coefficients are exact rationals (``int`` when integral, else
-    ``Fraction``) or TruncPoly values; they are only added, negated,
-    multiplied, and truth-tested, and TruncPoly values must not be mixed
-    within one computation (TruncPoly raises on mismatched truncations).
+    ``Fraction``); they are only added, negated, multiplied, and
+    truth-tested, so any type with those operations works too.  A failed
+    formal lift's witness holds ``deform.WitnessCoeff`` values, which
+    ``render`` prints through their ``text``.
     """
 
     __slots__ = ("quiver", "terms")

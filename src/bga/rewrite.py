@@ -9,7 +9,8 @@ target).  Invariants enforced at construction time:
 
 Under these invariants irreducibility is plain subword-freeness, a word
 leaves at most one minimal completion per overlap, and the basis search
-below is exhaustive.
+below is exhaustive.  ``reduce`` rewrites every word at its leftmost redex;
+the test suite checks its normal forms against a rightmost reduction.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class ReductionSystem:
     pair lookup per position, plus one comparison per tip sharing that
     pair, and the suffix test is one lookup per word.  An occurrence that
     starts further left also ends further left, so the leftmost redex by
-    start is the leftmost by end, and the same holds on the right.
+    start is the leftmost by end.
     """
 
     __slots__ = ("quiver", "rules", "_heads", "_ends", "word_cap",
@@ -112,17 +113,6 @@ class ReductionSystem:
                         return i, ri
         return None
 
-    def last_redex(self, word):
-        """Rightmost (position, rule_index) redex, or None if irreducible."""
-        ends = self._ends
-        for j in range(len(word), 1, -1):
-            hit = ends.get(word[j - 2:j])
-            if hit is not None:
-                for k, tip, ri in hit:
-                    if k <= j and word[j - k:j] == tip:
-                        return j - k, ri
-        return None
-
     def tip_is_suffix(self, word):
         hit = self._ends.get(word[-2:])
         if hit is not None:
@@ -133,16 +123,12 @@ class ReductionSystem:
         return False
 
 
-def reduce(system, element, strategy="leftmost", trace=None):
+def reduce(system, element, trace=None):
     """Normal form of an element under the reduction system.
 
     One worklist over a single term dict: a heap pops the smallest key not
-    yet known to be irreducible, and its redex is replaced in place.  Keys
-    found irreducible are never scanned again.  ``strategy`` picks the redex
-    inside a word and must not change the result on confluent systems:
-
-    * ``leftmost``: leftmost redex (the default),
-    * ``rightmost``: rightmost redex.
+    yet known to be irreducible, and its leftmost redex is replaced in
+    place.  Keys found irreducible are never scanned again.
 
     When ``trace`` is a list, each step appends ``(coeff, origin, left,
     rule_index, right)``: the term ``coeff * left tip right`` at ``origin``
@@ -151,12 +137,7 @@ def reduce(system, element, strategy="leftmost", trace=None):
     Raises NonTerminating when ``MAX_REDUCE_STEPS`` replacements were not
     enough.
     """
-    if strategy == "leftmost":
-        find = system.first_redex
-    elif strategy == "rightmost":
-        find = system.last_redex
-    else:
-        raise SchemaError(f"unknown strategy {strategy!r}")
+    find = system.first_redex
     budget = MAX_REDUCE_STEPS
     terms = dict(element.terms)
     heap = list(terms)

@@ -13,8 +13,9 @@ import random
 from fractions import Fraction
 
 import test_properties as props
+from oracles import FormalCtx, deform, verify_formal
 
-from bga.deform import deform, deformed_algebra, semisimplicity, verify_formal
+from bga.deform import deformed_algebra, semisimplicity, verify_lift
 from bga.fixtures import fixture_doc, fixture_rules, generated_family
 from bga.hochschild import (
     cochain_space,
@@ -37,7 +38,6 @@ from bga.rewrite import (
     irreducible_basis,
 )
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
-from bga.scalars import FormalCtx
 
 F = Fraction
 
@@ -174,6 +174,8 @@ def test_criterion_6_formal_deformations():
         for s in standard_cocycles(g, bp, sys_):
             check = verify_formal(deform(sys_, s.cochain, FormalCtx(4)))
             assert check.passes, (name, s.label)
+            check = verify_lift(sys_, s.cochain, 4)
+            assert check.passes, (name, s.label)
     g = graph("DBL")
     sys_, alg = _setup("DBL")
     std = {s.label: s.cochain
@@ -182,6 +184,10 @@ def test_criterion_6_formal_deformations():
     for ri, el in std["D2(w1,w2)"].items():
         pair[ri] = pair[ri] + el if ri in pair else el
     check = verify_formal(deform(sys_, pair, FormalCtx(4)))
+    assert not check.passes
+    _amb, _diff, order = check.witness
+    assert order == 2
+    check = verify_lift(sys_, pair, 4)
     assert not check.passes
     _amb, _diff, order = check.witness
     assert order == 2

@@ -361,3 +361,53 @@ def test_deform_t1_rejects_a_bad_custom_cochain(tmp_path, capsys, argv, tip,
     for t in ("1", "formal:4"):
         assert run(capsys, "deform", *argv, "--deform-type", "custom",
                    "--cochain", path, "--t", t) == expected
+
+
+# a failed formal lift, pinned byte for byte: the order and the rendered
+# difference of the witness, with a bare order-0 term on the broken annulus
+# rules and parenthesised coefficients in t elsewhere
+DBL_BIGON_PAIR = {"values": [
+    {"tip": ["v2", "w1"],
+     "element": [{"coeff": "1", "vertex": "v1|w1", "word": []}]},
+    {"tip": ["w1", "v2"],
+     "element": [{"coeff": "1", "vertex": "v2|w2", "word": []},
+                 {"coeff": "1", "vertex": "v2|w2", "word": ["w1", "w2"]}]},
+    {"tip": ["w1", "w2", "w1"],
+     "element": [{"coeff": "1", "vertex": "v1|w1", "word": ["v1"]}]}]}
+EX1_RANDOM = {"values": [
+    {"tip": ["b", "b"],
+     "element": [{"vertex": "b|g", "word": ["b"], "coeff": "3"},
+                 {"vertex": "b|g", "word": ["d", "g"], "coeff": "-1"}]},
+    {"tip": ["d", "g", "d"],
+     "element": [{"vertex": "a|d", "word": ["d"], "coeff": "-1"}]}]}
+FAILED_LIFTS = [
+    (("--input", "DBL"), DBL_BIGON_PAIR, "formal:4",
+     '{"ambiguities":16,"label":"custom","passes":false,"t":"formal:4",'
+     '"type":"custom","witness":{"detail":"overlap v2*w1*v2 fails at order '
+     't^2: difference (-1 t^2) w2","order":2,"word":["v2","w1","v2"]}}\n'),
+    (("--input", "ANNULUS", "--rules", None), {"values": []}, "formal:3",
+     '{"ambiguities":2,"label":"custom","passes":false,"t":"formal:3",'
+     '"type":"custom","witness":{"detail":"overlap x*y*x fails at order '
+     't^0: difference x","order":0,"word":["x","y","x"]}}\n'),
+    (("--input", "EX1"), EX1_RANDOM, "formal:3",
+     '{"ambiguities":8,"label":"custom","passes":false,"t":"formal:3",'
+     '"type":"custom","witness":{"detail":"overlap b*b*d fails at order '
+     't^1: difference (-1 t + t^2) d","order":1,"word":["b","b","d"]}}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, cochain, t, expected", FAILED_LIFTS,
+                         ids=["dbl_bigon_pair", "broken_annulus",
+                              "ex1_random"])
+def test_failed_formal_lift_output_is_pinned(tmp_path, capsys, argv, cochain,
+                                             t, expected):
+    rules = tmp_path / "broken.json"
+    rules.write_text(json.dumps({"rules": [
+        {"tip": ["x", "y"], "rhs": [["1", []]]},
+        {"tip": ["y", "x"], "rhs": []},
+    ]}))
+    path = tmp_path / "cochain.json"
+    path.write_text(json.dumps(cochain))
+    argv = [str(rules) if a is None else a for a in argv]
+    assert run(capsys, "deform", *argv, "--deform-type", "custom",
+               "--cochain", str(path), "--t", t) == (1, expected)

@@ -18,6 +18,7 @@ import random
 
 from hypothesis import assume, event, given, settings, strategies as st
 
+from oracles import verify_cocycle
 from test_cocycle_oracle import SYSTEMS, bipartite_graphs
 
 from bga.fixtures import fixture_doc, generated_family
@@ -27,7 +28,6 @@ from bga.hochschild import (
     standard_cocycles,
     vector_from_cochain,
     verify_basis,
-    verify_cocycle,
 )
 from bga.linalg import kernel_basis
 from bga.presentation import reduction_system

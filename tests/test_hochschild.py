@@ -3,6 +3,8 @@ import json
 import pytest
 from fractions import Fraction
 
+from oracles import verify_cocycle, zeroth_differential
+
 from bga.errors import NonParallelCochain, NotApplicable, RequiresConfluentSystem
 from bga.fixtures import fixture_doc, fixture_rules
 from bga.hochschild import (
@@ -15,8 +17,6 @@ from bga.hochschild import (
     standard_cocycles,
     vector_from_cochain,
     verify_basis,
-    verify_cocycle,
-    zeroth_differential,
 )
 from bga.linalg import in_span, kernel_basis, residual, rref
 from bga.paths import Element

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bga.errors import ScalarContextMismatch
-from bga.scalars import FormalCtx, TruncPoly
+from oracles import FormalCtx, ScalarContextMismatch, TruncPoly
 
 F = Fraction
 
