@@ -16,7 +16,8 @@ along the base steps:
 
 where NF_0 is the base normal form and Psi(x) sums c * left psi(r) right
 over the base steps (c, left, r, right) that reduce x.  So the coefficient
-of t^n in NF(x) is NF_0(Psi^n(x)), and ``verify_lift`` keeps that list of
+of t^n in NF(x) is NF_0(Psi^n(x)).  ``verify_lift`` reads NF_0 and the base
+steps of each path from the base system's memo, keeps that list of
 per-order dicts once per path and sums these lifts for both sides of each
 overlap.  No deformed system is built; a failure's witness carries one
 ``WitnessCoeff`` per path, which only renders.  The test suite keeps the
@@ -32,7 +33,6 @@ from .linalg import rank
 from .paths import Element, render, render_key
 from .rewrite import (
     FiniteDimAlgebra,
-    NormalForms,
     ReductionSystem,
     Rule,
     enumerate_ambiguities,
@@ -150,7 +150,7 @@ def verify_lift(system, cochain, degree):
     check_parallel(system, cochain)
     if degree > 1:
         _check_irreducible_values(system, cochain)
-    nf = NormalForms(system, trace=True)
+    nf = system.normal_form
     psi_memo = {}
     lift_memo = {}
 
@@ -158,7 +158,7 @@ def verify_lift(system, cochain, degree):
         out = psi_memo.get(key)
         if out is None:
             out = {}
-            for c, origin, left, ri, right in nf.steps(key):
+            for c, origin, left, ri, right in system.steps(key):
                 value = cochain.get(ri)
                 if value is not None:
                     for (_, word), d in value.terms.items():
@@ -168,7 +168,7 @@ def verify_lift(system, cochain, degree):
         return out
 
     def lift(key):
-        """NF(key) mod t^degree: nf's own dict, then NF_0(Psi^n(key))."""
+        """NF(key) mod t^degree: the memo's own dict, then NF_0(Psi^n(key))."""
         out = lift_memo.get(key)
         if out is None:
             out = lift_memo[key] = [nf(key)]
@@ -243,7 +243,7 @@ def deformed_algebra(system, cochain):
         if value is not None:
             rhs = rhs + value
         rules.append(Rule(rule.tip, rhs, info=rule.info))
-    at_one = ReductionSystem(system.quiver, rules, word_cap=system.word_cap)
+    at_one = ReductionSystem(system.quiver, rules)
     alg = FiniteDimAlgebra(at_one, irreducible_words(at_one))
     alg.check_generator_triples()
     return alg

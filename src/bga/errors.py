@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Every error carries a stable ``code`` used by the command line frontend
-to build machine readable reports.
+The command line frontend names the code of a machine readable error
+report after the exception class (``cli._error_code``).
 """
 
 from __future__ import annotations
@@ -12,68 +12,64 @@ DOCUMENT_ERRORS = (KeyError, IndexError, TypeError, ValueError,
 
 
 class BgaError(Exception):
-    code = "error"
-
     def __init__(self, detail=""):
         super().__init__(detail)
         self.detail = detail
 
 
 class SchemaError(BgaError):
-    code = "SchemaError"
+    pass
 
 
 class InvalidInvolution(BgaError):
-    code = "InvalidInvolution"
+    pass
 
 
 class InvalidRotation(BgaError):
-    code = "InvalidRotation"
+    pass
 
 
 class Disconnected(BgaError):
-    code = "Disconnected"
+    pass
 
 
 class NonBipartite(BgaError):
-    code = "NonBipartite"
-
     def __init__(self, detail="", witness=None):
         super().__init__(detail)
         self.witness = witness or []
 
 
 class InvalidBipartition(BgaError):
-    code = "InvalidBipartition"
+    pass
 
 
 class NotBipartite(BgaError):
-    code = "NotBipartite"
+    pass
 
 
 class NonTerminating(BgaError):
-    code = "NonTerminating"
+    pass
 
 
 class InfiniteDimensional(BgaError):
-    code = "InfiniteDimensional"
+    pass
 
 
 class RequiresConfluentSystem(BgaError):
-    code = "RequiresConfluentSystem"
+    pass
 
 
 class NotASubspace(BgaError):
-    code = "NotASubspace"
+    pass
 
 
 class NotApplicable(BgaError):
-    code = "NotApplicable"
+    pass
 
 
 class NonParallelCochain(BgaError):
-    code = "NonParallelCochain"
+    pass
 
 
 class NonAssociative(BgaError):
-    code = "NonAssociative"
+    pass

@@ -11,8 +11,8 @@ built from reductions in the base system alone, with exact rational
 coefficients:
 
 * cocycle constraints: each overlap is resolved both ways by
-  ``rewrite.overlap_sides`` through one ``NormalForms`` memo that keeps the
-  reduce steps of every path; an unknown coordinate (rule r, path p)
+  ``rewrite.overlap_sides`` through the system's normal-form memo, which
+  keeps the reduce steps of every path; an unknown coordinate (rule r, path p)
   contributes the normal form of ``left p right`` for every step that
   rewrote the tip of r between ``left`` and ``right`` (see
   ``cocycle_space`` for why this is the order-t part of the deformed
@@ -40,11 +40,10 @@ from .linalg import kernel_basis, quotient, rank, residual, rref
 from .paths import Element, element_to_doc
 from .presentation import cycle_word, dimension_formula
 from .rewrite import (
-    NormalForms,
+    check_diamond,
     enumerate_ambiguities,
     overlap_sides,
     reduce,  # noqa: F401 - bench/tests reads the binding hochschild.reduce
-    resolve_overlap,
 )
 from .ribbon import spanning_tree
 
@@ -143,18 +142,17 @@ def one_cochain_coords(alg):
     return out
 
 
-def coboundary_image(system, alg, coords=None, nf=None):
+def coboundary_image(system, alg, coords=None):
     """Spanning set of the coboundary subspace in cochain coordinates.
 
     One vector per ``one_cochain_coords`` pair (arrow, path): the first
     differential of that 1-cochain.  Each occurrence of the arrow in
-    tip - rhs is replaced by the path, and the word so made is reduced once;
-    ``nf`` is a ``NormalForms`` memo to share with the cocycle rows.
+    tip - rhs is replaced by the path, and the word so made is reduced once,
+    through the system's memo that the cocycle rows share.
     """
     if coords is None:
         coords = cochain_space(system, alg)
-    if nf is None:
-        nf = NormalForms(system)
+    nf = system.normal_form
     index = {pair: j for j, pair in enumerate(coords)}
     occurrences = _letter_occurrences(system)
     vecs = []
@@ -170,27 +168,29 @@ def coboundary_image(system, alg, coords=None, nf=None):
 
 # -- cocycles -----------------------------------------------------------------
 
-def _cocycle_rows(system, coords, nf):
+def _cocycle_rows(system, coords):
     """Constraint rows {j: c}: per overlap, one row for each normal-form key
     at which the order-t parts of the two resolutions differ, keys in order.
 
     Unknown j = (rule r, path p) enters the rhs of r as t * x_j * p.  A base
     step c * left (tip r) right then adds c * t * x_j * left p right; the
     t-part of a resolution is the normal form of the sum over its steps.
-    The steps are the traces ``nf`` keeps for the ``overlap_sides`` keys:
-    u*v*w on the left; v*w under the prefix u, then u*NF(v*w) on the right.
+    The steps are the traces the system's memo keeps for the
+    ``overlap_sides`` keys: u*v*w on the left; v*w under the prefix u, then
+    u*NF(v*w) on the right.
     """
+    nf, path_steps = system.normal_form, system.steps
     by_rule = {}
     for j, (ri, (_, p)) in enumerate(coords):
         by_rule.setdefault(ri, []).append((j, p))
     rows = []
     for amb in enumerate_ambiguities(system):
         uvw, vw, right = overlap_sides(system, amb, nf)
-        steps = list(nf.steps(uvw))
+        steps = list(path_steps(uvw))
         steps += [(-c, o, (amb.u,) + lw, ri, rw)
-                  for c, o, lw, ri, rw in nf.steps(vw)]
+                  for c, o, lw, ri, rw in path_steps(vw)]
         steps += [(-e * c, o, lw, ri, rw) for k, e in right.items()
-                  for c, o, lw, ri, rw in nf.steps(k)]
+                  for c, o, lw, ri, rw in path_steps(k)]
         diff = {}
         for c, o, lw, ri, rw in steps:
             for j, p in by_rule.get(ri, ()):
@@ -204,7 +204,7 @@ def _cocycle_rows(system, coords, nf):
     return rows
 
 
-def cocycle_space(system, alg, nf=None):
+def cocycle_space(system, alg):
     """The cochain coordinates and the cocycle constraint rows.
 
     A cochain psi is a cocycle iff deforming every rhs to rhs + t * psi
@@ -221,19 +221,16 @@ def cocycle_space(system, alg, nf=None):
 
     Returns (coords, rows): a cochain vector over ``coords`` is a cocycle
     iff its dot product with every row is 0, so the cocycle space is
-    ``kernel_basis(rows, len(coords))``.  The overlaps are resolved before
+    ``kernel_basis(rows, len(coords))``.  ``check_diamond`` runs before
     the coordinates are listed, so a system with an unresolved overlap
-    raises RequiresConfluentSystem first.  ``nf`` is a ``NormalForms``
-    memo built with ``trace=True``, to share with the coboundary image.
+    raises RequiresConfluentSystem first.
     """
-    if nf is None:
-        nf = NormalForms(system, trace=True)
-    unresolved = sum(left != right for left, right in (
-        resolve_overlap(nf, amb) for amb in enumerate_ambiguities(system)))
-    if unresolved:
-        raise RequiresConfluentSystem(f"{unresolved} unresolved overlaps")
+    report = check_diamond(system)
+    if not report:
+        raise RequiresConfluentSystem(
+            f"{len(report.failures)} unresolved overlaps")
     coords = cochain_space(system, alg)
-    return coords, _cocycle_rows(system, coords, nf)
+    return coords, _cocycle_rows(system, coords)
 
 
 # -- the quotient -------------------------------------------------------------
@@ -287,14 +284,13 @@ def hh2(system, alg, graph=None):
     """Cocycles modulo coboundaries, with the closed count when a bipartite
     (or two-vertex local) graph is supplied.
 
-    The overlap resolutions in ``cocycle_space`` are also the confluence
-    check.  Both linear maps share one normal-form memo, which keeps the
-    reduce steps the cocycle rows are read from.
+    ``cocycle_space`` runs the confluence check.  Both linear maps read
+    the system's normal-form memo, which keeps the reduce steps the
+    cocycle rows are read from.
     """
-    nf = NormalForms(system, trace=True)
-    coords, rows = cocycle_space(system, alg, nf)
+    coords, rows = cocycle_space(system, alg)
     cocycles = kernel_basis(rows, len(coords))
-    red, pivots = rref(coboundary_image(system, alg, coords, nf))
+    red, pivots = rref(coboundary_image(system, alg, coords))
     reps = quotient(red, pivots, cocycles)
     formula = matches = None
     if graph is not None:

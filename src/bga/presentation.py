@@ -25,7 +25,7 @@ from .errors import (
 )
 from .paths import Element, Quiver, rational
 # reduce is unused here, but bench/tests checks the name that spans rebinds
-from .rewrite import NormalForms, ReductionSystem, Rule, check_diamond, reduce
+from .rewrite import ReductionSystem, Rule, check_diamond, reduce
 from .ribbon import bipartition as default_bipartition
 from .ribbon import boundary_walks, check_bipartition
 
@@ -189,11 +189,10 @@ def reduction_system(g, bp=None, omega=None):
         raise InvalidBipartition("not a proper 2-coloring of the graph")
     quiver = quiver_from_graph(g, bp)
     rules = _derive_rules(g, bp, omega or {}, quiver)
-    cap = 2 * max(g.multiplicity[v] * g.valence(v) for v in g.vertices()) + 2
-    return ReductionSystem(quiver, rules, word_cap=cap)
+    return ReductionSystem(quiver, rules)
 
 
-def rules_from_doc(quiver, doc, word_cap=None):
+def rules_from_doc(quiver, doc):
     """ReductionSystem from a JSON rule document on an existing quiver."""
     rules = []
     try:
@@ -206,7 +205,7 @@ def rules_from_doc(quiver, doc, word_cap=None):
             rules.append(Rule(tip, Element(quiver, terms)))
     except DOCUMENT_ERRORS as exc:
         raise SchemaError(f"malformed rules document: {exc!r}") from exc
-    return ReductionSystem(quiver, rules, word_cap=word_cap)
+    return ReductionSystem(quiver, rules)
 
 
 def two_cycle_set(system):
@@ -215,7 +214,7 @@ def two_cycle_set(system):
     if not check_diamond(system):
         raise RequiresConfluentSystem("system is not confluent")
     q = system.quiver
-    nf = NormalForms(system)
+    nf = system.normal_form
     out = []
     for u in sorted(q.arrows):
         for v in sorted(q.arrows):

@@ -10,7 +10,10 @@ target).  Invariants enforced at construction time:
 Under these invariants irreducibility is plain subword-freeness, a word
 leaves at most one minimal completion per overlap, and the basis search
 below is exhaustive.  ``reduce`` rewrites every word at its leftmost redex;
-the test suite checks its normal forms against a rightmost reduction.
+the test suite checks its normal forms against a rightmost reduction.  Each
+system memoises the normal form and the reduce steps of every single path
+it is asked about, and the overlap resolutions, the multiplication table,
+the cocycle rows and the formal lifts all read them from that one memo.
 """
 
 from __future__ import annotations
@@ -54,12 +57,28 @@ class ReductionSystem:
     pair, and the suffix test is one lookup per word.  An occurrence that
     starts further left also ends further left, so the leftmost redex by
     start is the leftmost by end.
+
+    The system is also the memo of its single-path normal forms.
+    ``normal_form(key)`` is the normal form of the path as a term dict,
+    exactly as ``reduce(system, Element.path(...), trace=steps)`` gives it:
+    the same terms in the same order, with the same coefficient types, and
+    ``steps(key)`` is that ``steps`` list (empty for an irreducible path).
+    The path's word is scanned once.  An irreducible path is its own normal
+    form.  Otherwise the one rewrite at its leftmost redex is made, and its
+    words are scanned; each found irreducible enters the memo as such.
+    When all of them are, those terms are the normal form and the single
+    step is the trace; ``reduce`` runs only when that rewrite leaves a
+    reducible word.  A reduction always rewrites a given word at the same
+    redex, so the normal form is linear and a sum may be reduced term by
+    term.  The returned dicts and lists are shared and must not be changed.
+    The memo refers to nothing that refers back to the system, so a system
+    is freed without the cyclic garbage collector.
     """
 
     __slots__ = ("quiver", "rules", "_heads", "_ends", "word_cap",
-                 "_ambiguities")
+                 "_ambiguities", "_memo")
 
-    def __init__(self, quiver, rules, word_cap=None):
+    def __init__(self, quiver, rules):
         self.quiver = quiver
         self.rules = list(rules)
         tips = []
@@ -93,10 +112,9 @@ class ReductionSystem:
                 if self.first_redex(word) is not None:
                     raise SchemaError(
                         f"rhs of {render_key(rule.tip)} is itself reducible")
-        if word_cap is None:
-            word_cap = 2 * self.max_tip_length + 2 if self.rules else 2
-        self.word_cap = word_cap
+        self.word_cap = 2 * self.max_tip_length + 2
         self._ambiguities = None    # filled by enumerate_ambiguities
+        self._memo = {}             # path key -> (normal form, steps)
 
     @property
     def max_tip_length(self):
@@ -121,6 +139,40 @@ class ReductionSystem:
                 if word[-k:] == tip:
                     return True
         return False
+
+    def _reduce_path(self, key):
+        memo = self._memo
+        origin, word = key
+        redex = self.first_redex(word)
+        if redex is None:
+            hit = memo[key] = ({key: _F1}, [])
+            return hit
+        pos, ri = redex
+        rule = self.rules[ri]
+        left, right = word[:pos], word[pos + len(rule.tip[1]):]
+        # reduce's first step on {key: 1}: coefficients 1 * c in rhs order
+        terms = {}
+        for (_, r_word), c in rule.rhs.terms.items():
+            s = _F1 * c
+            if s:
+                terms[(origin, left + r_word + right)] = s
+        steps = [(_F1, origin, left, ri, right)]
+        for k in terms:
+            if self.first_redex(k[1]) is not None:
+                steps = []
+                terms = reduce(self, Element(self.quiver, {key: _F1}),
+                               trace=steps).terms
+                break
+            if k not in memo:
+                memo[k] = ({k: _F1}, [])
+        hit = memo[key] = (terms, steps)
+        return hit
+
+    def normal_form(self, key):
+        return (self._memo.get(key) or self._reduce_path(key))[0]
+
+    def steps(self, key):
+        return (self._memo.get(key) or self._reduce_path(key))[1]
 
 
 def reduce(system, element, trace=None):
@@ -177,73 +229,6 @@ def reduce(system, element, trace=None):
             else:
                 terms.pop(new_key, None)
     return Element(system.quiver, terms)
-
-
-class NormalForms:
-    """Memoised reduction of single paths in one system.
-
-    ``nf(key)`` is the normal form of the path as a term dict, exactly as
-    ``reduce(system, Element.path(...), trace=...)`` gives it: the same
-    terms in the same order, with the same coefficient types.  The path's
-    word is scanned once.  An irreducible path is its own normal form.
-    Otherwise the one rewrite at its leftmost redex is made, and its words
-    are scanned; each found irreducible enters the memo as such.  When all
-    of them are, those terms are the normal form and the single step is
-    the trace; ``reduce`` runs only when that rewrite leaves a reducible
-    word.  A reduction always rewrites a given word at the same redex, so
-    the normal form is linear and a sum may be reduced term by term.  With
-    ``trace=True`` the memo also keeps each path's reduce steps (none for
-    an irreducible path), and ``nf.steps(key)`` returns them.  The returned
-    dicts and lists are shared and must not be changed.
-    """
-
-    __slots__ = ("system", "_trace", "_memo")
-
-    def __init__(self, system, trace=False):
-        self.system = system
-        self._trace = trace
-        self._memo = {}
-
-    def _reduce(self, key):
-        system, memo, trace = self.system, self._memo, self._trace
-        origin, word = key
-        redex = system.first_redex(word)
-        if redex is None:
-            hit = memo[key] = ({key: _F1}, [] if trace else None)
-            return hit
-        pos, ri = redex
-        rule = system.rules[ri]
-        left, right = word[:pos], word[pos + len(rule.tip[1]):]
-        # reduce's first step on {key: 1}: coefficients 1 * c in rhs order
-        terms = {}
-        for (_, r_word), c in rule.rhs.terms.items():
-            s = _F1 * c
-            if s:
-                terms[(origin, left + r_word + right)] = s
-        for k in terms:
-            if system.first_redex(k[1]) is not None:
-                steps = [] if trace else None
-                terms = reduce(system, Element(system.quiver, {key: _F1}),
-                               trace=steps).terms
-                break
-            if k not in memo:
-                memo[k] = ({k: _F1}, [] if trace else None)
-        else:
-            steps = [(_F1, origin, left, ri, right)] if trace else None
-        hit = memo[key] = (terms, steps)
-        return hit
-
-    def __call__(self, key):
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._reduce(key)
-        return hit[0]
-
-    def steps(self, key):
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._reduce(key)
-        return hit[1]
 
 
 class Ambiguity:
@@ -311,7 +296,7 @@ def overlap_sides(system, amb, nf):
     The leftmost redex of u*v*w is the tip uv (no tip is a subword of
     another), so NF(uvw) = NF(rhs(uv)*w) is the left resolution and the
     reduce steps of uvw start with that rewrite; NF(right) is the right
-    one.  ``nf`` is usually a ``NormalForms`` memo; its coefficients are
+    one.  ``nf`` is usually ``system.normal_form``; its coefficients are
     copied, never combined, so they may be of any type.
     """
     origin = system.quiver.arrows[amb.w[-1]][0]
@@ -320,14 +305,15 @@ def overlap_sides(system, amb, nf):
     return (origin, (amb.u,) + vw[1]), vw, right
 
 
-def resolve_overlap(nf, amb):
+def resolve_overlap(system, amb):
     """Normal forms (left, right), as Elements, of the overlap u*v*w
-    reduced both ways through the ``NormalForms`` memo ``nf``: ``left``
-    rewrites the tip u*v first, ``right`` reduces v*w first and then the
-    product with u.  The overlap resolves iff left == right.
+    reduced both ways through the system's memo: ``left`` rewrites the tip
+    u*v first, ``right`` reduces v*w first and then the product with u.
+    The overlap resolves iff left == right.
     """
-    uvw, _, right = overlap_sides(nf.system, amb, nf)
-    q = nf.system.quiver
+    nf = system.normal_form
+    uvw, _, right = overlap_sides(system, amb, nf)
+    q = system.quiver
     return (Element(q, nf(uvw)),
             Element(q, _combine((c, nf(k)) for k, c in right.items())))
 
@@ -347,10 +333,9 @@ class DiamondReport:
 def check_diamond(system):
     """Resolve every overlap ambiguity both ways and compare normal forms."""
     ambiguities = enumerate_ambiguities(system)
-    nf = NormalForms(system)
     failures = []
     for amb in ambiguities:
-        left, right = resolve_overlap(nf, amb)
+        left, right = resolve_overlap(system, amb)
         if left != right:
             failures.append((amb, left, right))
     return DiamondReport(not failures, failures, len(ambiguities))
@@ -398,9 +383,9 @@ class FiniteDimAlgebra:
     """Irreducible-path basis plus the structure constants of NF(b_i * b_j).
 
     ``table`` maps (i, j) to the sparse row {k: c} with NF(b_i * b_j) =
-    sum c * b_k, zero products omitted.  Its dim^2 products go through one
-    ``NormalForms`` memo, and it is built on first read, so callers that
-    need only the basis never pay it.
+    sum c * b_k, zero products omitted.  Its dim^2 products go through the
+    system's normal-form memo, and it is built on first read, so callers
+    that need only the basis never pay it.
     """
 
     __slots__ = ("system", "quiver", "basis", "index", "_table")
@@ -417,7 +402,7 @@ class FiniteDimAlgebra:
         if self._table is None:
             table = {}
             q, index = self.quiver, self.index
-            nf = NormalForms(self.system)
+            nf = self.system.normal_form
             for i, ki in enumerate(self.basis):
                 for j, kj in enumerate(self.basis):
                     if not q.composable(ki, kj):

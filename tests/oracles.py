@@ -24,7 +24,6 @@ from bga.deform import FormalCheck, check_parallel
 from bga.errors import BgaError
 from bga.paths import Element
 from bga.rewrite import (
-    NormalForms,
     ReductionSystem,
     Rule,
     enumerate_ambiguities,
@@ -203,7 +202,7 @@ def deform(system, cochain, ctx):
                     terms.pop(k, None)
         rules.append(Rule(rule.tip, Element(system.quiver, terms),
                           info=rule.info))
-    deformed = ReductionSystem(system.quiver, rules, word_cap=system.word_cap)
+    deformed = ReductionSystem(system.quiver, rules)
     return DeformedSystem(system, ctx, deformed)
 
 
@@ -222,10 +221,9 @@ def verify_formal(dsys):
     # tips are untouched by the deformation, so the base overlaps are the
     # deformed ones as well
     ambiguities = enumerate_ambiguities(dsys.base)
-    nf = NormalForms(dsys.system)
     witness = None
     for amb in ambiguities:
-        left, right = resolve_overlap(nf, amb)
+        left, right = resolve_overlap(dsys.system, amb)
         if left != right:
             diff = left - right
             orders = [o for o in map(_lowest_order, diff.terms.values())

@@ -75,7 +75,7 @@ def at_one(system, cochain):
     """Unchecked t = 1 algebra of the rules phi(s) + psi(s)."""
     rules = [Rule(r.tip, r.rhs + cochain[ri] if ri in cochain else r.rhs)
              for ri, r in enumerate(system.rules)]
-    s1 = ReductionSystem(system.quiver, rules, word_cap=system.word_cap)
+    s1 = ReductionSystem(system.quiver, rules)
     return FiniteDimAlgebra(s1, irreducible_words(s1))
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -411,3 +412,22 @@ def test_failed_formal_lift_output_is_pinned(tmp_path, capsys, argv, cochain,
     argv = [str(rules) if a is None else a for a in argv]
     assert run(capsys, "deform", *argv, "--deform-type", "custom",
                "--cochain", str(path), "--t", t) == (1, expected)
+
+
+def test_commands_leave_no_reference_cycles(capsys):
+    # reference counting alone frees what a command makes, so no command
+    # leaves work for the cyclic garbage collector
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("EX1", "DBL"):
+            for argv in (("hh2",), ("cocycles",),
+                         ("deform", "--deform-type", "A", "--t", "formal:4"),
+                         ("deform", "--deform-type", "A", "--t", "1",
+                          "--check-semisimple"),
+                         ("basis",)):
+                code, _ = run(capsys, *argv, "--input", name)
+                assert code == 0, (name, argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -36,7 +36,6 @@ from bga.presentation import (
     rules_from_doc,
 )
 from bga.rewrite import (
-    NormalForms,
     ReductionSystem,
     Rule,
     enumerate_ambiguities,
@@ -187,11 +186,10 @@ def symbolic_cocycle_rows(system, coords):
             s = terms.get(key)
             terms[key] = u if s is None else s + u
         def_rules.append(Rule(rule.tip, Element(q, terms)))
-    dsys = ReductionSystem(q, def_rules, word_cap=system.word_cap)
-    nf = NormalForms(dsys)
+    dsys = ReductionSystem(q, def_rules)
     rows = []
     for amb in enumerate_ambiguities(system):
-        left, right = resolve_overlap(nf, amb)
+        left, right = resolve_overlap(dsys, amb)
         diff = left - right
         for key in sorted(diff.terms):
             c = diff.terms[key]
@@ -269,7 +267,7 @@ SYSTEMS = [(label, sys_, irreducible_basis(sys_))
 
 def assert_same_maps(label, system, alg):
     coords = cochain_space(system, alg)
-    traced = _cocycle_rows(system, coords, NormalForms(system, trace=True))
+    traced = _cocycle_rows(system, coords)
     assert traced == symbolic_cocycle_rows(system, coords), label
     assert coboundary_image(system, alg, coords) == \
         whole_system_coboundaries(system, alg, coords), label

@@ -16,7 +16,6 @@ from bga.presentation import (
     rules_from_doc,
 )
 from bga.rewrite import (
-    NormalForms,
     ReductionSystem,
     Rule,
     irreducible_basis,
@@ -125,7 +124,7 @@ def test_resolve_overlap_reproduces_the_formal_witness():
     ds = deform(sys_, cochain_sum(std["D1(w1,w2)"], std["D2(w1,w2)"]),
                 FormalCtx(4))
     amb, diff, _ = verify_formal(ds).witness
-    left, right = resolve_overlap(NormalForms(ds.system), amb)
+    left, right = resolve_overlap(ds.system, amb)
     assert left - right == diff
 
 

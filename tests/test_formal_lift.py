@@ -138,13 +138,13 @@ def test_one_check_reads_each_path_trace_once(monkeypatch):
     # Psi and the lifts are memoised per path, so within one verify_lift
     # call no path's reduce steps are read twice
     reads = Counter()
-    steps = rewrite.NormalForms.steps
+    steps = rewrite.ReductionSystem.steps
 
     def counting_steps(self, key):
         reads[key] += 1
         return steps(self, key)
 
-    monkeypatch.setattr(rewrite.NormalForms, "steps", counting_steps)
+    monkeypatch.setattr(rewrite.ReductionSystem, "steps", counting_steps)
     (label, system, _), = [s for s in SYSTEMS if s[0] == "DBL"]
     family = standard_family(label, system)
     standard, failing = family[:-2], family[-1]
@@ -226,9 +226,9 @@ def test_formal_deform_builds_no_deformed_system(monkeypatch, capsys):
     built = []
     init = rewrite.ReductionSystem.__init__
 
-    def counting_init(self, quiver, rules, word_cap=None):
+    def counting_init(self, quiver, rules):
         built.append(rules)
-        init(self, quiver, rules, word_cap)
+        init(self, quiver, rules)
 
     def no_witness_coeff(*args, **kwargs):
         raise AssertionError("WitnessCoeff built on a passing check")

@@ -19,7 +19,6 @@ from bga.presentation import (
 )
 from bga.rewrite import (
     Ambiguity,
-    NormalForms,
     Rule,
     ReductionSystem,
     check_diamond,
@@ -292,8 +291,7 @@ def test_diamond_fails_on_planted_system():
 
 def test_resolve_overlap_gives_the_diamond_failures():
     sys = planted_broken_system()
-    nf = NormalForms(sys)
-    resolved = {amb.word: resolve_overlap(nf, amb)
+    resolved = {amb.word: resolve_overlap(sys, amb)
                 for amb in enumerate_ambiguities(sys)}
     report = check_diamond(sys)
     assert [amb.word for amb, _, _ in report.failures] == \
@@ -307,13 +305,13 @@ def test_overlap_left_key_rewrites_its_tip_first():
                  ("ANN2", None)):
         sys = system_for(*args)
         q = sys.quiver
-        nf = NormalForms(sys, trace=True)
+        nf = sys.normal_form
         for amb in enumerate_ambiguities(sys):
             uvw, vw, right = overlap_sides(sys, amb, nf)
             origin = q.arrows[amb.w[-1]][0]
             assert (uvw, vw) == ((origin, amb.word),
                                  (origin, amb.v + amb.w))
-            assert nf.steps(uvw)[0] == (1, origin, (), amb.rule_index, amb.w)
+            assert sys.steps(uvw)[0] == (1, origin, (), amb.rule_index, amb.w)
             w_el = Element.path(q, origin, amb.w)
             rhs_w = reduce(sys, sys.rules[amb.rule_index].rhs * w_el)
             assert Element(q, nf(uvw)) == rhs_w, (args, amb)
@@ -331,26 +329,24 @@ def test_normal_forms_skip_reduce_for_irreducible_paths(monkeypatch):
         return reduce(*args, **kwargs)
 
     monkeypatch.setattr("bga.rewrite.reduce", counted)
-    for trace in (False, True):
-        nf = NormalForms(sys, trace=trace)
-        key = ("b|g", ("b", "b"))
-        assert sys.first_redex(key[1]) is None
-        assert nf(key) == {key: 1}
-        assert nf.steps(key) == ([] if trace else None)
-        assert calls == []
-        # reduce runs iff the first rewrite leaves a reducible word, that
-        # is iff the path takes more than one step
-        seen = set()
-        for word in _composable_words(q, 6):
-            key = (q.arrows[word[-1]][0], word)
-            steps = []
-            reduce(sys, Element(q, {key: 1}), trace=steps)
-            calls.clear()
-            NormalForms(sys, trace=trace)(key)
-            assert len(calls) == (len(steps) > 1), word
-            seen.add(min(len(steps), 2))
-        assert seen == {0, 1, 2}
+    key = ("b|g", ("b", "b"))
+    assert sys.first_redex(key[1]) is None
+    assert sys.normal_form(key) == {key: 1}
+    assert sys.steps(key) == []
+    assert calls == []
+    # reduce runs iff the first rewrite leaves a reducible word, that is
+    # iff the path takes more than one step; each path is asked of a fresh
+    # system, whose memo is empty
+    seen = set()
+    for word in _composable_words(q, 6):
+        key = (q.arrows[word[-1]][0], word)
+        steps = []
+        reduce(sys, Element(q, {key: 1}), trace=steps)
         calls.clear()
+        ReductionSystem(q, sys.rules).normal_form(key)
+        assert len(calls) == (len(steps) > 1), word
+        seen.add(min(len(steps), 2))
+    assert seen == {0, 1, 2}
 
 
 def _exact(terms):
@@ -366,22 +362,19 @@ def test_normal_forms_equal_reduce_exactly():
                for c in rule.rhs.terms.values())
     for sys in systems:
         q = sys.quiver
-        for trace in (False, True):
-            nf = NormalForms(sys, trace=trace)
-            keys = [(q.arrows[word[-1]][0], word)
-                    for word in _composable_words(q, 6)]
-            for key in keys:
-                nf(key)
-            # every memo entry, also those a single rewrite put there
-            for key in list(nf._memo):
-                steps = [] if trace else None
-                el = Element.path(q, key[0], key[1])
-                expected = reduce(sys, el, trace=steps).terms
-                assert _exact(nf(key)) == _exact(expected), key
-                assert nf.steps(key) == steps, key
-                if trace:
-                    assert [type(step[0]) for step in nf.steps(key)] == \
-                        [type(step[0]) for step in steps]
+        keys = [(q.arrows[word[-1]][0], word)
+                for word in _composable_words(q, 6)]
+        for key in keys:
+            sys.normal_form(key)
+        # every memo entry, also those a single rewrite put there
+        for key in list(sys._memo):
+            steps = []
+            el = Element.path(q, key[0], key[1])
+            expected = reduce(sys, el, trace=steps).terms
+            assert _exact(sys.normal_form(key)) == _exact(expected), key
+            assert sys.steps(key) == steps, key
+            assert [type(step[0]) for step in sys.steps(key)] == \
+                [type(step[0]) for step in steps]
 
 
 def test_ambiguities_are_enumerated_once_per_system():
