@@ -162,74 +162,47 @@ def fixture_rules(name):
 # A deterministic collection of bipartite graphs used by the broad-coverage
 # tests: even cycles, stars, and paths with small multiplicities.
 
-def even_cycle_doc(n, mults):
-    """Cycle on 2n vertices; mults has length 2n."""
-    assert n >= 2 and len(mults) == 2 * n
-    verts = [f"c{i}" for i in range(2 * n)]
-    halves, incidence, pairing = [], {}, []
+def _doc(verts, mults, edges):
+    """Graph document on the vertices with these multiplicities; each edge
+    is (half, vertex, half, vertex), listed in rotation order at both ends."""
     rotation = {v: [] for v in verts}
-    for i in range(2 * n):
-        j = (i + 1) % (2 * n)
-        a, b = f"h{i}f", f"h{j}b"
-        halves += [a, b]
-        incidence[a] = verts[i]
-        incidence[b] = verts[j]
-        pairing.append([a, b])
-        rotation[verts[i]].append(a)
-        rotation[verts[j]].append(b)
+    incidence = {}
+    for a, va, b, vb in edges:
+        incidence[a], incidence[b] = va, vb
+        rotation[va].append(a)
+        rotation[vb].append(b)
     return json.dumps({
         "vertices": [{"id": v, "multiplicity": m} for v, m in zip(verts, mults)],
-        "half_edges": halves,
+        "half_edges": list(incidence),
         "incidence": incidence,
-        "pairing": pairing,
+        "pairing": [[a, b] for a, _, b, _ in edges],
         "rotation": rotation,
     })
+
+
+def even_cycle_doc(n, mults):
+    """Cycle on 2n vertices; mults has length 2n."""
+    m = 2 * n
+    assert n >= 2 and len(mults) == m
+    verts = [f"c{i}" for i in range(m)]
+    return _doc(verts, mults, [(f"h{i}f", verts[i], f"h{(i + 1) % m}b",
+                                verts[(i + 1) % m]) for i in range(m)])
 
 
 def star_doc(k, mults):
     """Star with k leaves; mults = [center, leaf1, ..., leafk]."""
     assert k >= 1 and len(mults) == k + 1
     verts = ["c"] + [f"l{i}" for i in range(k)]
-    halves, incidence, pairing = [], {}, []
-    rotation = {v: [] for v in verts}
-    for i in range(k):
-        a, b = f"s{i}", f"t{i}"
-        halves += [a, b]
-        incidence[a] = "c"
-        incidence[b] = f"l{i}"
-        pairing.append([a, b])
-        rotation["c"].append(a)
-        rotation[f"l{i}"].append(b)
-    return json.dumps({
-        "vertices": [{"id": v, "multiplicity": m} for v, m in zip(verts, mults)],
-        "half_edges": halves,
-        "incidence": incidence,
-        "pairing": pairing,
-        "rotation": rotation,
-    })
+    return _doc(verts, mults,
+                [(f"s{i}", "c", f"t{i}", f"l{i}") for i in range(k)])
 
 
 def path_doc(n, mults):
     """Path on n vertices (n-1 edges); mults has length n."""
     assert n >= 2 and len(mults) == n
     verts = [f"p{i}" for i in range(n)]
-    halves, incidence, pairing = [], {}, []
-    rotation = {v: [] for v in verts}
-    for i in range(n - 1):
-        a, b = f"r{i}", f"l{i + 1}"
-        halves += [a, b]
-        incidence[a] = verts[i]
-        incidence[b] = verts[i + 1]
-        pairing.append([a, b])
-        rotation[verts[i]].append(a)
-        rotation[verts[i + 1]].append(b)
-    return json.dumps({
-        "vertices": [{"id": v, "multiplicity": m} for v, m in zip(verts, mults)],
-        "half_edges": halves,
-        "incidence": incidence,
-        "pairing": pairing,
-        "rotation": rotation,
-    })
+    return _doc(verts, mults, [(f"r{i}", verts[i], f"l{i + 1}", verts[i + 1])
+                               for i in range(n - 1)])
 
 
 def generated_family():

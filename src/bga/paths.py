@@ -21,16 +21,11 @@ _F1 = 1
 
 
 class Quiver:
-    """Finite quiver: named vertices, named arrows with origin and target.
+    """Finite quiver: named vertices, named arrows with origin and target."""
 
-    ``sigma`` is an optional permutation of the arrow names (the successor
-    map used when the quiver comes from a ribbon graph); word enumeration
-    and arithmetic ignore it.
-    """
+    __slots__ = ("vertices", "arrows", "_by_target")
 
-    __slots__ = ("vertices", "arrows", "sigma", "_by_target")
-
-    def __init__(self, vertices, arrows, sigma=None):
+    def __init__(self, vertices, arrows):
         self.vertices = list(vertices)
         self.arrows = dict(arrows)  # name -> (origin, target)
         vset = set(self.vertices)
@@ -39,11 +34,6 @@ class Quiver:
         for name, (o, t) in self.arrows.items():
             if o not in vset or t not in vset:
                 raise SchemaError(f"arrow {name!r} touches unknown vertex")
-        self.sigma = dict(sigma) if sigma else None
-        if self.sigma is not None:
-            if set(self.sigma) != set(self.arrows) or \
-                    set(self.sigma.values()) != set(self.arrows):
-                raise SchemaError("sigma must permute the arrow names")
         by_t = {v: [] for v in self.vertices}
         for name in sorted(self.arrows):
             by_t[self.arrows[name][1]].append(name)
@@ -127,9 +117,6 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return None  # pragma: no cover - elements are not hashable
 
     def __add__(self, other):
         if not isinstance(other, Element):

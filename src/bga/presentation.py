@@ -72,8 +72,7 @@ def quiver_from_graph(g, bp=None):
     deleted = _deleted_halves(g, bp)
     keep = [h for h in g.half_edges if h not in deleted]
     arrows = {h: (g.edge_of(h), g.edge_of(g.successor(h))) for h in keep}
-    sigma = {h: g.predecessor(h) for h in keep}
-    return Quiver(g.edge_ids(), arrows, sigma)
+    return Quiver(g.edge_ids(), arrows)
 
 
 class BrauerPresentation:
@@ -84,14 +83,8 @@ class BrauerPresentation:
         self.relations = relations  # list of Elements generating the ideal
 
 
-def _omega_sign(omega, edge_id):
-    return _F1 if omega.get(edge_id, 0) % 2 == 0 else -_F1
-
-
-def build_presentation(g, omega=None):
-    """Quiver plus the three classical families of ideal generators, with
-    the twist signs of ``omega`` (edge id -> int, consumed mod 2)."""
-    omega = omega or {}
+def build_presentation(g):
+    """Quiver plus the three classical families of ideal generators."""
     quiver = quiver_from_graph(g)
     deleted = _deleted_halves(g, None)
 
@@ -113,16 +106,16 @@ def build_presentation(g, omega=None):
             relations.append(el)
 
     halves = sorted(g.half_edges)
-    # products u*v of sigma-nonsuccessive composable arrows vanish
+    # products u*v of composable arrows not successive in the rotation vanish
     for hu in halves:
         for hv in halves:
             if g.edge_of(g.successor(hv)) != g.edge_of(hu):
                 continue  # not composable
             if g.predecessor(hu) == hv:
-                continue  # sigma-successive pairs survive
+                continue  # successive pairs survive
             word = arrow_word(hu) + arrow_word(hv)
             emit({quiver.word_key(word): _F1})
-    # the two cycle powers of an edge agree up to the twist sign
+    # the two cycle powers of an edge agree
     for edge in g.edge_ids():
         h1, h2 = edge.split("|")
         v1, v2 = g.incidence[h1], g.incidence[h2]
@@ -131,7 +124,7 @@ def build_presentation(g, omega=None):
         w1 = cycle_word(g, h1, g.multiplicity[v1])
         w2 = cycle_word(g, h2, g.multiplicity[v2])
         emit({quiver.word_key(w1): _F1,
-              quiver.word_key(w2): -_omega_sign(omega, edge)})
+              quiver.word_key(w2): -_F1})
     # one step past the full cycle power vanishes
     for h in halves:
         if h in deleted:
@@ -141,7 +134,7 @@ def build_presentation(g, omega=None):
     return BrauerPresentation(quiver, relations)
 
 
-def _derive_rules(g, bp, omega, quiver):
+def _derive_rules(g, bp, quiver):
     rules = []
     # (a) part-one cycle powers rewrite to the part-two side of their edge
     for edge in g.edge_ids():
@@ -153,7 +146,7 @@ def _derive_rules(g, bp, omega, quiver):
             continue
         tip = quiver.word_key(cycle_word(g, h1, g.multiplicity[v1]))
         rhs_word = cycle_word(g, h2, g.multiplicity[v2])
-        rhs = Element(quiver, {quiver.word_key(rhs_word): _omega_sign(omega, edge)})
+        rhs = Element(quiver, {quiver.word_key(rhs_word): _F1})
         rules.append(Rule(tip, rhs, info=("a", edge, h1, h2)))
     # (b) one step past a part-two cycle power vanishes
     for h in sorted(g.half_edges):
@@ -161,19 +154,19 @@ def _derive_rules(g, bp, omega, quiver):
             continue
         word = cycle_word(g, g.successor(h), g.multiplicity[g.incidence[h]]) + (h,)
         rules.append(Rule(quiver.word_key(word), Element.zero(quiver), info=("b", h)))
-    # (c) the remaining sigma-nonsuccessive products vanish
+    # (c) the remaining products of non-successive arrows vanish
     for hu in sorted(quiver.arrows):
         for hv in sorted(quiver.arrows):
             if quiver.origin(hu) != quiver.target(hv):
                 continue
-            if quiver.sigma[hu] == hv:
+            if g.predecessor(hu) == hv:
                 continue
             rules.append(Rule(quiver.word_key((hu, hv)), Element.zero(quiver),
                               info=("c", hu, hv)))
     return rules
 
 
-def reduction_system(g, bp=None, omega=None):
+def reduction_system(g, bp=None):
     """Reduction system of the graph for the bipartition, straight from
     the graph: no relations are built and the rules are derived once.
 
@@ -188,7 +181,7 @@ def reduction_system(g, bp=None, omega=None):
     if not check_bipartition(g, bp):
         raise InvalidBipartition("not a proper 2-coloring of the graph")
     quiver = quiver_from_graph(g, bp)
-    rules = _derive_rules(g, bp, omega or {}, quiver)
+    rules = _derive_rules(g, bp, quiver)
     return ReductionSystem(quiver, rules)
 
 

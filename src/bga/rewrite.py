@@ -12,8 +12,9 @@ leaves at most one minimal completion per overlap, and the basis search
 below is exhaustive.  ``reduce`` rewrites every word at its leftmost redex;
 the test suite checks its normal forms against a rightmost reduction.  Each
 system memoises the normal form and the reduce steps of every single path
-it is asked about, and the overlap resolutions, the multiplication table,
-the cocycle rows and the formal lifts all read them from that one memo.
+it is asked about, computed by the same loop as ``reduce``, and the overlap
+resolutions, the multiplication table, the cocycle rows and the formal
+lifts all read them from that one memo.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .errors import (
     SchemaError,
 )
 from .paths import Element, render_key
-
-_F1 = 1
 
 MAX_REDUCE_STEPS = 200_000
 
@@ -59,18 +58,15 @@ class ReductionSystem:
     start is the leftmost by end.
 
     The system is also the memo of its single-path normal forms.
-    ``normal_form(key)`` is the normal form of the path as a term dict,
-    exactly as ``reduce(system, Element.path(...), trace=steps)`` gives it:
-    the same terms in the same order, with the same coefficient types, and
-    ``steps(key)`` is that ``steps`` list (empty for an irreducible path).
-    The path's word is scanned once.  An irreducible path is its own normal
-    form.  Otherwise the one rewrite at its leftmost redex is made, and its
-    words are scanned; each found irreducible enters the memo as such.
-    When all of them are, those terms are the normal form and the single
-    step is the trace; ``reduce`` runs only when that rewrite leaves a
-    reducible word.  A reduction always rewrites a given word at the same
-    redex, so the normal form is linear and a sum may be reduced term by
-    term.  The returned dicts and lists are shared and must not be changed.
+    ``normal_form(key)`` is the normal form of the path as a term dict and
+    ``steps(key)`` the list of its reduce steps (empty for an irreducible
+    path).  Both come from the one loop behind ``reduce``, run on the term
+    dict ``{key: 1}``, so they are exactly what ``reduce(system,
+    Element.path(...), trace=steps)`` gives: the same terms in the same
+    order, with the same coefficient types.  A reduction always rewrites a
+    given word at the same redex, so the normal form is linear and a sum
+    may be reduced term by term.  The returned dicts and lists are shared
+    and must not be changed.
     The memo refers to nothing that refers back to the system, so a system
     is freed without the cyclic garbage collector.
     """
@@ -141,31 +137,8 @@ class ReductionSystem:
         return False
 
     def _reduce_path(self, key):
-        memo = self._memo
-        origin, word = key
-        redex = self.first_redex(word)
-        if redex is None:
-            hit = memo[key] = ({key: _F1}, [])
-            return hit
-        pos, ri = redex
-        rule = self.rules[ri]
-        left, right = word[:pos], word[pos + len(rule.tip[1]):]
-        # reduce's first step on {key: 1}: coefficients 1 * c in rhs order
-        terms = {}
-        for (_, r_word), c in rule.rhs.terms.items():
-            s = _F1 * c
-            if s:
-                terms[(origin, left + r_word + right)] = s
-        steps = [(_F1, origin, left, ri, right)]
-        for k in terms:
-            if self.first_redex(k[1]) is not None:
-                steps = []
-                terms = reduce(self, Element(self.quiver, {key: _F1}),
-                               trace=steps).terms
-                break
-            if k not in memo:
-                memo[k] = ({k: _F1}, [])
-        hit = memo[key] = (terms, steps)
+        steps = []
+        hit = self._memo[key] = (_reduce_terms(self, {key: 1}, steps), steps)
         return hit
 
     def normal_form(self, key):
@@ -178,10 +151,6 @@ class ReductionSystem:
 def reduce(system, element, trace=None):
     """Normal form of an element under the reduction system.
 
-    One worklist over a single term dict: a heap pops the smallest key not
-    yet known to be irreducible, and its leftmost redex is replaced in
-    place.  Keys found irreducible are never scanned again.
-
     When ``trace`` is a list, each step appends ``(coeff, origin, left,
     rule_index, right)``: the term ``coeff * left tip right`` at ``origin``
     was replaced by ``coeff * left rhs right``.
@@ -189,9 +158,20 @@ def reduce(system, element, trace=None):
     Raises NonTerminating when ``MAX_REDUCE_STEPS`` replacements were not
     enough.
     """
+    return Element(system.quiver,
+                   _reduce_terms(system, dict(element.terms), trace))
+
+
+def _reduce_terms(system, terms, trace):
+    """The loop of ``reduce`` on a zero-free term dict, which it rewrites in
+    place and returns.
+
+    One worklist: a heap pops the smallest key not yet known to be
+    irreducible, and its leftmost redex is replaced in place.  Keys found
+    irreducible are never scanned again.
+    """
     find = system.first_redex
     budget = MAX_REDUCE_STEPS
-    terms = dict(element.terms)
     heap = list(terms)
     heapify(heap)
     irreducible = set()
@@ -228,7 +208,7 @@ def reduce(system, element, trace=None):
                 terms[new_key] = s
             else:
                 terms.pop(new_key, None)
-    return Element(system.quiver, terms)
+    return terms
 
 
 class Ambiguity:

@@ -1,3 +1,4 @@
+from collections.abc import Hashable
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,14 @@ def test_add_cancels_to_zero():
     assert not (a - a)
     assert (a - a) + a == a
     assert a.scaled(F(0)).terms == {}
+
+
+def test_elements_are_not_hashable():
+    # elements compare by value, so they must not claim a hash
+    el = Element.path(ex1_quiver(), "1", ("al",))
+    assert not isinstance(el, Hashable)
+    with pytest.raises(TypeError, match="unhashable type"):
+        hash(el)
 
 
 def test_render():

@@ -334,19 +334,35 @@ def test_normal_forms_skip_reduce_for_irreducible_paths(monkeypatch):
     assert sys.normal_form(key) == {key: 1}
     assert sys.steps(key) == []
     assert calls == []
-    # reduce runs iff the first rewrite leaves a reducible word, that is
-    # iff the path takes more than one step; each path is asked of a fresh
-    # system, whose memo is empty
-    seen = set()
+
+
+def test_normal_forms_scan_each_word_once(monkeypatch):
+    # the memo runs reduce's own loop: a path's normal form costs exactly
+    # the redex scans of reduce on it, with no rewrite made twice; each
+    # path is asked of a fresh system, whose memo is empty
+    base = system_for("EX1", EX1_BP1)
+    q, rules = base.quiver, base.rules
+    scans = []
+    first_redex = ReductionSystem.first_redex
+
+    def counted(self, word):
+        scans.append(word)
+        return first_redex(self, word)
+
+    monkeypatch.setattr(ReductionSystem, "first_redex", counted)
+    lengths = set()
     for word in _composable_words(q, 6):
         key = (q.arrows[word[-1]][0], word)
-        steps = []
-        reduce(sys, Element(q, {key: 1}), trace=steps)
-        calls.clear()
-        ReductionSystem(q, sys.rules).normal_form(key)
-        assert len(calls) == (len(steps) > 1), word
-        seen.add(min(len(steps), 2))
-    assert seen == {0, 1, 2}
+        sys = ReductionSystem(q, rules)
+        scans.clear()
+        sys.normal_form(key)
+        by_memo = list(scans)
+        sys = ReductionSystem(q, rules)
+        scans.clear()
+        reduce(sys, Element.path(q, key[0], word))
+        assert by_memo == scans, word
+        lengths.add(min(len(sys.steps(key)), 2))
+    assert lengths == {0, 1, 2}
 
 
 def _exact(terms):
@@ -366,7 +382,7 @@ def test_normal_forms_equal_reduce_exactly():
                 for word in _composable_words(q, 6)]
         for key in keys:
             sys.normal_form(key)
-        # every memo entry, also those a single rewrite put there
+        # every memo entry, that is every path asked about
         for key in list(sys._memo):
             steps = []
             el = Element.path(q, key[0], key[1])
