@@ -87,8 +87,11 @@ def _load_graph(args):
     return parse_ribbon_graph(text)
 
 
-def _parse_bipartition(text):
-    halves = text.split("|")
+def _parse_bipartition(args):
+    """The --bipartition override, or None."""
+    if not args.bipartition:
+        return None
+    halves = args.bipartition.split("|")
     if len(halves) != 2:
         raise UsageError('bipartition must look like "v1,v2|w"')
     parts = [{v.strip() for v in h.split(",") if v.strip()} for h in halves]
@@ -109,20 +112,21 @@ def _load_system(args, g):
             raise UsageError(f"cannot read {args.rules}: {exc}") from exc
     elif args.fixture:
         rules_text = fixture_rules(args.fixture)
-    bp = _parse_bipartition(args.bipartition) if args.bipartition else None
+    return _system(g, rules_text, _parse_bipartition(args))
+
+
+def _system(g, rules_text, bp):
+    """The rule document's system on the quiver of g for bp, else the one
+    derived from g; a bp that does not 2-color g raises InvalidBipartition."""
     if rules_text is not None:
-        quiver = quiver_from_graph(g, bp)
-        return rules_from_doc(quiver, json.loads(rules_text)), None
-    return reduction_system(g, bp), bp
+        return rules_from_doc(quiver_from_graph(g, bp), json.loads(rules_text))
+    return reduction_system(g, bp)
 
 
-def _family_bipartition(args, g, bp):
-    """The bipartition the standard cocycles use: the one the presentation
-    was built from, else --bipartition, else the graph's own."""
-    if bp is not None:
-        return bp
-    return _parse_bipartition(args.bipartition) if args.bipartition \
-        else bipartition(g)
+def _family_bipartition(args, g):
+    """The bipartition the standard cocycles use: --bipartition, else the
+    graph's own."""
+    return _parse_bipartition(args) or bipartition(g)
 
 
 def _graph_doc(g):
@@ -160,7 +164,7 @@ def cmd_validate(args):
 
 def cmd_info(args):
     g = _load_graph(args)
-    system, _ = _load_system(args, g)
+    system = _load_system(args, g)
     dim = len(irreducible_words(system))
     doc = _graph_doc(g)
     doc.update({
@@ -177,7 +181,7 @@ def cmd_info(args):
 
 def cmd_basis(args):
     g = _load_graph(args)
-    system, _ = _load_system(args, g)
+    system = _load_system(args, g)
     alg = irreducible_basis(system)
     products = []
     for (i, j) in sorted(alg.table):
@@ -195,7 +199,7 @@ def cmd_basis(args):
 
 def cmd_diamond(args):
     g = _load_graph(args)
-    system, _ = _load_system(args, g)
+    system = _load_system(args, g)
     report = check_diamond(system)
     failures = [{
         "word": list(amb.word),
@@ -210,7 +214,7 @@ def cmd_diamond(args):
 
 def cmd_hh2(args):
     g = _load_graph(args)
-    system, _ = _load_system(args, g)
+    system = _load_system(args, g)
     alg = irreducible_basis(system)
     report = hh2(system, alg, graph=g)
     emit(report.to_doc(), args)
@@ -219,8 +223,8 @@ def cmd_hh2(args):
 
 def cmd_cocycles(args):
     g = _load_graph(args)
-    system, bp = _load_system(args, g)
-    family = standard_cocycles(g, _family_bipartition(args, g, bp), system)
+    system = _load_system(args, g)
+    family = standard_cocycles(g, _family_bipartition(args, g), system)
     report = verify_basis(hh2(system, irreducible_basis(system)),
                           [s.cochain for s in family])
     emit({"cocycles": [s.to_doc(system) for s in family],
@@ -243,7 +247,7 @@ def _cochain_from_values_doc(system, doc):
     return cochain
 
 
-def _select_cochain(args, g, system, bp):
+def _select_cochain(args, g, system):
     if args.deform_type == "custom":
         if not args.cochain:
             raise UsageError("--deform-type custom needs --cochain FILE")
@@ -253,7 +257,7 @@ def _select_cochain(args, g, system, bp):
         except OSError as exc:
             raise UsageError(f"cannot read {args.cochain}: {exc}") from exc
         return _cochain_from_values_doc(system, doc), "custom"
-    for s in standard_cocycles(g, _family_bipartition(args, g, bp), system):
+    for s in standard_cocycles(g, _family_bipartition(args, g), system):
         if s.kind == args.deform_type:
             return s.cochain, s.label
     raise NotApplicable(
@@ -262,7 +266,7 @@ def _select_cochain(args, g, system, bp):
 
 def cmd_deform(args):
     g = _load_graph(args)
-    system, bp = _load_system(args, g)
+    system = _load_system(args, g)
     if not args.deform_type:
         raise UsageError("deform needs --deform-type")
     m = re.fullmatch(r"formal:(\d+)", args.t)
@@ -271,7 +275,7 @@ def cmd_deform(args):
     degree = int(m.group(1)) if m else None
     if degree is not None and degree < 1:
         raise UsageError("truncation degree must be >= 1")
-    cochain, label = _select_cochain(args, g, system, bp)
+    cochain, label = _select_cochain(args, g, system)
     if degree is not None:
         check = verify_lift(system, cochain, degree)
         doc = {"type": args.deform_type, "label": label, "t": args.t,
@@ -308,12 +312,7 @@ _SELFTEST_HH2 = {
 def _selftest_fixture(name):
     g = parse_ribbon_graph(fixture_doc(name))
     rules_text = fixture_rules(name)
-    if rules_text:
-        system = rules_from_doc(quiver_from_graph(g), json.loads(rules_text))
-        bp = None
-    else:
-        bp = bipartition(g)
-        system = reduction_system(g, bp)
+    system = _system(g, rules_text, None)
     alg = irreducible_basis(system)
     checks = [
         {"name": "dimension", "expected": g.dimension_sum(), "got": alg.dim},
@@ -326,8 +325,8 @@ def _selftest_fixture(name):
     if report.formula is not None:
         checks.append({"name": "formula_matches", "expected": True,
                        "got": report.formula_matches})
-    if bp is not None and len(g.edge_ids()) > 1:
-        family = standard_cocycles(g, bp, system)
+    if rules_text is None and len(g.edge_ids()) > 1:
+        family = standard_cocycles(g, bipartition(g), system)
         basis = verify_basis(report, [s.cochain for s in family])
         checks.append({"name": "standard_basis_complete", "expected": True,
                        "got": basis.complete})

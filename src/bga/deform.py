@@ -32,11 +32,10 @@ from .errors import NonParallelCochain, SchemaError
 from .linalg import rank
 from .paths import Element, render, render_key
 from .rewrite import (
-    FiniteDimAlgebra,
     ReductionSystem,
     Rule,
     enumerate_ambiguities,
-    irreducible_words,
+    irreducible_basis,
     overlap_sides,
 )
 
@@ -244,7 +243,7 @@ def deformed_algebra(system, cochain):
             rhs = rhs + value
         rules.append(Rule(rule.tip, rhs, info=rule.info))
     at_one = ReductionSystem(system.quiver, rules)
-    alg = FiniteDimAlgebra(at_one, irreducible_words(at_one))
+    alg = irreducible_basis(at_one)
     alg.check_generator_triples()
     return alg
 

@@ -47,8 +47,6 @@ from .rewrite import (
 )
 from .ribbon import spanning_tree
 
-_F1 = 1
-
 
 # -- coordinates --------------------------------------------------------------
 
@@ -122,7 +120,7 @@ def _letter_occurrences(system):
     monomials negated, ``left`` and ``right`` the words around the letter."""
     out = {}
     for ri, rule in enumerate(system.rules):
-        monomials = [(rule.tip, _F1)]
+        monomials = [(rule.tip, 1)]
         monomials += [(k, -c) for k, c in rule.rhs.terms.items()]
         for (origin, word), c in monomials:
             for i, letter in enumerate(word):
@@ -367,8 +365,7 @@ def standard_cocycles(graph, bp, system):
         values[ri] = Element.idempotent(q, system.rules[ri].tip[0])
     for h, ri in sorted(b_rule.items()):
         last = system.rules[ri].tip[1][-1]
-        values[ri] = Element.path(q, q.arrows[last][0], (last,),
-                                  coeff=-_F1)
+        values[ri] = Element.path(q, q.arrows[last][0], (last,), coeff=-1)
     out.append(StandardCocycle("A", "A", values))
 
     # (B): multiplicity-lowering cycle terms, one per (vertex, power).
@@ -376,26 +373,19 @@ def standard_cocycles(graph, bp, system):
         m = graph.multiplicity[v]
         for i in range(1, m):
             values = {}
-            if bp.side(v) == 1:
-                for edge, ri in sorted(a_rule.items()):
-                    h1 = system.rules[ri].info[2]
-                    if graph.incidence[h1] == v:
-                        word = cycle_word(graph, h1, i)
-                        values[ri] = Element.path(
-                            q, q.arrows[word[-1]][0], word)
-            else:
-                for edge, ri in sorted(a_rule.items()):
-                    h2 = system.rules[ri].info[3]
-                    if graph.incidence[h2] == v:
-                        word = cycle_word(graph, h2, i)
-                        values[ri] = Element.path(
-                            q, q.arrows[word[-1]][0], word)
+            side = bp.side(v)
+            for edge, ri in sorted(a_rule.items()):
+                h = system.rules[ri].info[1 + side]  # h1 or h2 of the edge
+                if graph.incidence[h] == v:
+                    word = cycle_word(graph, h, i)
+                    values[ri] = Element.path(q, q.arrows[word[-1]][0], word)
+            if side == 2:
                 span = i * graph.valence(v) + 1
                 for h, ri in sorted(b_rule.items()):
                     if graph.incidence[h] == v:
                         word = system.rules[ri].tip[1][-span:]
                         values[ri] = Element.path(
-                            q, q.arrows[word[-1]][0], word, coeff=-_F1)
+                            q, q.arrows[word[-1]][0], word, coeff=-1)
             out.append(StandardCocycle("B", f"B({v},{i})", values))
 
     # (C): one per edge outside a spanning tree, rescaling its commutation

@@ -17,8 +17,6 @@ from fractions import Fraction
 
 from .errors import DOCUMENT_ERRORS, SchemaError
 
-_F1 = 1
-
 
 class Quiver:
     """Finite quiver: named vertices, named arrows with origin and target."""
@@ -103,11 +101,11 @@ class Element:
         return cls(quiver)
 
     @classmethod
-    def path(cls, quiver, origin, word, coeff=_F1):
+    def path(cls, quiver, origin, word, coeff=1):
         return cls(quiver, {quiver.key(origin, word): coeff})
 
     @classmethod
-    def idempotent(cls, quiver, vertex, coeff=_F1):
+    def idempotent(cls, quiver, vertex, coeff=1):
         return cls(quiver, {(vertex, ()): coeff})
 
     def __bool__(self):
@@ -165,13 +163,6 @@ class Element:
 
     def __repr__(self):
         return f"Element({render(self)})"
-
-
-def concat(quiver, k1, k2):
-    """Product of two path keys as an Element; zero when not composable."""
-    if not quiver.composable(k1, k2):
-        return Element.zero(quiver)
-    return Element(quiver, {quiver.concat_key(k1, k2): _F1})
 
 
 def render_key(key):

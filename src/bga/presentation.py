@@ -29,8 +29,6 @@ from .rewrite import ReductionSystem, Rule, check_diamond, reduce
 from .ribbon import bipartition as default_bipartition
 from .ribbon import boundary_walks, check_bipartition
 
-_F1 = 1
-
 
 def _rotation_orbit(g, h):
     """Half-edges at the vertex of h in rotation order, starting at h."""
@@ -69,6 +67,10 @@ def _deleted_halves(g, bp):
 
 
 def quiver_from_graph(g, bp=None):
+    """The quiver of g, loop arrows dropped for bp; raises
+    InvalidBipartition for a bp that is not a proper 2-coloring of g."""
+    if bp is not None and not check_bipartition(g, bp):
+        raise InvalidBipartition("not a proper 2-coloring of the graph")
     deleted = _deleted_halves(g, bp)
     keep = [h for h in g.half_edges if h not in deleted]
     arrows = {h: (g.edge_of(h), g.edge_of(g.successor(h))) for h in keep}
@@ -111,10 +113,10 @@ def build_presentation(g):
         for hv in halves:
             if g.edge_of(g.successor(hv)) != g.edge_of(hu):
                 continue  # not composable
-            if g.predecessor(hu) == hv:
+            if g.successor(hv) == hu:
                 continue  # successive pairs survive
             word = arrow_word(hu) + arrow_word(hv)
-            emit({quiver.word_key(word): _F1})
+            emit({quiver.word_key(word): 1})
     # the two cycle powers of an edge agree
     for edge in g.edge_ids():
         h1, h2 = edge.split("|")
@@ -123,14 +125,13 @@ def build_presentation(g):
             continue
         w1 = cycle_word(g, h1, g.multiplicity[v1])
         w2 = cycle_word(g, h2, g.multiplicity[v2])
-        emit({quiver.word_key(w1): _F1,
-              quiver.word_key(w2): -_F1})
+        emit({quiver.word_key(w1): 1, quiver.word_key(w2): -1})
     # one step past the full cycle power vanishes
     for h in halves:
         if h in deleted:
             continue
         word = cycle_word(g, g.successor(h), g.multiplicity[g.incidence[h]]) + (h,)
-        emit({quiver.word_key(word): _F1})
+        emit({quiver.word_key(word): 1})
     return BrauerPresentation(quiver, relations)
 
 
@@ -146,7 +147,7 @@ def _derive_rules(g, bp, quiver):
             continue
         tip = quiver.word_key(cycle_word(g, h1, g.multiplicity[v1]))
         rhs_word = cycle_word(g, h2, g.multiplicity[v2])
-        rhs = Element(quiver, {quiver.word_key(rhs_word): _F1})
+        rhs = Element(quiver, {quiver.word_key(rhs_word): 1})
         rules.append(Rule(tip, rhs, info=("a", edge, h1, h2)))
     # (b) one step past a part-two cycle power vanishes
     for h in sorted(g.half_edges):
@@ -159,7 +160,7 @@ def _derive_rules(g, bp, quiver):
         for hv in sorted(quiver.arrows):
             if quiver.origin(hu) != quiver.target(hv):
                 continue
-            if g.predecessor(hu) == hv:
+            if g.successor(hv) == hu:
                 continue
             rules.append(Rule(quiver.word_key((hu, hv)), Element.zero(quiver),
                               info=("c", hu, hv)))
@@ -178,8 +179,6 @@ def reduction_system(g, bp=None):
             bp = default_bipartition(g)
         except NonBipartite as exc:
             raise NotBipartite(str(exc)) from exc
-    if not check_bipartition(g, bp):
-        raise InvalidBipartition("not a proper 2-coloring of the graph")
     quiver = quiver_from_graph(g, bp)
     rules = _derive_rules(g, bp, quiver)
     return ReductionSystem(quiver, rules)

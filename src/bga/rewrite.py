@@ -71,8 +71,8 @@ class ReductionSystem:
     is freed without the cyclic garbage collector.
     """
 
-    __slots__ = ("quiver", "rules", "_heads", "_ends", "word_cap",
-                 "_ambiguities", "_memo")
+    __slots__ = ("quiver", "rules", "_heads", "_ends", "_ambiguities",
+                 "_memo")
 
     def __init__(self, quiver, rules):
         self.quiver = quiver
@@ -108,7 +108,6 @@ class ReductionSystem:
                 if self.first_redex(word) is not None:
                     raise SchemaError(
                         f"rhs of {render_key(rule.tip)} is itself reducible")
-        self.word_cap = 2 * self.max_tip_length + 2
         self._ambiguities = None    # filled by enumerate_ambiguities
         self._memo = {}             # path key -> (normal form, steps)
 
@@ -327,23 +326,24 @@ def irreducible_words(system):
     Starts from the idempotents in vertex order and extends on the right by
     arrows in name order; a word only becomes reducible through a tip ending
     at its last letter, so the suffix test is the whole pruning rule.
-    Raises InfiniteDimensional when a word survives past the length cap.
+    Raises InfiniteDimensional when a word survives past the length cap
+    of twice the longest tip plus two.
     """
     q = system.quiver
+    cap = 2 * system.max_tip_length + 2
     out = []
     level = [(v, ()) for v in q.vertices]
     out.extend(level)
     while level:
         nxt = []
         for (origin, word) in level:
-            attach = origin if not word else q.arrows[word[-1]][0]
-            for name in q.arrows_into(attach):
+            for name in q.arrows_into(origin):
                 cand = word + (name,)
                 if system.tip_is_suffix(cand):
                     continue
-                if len(cand) > system.word_cap:
+                if len(cand) > cap:
                     raise InfiniteDimensional(
-                        f"irreducible word longer than cap {system.word_cap}")
+                        f"irreducible word longer than cap {cap}")
                 nxt.append((q.arrows[name][0], cand))
         out.extend(nxt)
         level = nxt

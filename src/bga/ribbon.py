@@ -27,6 +27,7 @@ import json
 from collections import deque
 
 from .errors import (
+    DOCUMENT_ERRORS,
     Disconnected,
     InvalidInvolution,
     InvalidRotation,
@@ -67,11 +68,6 @@ class RibbonGraph:
         i = cyc.index(h)
         return cyc[(i + 1) % len(cyc)]
 
-    def predecessor(self, h):
-        cyc = self.rotation[self.incidence[h]]
-        i = cyc.index(h)
-        return cyc[i - 1]
-
     def edge_of(self, h):
         """Canonical edge id: the two half-edge ids joined by '|', smaller first."""
         a, b = sorted((h, self.pairing[h]))
@@ -99,22 +95,10 @@ class RibbonGraph:
     def dimension_sum(self):
         return sum(m * self.valence(v) ** 2 for v, m in self.multiplicity.items())
 
-    def serialize(self):
-        pairs = sorted(tuple(sorted(p)) for p in {tuple(sorted((h, self.pairing[h])))
-                                                  for h in self.half_edges})
-        doc = {
-            "vertices": [{"id": v, "multiplicity": self.multiplicity[v]}
-                         for v in self.vertices()],
-            "half_edges": list(self.half_edges),
-            "incidence": {h: self.incidence[h] for h in self.half_edges},
-            "pairing": [list(p) for p in pairs],
-            "rotation": {v: list(self.rotation[v]) for v in self.vertices()},
-        }
-        return json.dumps(doc)
-
 
 def parse_ribbon_graph(text):
-    """Parse and validate a ribbon-graph document (JSON text or dict)."""
+    """Parse and validate a ribbon-graph document (JSON text or dict); a
+    value of the wrong JSON type raises SchemaError like any malformed one."""
     if isinstance(text, (str, bytes)):
         try:
             doc = json.loads(text)
@@ -122,6 +106,17 @@ def parse_ribbon_graph(text):
             raise SchemaError(f"not valid JSON: {exc}") from exc
     else:
         doc = text
+    try:
+        g = RibbonGraph(*_graph_fields(doc))
+    except DOCUMENT_ERRORS as exc:
+        raise SchemaError(f"malformed graph document: {exc!r}") from exc
+    _check_connected(g)
+    return g
+
+
+def _graph_fields(doc):
+    """(multiplicity, half-edges, incidence, pairing, rotation) of a valid
+    document; an ill-typed value may raise one of ``DOCUMENT_ERRORS``."""
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
     for key in ("vertices", "half_edges", "incidence", "pairing", "rotation"):
@@ -138,7 +133,7 @@ def parse_ribbon_graph(text):
         if vid in mult:
             raise SchemaError(f"duplicate vertex id {vid!r}")
         m = entry["multiplicity"]
-        if not isinstance(m, int) or m < 1:
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise SchemaError(f"multiplicity of {vid!r} must be a positive integer")
         mult[vid] = m
 
@@ -152,6 +147,8 @@ def parse_ribbon_graph(text):
     incidence = doc["incidence"]
     if set(incidence) != hset:
         raise SchemaError("incidence keys must be exactly the half-edges")
+    if not isinstance(incidence, dict):
+        raise SchemaError("incidence must be a JSON object")
     for h, v in incidence.items():
         if v not in mult:
             raise SchemaError(f"incidence of {h!r} names unknown vertex {v!r}")
@@ -176,6 +173,8 @@ def parse_ribbon_graph(text):
     rotation = doc["rotation"]
     if set(rotation) != set(mult):
         raise InvalidRotation("rotation keys must be exactly the vertices")
+    if not isinstance(rotation, dict):
+        raise SchemaError("rotation must be a JSON object")
     seen = set()
     for v, cyc in rotation.items():
         if not isinstance(cyc, list) or len(set(cyc)) != len(cyc):
@@ -190,26 +189,31 @@ def parse_ribbon_graph(text):
     if seen != hset:
         raise InvalidRotation("some half-edge appears in no rotation")
 
-    g = RibbonGraph(mult, halves, incidence, pairing, rotation)
-    _check_connected(g)
-    return g
+    return mult, halves, incidence, pairing, rotation
 
 
-def _check_connected(g):
-    verts = g.vertices()
-    if not verts:
-        raise SchemaError("graph has no vertices")
-    seen = {verts[0]}
-    queue = deque([verts[0]])
+def _bfs(g):
+    """Breadth-first search from the smallest vertex, half-edges tried in
+    rotation order: {vertex: (parent vertex, half-edge) or None for the
+    start}, in discovery order."""
+    start = g.vertices()[0]
+    tree = {start: None}
+    queue = deque([start])
     while queue:
         v = queue.popleft()
         for h in g.rotation[v]:
             w = g.incidence[g.partner(h)]
-            if w not in seen:
-                seen.add(w)
+            if w not in tree:
+                tree[w] = (v, h)
                 queue.append(w)
-    if len(seen) != len(verts):
-        missing = sorted(set(verts) - seen)
+    return tree
+
+
+def _check_connected(g):
+    if not g.multiplicity:
+        raise SchemaError("graph has no vertices")
+    missing = sorted(g.multiplicity.keys() - _bfs(g).keys())
+    if missing:
         raise Disconnected(f"unreachable vertices: {missing}")
 
 
@@ -227,9 +231,6 @@ class Bipartition:
             return 2
         raise KeyError(v)
 
-    def swapped(self):
-        return Bipartition(self.part_two, self.part_one)
-
     def __repr__(self):
         return f"Bipartition({sorted(self.part_one)}, {sorted(self.part_two)})"
 
@@ -238,37 +239,33 @@ def bipartition(g):
     """Two-color by BFS from the lexicographically smallest vertex (placed in V1).
 
     Raises NonBipartite with a witness odd closed walk when no two-coloring
-    exists.  Loops are reported as length-1 witnesses.
+    exists.  Loops are reported as length-1 witnesses; the witness of an odd
+    cycle comes from the search's first edge whose ends share a color.
     """
     for h in g.half_edges:
         if g.incidence[h] == g.incidence[g.partner(h)]:
             v = g.incidence[h]
             raise NonBipartite(f"loop at vertex {v!r}", witness=[v])
-    start = g.vertices()[0]
-    color = {start: 1}
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
+    tree = _bfs(g)
+    color = {}
+    for v, edge in tree.items():
+        color[v] = 1 if edge is None else 3 - color[edge[0]]
+    for v in tree:
         for h in g.rotation[v]:
             w = g.incidence[g.partner(h)]
-            if w not in color:
-                color[w] = 3 - color[v]
-                parent[w] = v
-                queue.append(w)
-            elif color[w] == color[v]:
+            if color[w] == color[v]:
                 raise NonBipartite(f"odd cycle through {v!r} and {w!r}",
-                                   witness=_odd_cycle_witness(parent, v, w))
+                                   witness=_odd_cycle_witness(tree, v, w))
     part_one = {v for v, c in color.items() if c == 1}
     part_two = {v for v, c in color.items() if c == 2}
     return Bipartition(part_one, part_two)
 
 
-def _odd_cycle_witness(parent, v, w):
+def _odd_cycle_witness(tree, v, w):
     def chain(x):
         out = [x]
-        while parent[x] is not None:
-            x = parent[x]
+        while tree[x] is not None:
+            x = tree[x][0]
             out.append(x)
         return out
 
@@ -296,19 +293,7 @@ def spanning_tree(g):
 
     Returns the set of edge ids in the tree.
     """
-    start = g.vertices()[0]
-    seen = {start}
-    tree = set()
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for h in g.rotation[v]:
-            w = g.incidence[g.partner(h)]
-            if w not in seen:
-                seen.add(w)
-                tree.add(g.edge_of(h))
-                queue.append(w)
-    return tree
+    return {g.edge_of(edge[1]) for edge in _bfs(g).values() if edge}
 
 
 class BoundaryDecomposition:

@@ -1,7 +1,11 @@
+import contextlib
+import copy
 import gc
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bga.cli import main
 from bga.fixtures import fixture_doc
@@ -199,6 +203,27 @@ def test_graph_file_errors_keep_their_order(tmp_path, capsys):
     assert (code, doc["error"]) == (2, "invalid_bipartition")
 
 
+INVALID_BIPARTITION = ('{"detail":"not a proper 2-coloring of the graph",'
+                       '"error":"invalid_bipartition"}\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ("hh2", "--input", "ANN2", "--bipartition", "q|p"),
+    ("diamond", "--input", "ANN2", "--bipartition", "q|p"),
+    ("cocycles", "--input", "TORUS", "--bipartition", "p|p"),
+    ("hh2", "--input", "EX1", "--bipartition", "v1|w", "--rules", None),
+], ids=["bundled_rules_hh2", "bundled_rules_diamond", "bundled_rules_family",
+        "rules_file"])
+def test_bipartition_override_is_checked_for_rule_documents(tmp_path, capsys,
+                                                             argv):
+    # ANN2 and TORUS have loops, so no bipartition fits them; the override
+    # is checked as for a fresh build, before the rules are read
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rules": [{"tip": ["b", "b"], "rhs": []}]}))
+    argv = [str(rules) if a is None else a for a in argv]
+    assert run(capsys, *argv) == (2, INVALID_BIPARTITION)
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run(capsys, "info", "--input", "LOC_3",
@@ -224,6 +249,59 @@ def test_selftest_green(capsys):
         "ANNULUS", "TORUS", "ANN2"]
     for f in doc["fixtures"]:
         assert f["ok"], f["fixture"]
+
+
+def _positions(doc, path=()):
+    """The path of every value in a JSON document, the root included."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        items = ()
+    for key, value in items:
+        yield from _positions(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    at = doc
+    for key in path[:-1]:
+        at = at[key]
+    at[path[-1]] = value
+    return doc
+
+
+NAMES = st.sampled_from(["a", "d", "g", "b", "v1", "v2", "w", "p", "q", "x"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | NAMES
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(NAMES, inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_graph_document_with_one_value_replaced_gets_a_json_report(
+        tmp_path_factory, data):
+    # whatever the document holds, the CLI answers with one JSON object and
+    # a documented exit code, never a traceback
+    doc = json.loads(fixture_doc(data.draw(
+        st.sampled_from(["EX1", "DBL", "ANN2"]))))
+    path = data.draw(st.sampled_from(list(_positions(doc))))
+    target = tmp_path_factory.getbasetemp() / "mutated_graph.json"
+    target.write_text(json.dumps(_replaced(doc, path, data.draw(JSON_VALUES))))
+    for command in ("validate", "info"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, "--input", str(target)])
+        assert code in (0, 1, 2)
+        assert isinstance(json.loads(out.getvalue()), dict)
+        assert out.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("rules", [

@@ -299,7 +299,8 @@ def test_standard_family_is_a_basis():
 
 def test_standard_family_on_tree_with_higher_multiplicities():
     g = parse_ribbon_graph(TREE23)
-    for bp in (bipartition(g), bipartition(g).swapped()):
+    one = bipartition(g)
+    for bp in (one, Bipartition(one.part_two, one.part_one)):
         sys_ = reduction_system(g, bp)
         alg = irreducible_basis(sys_)
         rep = hh2(sys_, alg, graph=g)

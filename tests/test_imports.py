@@ -1,5 +1,6 @@
 """Every name a module of the package imports, and every private name it
-defines at module level, is read in that module; the docstring examples
+defines at module level, is read in that module; every public function,
+class and method is read somewhere in the package; the docstring examples
 run."""
 
 import ast
@@ -17,6 +18,19 @@ READ_FROM_OUTSIDE = {("hochschild", "reduce"), ("presentation", "reduce")}
 
 # private names read only by the module's doctests
 READ_BY_DOCTEST = {("ribbon", "_DOCTEST_DOC")}
+
+# public names that no module of the package reads, and why each stays
+UNREAD_BY_THE_PACKAGE = {
+    ("fixtures", "generated_family"):
+        "the bipartite graph family of the broad-coverage tests",
+    ("presentation", "build_presentation"):
+        "the classical relations; the non-bipartite presentation needs them",
+    ("rewrite", "reduce"):
+        "the public normal form of an Element, for the oracles and bench spans",
+    ("rewrite", "FiniteDimAlgebra.multiply_coords"):
+        "dense products; bench/spans.py counts its calls",
+    ("paths", "Element.scaled"): "Element arithmetic the oracles use",
+}
 
 
 def _read_names(tree):
@@ -54,6 +68,35 @@ def unread_private_names(tree):
     return private - _read_names(tree)
 
 
+def unread_public_names(trees):
+    """(module, name) of the public functions and classes, and the public
+    methods of public classes as "Class.method", that no module of
+    ``trees`` {module: ast} reads: by name, or for a method as an
+    attribute of anything."""
+    read = set()
+    for tree in trees.values():
+        read |= _read_names(tree)
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)}
+    out = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            if node.name not in read:
+                out.add((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                out |= {(module, f"{node.name}.{m.name}") for m in node.body
+                        if isinstance(m, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                        and not m.name.startswith("_")
+                        and m.name not in read}
+    return out
+
+
 def _found(scan):
     return {(path.stem, name) for path in sorted(SRC.glob("*.py"))
             for name in scan(ast.parse(path.read_text()))}
@@ -82,6 +125,35 @@ def test_the_scan_finds_a_private_helper_left_behind():
 
 def test_every_private_name_is_read():
     assert sorted(_found(unread_private_names) - READ_BY_DOCTEST) == []
+
+
+def test_the_scan_finds_public_code_no_module_reads():
+    trees = {name: ast.parse(text) for name, text in {
+        "paths": "def concat(): pass\n"
+                 "def render(): pass\n"
+                 "class Element:\n"
+                 "    def __add__(self, o): pass\n"
+                 "    def scaled(self, c): pass\n"
+                 "    def terms(self): pass\n"
+                 "    def _own(self): pass\n"
+                 "class Unused:\n"
+                 "    def run(self): pass\n",
+        "cli": "from .paths import Element, render\n"
+               "x = render(Element().terms())\n"
+               "def main(): pass\n"
+               "main()\n",
+    }.items()}
+    assert unread_public_names(trees) == {
+        ("paths", "concat"), ("paths", "Element.scaled"),
+        ("paths", "Unused"), ("paths", "Unused.run")}
+
+
+def test_every_public_name_is_read_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert sorted(unread_public_names(trees)
+                  - UNREAD_BY_THE_PACKAGE.keys()) == []
+    assert UNREAD_BY_THE_PACKAGE.keys() <= unread_public_names(trees)
 
 
 def test_docstring_examples_pass():

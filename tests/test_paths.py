@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bga.errors import SchemaError
-from bga.paths import Element, Quiver, concat, element_from_doc, element_to_doc, render
+from bga.paths import Element, Quiver, element_from_doc, element_to_doc, render
 
 F = Fraction
 
@@ -41,8 +41,10 @@ def test_concat_and_formal_zero():
     q = ex1_quiver()
     p = q.key("1", ("de",))
     r = q.key("2", ("ga",))
-    assert concat(q, p, r).terms == {("2", ("de", "ga")): F(1)}
-    assert not concat(q, r, r)  # ga * ga not composable
+    assert q.composable(p, r) and q.concat_key(p, r) == ("2", ("de", "ga"))
+    de, ga = Element(q, {p: 1}), Element(q, {r: 1})
+    assert (de * ga).terms == {("2", ("de", "ga")): F(1)}
+    assert not q.composable(r, r) and not ga * ga  # ga * ga not composable
 
 
 def test_idempotents_act_as_units():

@@ -11,7 +11,7 @@ from bga.deform import deformed_algebra
 from bga.errors import InfiniteDimensional, NonAssociative, SchemaError
 from bga.fixtures import fixture_doc, fixture_rules, generated_family, star_doc
 from bga.hochschild import hh2, standard_cocycles
-from bga.paths import Element, Quiver, concat
+from bga.paths import Element, Quiver
 from bga.presentation import (
     quiver_from_graph,
     reduction_system,
@@ -461,7 +461,7 @@ def test_mult_table_is_built_on_first_read():
     q = sys.quiver
     for i, ki in enumerate(alg.basis):
         for j, kj in enumerate(alg.basis):
-            nf = reduce(sys, concat(q, ki, kj))
+            nf = reduce(sys, Element(q, {ki: 1}) * Element(q, {kj: 1}))
             assert table.get((i, j), {}) == {
                 alg.index[k]: c for k, c in nf.terms.items()}
 
