@@ -42,9 +42,6 @@ from .ribbon import Bipartition, bipartition, boundary_walks, parse_ribbon_graph
 _USAGE_ERRORS = (SchemaError, InvalidInvolution, InvalidRotation, Disconnected,
                  NonBipartite, NotBipartite, InvalidBipartition)
 
-COMMANDS = ("validate", "info", "basis", "diamond", "hh2", "cocycles",
-            "deform", "selftest")
-
 
 class UsageError(Exception):
     pass
@@ -71,20 +68,26 @@ def emit(doc, args):
         sys.stdout.write(text)
 
 
+def _read(path):
+    """Text of a document file; a file that cannot be read as UTF-8 is a
+    usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_graph(args):
+    """(graph, bundled rules text or None): --input names a fixture or a
+    graph file, and only a fixture may bundle rules."""
     if args.input is None:
         raise UsageError("--input is required for this command")
     try:
         text = fixture_doc(args.input)
-        args.fixture = args.input.upper()
     except SchemaError:
-        args.fixture = None
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.input}: {exc}") from exc
-    return parse_ribbon_graph(text)
+        return parse_ribbon_graph(_read(args.input)), None
+    return parse_ribbon_graph(text), fixture_rules(args.input)
 
 
 def _parse_bipartition(args):
@@ -100,19 +103,15 @@ def _parse_bipartition(args):
     return Bipartition(parts[0], parts[1])
 
 
-def _load_system(args, g):
-    """The reduction system for a run: an explicit --rules document, the
-    bundled one for the non-bipartite fixtures, or a fresh build."""
-    rules_text = None
+def _load(args):
+    """(graph, reduction system, --bipartition override or None) for a run.
+    The system comes from --rules, else the fixture's bundled rules, else a
+    fresh build."""
+    g, rules_text = _load_graph(args)
     if args.rules:
-        try:
-            with open(args.rules, "r", encoding="utf-8") as fh:
-                rules_text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.rules}: {exc}") from exc
-    elif args.fixture:
-        rules_text = fixture_rules(args.fixture)
-    return _system(g, rules_text, _parse_bipartition(args))
+        rules_text = _read(args.rules)
+    bp = _parse_bipartition(args)
+    return g, _system(g, rules_text, bp), bp
 
 
 def _system(g, rules_text, bp):
@@ -121,12 +120,6 @@ def _system(g, rules_text, bp):
     if rules_text is not None:
         return rules_from_doc(quiver_from_graph(g, bp), json.loads(rules_text))
     return reduction_system(g, bp)
-
-
-def _family_bipartition(args, g):
-    """The bipartition the standard cocycles use: --bipartition, else the
-    graph's own."""
-    return _parse_bipartition(args) or bipartition(g)
 
 
 def _graph_doc(g):
@@ -155,7 +148,7 @@ def _basis_doc(alg):
 # -- commands -------------------------------------------------------------------
 
 def cmd_validate(args):
-    g = _load_graph(args)
+    g, _ = _load_graph(args)
     doc = _graph_doc(g)
     doc["ok"] = True
     emit(doc, args)
@@ -163,8 +156,7 @@ def cmd_validate(args):
 
 
 def cmd_info(args):
-    g = _load_graph(args)
-    system = _load_system(args, g)
+    g, system, _ = _load(args)
     dim = len(irreducible_words(system))
     doc = _graph_doc(g)
     doc.update({
@@ -180,8 +172,7 @@ def cmd_info(args):
 
 
 def cmd_basis(args):
-    g = _load_graph(args)
-    system = _load_system(args, g)
+    _, system, _ = _load(args)
     alg = irreducible_basis(system)
     products = []
     for (i, j) in sorted(alg.table):
@@ -198,8 +189,7 @@ def cmd_basis(args):
 
 
 def cmd_diamond(args):
-    g = _load_graph(args)
-    system = _load_system(args, g)
+    _, system, _ = _load(args)
     report = check_diamond(system)
     failures = [{
         "word": list(amb.word),
@@ -213,8 +203,7 @@ def cmd_diamond(args):
 
 
 def cmd_hh2(args):
-    g = _load_graph(args)
-    system = _load_system(args, g)
+    g, system, _ = _load(args)
     alg = irreducible_basis(system)
     report = hh2(system, alg, graph=g)
     emit(report.to_doc(), args)
@@ -222,9 +211,8 @@ def cmd_hh2(args):
 
 
 def cmd_cocycles(args):
-    g = _load_graph(args)
-    system = _load_system(args, g)
-    family = standard_cocycles(g, _family_bipartition(args, g), system)
+    g, system, bp = _load(args)
+    family = standard_cocycles(g, bp or bipartition(g), system)
     report = verify_basis(hh2(system, irreducible_basis(system)),
                           [s.cochain for s in family])
     emit({"cocycles": [s.to_doc(system) for s in family],
@@ -247,17 +235,13 @@ def _cochain_from_values_doc(system, doc):
     return cochain
 
 
-def _select_cochain(args, g, system):
+def _select_cochain(args, g, bp, system):
     if args.deform_type == "custom":
         if not args.cochain:
             raise UsageError("--deform-type custom needs --cochain FILE")
-        try:
-            with open(args.cochain, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.cochain}: {exc}") from exc
+        doc = json.loads(_read(args.cochain))
         return _cochain_from_values_doc(system, doc), "custom"
-    for s in standard_cocycles(g, _family_bipartition(args, g), system):
+    for s in standard_cocycles(g, bp or bipartition(g), system):
         if s.kind == args.deform_type:
             return s.cochain, s.label
     raise NotApplicable(
@@ -265,8 +249,7 @@ def _select_cochain(args, g, system):
 
 
 def cmd_deform(args):
-    g = _load_graph(args)
-    system = _load_system(args, g)
+    g, system, bp = _load(args)
     if not args.deform_type:
         raise UsageError("deform needs --deform-type")
     m = re.fullmatch(r"formal:(\d+)", args.t)
@@ -275,7 +258,7 @@ def cmd_deform(args):
     degree = int(m.group(1)) if m else None
     if degree is not None and degree < 1:
         raise UsageError("truncation degree must be >= 1")
-    cochain, label = _select_cochain(args, g, system)
+    cochain, label = _select_cochain(args, g, bp, system)
     if degree is not None:
         check = verify_lift(system, cochain, degree)
         doc = {"type": args.deform_type, "label": label, "t": args.t,
@@ -354,6 +337,18 @@ def cmd_selftest(args):
 
 # -- entry point --------------------------------------------------------------------
 
+_DISPATCH = {
+    "validate": cmd_validate,
+    "info": cmd_info,
+    "basis": cmd_basis,
+    "diamond": cmd_diamond,
+    "hh2": cmd_hh2,
+    "cocycles": cmd_cocycles,
+    "deform": cmd_deform,
+    "selftest": cmd_selftest,
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -363,7 +358,7 @@ def _build_parser():
     """The argument parser, built once at import: parsing does not change
     it, and every ``main`` call reuses it."""
     parser = _Parser(prog="bga", add_help=True)
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--input", help="bundled fixture name or graph JSON file")
     parser.add_argument("--bipartition", help='override, "v1,v2|w"')
     parser.add_argument("--rules", help="reduction-system JSON file")
@@ -380,22 +375,10 @@ def _build_parser():
 
 _PARSER = _build_parser()
 
-_DISPATCH = {
-    "validate": cmd_validate,
-    "info": cmd_info,
-    "basis": cmd_basis,
-    "diamond": cmd_diamond,
-    "hh2": cmd_hh2,
-    "cocycles": cmd_cocycles,
-    "deform": cmd_deform,
-    "selftest": cmd_selftest,
-}
-
 
 def main(argv=None):
     try:
         args = _PARSER.parse_args(argv)
-        args.fixture = None
         return _DISPATCH[args.command](args)
     except UsageError as exc:
         emit_error("usage", str(exc))

@@ -45,7 +45,7 @@ from .rewrite import (
     overlap_sides,
     reduce,  # noqa: F401 - bench/tests reads the binding hochschild.reduce
 )
-from .ribbon import spanning_tree
+from .ribbon import boundary_walks, spanning_tree
 
 
 # -- coordinates --------------------------------------------------------------
@@ -140,7 +140,7 @@ def one_cochain_coords(alg):
     return out
 
 
-def coboundary_image(system, alg, coords=None):
+def coboundary_image(system, alg, coords):
     """Spanning set of the coboundary subspace in cochain coordinates.
 
     One vector per ``one_cochain_coords`` pair (arrow, path): the first
@@ -148,8 +148,6 @@ def coboundary_image(system, alg, coords=None):
     tip - rhs is replaced by the path, and the word so made is reduced once,
     through the system's memo that the cocycle rows share.
     """
-    if coords is None:
-        coords = cochain_space(system, alg)
     nf = system.normal_form
     index = {pair: j for j, pair in enumerate(coords)}
     occurrences = _letter_occurrences(system)
@@ -398,36 +396,33 @@ def standard_cocycles(graph, bp, system):
         out.append(StandardCocycle(
             "C", f"C({edge})", {ri: system.rules[ri].rhs}))
 
-    # (D): bigon terms.  A qualifying pair is h1, h2 at a part-two vertex w
-    # with h2 the rotation successor of h1 and the partner halves sitting at
-    # one part-one vertex v, rotation-consecutive the opposite way around.
-    for w in sorted(graph.vertices()):
-        if bp.side(w) != 2:
-            continue
-        for h1 in sorted(graph.rotation[w]):
-            h2 = graph.successor(h1)
-            i1, i2 = graph.pairing[h1], graph.pairing[h2]
-            v = graph.incidence[i1]
-            if graph.incidence[i2] != v or bp.side(v) != 1:
-                continue
-            if graph.successor(i2) != i1:
-                continue
-            e1, e2 = graph.edge_of(h1), graph.edge_of(h2)
-            beta, alpha = h1, i2          # arrows e1 -> e2 and e2 -> e1
-            vcyc = cycle_word(graph, i1, graph.multiplicity[v])
-            astar = vcyc[1:]              # the v-cycle at e1 minus alpha
-            values = {
-                c_rule[(alpha, beta)]: Element.idempotent(q, e1),
-                c_rule[(beta, alpha)]: Element.idempotent(q, e2),
-                b_rule[h1]: Element.path(q, q.arrows[astar[-1]][0], astar),
-            }
-            out.append(StandardCocycle("D1", f"D1({h1},{h2})", values))
-            wcyc = cycle_word(graph, h2, graph.multiplicity[w])
-            values = {
-                c_rule[(beta, alpha)]: Element.path(
-                    q, q.arrows[wcyc[-1]][0], wcyc),
-            }
-            out.append(StandardCocycle("D2", f"D2({h1},{h2})", values))
+    # (D): bigon terms, one pair per bigon face.  The face's half h1 at its
+    # part-two vertex w has rotation successor h2; the partners i1, i2 of
+    # h1, h2 sit at one part-one vertex v, rotation-consecutive the other
+    # way around.
+    bigons = sorted((graph.incidence[h], h)
+                    for face in boundary_walks(graph).bigon_faces
+                    for h in face if bp.side(graph.incidence[h]) == 2)
+    for w, h1 in bigons:
+        h2 = graph.successor(h1)
+        i1, i2 = graph.pairing[h1], graph.pairing[h2]
+        v = graph.incidence[i1]
+        e1, e2 = graph.edge_of(h1), graph.edge_of(h2)
+        beta, alpha = h1, i2          # arrows e1 -> e2 and e2 -> e1
+        vcyc = cycle_word(graph, i1, graph.multiplicity[v])
+        astar = vcyc[1:]              # the v-cycle at e1 minus alpha
+        values = {
+            c_rule[(alpha, beta)]: Element.idempotent(q, e1),
+            c_rule[(beta, alpha)]: Element.idempotent(q, e2),
+            b_rule[h1]: Element.path(q, q.arrows[astar[-1]][0], astar),
+        }
+        out.append(StandardCocycle("D1", f"D1({h1},{h2})", values))
+        wcyc = cycle_word(graph, h2, graph.multiplicity[w])
+        values = {
+            c_rule[(beta, alpha)]: Element.path(
+                q, q.arrows[wcyc[-1]][0], wcyc),
+        }
+        out.append(StandardCocycle("D2", f"D2({h1},{h2})", values))
     return out
 
 

@@ -143,6 +143,9 @@ def _graph_fields(doc):
     hset = set(halves)
     if not all(isinstance(h, str) for h in halves):
         raise SchemaError("half-edge ids must be strings")
+    for h in halves:
+        if "|" in h:  # edge ids join their two half-edge ids with "|"
+            raise SchemaError(f"half-edge id {h!r} contains '|'")
 
     incidence = doc["incidence"]
     if set(incidence) != hset:

@@ -176,6 +176,36 @@ def test_missing_input_file(capsys):
     assert doc["error"] == "usage"
 
 
+@pytest.mark.parametrize("kind", ["non_utf8", "missing", "directory"])
+@pytest.mark.parametrize("argv", [
+    ("validate", "--input", None),
+    ("info", "--input", "EX1", "--rules", None),
+    ("deform", "--input", "EX1", "--deform-type", "custom", "--cochain", None),
+], ids=["input", "rules", "cochain"])
+def test_an_unreadable_file_is_a_usage_error(tmp_path, capsys, argv, kind):
+    path = tmp_path / "doc.json"
+    if kind == "non_utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    elif kind == "directory":
+        path.mkdir()
+    code, out = run(capsys, *[str(path) if a is None else a for a in argv])
+    assert code == 2 and out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["error"] == "usage"
+    assert doc["detail"].startswith(f"cannot read {path}: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "hh2"])
+def test_a_half_edge_id_with_a_bar_is_a_schema_error(tmp_path, capsys,
+                                                      command):
+    # edge ids join the two half-edge ids with "|", so one id holding a "|"
+    # could not be split back
+    path = tmp_path / "bar.json"
+    path.write_text(fixture_doc("DBL").replace('"v1"', '"v|1"'))
+    assert run(capsys, command, "--input", str(path)) == (
+        2, '{"detail":"half-edge id \'v|1\' contains \'|\'","error":"schema"}\n')
+
+
 def test_malformed_graph_document(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"vertices\": []")

@@ -109,7 +109,7 @@ def test_differentials_compose_to_zero():
     assert psi
     # d^1 psi, combined from the coboundary image's (arrow, path) vectors
     index = {pair: i for i, pair in enumerate(one_cochain_coords(alg))}
-    image = coboundary_image(sys_, alg)
+    image = coboundary_image(sys_, alg, cochain_space(sys_, alg))
     vec = {}
     for name, value in psi.items():
         for key, c in value.terms.items():

@@ -12,6 +12,7 @@ from oracles import reduce_rightmost, zeroth_differential
 from bga.fixtures import fixture_doc, fixture_rules, generated_family
 from bga.hochschild import (
     coboundary_image,
+    cochain_space,
     cocycle_space,
     hh2,
     one_cochain_coords,
@@ -129,7 +130,7 @@ def test_differentials_compose_to_zero():
     rng = random.Random(41)
     for label, sys_, alg in SYSTEMS:
         index = {pair: i for i, pair in enumerate(one_cochain_coords(alg))}
-        image = coboundary_image(sys_, alg)
+        image = coboundary_image(sys_, alg, cochain_space(sys_, alg))
         for _ in range(TRIALS):
             phi = random_zero_cochain(rng, sys_.quiver, alg)
             psi = zeroth_differential(sys_, phi)
