@@ -18,14 +18,11 @@ from .deform import deformed_algebra, semisimplicity, verify_lift
 from .errors import (
     DOCUMENT_ERRORS,
     BgaError,
-    Disconnected,
-    InvalidBipartition,
-    InvalidInvolution,
-    InvalidRotation,
+    InputError,
     NonBipartite,
     NotApplicable,
-    NotBipartite,
     SchemaError,
+    UsageError,
 )
 from .fixtures import fixture_doc, fixture_rules
 from .hochschild import hh2, standard_cocycles, verify_basis
@@ -38,14 +35,6 @@ from .presentation import (
 )
 from .rewrite import check_diamond, irreducible_basis, irreducible_words
 from .ribbon import Bipartition, bipartition, boundary_walks, parse_ribbon_graph
-
-_USAGE_ERRORS = (SchemaError, InvalidInvolution, InvalidRotation, Disconnected,
-                 NonBipartite, NotBipartite, InvalidBipartition)
-
-
-class UsageError(Exception):
-    pass
-
 
 def _error_code(exc):
     name = type(exc).__name__
@@ -83,9 +72,8 @@ def _load_graph(args):
     graph file, and only a fixture may bundle rules."""
     if args.input is None:
         raise UsageError("--input is required for this command")
-    try:
-        text = fixture_doc(args.input)
-    except SchemaError:
+    text = fixture_doc(args.input)
+    if text is None:
         return parse_ribbon_graph(_read(args.input)), None
     return parse_ribbon_graph(text), fixture_rules(args.input)
 
@@ -380,18 +368,12 @@ def main(argv=None):
     try:
         args = _PARSER.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except UsageError as exc:
-        emit_error("usage", str(exc))
-        return 2
     except json.JSONDecodeError as exc:
         emit_error("json", str(exc))
         return 2
-    except _USAGE_ERRORS as exc:
-        emit_error(_error_code(exc), str(exc))
-        return 2
     except BgaError as exc:
         emit_error(_error_code(exc), str(exc))
-        return 1
+        return 2 if isinstance(exc, InputError) else 1
 
 
 def emit_error(code, detail):

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The command line frontend names the code of a machine readable error
-report after the exception class (``cli._error_code``).
+report after the exception class (``cli._error_code``), and exits with 2
+for an ``InputError`` (unusable input) and 1 for any other ``BgaError``.
 """
 
 from __future__ import annotations
@@ -17,33 +18,41 @@ class BgaError(Exception):
         self.detail = detail
 
 
-class SchemaError(BgaError):
+class InputError(BgaError):
+    """Unusable input: a malformed document, graph, option or bipartition."""
+
+
+class UsageError(InputError):
     pass
 
 
-class InvalidInvolution(BgaError):
+class SchemaError(InputError):
     pass
 
 
-class InvalidRotation(BgaError):
+class InvalidInvolution(InputError):
     pass
 
 
-class Disconnected(BgaError):
+class InvalidRotation(InputError):
     pass
 
 
-class NonBipartite(BgaError):
+class Disconnected(InputError):
+    pass
+
+
+class NonBipartite(InputError):
     def __init__(self, detail="", witness=None):
         super().__init__(detail)
         self.witness = witness or []
 
 
-class InvalidBipartition(BgaError):
+class InvalidBipartition(InputError):
     pass
 
 
-class NotBipartite(BgaError):
+class NotBipartite(InputError):
     pass
 
 

@@ -134,8 +134,10 @@ _RULES = {
 
 
 def fixture_doc(name, m=2):
-    """JSON text of a bundled graph.  LOC takes a multiplicity parameter;
-    the spellings LOC, LOC_m and LOC_3 style names are accepted."""
+    """JSON text of a bundled graph, or None for a name outside the fixture
+    namespace.  LOC takes a multiplicity parameter; the spellings LOC,
+    LOC_m and LOC_3 style names are accepted, and a LOC_ name with a bad
+    parameter is a SchemaError."""
     key = name.upper()
     if key in _GRAPHS:
         return json.dumps(_GRAPHS[key])
@@ -148,7 +150,7 @@ def fixture_doc(name, m=2):
         if m < 1:
             raise SchemaError("LOC multiplicity must be >= 1")
         return json.dumps(_loc(m))
-    raise SchemaError(f"unknown fixture {name!r}")
+    return None
 
 
 def fixture_rules(name):

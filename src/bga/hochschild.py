@@ -20,9 +20,10 @@ coefficients:
 * coboundaries: the arrow-indexed 1-cochains are substituted into the
   letter occurrences of every tip - rhs.
 
-``hh2`` keeps the constraint rows, and ``verify_basis`` tests a cochain
-for being a cocycle against them.  The test suite keeps the independent
-oracle, which resolves the overlaps of the deformed system instead.
+``hh2`` keeps the constraint rows, and ``verify_basis`` tests cochains for
+being cocycles against them with ``linalg.annihilates``.  The test suite
+keeps the independent oracle, which resolves the overlaps of the deformed
+system instead.
 
 For algebras built from a bipartite Brauer graph, the closed dimension count
 and the explicit standard cocycle family are available as cross-checks.
@@ -36,7 +37,7 @@ from .errors import (
     NotApplicable,
     RequiresConfluentSystem,
 )
-from .linalg import kernel_basis, quotient, rank, residual, rref
+from .linalg import annihilates, quotient, rank, residual, rref
 from .paths import Element, element_to_doc
 from .presentation import cycle_word, dimension_formula
 from .rewrite import (
@@ -216,8 +217,8 @@ def cocycle_space(system, alg):
       wherever it occurs, so each path's steps may come from the memo.
 
     Returns (coords, rows): a cochain vector over ``coords`` is a cocycle
-    iff its dot product with every row is 0, so the cocycle space is
-    ``kernel_basis(rows, len(coords))``.  ``check_diamond`` runs before
+    iff its dot product with every row is 0, so the cocycle space is the
+    null space of the rows.  ``check_diamond`` runs before
     the coordinates are listed, so a system with an unresolved overlap
     raises RequiresConfluentSystem first.
     """
@@ -282,12 +283,13 @@ def hh2(system, alg, graph=None):
 
     ``cocycle_space`` runs the confluence check.  Both linear maps read
     the system's normal-form memo, which keeps the reduce steps the
-    cocycle rows are read from.
+    cocycle rows are read from.  The representatives are the rref of the
+    cocycles that vanish at the coboundaries' pivots, a complement of the
+    coboundaries (``linalg.quotient``), so no cocycle basis is listed.
     """
     coords, rows = cocycle_space(system, alg)
-    cocycles = kernel_basis(rows, len(coords))
     red, pivots = rref(coboundary_image(system, alg, coords))
-    reps = quotient(red, pivots, cocycles)
+    reps = quotient(rows, len(coords), red, pivots)
     formula = matches = None
     if graph is not None:
         try:
@@ -295,8 +297,8 @@ def hh2(system, alg, graph=None):
             matches = formula == len(reps)
         except NotApplicable:
             pass
-    return HH2Report(system, alg, coords, rows, len(cocycles), (red, pivots),
-                     formula, matches, reps)
+    return HH2Report(system, alg, coords, rows, len(reps) + len(pivots),
+                     (red, pivots), formula, matches, reps)
 
 
 # -- the standard family ------------------------------------------------------
@@ -449,23 +451,18 @@ class BasisReport:
                 "complete": self.complete}
 
 
-def _satisfies(rows, vec):
-    """Whether the sparse vector has dot product 0 with every row."""
-    return not any(sum(c * vec[j] for j, c in row.items() if j in vec)
-                   for row in rows)
-
-
 def verify_basis(report, cochains):
     """Check a list of cochains against the cohomology an ``hh2`` report
     computed: each one a cocycle, jointly independent modulo coboundaries,
     count matching.
 
-    A cochain is a cocycle iff its vector satisfies the constraint rows the
-    report kept, which is exact by the argument of ``cocycle_space``.
+    A cochain is a cocycle iff the constraint rows the report kept
+    annihilate its vector, which is exact by the argument of
+    ``cocycle_space``.
     """
     vecs = [vector_from_cochain(report.system, report.coords, c)
             for c in cochains]
-    all_cocycles = all(_satisfies(report.rows, v) for v in vecs)
+    all_cocycles = annihilates(report.rows, vecs)
     red, pivots = report.coboundaries
     residues = [residual(red, pivots, v) for v in vecs]
     independent = rank(residues) == len(vecs)

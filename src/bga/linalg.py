@@ -101,21 +101,33 @@ def residual(red, pivots, vec):
     return v
 
 
-def in_span(red, pivots, vec):
-    return not residual(red, pivots, vec)
+def annihilates(rows, vecs):
+    """Whether every row has dot product 0 with every vector; one column
+    index over the vectors serves every row."""
+    index = {}
+    for i, v in enumerate(vecs):
+        for c, x in v.items():
+            index.setdefault(c, []).append((i, x))
+    for row in rows:
+        dots = {}
+        for c, x in row.items():
+            for i, y in index.get(c, ()):
+                dots[i] = dots.get(i, 0) + x * y
+        if any(dots.values()):
+            return False
+    return True
 
 
-def quotient(sub_red, sub_pivots, space_rows):
-    """Representatives of span(space) / span(sub), sub given by its rref.
+def quotient(rows, ncols, sub_red, sub_pivots):
+    """Representatives of ker(rows) / span(sub), sub given by its rref.
 
-    Raises NotASubspace if sub is not contained in span(space).  Each
-    spanning vector of the space is reduced against the subspace and the
-    nonzero residuals are rref-normalized, so the result is a deterministic
-    list whose length is the quotient dimension.
+    Raises NotASubspace unless the rows annihilate sub.  Returns the rref
+    of W = ker(rows) with sub's pivot columns set to 0: ker(rows) is the
+    direct sum of W and span(sub), so the length is the quotient dimension,
+    and W is the span of the residuals of ker(rows) against sub.  The unit
+    rows go first, so they clear sub's pivots from each row at once.
     """
-    red, pivots = rref(space_rows)
-    if not all(in_span(red, pivots, v) for v in sub_red):
+    if not annihilates(rows, sub_red):
         raise NotASubspace("vector outside the ambient span")
-    reduced = [residual(sub_red, sub_pivots, v) for v in space_rows]
-    reps, _ = rref([v for v in reduced if v])
-    return reps
+    units = [{p: 1} for p in sub_pivots]
+    return rref(kernel_basis(units + rows, ncols))[0]

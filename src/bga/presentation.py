@@ -157,9 +157,7 @@ def _derive_rules(g, bp, quiver):
         rules.append(Rule(quiver.word_key(word), Element.zero(quiver), info=("b", h)))
     # (c) the remaining products of non-successive arrows vanish
     for hu in sorted(quiver.arrows):
-        for hv in sorted(quiver.arrows):
-            if quiver.origin(hu) != quiver.target(hv):
-                continue
+        for hv in quiver.arrows_into(quiver.origin(hu)):
             if g.successor(hv) == hu:
                 continue
             rules.append(Rule(quiver.word_key((hu, hv)), Element.zero(quiver),
@@ -209,10 +207,8 @@ def two_cycle_set(system):
     nf = system.normal_form
     out = []
     for u in sorted(q.arrows):
-        for v in sorted(q.arrows):
-            if u == v:
-                continue
-            if q.origin(u) != q.target(v) or q.origin(v) != q.target(u):
+        for v in q.arrows_into(q.origin(u)):
+            if u == v or q.origin(v) != q.target(u):
                 continue
             if not nf((q.origin(v), (u, v))) and not nf((q.origin(u), (v, u))):
                 out.append((u, v))

@@ -195,6 +195,15 @@ def test_an_unreadable_file_is_a_usage_error(tmp_path, capsys, argv, kind):
     assert doc["detail"].startswith(f"cannot read {path}: ")
 
 
+@pytest.mark.parametrize("name, out", [
+    ("LOC_0", '{"detail":"LOC multiplicity must be >= 1","error":"schema"}\n'),
+    ("LOC_x", '{"detail":"bad LOC parameter in \'LOC_x\'","error":"schema"}\n'),
+], ids=["LOC_0", "LOC_x"])
+def test_a_bad_loc_name_keeps_its_own_message(capsys, name, out):
+    # a LOC_ name is a fixture name, so it is never read as a file path
+    assert run(capsys, "validate", "--input", name) == (2, out)
+
+
 @pytest.mark.parametrize("command", ["validate", "hh2"])
 def test_a_half_edge_id_with_a_bar_is_a_schema_error(tmp_path, capsys,
                                                       command):

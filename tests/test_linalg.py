@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bga.errors import NotASubspace
 from bga.linalg import (
-    in_span,
+    annihilates,
     kernel_basis,
     quotient,
     rank,
@@ -57,30 +57,30 @@ def test_kernel_of_zero_matrix_is_everything():
 
 def test_residual_and_in_span():
     red, piv = rref(m([1, 0, 1], [0, 1, 1]))
-    assert in_span(red, piv, m([2, 3, 5])[0])
-    assert not in_span(red, piv, m([0, 0, 1])[0])
+    assert not residual(red, piv, m([2, 3, 5])[0])
+    assert residual(red, piv, m([0, 0, 1])[0])
     r = residual(red, piv, m([2, 3, 4])[0])
     assert r == {2: F(-1)}
 
 
 def test_quotient_dim():
-    space = m([1, 0, 0], [0, 1, 0], [1, 1, 0])
+    rows = m([0, 0, 1])  # the space is spanned by e0 and e1
     sub = m([1, 1, 0])
-    assert len(quotient(*rref(sub), space)) == 1
-    assert len(quotient(*rref([]), space)) == 2
+    assert len(quotient(rows, 3, *rref(sub))) == 1
+    assert len(quotient(rows, 3, *rref([]))) == 2
 
 
 def test_quotient_dim_rejects_non_subspace():
     with pytest.raises(NotASubspace):
-        quotient(*rref(m([0, 0, 1])), m([1, 0, 0]))
+        quotient(m([0, 1, 0], [0, 0, 1]), 3, *rref(m([0, 0, 1])))
 
 
 def test_quotient_representatives():
-    space = m([1, 0, 0], [0, 1, 0], [0, 0, 1])
+    space = m([1, 0, 0], [0, 1, 0], [0, 0, 1])  # the kernel of no rows
     sub = m([0, 0, 1])
-    reps = quotient(*rref(sub), space)
+    reps = quotient([], 3, *rref(sub))
     assert reps == m([1, 0, 0], [0, 1, 0])
-    assert quotient(*rref(space), space) == []
+    assert quotient([], 3, *rref(space)) == []
 
 
 @st.composite
@@ -157,6 +157,10 @@ def dense_residual(red, pivots, vec):
             f = v[pc]
             v = [a - f * b for a, b in zip(v, red[i])]
     return v
+
+
+def dense_dot(row, vec):
+    return sum(a * b for a, b in zip(row, vec))
 
 
 def dense_quotient(sub_red, sub_pivots, space_rows, ncols):
@@ -236,15 +240,16 @@ def test_sparse_residual_equals_dense_residual(data):
     got = residual(red, piv, m(vec)[0])
     assert densify(got, ncols) == expected
     assert sparse_form_ok([got])
-    assert in_span(red, piv, m(vec)[0]) == (not any(expected))
+    assert (not residual(red, piv, m(vec)[0])) == (not any(expected))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_sparse_quotient_equals_dense_quotient(data):
-    space, ncols = data.draw(dense_matrices())
-    # a subspace spanned by some of the space's rows, or an arbitrary
-    # matrix of the same width that may stick out of the space
+    rows, ncols = data.draw(dense_matrices())
+    space = dense_kernel(rows, ncols)
+    # a subspace spanned by some of the kernel's basis vectors, or an
+    # arbitrary matrix of the same width that may stick out of the kernel
     if data.draw(st.booleans()):
         sub = data.draw(st.lists(st.sampled_from(space), max_size=3)
                         if space else st.just([]))
@@ -256,8 +261,22 @@ def test_sparse_quotient_equals_dense_quotient(data):
         expected = dense_quotient(dsub_red, dsub_piv, space, ncols)
     except NotASubspace:
         with pytest.raises(NotASubspace):
-            quotient(sub_red, sub_piv, m(*space))
+            quotient(m(*rows), ncols, sub_red, sub_piv)
         return
-    reps = quotient(sub_red, sub_piv, m(*space))
+    reps = quotient(m(*rows), ncols, sub_red, sub_piv)
     assert [densify(r, ncols) for r in reps] == expected
     assert sparse_form_ok(reps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_annihilates_equals_dense_dot_products(data):
+    rows, ncols = data.draw(dense_matrices())
+    # kernel vectors, which every row annihilates, mixed with arbitrary ones
+    kernel = dense_kernel(rows, ncols)
+    vecs = data.draw(st.lists(st.sampled_from(kernel), max_size=3)
+                     if kernel else st.just([]))
+    vecs += data.draw(st.lists(dense_vectors(ncols), max_size=2))
+    vecs = data.draw(st.permutations(vecs))
+    expected = all(dense_dot(r, v) == 0 for r in rows for v in vecs)
+    assert annihilates(m(*rows), m(*vecs)) == expected

@@ -18,7 +18,7 @@ from bga.hochschild import (
     one_cochain_coords,
     parallel_paths,
 )
-from bga.linalg import in_span, kernel_basis, rref
+from bga.linalg import kernel_basis, residual, rref
 from bga.paths import Element
 from bga.presentation import (
     quiver_from_graph,
@@ -156,7 +156,7 @@ def test_coboundaries_lie_in_cocycle_space():
                 if c:
                     for j, y in row.items():
                         combo[j] = combo.get(j, 0) + c * y
-            assert in_span(red, piv, combo), label
+            assert not residual(red, piv, combo), label
 
 
 def test_hh2_invariant_under_bipartition_swap():
