@@ -162,10 +162,8 @@ def cmd_info(args):
 def cmd_basis(args):
     _, system, _ = _load(args)
     alg = irreducible_basis(system)
-    products = []
-    for (i, j) in sorted(alg.table):
-        row = alg.table[(i, j)]
-        products.append([i, j, [[k, str(row[k])] for k in sorted(row)]])
+    products = [[i, j, [[k, str(row[k])] for k in sorted(row)]]
+                for (i, j), row in sorted(alg.table.items())]
     emit({
         "dim": alg.dim,
         "vertices": list(alg.quiver.vertices),

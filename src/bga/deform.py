@@ -227,10 +227,12 @@ def deformed_algebra(system, cochain):
     The cochain is validated by ``check_parallel``.  Tips are unchanged,
     so the basis of irreducible words is the base one.  The specialization
     is a well-defined algebra iff its structure constants are associative,
-    and that is checked on the triples (x, y, g) with x, y basis paths and
-    g an idempotent or an arrow only: every other basis path is z = z' * a
+    and that is checked on the triples (x, y, g) with x, y non-idempotent
+    basis paths and g an arrow only: every other basis path is z = z' * a
     with z' a shorter basis path and a an arrow, and induction on |z| gives
-    (xy)z = ((xy)z')a = (x(yz'))a = x((yz')a) = x(y(z'a)) = x(yz).
+    (xy)z = ((xy)z')a = (x(yz'))a = x((yz')a) = x(y(z'a)) = x(yz); a
+    triple with an idempotent in it holds because e * z and z * e are z or
+    0 and table rows are parallel to their paths.
     NonAssociative is raised when a triple fails, naming the first failing
     basis triple of the full scan.
     """

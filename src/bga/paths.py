@@ -72,10 +72,6 @@ class Quiver:
         origin, word = key
         return self.arrows[word[0]][1] if word else origin
 
-    def composable(self, k1, k2):
-        """Whether k1 * k2 (k2 applied first) is a path."""
-        return k1[0] == self.path_target(k2)
-
     def concat_key(self, k1, k2):
         return (k2[0], k1[1] + k2[1])
 

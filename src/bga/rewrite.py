@@ -30,7 +30,7 @@ from .errors import (
 )
 from .paths import Element, render_key
 
-MAX_REDUCE_STEPS = 200_000
+MAX_REDUCE_LETTERS = 2_000_000
 
 
 class Rule:
@@ -154,8 +154,10 @@ def reduce(system, element, trace=None):
     rule_index, right)``: the term ``coeff * left tip right`` at ``origin``
     was replaced by ``coeff * left rhs right``.
 
-    Raises NonTerminating when ``MAX_REDUCE_STEPS`` replacements were not
-    enough.
+    Raises NonTerminating when the replacements would scan more than
+    ``MAX_REDUCE_LETTERS`` letters: each one is charged the length of the
+    word it rewrites, so words that grow at every step exhaust the budget
+    as fast as their scans cost time.
     """
     return Element(system.quiver,
                    _reduce_terms(system, dict(element.terms), trace))
@@ -170,11 +172,11 @@ def _reduce_terms(system, terms, trace):
     irreducible are never scanned again.
     """
     find = system.first_redex
-    budget = MAX_REDUCE_STEPS
+    budget = MAX_REDUCE_LETTERS
     heap = list(terms)
     heapify(heap)
     irreducible = set()
-    steps = 0
+    letters = 0
     while heap:
         key = heappop(heap)
         if key in irreducible or key not in terms:
@@ -184,9 +186,9 @@ def _reduce_terms(system, terms, trace):
         if redex is None:
             irreducible.add(key)
             continue
-        steps += 1
-        if steps > budget:
-            raise NonTerminating(f"no normal form within {budget} steps")
+        letters += len(word)
+        if letters > budget:
+            raise NonTerminating(f"no normal form within {budget} letters")
         # the rhs is parallel to the tip, so the origin never moves
         pos, ri = redex
         rule = system.rules[ri]
@@ -360,12 +362,9 @@ def _combine(scaled_rows):
 
 
 class FiniteDimAlgebra:
-    """Irreducible-path basis plus the structure constants of NF(b_i * b_j).
-
-    ``table`` maps (i, j) to the sparse row {k: c} with NF(b_i * b_j) =
-    sum c * b_k, zero products omitted.  Its dim^2 products go through the
-    system's normal-form memo, and it is built on first read, so callers
-    that need only the basis never pay it.
+    """Irreducible-path basis plus the structure constants of NF(b_i * b_j),
+    built on first read of ``table``, so callers that need only the basis
+    never pay them.
     """
 
     __slots__ = ("system", "quiver", "basis", "index", "_table")
@@ -379,14 +378,22 @@ class FiniteDimAlgebra:
 
     @property
     def table(self):
+        """{(i, j): {k: c}} with NF(b_i * b_j) = sum c * b_k, zero products
+        omitted, in (i, j)-lexicographic order.
+
+        The basis is bucketed by path target once; for each i only the j
+        whose target is the origin of b_i are normalised, through the
+        system's normal-form memo, since every other product is zero.
+        """
         if self._table is None:
-            table = {}
             q, index = self.quiver, self.index
             nf = self.system.normal_form
+            ending_at = {v: [] for v in q.vertices}
+            for j, kj in enumerate(self.basis):
+                ending_at[q.path_target(kj)].append((j, kj))
+            table = {}
             for i, ki in enumerate(self.basis):
-                for j, kj in enumerate(self.basis):
-                    if not q.composable(ki, kj):
-                        continue
+                for j, kj in ending_at[ki[0]]:
                     row = {index[key]: c
                            for key, c in nf(q.concat_key(ki, kj)).items()}
                     if row:
@@ -446,35 +453,48 @@ class FiniteDimAlgebra:
         return True
 
     def check_generator_triples(self):
-        """Associativity from the triples (x, y, g), g an idempotent or arrow.
+        """Associativity from the triples (x, y, g) of non-idempotent basis
+        paths x, y and an arrow g.
 
         Every basis path z != e(v) is z' * a with z' a shorter basis path
         (prefixes of irreducible words are irreducible) and a an arrow, so
-        by induction on |z| these dim^2 * (|Q0| + |Q1|) triples imply all
-        dim^3.  Table rows are parallel to their paths, so only composable
-        triples can fail and only those are visited.  On a failure the full
-        ``check_associative`` scan raises NonAssociative for the first
-        failing triple of all.
+        by induction on |z| the triples (x, y, g) with g an idempotent or
+        an arrow imply all dim^3.  A triple that contains an idempotent
+        always holds: e * z is z or 0, z * e is z or 0, and table rows are
+        parallel to their paths.  Only composable triples can fail, and
+        one with x * y = 0 and y * g = 0 has both sides 0, so only the
+        composable triples with x * y or y * g nonzero are visited, each
+        summing (xy)g - x(yg) into one dict.
+        On a failure the full ``check_associative`` scan raises
+        NonAssociative for the first failing triple of all.
         """
         q = self.quiver
         table = self.table
         empty = {}
-        by_origin = {v: [] for v in q.vertices}
-        gens_into = {v: [] for v in q.vertices}
-        for i, key in enumerate(self.basis):
-            by_origin[key[0]].append(i)
-            if len(key[1]) <= 1:
-                gens_into[q.path_target(key)].append(i)
+        paths_from = {v: [] for v in q.vertices}
+        arrows_into = {v: [] for v in q.vertices}
+        for i, (origin, word) in enumerate(self.basis):
+            if word:
+                paths_from[origin].append(i)
+                if len(word) == 1:
+                    arrows_into[q.target(word[0])].append(i)
         for j, kj in enumerate(self.basis):
-            right = [(g, table.get((j, g), empty)) for g in gens_into[kj[0]]]
-            for i in by_origin[q.path_target(kj)]:
+            if not kj[1]:
+                continue
+            right = [(g, table.get((j, g), empty)) for g in arrows_into[kj[0]]]
+            for i in paths_from[q.path_target(kj)]:
                 ij = table.get((i, j), empty)
                 for g, jg in right:
-                    lhs = _combine((c, table.get((m, g), empty))
-                                   for m, c in ij.items())
-                    rhs = _combine((c, table.get((i, m), empty))
-                                   for m, c in jg.items())
-                    if lhs != rhs:
+                    if not ij and not jg:
+                        continue
+                    diff = {}
+                    for m, c in ij.items():
+                        for k, d in table.get((m, g), empty).items():
+                            diff[k] = diff.get(k, 0) + c * d
+                    for m, c in jg.items():
+                        for k, d in table.get((i, m), empty).items():
+                            diff[k] = diff.get(k, 0) - c * d
+                    if any(diff.values()):
                         return self.check_associative()
         return True
 

@@ -1,9 +1,14 @@
 """The generator-triple associativity check against the all-triples oracle.
 
-``check_generator_triples`` visits only (x, y, g) with g an idempotent or an
-arrow; ``check_associative`` visits every basis triple.  Both must agree on
-the outcome, and on a failure raise the same NonAssociative message, whose
+``check_generator_triples`` visits only (x, y, g) with x, y non-idempotent
+basis paths and g an arrow, and skips those with x * y = 0 and y * g = 0;
+``check_associative`` visits every basis triple.  Both must agree on the
+outcome, and on a failure raise the same NonAssociative message, whose
 coordinate vectors must also be the dense ``multiply_coords`` products.
+The lemma behind the first restriction (a triple with an idempotent in it
+always holds) and the table the checks read (NF(b_i * b_j) for every
+ordered pair, a pair absent exactly when its product is 0) are tested
+straight from ``alg.table`` on the same t = 1 algebras.
 """
 
 import json
@@ -27,6 +32,7 @@ from bga.rewrite import (
     Rule,
     irreducible_basis,
     irreducible_words,
+    reduce,
 )
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 
@@ -105,16 +111,70 @@ def test_setups_reach_the_dimension_cap():
     assert len(SETUPS) >= 20 and dims[-1] == MAX_DIM
 
 
-def test_fixtures_and_standard_cocycles_agree_with_oracle():
-    cases = 0
+def t1_algebras():
+    """((label, cocycle label), t = 1 algebra) for every fixture with a
+    standard family and every cocycle in it."""
     for label, g, bp, system in SETUPS:
-        assert assert_agree(irreducible_basis(system), label)
         if bp is None or len(g.edge_ids()) < 2:
             continue
         for s in standard_cocycles(g, bp, system):
-            assert_agree(at_one(system, s.cochain), (label, s.label))
-            cases += 1
+            yield (label, s.label), at_one(system, s.cochain)
+
+
+def test_fixtures_and_standard_cocycles_agree_with_oracle():
+    for label, _g, _bp, system in SETUPS:
+        assert assert_agree(irreducible_basis(system), label)
+    cases = 0
+    for label, alg in t1_algebras():
+        assert_agree(alg, label)
+        cases += 1
     assert cases >= 60
+
+
+def times(table, x, y):
+    """Sparse product of the coordinate dicts x and y through ``table``."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            for k, c in table.get((i, j), {}).items():
+                out[k] = out.get(k, 0) + a * b * c
+    return {k: c for k, c in out.items() if c}
+
+
+def assert_idempotent_triples_hold(alg, label):
+    """(xy)g = x(yg) whenever x, y or the generator g is an idempotent."""
+    table = alg.table
+    idx = range(alg.dim)
+    idem = [n for n in idx if not alg.basis[n][1]]
+    gens = [n for n in idx if len(alg.basis[n][1]) <= 1]
+    triples = ([(e, y, g) for e in idem for y in idx for g in gens]
+               + [(x, e, g) for x in idx for e in idem for g in gens]
+               + [(x, y, e) for x in idx for y in idx for e in idem])
+    for i, j, k in triples:
+        x, y, g = {i: 1}, {j: 1}, {k: 1}
+        assert (times(table, times(table, x, y), g)
+                == times(table, x, times(table, y, g))), (label, i, j, k)
+
+
+def assert_table_is_reduce(alg, label):
+    """``table`` holds NF(b_i * b_j) for every ordered pair with a nonzero
+    product, and no other pair, in (i, j)-lexicographic order."""
+    q = alg.quiver
+    expected = {}
+    for i, ki in enumerate(alg.basis):
+        for j, kj in enumerate(alg.basis):
+            nf = reduce(alg.system, Element(q, {ki: 1}) * Element(q, {kj: 1}))
+            if nf:
+                expected[(i, j)] = {alg.index[k]: c
+                                    for k, c in nf.terms.items()}
+    assert alg.table == expected, label
+    assert list(alg.table) == sorted(alg.table), label
+
+
+def test_t1_tables_are_reduce_and_hold_on_idempotent_triples():
+    for label, alg in t1_algebras():
+        assert_table_is_reduce(alg, label)
+        assert_idempotent_triples_hold(alg, label)
 
 
 def add(a, b):
@@ -159,9 +219,32 @@ def test_random_parallel_cochains_agree_with_oracle(case):
     assert_agree(at_one(system, cochain), label)
 
 
+@settings(max_examples=60, deadline=None)
+@given(parallel_cochains())
+def test_random_t1_tables_are_reduce_and_hold_on_idempotent_triples(case):
+    label, system, cochain = case
+    alg = at_one(system, cochain)
+    assert_table_is_reduce(alg, label)
+    assert_idempotent_triples_hold(alg, label)
+
+
 def test_known_non_cocycle_fails_both_checks():
     label, system, _family = next(s for s in SMALL if s[0] == "ANNULUS")
     q = system.quiver
     assert not assert_agree(at_one(system, {0: Element.idempotent(q, "x|y")}),
                             label)
     assert assert_agree(at_one(system, {}), label)
+
+
+def test_a_failure_with_a_zero_first_product_is_found():
+    # at t = 1 the annulus rule x*y -> y*x + y breaks associativity on one
+    # generator triple only, (x, x, y): x*x = 0 but x*(x*y) = y + 2 y*x, so
+    # the skip must ask for y*g = 0 as well as x*y = 0
+    label, system, _family = next(s for s in SMALL if s[0] == "ANNULUS")
+    q = system.quiver
+    alg = at_one(system, {0: Element.path(q, "x|y", ("y",))})
+    x, y = alg.index[("x|y", ("x",))], alg.index[("x|y", ("y",))]
+    assert (x, x) not in alg.table and (x, y) in alg.table
+    assert not assert_agree(alg, label)
+    assert outcome(alg.check_generator_triples) == (
+        f"triple {x},{x},{y}: {[F(0)] * 4} != {[F(0), F(0), F(1), F(2)]}")

@@ -3,6 +3,7 @@ import copy
 import gc
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -446,19 +447,33 @@ def test_non_confluent_rules_output_is_pinned(tmp_path, capsys):
                "--rules", str(rules)) == (1, BROKEN_ANNULUS_HH2)
 
 
-def test_step_budget_stops_a_growing_t1_deformation(tmp_path, capsys,
-                                                    monkeypatch):
+def _growing_t1_deformation(tmp_path, capsys):
     # a2*bq -> -2 a2*a1*bq at t = 1 lengthens the word at every step, so
-    # only the step budget ends the reduction
-    monkeypatch.setattr("bga.rewrite.MAX_REDUCE_STEPS", 500)
+    # only the letter budget ends the reduction
     path = _cochain_file(tmp_path, ["a2", "bq"],
                          [{"vertex": "bp|bq", "word": ["a2", "a1", "bq"],
                            "coeff": "-2"}])
-    code, out = run(capsys, "deform", "--input", "ANN2",
-                    "--deform-type", "custom", "--cochain", path, "--t", "1")
+    return run(capsys, "deform", "--input", "ANN2",
+               "--deform-type", "custom", "--cochain", path, "--t", "1")
+
+
+def test_step_budget_stops_a_growing_t1_deformation(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setattr("bga.rewrite.MAX_REDUCE_LETTERS", 5000)
+    assert _growing_t1_deformation(tmp_path, capsys) == (
+        1, '{"detail":"no normal form within 5000 letters",'
+           '"error":"non_terminating"}\n')
+
+
+def test_shipped_letter_budget_ends_a_growing_t1_deformation_quickly(
+        tmp_path, capsys):
+    # each step is charged the length of the word it rewrites, so the
+    # budget bounds the quadratic scan work, not only the step count
+    start = time.perf_counter()
+    code, out = _growing_t1_deformation(tmp_path, capsys)
+    assert time.perf_counter() - start < 5
     assert code == 1
-    assert out == ('{"detail":"no normal form within 500 steps",'
-                   '"error":"non_terminating"}\n')
+    assert json.loads(out)["error"] == "non_terminating"
 
 
 # at t = 1 the deformed rules are validated like any rule document: a value

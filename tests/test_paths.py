@@ -41,10 +41,11 @@ def test_concat_and_formal_zero():
     q = ex1_quiver()
     p = q.key("1", ("de",))
     r = q.key("2", ("ga",))
-    assert q.composable(p, r) and q.concat_key(p, r) == ("2", ("de", "ga"))
+    assert p[0] == q.path_target(r)  # de * ga is a path
+    assert q.concat_key(p, r) == ("2", ("de", "ga"))
     de, ga = Element(q, {p: 1}), Element(q, {r: 1})
     assert (de * ga).terms == {("2", ("de", "ga")): F(1)}
-    assert not q.composable(r, r) and not ga * ga  # ga * ga not composable
+    assert r[0] != q.path_target(r) and not ga * ga  # ga * ga not composable
 
 
 def test_idempotents_act_as_units():
