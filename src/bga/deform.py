@@ -19,76 +19,43 @@ over the base steps (c, left, r, right) that reduce x.  So the coefficient
 of t^n in NF(x) is NF_0(Psi^n(x)).  ``verify_lift`` reads NF_0 and the base
 steps of each path from the base system's memo, keeps that list of
 per-order dicts once per path and sums these lifts for both sides of each
-overlap.  No deformed system is built; a failure's witness carries one
-``WitnessCoeff`` per path, which only renders.  The test suite keeps the
-deformed system over truncated polynomials as the independent oracle.
+overlap, laid out by ``rewrite.overlap_sides``.  No deformed system is
+built; a failure's witness holds plain values, a constant or a polynomial
+in t as text, which only render.  The test suite keeps the deformed system
+over truncated polynomials as the independent oracle.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
 
-from .errors import NonParallelCochain, SchemaError
+from . import rewrite
+from .errors import NonTerminating, SchemaError
 from .linalg import rank
 from .paths import Element, render, render_key
 from .rewrite import (
     ReductionSystem,
     Rule,
+    check_parallel,
     enumerate_ambiguities,
     irreducible_basis,
     overlap_sides,
 )
 
 
-def check_parallel(system, cochain):
-    """Validate a 2-cochain: dict rule_index -> Element, each monomial of a
-    value running parallel to that rule's tip."""
-    q = system.quiver
-    for ri, value in cochain.items():
-        rule = system.rules[ri]
-        o_tip = rule.tip[0]
-        t_tip = q.path_target(rule.tip)
-        for key in value.terms:
-            if key[0] != o_tip or q.path_target(key) != t_tip:
-                raise NonParallelCochain(
-                    f"value on {render_key(rule.tip)} has non-parallel "
-                    f"monomial {render_key(key)}")
-
-
-class WitnessCoeff:
-    """The coefficients of t^0, t^1, ... of one path in a failed lift's
-    difference.  It is only printed: ``text`` gives the polynomial in t,
-    and it equals an integer c when c is its only coefficient, so that
-    ``render`` prints 1 and -1 bare."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
-        return NotImplemented
-
-    def lowest_nonzero_order(self):
-        return next((i for i, c in enumerate(self.coeffs) if c), None)
-
-    def text(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c} t" if c != 1 else "t")
-            else:
-                terms.append(f"{c} t^{i}" if c != 1 else f"t^{i}")
-        return " + ".join(terms) if terms else "0"
+def _witness_value(coeffs):
+    """One path's coefficient in a failed lift's difference, from its
+    coefficients of t^0, t^1, ...: the constant when t does not occur,
+    else the polynomial in t as text."""
+    if not any(coeffs[1:]):
+        return coeffs[0]
+    terms = []
+    for i, c in enumerate(coeffs):
+        if c:
+            power = "t" if i == 1 else f"t^{i}"
+            terms.append(str(c) if i == 0 else power if c == 1
+                         else f"{c} {power}")
+    return " + ".join(terms)
 
 
 class FormalCheck:
@@ -136,24 +103,30 @@ def verify_lift(system, cochain, degree):
     The cochain is validated first: ``check_parallel``, then, when t
     survives the truncation, the SchemaError the deformed rules would
     raise for a value monomial that contains a tip.  The witness of a
-    failure is the first failing overlap, the difference of its two sides
-    with one ``WitnessCoeff`` per path, up to the highest order either
-    side reaches, and the lowest order at which they differ.  An
-    overlap u|v|w has left side lift(uvw), and its right side sums
-    d_n[k] * lift(u*k) shifted by n, d_n being the orders of lift(vw).
-    Lifts stop at their last nonzero order, so a nilpotent Psi costs the
-    same at every large ``degree``; one that is not nilpotent may carry a
-    word that grows by a letter per order, rescanned at each order, and
-    then the cost is quadratic in ``degree``.
+    failure is the first failing overlap, the difference of its two sides,
+    and the lowest order at which they differ.  The difference holds, per
+    path, its constant when t does not occur in it, else its polynomial in
+    t up to the highest order either side reaches, as text.  An overlap
+    u|v|w has left side lift(uvw), and its right side sums
+    c * lift(times_u(k)) shifted by n over the terms c * k of the order n
+    of lift(vw).  Lifts stop at their last nonzero order, so a nilpotent
+    Psi costs the same at every large ``degree``; one that is not
+    nilpotent may carry a word that grows by a letter per order, rescanned
+    at each order.  So each word that Psi writes is charged its length,
+    and NonTerminating is raised when one call has written more than
+    ``rewrite.MAX_REDUCE_LETTERS`` letters.
     """
     check_parallel(system, cochain)
     if degree > 1:
         _check_irreducible_values(system, cochain)
     nf = system.normal_form
+    budget = rewrite.MAX_REDUCE_LETTERS
+    letters = 0
     psi_memo = {}
     lift_memo = {}
 
     def psi(key):
+        nonlocal letters
         out = psi_memo.get(key)
         if out is None:
             out = {}
@@ -162,7 +135,10 @@ def verify_lift(system, cochain, degree):
                 if value is not None:
                     for (_, word), d in value.terms.items():
                         k = (origin, left + word + right)
+                        letters += len(k[1])
                         out[k] = out.get(k, 0) + c * d
+            if letters > budget:
+                raise NonTerminating(f"no formal lift within {budget} letters")
             out = psi_memo[key] = {k: c for k, c in out.items() if c}
         return out
 
@@ -185,36 +161,28 @@ def verify_lift(system, cochain, degree):
                 out.pop()
         return out
 
-    def lifted(key):
-        """``lift(key)`` as {path key: [(n, coefficient of t^n)]}."""
-        out = {}
-        for n, part in enumerate(lift(key)):
-            for k, c in part.items():
-                out.setdefault(k, []).append((n, c))
-        return out
-
     ambiguities = enumerate_ambiguities(system)
     for amb in ambiguities:
-        uvw, _, right = overlap_sides(system, amb, lifted)
+        uvw, vw, times_u = overlap_sides(system, amb)
         left = lift(uvw)
         sums = []
-        for k, pairs in right.items():
-            for n, c in pairs:
-                for m, part in enumerate(lift(k)[:degree - n], n):
+        for n, part in enumerate(lift(vw)):
+            for k, c in part.items():
+                for m, row in enumerate(lift(times_u(k))[:degree - n], n):
                     sums += [{} for _ in range(m + 1 - len(sums))]
-                    for k2, d in part.items():
+                    for k2, d in row.items():
                         sums[m][k2] = sums[m].get(k2, 0) + c * d
         right = [{k: c for k, c in part.items() if c} for part in sums]
         while right and not right[-1]:
             right.pop()
         if left != right:
+            by_order = list(zip_longest(left, right, fillvalue={}))
             terms = {}
             for k in sorted(set().union(*left, *right)):
-                coeffs = [a.get(k, 0) - b.get(k, 0)
-                          for a, b in zip_longest(left, right, fillvalue={})]
+                coeffs = [a.get(k, 0) - b.get(k, 0) for a, b in by_order]
                 if any(coeffs):
-                    terms[k] = WitnessCoeff(coeffs)
-            order = min(c.lowest_nonzero_order() for c in terms.values())
+                    terms[k] = _witness_value(coeffs)
+            order = next(n for n, (a, b) in enumerate(by_order) if a != b)
             return FormalCheck(False, len(ambiguities),
                                (amb, Element(system.quiver, terms), order))
     return FormalCheck(True, len(ambiguities), None)

@@ -31,7 +31,6 @@ and the explicit standard cocycle family are available as cross-checks.
 
 from __future__ import annotations
 
-from .deform import check_parallel
 from .errors import (
     NonParallelCochain,
     NotApplicable,
@@ -42,6 +41,7 @@ from .paths import Element, element_to_doc
 from .presentation import cycle_word, dimension_formula
 from .rewrite import (
     check_diamond,
+    check_parallel,
     enumerate_ambiguities,
     overlap_sides,
     reduce,  # noqa: F401 - bench/tests reads the binding hochschild.reduce
@@ -173,8 +173,10 @@ def _cocycle_rows(system, coords):
     step c * left (tip r) right then adds c * t * x_j * left p right; the
     t-part of a resolution is the normal form of the sum over its steps.
     The steps are the traces the system's memo keeps for the
-    ``overlap_sides`` keys: u*v*w on the left; v*w under the prefix u, then
-    u*NF(v*w) on the right.
+    ``overlap_sides`` keys: u*v*w on the left; on the right, the steps of
+    v*w under the prefix u (a step at origin o with left word lw gets the
+    left word of ``times_u((o, lw))``), then those of ``times_u(k)`` for
+    the terms e * k of NF(v*w).
     """
     nf, path_steps = system.normal_form, system.steps
     by_rule = {}
@@ -182,12 +184,12 @@ def _cocycle_rows(system, coords):
         by_rule.setdefault(ri, []).append((j, p))
     rows = []
     for amb in enumerate_ambiguities(system):
-        uvw, vw, right = overlap_sides(system, amb, nf)
+        uvw, vw, times_u = overlap_sides(system, amb)
         steps = list(path_steps(uvw))
-        steps += [(-c, o, (amb.u,) + lw, ri, rw)
+        steps += [(-c, *times_u((o, lw)), ri, rw)
                   for c, o, lw, ri, rw in path_steps(vw)]
-        steps += [(-e * c, o, lw, ri, rw) for k, e in right.items()
-                  for c, o, lw, ri, rw in path_steps(k)]
+        steps += [(-e * c, o, lw, ri, rw) for k, e in nf(vw).items()
+                  for c, o, lw, ri, rw in path_steps(times_u(k))]
         diff = {}
         for c, o, lw, ri, rw in steps:
             for j, p in by_rule.get(ri, ()):

@@ -81,9 +81,10 @@ class Element:
 
     Coefficients are exact rationals (``int`` when integral, else
     ``Fraction``); they are only added, negated, multiplied, and
-    truth-tested, so any type with those operations works too.  A failed
-    formal lift's witness holds ``deform.WitnessCoeff`` values, which
-    ``render`` prints through their ``text``.
+    truth-tested, so any type with those operations works too.  ``render``
+    prints every coefficient with ``str``, so an Element that is only
+    printed, such as a failed formal lift's witness, may hold polynomials
+    in t as text.
     """
 
     __slots__ = ("quiver", "terms")
@@ -179,7 +180,7 @@ def render(el):
         elif c == -1:
             parts.append(f"-{body}")
         else:
-            txt = c.text() if hasattr(c, "text") else str(c)
+            txt = str(c)
             if any(ch in txt for ch in "+- ") and not txt.lstrip("-").isdigit():
                 txt = f"({txt})"
             parts.append(f"{txt} {body}")

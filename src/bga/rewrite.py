@@ -25,6 +25,7 @@ from heapq import heapify, heappop, heappush
 from .errors import (
     InfiniteDimensional,
     NonAssociative,
+    NonParallelCochain,
     NonTerminating,
     SchemaError,
 )
@@ -145,6 +146,21 @@ class ReductionSystem:
 
     def steps(self, key):
         return (self._memo.get(key) or self._reduce_path(key))[1]
+
+
+def check_parallel(system, cochain):
+    """Validate a 2-cochain: dict rule_index -> Element, each monomial of a
+    value running parallel to that rule's tip."""
+    q = system.quiver
+    for ri, value in cochain.items():
+        rule = system.rules[ri]
+        o_tip = rule.tip[0]
+        t_tip = q.path_target(rule.tip)
+        for key in value.terms:
+            if key[0] != o_tip or q.path_target(key) != t_tip:
+                raise NonParallelCochain(
+                    f"value on {render_key(rule.tip)} has non-parallel "
+                    f"monomial {render_key(key)}")
 
 
 def reduce(system, element, trace=None):
@@ -270,20 +286,20 @@ def enumerate_ambiguities(system):
     return system._ambiguities
 
 
-def overlap_sides(system, amb, nf):
-    """The overlap u|v|w as (uvw, vw, right): the path keys u*v*w and v*w,
-    and the term dict u * nf(vw), nf(vw) being the normal form of v*w.
+def overlap_sides(system, amb):
+    """The overlap u|v|w as (uvw, vw, times_u): the path keys u*v*w and
+    v*w, and the map from the key of a path parallel to v*w to the key of
+    u times that path.  No other code knows the layout.
 
     The leftmost redex of u*v*w is the tip uv (no tip is a subword of
     another), so NF(uvw) = NF(rhs(uv)*w) is the left resolution and the
-    reduce steps of uvw start with that rewrite; NF(right) is the right
-    one.  ``nf`` is usually ``system.normal_form``; its coefficients are
-    copied, never combined, so they may be of any type.
+    reduce steps of uvw start with that rewrite; the right one is the sum
+    of c * NF(times_u(k)) over the terms c * k of NF(vw).
     """
+    u = amb.u
     origin = system.quiver.arrows[amb.w[-1]][0]
     vw = (origin, amb.v + amb.w)
-    right = {(origin, (amb.u,) + word): c for (_, word), c in nf(vw).items()}
-    return (origin, (amb.u,) + vw[1]), vw, right
+    return (origin, (u,) + vw[1]), vw, lambda key: (key[0], (u,) + key[1])
 
 
 def resolve_overlap(system, amb):
@@ -293,10 +309,11 @@ def resolve_overlap(system, amb):
     The overlap resolves iff left == right.
     """
     nf = system.normal_form
-    uvw, _, right = overlap_sides(system, amb, nf)
+    uvw, vw, times_u = overlap_sides(system, amb)
     q = system.quiver
     return (Element(q, nf(uvw)),
-            Element(q, _combine((c, nf(k)) for k, c in right.items())))
+            Element(q, _combine((c, nf(times_u(k)))
+                                for k, c in nf(vw).items())))
 
 
 class DiamondReport:

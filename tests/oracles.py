@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from bga.deform import FormalCheck, check_parallel
+from bga.deform import FormalCheck
 from bga.errors import BgaError
 from bga.paths import Element
 from bga.rewrite import (
     ReductionSystem,
     Rule,
+    check_parallel,
     enumerate_ambiguities,
     reduce,
     resolve_overlap,
@@ -149,6 +150,8 @@ class TruncPoly:
             else:
                 terms.append(f"{c} t^{i}" if c != 1 else f"t^{i}")
         return " + ".join(terms) if terms else "0"
+
+    __str__ = text
 
 
 class FormalCtx:

@@ -476,6 +476,40 @@ def test_shipped_letter_budget_ends_a_growing_t1_deformation_quickly(
     assert json.loads(out)["error"] == "non_terminating"
 
 
+def _growing_formal_lift(tmp_path, capsys, degree):
+    # Psi is not nilpotent: the lift of v*w in the overlap bq|a2*a1*bq|a2
+    # carries a word that grows by a letter per order, 11033 letters
+    # written by Psi at D = 100 and 1010033 at D = 1000
+    path = tmp_path / "cochain.json"
+    path.write_text(json.dumps({"values": [
+        {"tip": ["a1", "a1"],
+         "element": [{"vertex": "a1|a2", "word": ["bq", "a2"],
+                      "coeff": "1"}]},
+        {"tip": ["a2", "bq"],
+         "element": [{"vertex": "bp|bq", "word": ["a2", "a1", "bq"],
+                      "coeff": "1"}]}]}))
+    return run(capsys, "deform", "--input", "ANN2", "--deform-type",
+               "custom", "--cochain", str(path), "--t", f"formal:{degree}")
+
+
+def test_letter_budget_stops_a_growing_formal_lift(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr("bga.rewrite.MAX_REDUCE_LETTERS", 5000)
+    assert _growing_formal_lift(tmp_path, capsys, 100) == (
+        1, '{"detail":"no formal lift within 5000 letters",'
+           '"error":"non_terminating"}\n')
+
+
+def test_shipped_letter_budget_ends_a_growing_formal_lift_quickly(
+        tmp_path, capsys):
+    code, out = _growing_formal_lift(tmp_path, capsys, 1000)
+    assert (code, json.loads(out)["passes"]) == (0, True)
+    start = time.perf_counter()
+    code, out = _growing_formal_lift(tmp_path, capsys, 100000)
+    assert time.perf_counter() - start < 5
+    assert (code, json.loads(out)["error"]) == (1, "non_terminating")
+
+
 # at t = 1 the deformed rules are validated like any rule document: a value
 # that is itself reducible is unusable input, a non-parallel one a failed
 # check; both pinned byte for byte
@@ -498,7 +532,8 @@ def test_deform_t1_rejects_a_bad_custom_cochain(tmp_path, capsys, argv, tip,
 
 # a failed formal lift, pinned byte for byte: the order and the rendered
 # difference of the witness, with a bare order-0 term on the broken annulus
-# rules and parenthesised coefficients in t elsewhere
+# rules and parenthesised coefficients in t elsewhere.  The broken annulus
+# rules are x*y -> C e(x|y), y*x -> 0, with the constant C given per case.
 DBL_BIGON_PAIR = {"values": [
     {"tip": ["v2", "w1"],
      "element": [{"coeff": "1", "vertex": "v1|w1", "word": []}]},
@@ -513,30 +548,44 @@ EX1_RANDOM = {"values": [
                  {"vertex": "b|g", "word": ["d", "g"], "coeff": "-1"}]},
     {"tip": ["d", "g", "d"],
      "element": [{"vertex": "a|d", "word": ["d"], "coeff": "-1"}]}]}
+BROKEN_ANNULUS_AT_ORDER_0 = (
+    '{"ambiguities":2,"label":"custom","passes":false,"t":"formal:3",'
+    '"type":"custom","witness":{"detail":"overlap x*y*x fails at order '
+    't^0: difference %s","order":0,"word":["x","y","x"]}}\n')
 FAILED_LIFTS = [
-    (("--input", "DBL"), DBL_BIGON_PAIR, "formal:4",
+    (("--input", "DBL"), "1", DBL_BIGON_PAIR, "formal:4",
      '{"ambiguities":16,"label":"custom","passes":false,"t":"formal:4",'
      '"type":"custom","witness":{"detail":"overlap v2*w1*v2 fails at order '
      't^2: difference (-1 t^2) w2","order":2,"word":["v2","w1","v2"]}}\n'),
-    (("--input", "ANNULUS", "--rules", None), {"values": []}, "formal:3",
+    (("--input", "ANNULUS", "--rules", None), "1", {"values": []}, "formal:3",
      '{"ambiguities":2,"label":"custom","passes":false,"t":"formal:3",'
      '"type":"custom","witness":{"detail":"overlap x*y*x fails at order '
      't^0: difference x","order":0,"word":["x","y","x"]}}\n'),
-    (("--input", "EX1"), EX1_RANDOM, "formal:3",
+    (("--input", "EX1"), "1", EX1_RANDOM, "formal:3",
      '{"ambiguities":8,"label":"custom","passes":false,"t":"formal:3",'
      '"type":"custom","witness":{"detail":"overlap b*b*d fails at order '
      't^1: difference (-1 t + t^2) d","order":1,"word":["b","b","d"]}}\n'),
+    (("--input", "ANNULUS", "--rules", None), "-1/2", {"values": []},
+     "formal:3", BROKEN_ANNULUS_AT_ORDER_0 % "(-1/2) x"),
+    (("--input", "ANNULUS", "--rules", None), "-1", {"values": []},
+     "formal:3", BROKEN_ANNULUS_AT_ORDER_0 % "-x"),
+    (("--input", "ANNULUS", "--rules", None), "-1/2", {"values": [
+        {"tip": ["x", "y"],
+         "element": [{"vertex": "x|y", "word": [], "coeff": "3"}]}]},
+     "formal:3", BROKEN_ANNULUS_AT_ORDER_0 % "(-1/2 + 3 t) x"),
 ]
 
 
-@pytest.mark.parametrize("argv, cochain, t, expected", FAILED_LIFTS,
+@pytest.mark.parametrize("argv, constant, cochain, t, expected", FAILED_LIFTS,
                          ids=["dbl_bigon_pair", "broken_annulus",
-                              "ex1_random"])
-def test_failed_formal_lift_output_is_pinned(tmp_path, capsys, argv, cochain,
-                                             t, expected):
+                              "ex1_random", "broken_annulus_half",
+                              "broken_annulus_minus_one",
+                              "broken_annulus_polynomial"])
+def test_failed_formal_lift_output_is_pinned(tmp_path, capsys, argv,
+                                             constant, cochain, t, expected):
     rules = tmp_path / "broken.json"
     rules.write_text(json.dumps({"rules": [
-        {"tip": ["x", "y"], "rhs": [["1", []]]},
+        {"tip": ["x", "y"], "rhs": [[constant, []]]},
         {"tip": ["y", "x"], "rhs": []},
     ]}))
     path = tmp_path / "cochain.json"

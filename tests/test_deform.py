@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from oracles import FormalCtx, deform, verify_formal
 
-from bga.deform import check_parallel, deformed_algebra, semisimplicity
+from bga.deform import deformed_algebra, semisimplicity
 from bga.errors import NonAssociative, NonParallelCochain
 from bga.fixtures import fixture_doc, fixture_rules
 from bga.hochschild import standard_cocycles
@@ -18,6 +18,7 @@ from bga.presentation import (
 from bga.rewrite import (
     ReductionSystem,
     Rule,
+    check_parallel,
     irreducible_basis,
     resolve_overlap,
 )

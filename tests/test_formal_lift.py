@@ -30,7 +30,7 @@ from test_cocycle_oracle import SYSTEMS, bipartite_graphs
 
 from bga import rewrite
 from bga.cli import main
-from bga.deform import WitnessCoeff, verify_lift
+from bga.deform import verify_lift
 from bga.errors import SchemaError
 from bga.fixtures import fixture_doc
 from bga.hochschild import (
@@ -230,11 +230,11 @@ def test_formal_deform_builds_no_deformed_system(monkeypatch, capsys):
         built.append(rules)
         init(self, quiver, rules)
 
-    def no_witness_coeff(*args, **kwargs):
-        raise AssertionError("WitnessCoeff built on a passing check")
+    def no_witness_value(*args, **kwargs):
+        raise AssertionError("witness built on a passing check")
 
     monkeypatch.setattr(rewrite.ReductionSystem, "__init__", counting_init)
-    monkeypatch.setattr(WitnessCoeff, "__init__", no_witness_coeff)
+    monkeypatch.setattr("bga.deform._witness_value", no_witness_value)
     for kind in ("A", "C", "D1", "D2"):
         built.clear()
         code = main(["deform", "--input", "DBL", "--deform-type", kind,

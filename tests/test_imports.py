@@ -1,7 +1,7 @@
 """Every name a module of the package imports, and every private name it
 defines at module level, is read in that module; every public function,
-class and method is read somewhere in the package; the docstring examples
-run."""
+class and method is read somewhere in the package; only ``rewrite`` knows
+the layout of an overlap; the docstring examples run."""
 
 import ast
 import doctest
@@ -31,6 +31,9 @@ UNREAD_BY_THE_PACKAGE = {
         "dense products; bench/spans.py counts its calls",
     ("paths", "Element.scaled"): "Element arithmetic the oracles use",
 }
+
+# the only code that reads the parts u, v, w of an overlap u|v|w
+LAYOUT_OWNERS = {("rewrite", "Ambiguity"), ("rewrite", "overlap_sides")}
 
 
 def _read_names(tree):
@@ -97,6 +100,16 @@ def unread_public_names(trees):
     return out
 
 
+def layout_readers(tree):
+    """Top-level functions and classes of a module (``<module>`` for other
+    statements) that read an attribute u, v or w, the parts of an overlap
+    u|v|w."""
+    return {getattr(node, "name", "<module>") for node in tree.body
+            for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and n.attr in ("u", "v", "w")}
+
+
 def _found(scan):
     return {(path.stem, name) for path in sorted(SRC.glob("*.py"))
             for name in scan(ast.parse(path.read_text()))}
@@ -154,6 +167,21 @@ def test_every_public_name_is_read_in_the_package():
     assert sorted(unread_public_names(trees)
                   - UNREAD_BY_THE_PACKAGE.keys()) == []
     assert UNREAD_BY_THE_PACKAGE.keys() <= unread_public_names(trees)
+
+
+def test_the_scan_finds_an_overlap_laid_out_by_hand():
+    tree = ast.parse("class Ambiguity:\n"
+                     "    def word(self): return (self.u,) + self.v\n"
+                     "def rows(amb): return (amb.u,) + amb.w\n"
+                     "def build(a): a.u = 1; return a.rule_index, a.uv\n"
+                     "tail = amb.v\n")
+    assert layout_readers(tree) == {"Ambiguity", "rows", "<module>"}
+
+
+def test_only_overlap_sides_lays_out_an_overlap():
+    found = _found(layout_readers)
+    assert sorted(found - LAYOUT_OWNERS) == []
+    assert LAYOUT_OWNERS <= found
 
 
 def test_docstring_examples_pass():

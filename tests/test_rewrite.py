@@ -307,7 +307,7 @@ def test_overlap_left_key_rewrites_its_tip_first():
         q = sys.quiver
         nf = sys.normal_form
         for amb in enumerate_ambiguities(sys):
-            uvw, vw, right = overlap_sides(sys, amb, nf)
+            uvw, vw, times_u = overlap_sides(sys, amb)
             origin = q.arrows[amb.w[-1]][0]
             assert (uvw, vw) == ((origin, amb.word),
                                  (origin, amb.v + amb.w))
@@ -316,6 +316,7 @@ def test_overlap_left_key_rewrites_its_tip_first():
             rhs_w = reduce(sys, sys.rules[amb.rule_index].rhs * w_el)
             assert Element(q, nf(uvw)) == rhs_w, (args, amb)
             u_el = Element.path(q, q.arrows[amb.u][0], (amb.u,))
+            right = {times_u(k): c for k, c in nf(vw).items()}
             assert Element(q, right) == u_el * Element(q, nf(vw))
 
 
