@@ -214,6 +214,8 @@ def _cochain_from_values_doc(system, doc):
             tip = tuple(entry["tip"])
             if tip not in by_tip:
                 raise UsageError(f"no rule with tip {'*'.join(tip)}")
+            if by_tip[tip] in cochain:
+                raise SchemaError(f"duplicate tip {'*'.join(tip)}")
             cochain[by_tip[tip]] = element_from_doc(system.quiver,
                                                     entry["element"])
     except DOCUMENT_ERRORS as exc:

@@ -202,7 +202,7 @@ def deformed_algebra(system, cochain):
     triple with an idempotent in it holds because e * z and z * e are z or
     0 and table rows are parallel to their paths.
     NonAssociative is raised when a triple fails, naming the first failing
-    basis triple of the full scan.
+    basis triple (i, j, k) of all dim^3.
     """
     check_parallel(system, cochain)
     rules = []

@@ -287,7 +287,8 @@ def hh2(system, alg, graph=None):
     the system's normal-form memo, which keeps the reduce steps the
     cocycle rows are read from.  The representatives are the rref of the
     cocycles that vanish at the coboundaries' pivots, a complement of the
-    coboundaries (``linalg.quotient``), so no cocycle basis is listed.
+    coboundaries (``linalg.quotient``), so no cocycle basis is listed and
+    two eliminations do: the coboundary image and that kernel.
     """
     coords, rows = cocycle_space(system, alg)
     red, pivots = rref(coboundary_image(system, alg, coords))

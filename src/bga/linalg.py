@@ -2,8 +2,9 @@
 
 A vector is a dict {column: value} of its nonzero entries, a matrix is a
 list of such rows.  Values are exact rationals: ``int`` when integral, else
-``Fraction``.  All eliminations are exact Gauss-Jordan on these rows; the
-one division, the pivot inverse in ``rref``, divides ``Fraction(1)``, so
+``Fraction``.  All eliminations are exact Gauss-Jordan on these rows, and
+``kernel`` reads the RREF of a null space off a single one.  The one
+division, the pivot inverse in ``rref``, divides ``Fraction(1)``, so
 nothing here is numerical.  A pivot of 1 or -1 is not divided by, so rows
 of integers with such pivots stay integral.
 """
@@ -74,24 +75,24 @@ def rank(rows):
     return len(rref(rows)[1])
 
 
-def kernel_basis(rows, ncols):
-    """Basis of the right null space of the matrix.
+def kernel(rows, ncols):
+    """RREF of the right null space of the matrix, from one elimination.
 
-    One basis vector per free column, taken in increasing column order with
-    the free variable set to 1, so the result is deterministic.
+    The rows are reduced with their columns reversed (c -> ncols-1-c), so
+    each reduced row pivots at its largest column p and holds no other
+    pivot column.  For each free column f the kernel holds
+    e_f - sum_p row_p[f] e_p, every such p lying right of f and no other
+    free column occurring, so these vectors in increasing f are the RREF.
     """
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = {fc: _F1}
-        for row, pc in zip(red, pivots):
-            if fc in row:
-                v[pc] = -row[fc]
-        basis.append(v)
-    return basis
+    last = ncols - 1
+    red, pivots = rref([{last - c: x for c, x in r.items()} for r in rows])
+    pivot_set = {last - p for p in pivots}
+    vecs = {f: {f: _F1} for f in range(ncols) if f not in pivot_set}
+    for row, p in zip(red, pivots):
+        for c, x in row.items():
+            if c != p:
+                vecs[last - c][last - p] = -x
+    return list(vecs.values())
 
 
 def residual(red, pivots, vec):
@@ -122,12 +123,11 @@ def quotient(rows, ncols, sub_red, sub_pivots):
     """Representatives of ker(rows) / span(sub), sub given by its rref.
 
     Raises NotASubspace unless the rows annihilate sub.  Returns the rref
-    of W = ker(rows) with sub's pivot columns set to 0: ker(rows) is the
-    direct sum of W and span(sub), so the length is the quotient dimension,
-    and W is the span of the residuals of ker(rows) against sub.  The unit
-    rows go first, so they clear sub's pivots from each row at once.
+    of W = ker(rows) with sub's pivot columns set to 0, the ``kernel`` of
+    the rows below a unit row e_p per pivot p of sub: ker(rows) is the
+    direct sum of W and span(sub), so the length is the quotient dimension.
+    The unit rows go first, so they clear sub's pivots from each row at once.
     """
     if not annihilates(rows, sub_red):
         raise NotASubspace("vector outside the ambient span")
-    units = [{p: 1} for p in sub_pivots]
-    return rref(kernel_basis(units + rows, ncols))[0]
+    return kernel([{p: 1} for p in sub_pivots] + rows, ncols)

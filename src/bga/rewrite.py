@@ -405,9 +405,7 @@ class FiniteDimAlgebra:
         if self._table is None:
             q, index = self.quiver, self.index
             nf = self.system.normal_form
-            ending_at = {v: [] for v in q.vertices}
-            for j, kj in enumerate(self.basis):
-                ending_at[q.path_target(kj)].append((j, kj))
+            ending_at = self._ending_at()
             table = {}
             for i, ki in enumerate(self.basis):
                 for j, kj in ending_at[ki[0]]:
@@ -417,6 +415,13 @@ class FiniteDimAlgebra:
                         table[(i, j)] = row
             self._table = table
         return self._table
+
+    def _ending_at(self):
+        """{vertex: [(j, b_j)]}, the basis paths ending there in basis order."""
+        ending_at = {v: [] for v in self.quiver.vertices}
+        for j, kj in enumerate(self.basis):
+            ending_at[self.quiver.path_target(kj)].append((j, kj))
+        return ending_at
 
     @property
     def dim(self):
@@ -445,20 +450,25 @@ class FiniteDimAlgebra:
         return vec
 
     def check_associative(self):
-        """Associativity on all dim^3 basis triples; raises NonAssociative.
+        """Associativity on the composable basis triples; raises
+        NonAssociative.
 
-        The brute-force oracle for ``check_generator_triples``, and its
-        failure path: the error names the lexicographically first failing
-        triple (i, j, k) with the coordinate vectors of (b_i b_j) b_k and
-        b_i (b_j b_k).  Products come from the sparse rows of ``table``.
+        The failure path of ``check_generator_triples``: the error names the
+        lexicographically first failing triple (i, j, k) with the coordinate
+        vectors of (b_i b_j) b_k and b_i (b_j b_k).  A triple with b_j not
+        ending at the origin of b_i, or b_k not ending at the origin of b_j,
+        has both sides 0 (table rows are parallel to their paths), so only
+        the composable triples are visited, bucketed by path target as in
+        ``table`` and in (i, j, k) order: the first failure is the first of
+        all dim^3.  Products come from the sparse rows of ``table``.
         """
         table = self.table
         empty = {}
-        idx = range(self.dim)
-        for i in idx:
-            for j in idx:
+        ending_at = self._ending_at()
+        for i, ki in enumerate(self.basis):
+            for j, kj in ending_at[ki[0]]:
                 ij = table.get((i, j), empty)
-                for k in idx:
+                for k, _kk in ending_at[kj[0]]:
                     lhs = _combine((c, table.get((m, k), empty))
                                    for m, c in ij.items())
                     rhs = _combine((c, table.get((i, m), empty))
@@ -482,8 +492,8 @@ class FiniteDimAlgebra:
         one with x * y = 0 and y * g = 0 has both sides 0, so only the
         composable triples with x * y or y * g nonzero are visited, each
         summing (xy)g - x(yg) into one dict.
-        On a failure the full ``check_associative`` scan raises
-        NonAssociative for the first failing triple of all.
+        On a failure ``check_associative`` raises NonAssociative for the
+        first failing triple of all.
         """
         q = self.quiver
         table = self.table

@@ -140,6 +140,8 @@ def _graph_fields(doc):
     halves = doc["half_edges"]
     if len(set(halves)) != len(halves):
         raise SchemaError("duplicate half-edge id")
+    if not isinstance(halves, list):
+        raise SchemaError("half_edges must be a JSON list")
     hset = set(halves)
     if not all(isinstance(h, str) for h in halves):
         raise SchemaError("half-edge ids must be strings")

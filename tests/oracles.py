@@ -14,6 +14,9 @@ so each test compares two independent computations:
 * ``reduce_rightmost`` and ``last_redex``: a reduction that rewrites the
   rightmost redex, found by trying every tip at every position, with no
   tip index; on a confluent system it must agree with ``rewrite.reduce``.
+* ``check_all_triples``: associativity on all dim^3 basis triples, the
+  oracle of ``FiniteDimAlgebra.check_associative`` and
+  ``check_generator_triples``, which visit the composable ones only.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from bga.deform import FormalCheck
-from bga.errors import BgaError
+from bga.errors import BgaError, NonAssociative
 from bga.paths import Element
 from bga.rewrite import (
     ReductionSystem,
@@ -305,3 +308,35 @@ def reduce_rightmost(system, element):
                 terms.pop(k, None)
             todo.append(k)
     return Element(system.quiver, terms)
+
+
+# -- associativity --------------------------------------------------------------
+
+def times(table, x, y):
+    """Sparse product of the coordinate dicts x and y through ``table``."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            for k, c in table.get((i, j), {}).items():
+                out[k] = out.get(k, 0) + a * b * c
+    return {k: c for k, c in out.items() if c}
+
+
+def check_all_triples(alg):
+    """Associativity on every basis triple (i, j, k), composable or not;
+    raises NonAssociative for the first failing one, with the dense
+    coordinate vectors of (b_i b_j) b_k and b_i (b_j b_k)."""
+    table = alg.table
+    idx = range(alg.dim)
+    for i in idx:
+        for j in idx:
+            ij = times(table, {i: 1}, {j: 1})
+            for k in idx:
+                lhs = times(table, ij, {k: 1})
+                rhs = times(table, {i: 1}, times(table, {j: 1}, {k: 1}))
+                if lhs != rhs:
+                    dense = [[Fraction(v.get(n, 0)) for n in idx]
+                             for v in (lhs, rhs)]
+                    raise NonAssociative(
+                        f"triple {i},{j},{k}: {dense[0]} != {dense[1]}")
+    return True

@@ -1,24 +1,36 @@
-"""The generator-triple associativity check against the all-triples oracle.
+"""The associativity checks against the all-triples oracle.
 
 ``check_generator_triples`` visits only (x, y, g) with x, y non-idempotent
 basis paths and g an arrow, and skips those with x * y = 0 and y * g = 0;
-``check_associative`` visits every basis triple.  Both must agree on the
-outcome, and on a failure raise the same NonAssociative message, whose
-coordinate vectors must also be the dense ``multiply_coords`` products.
+``check_associative``, its failure path, visits the composable basis
+triples; ``oracles.check_all_triples`` visits every basis triple.  All three
+must agree on the outcome, and on a failure raise the same NonAssociative
+message, whose coordinate vectors must also be the dense
+``multiply_coords`` products.
 The lemma behind the first restriction (a triple with an idempotent in it
 always holds) and the table the checks read (NF(b_i * b_j) for every
 ordered pair, a pair absent exactly when its product is 0) are tested
 straight from ``alg.table`` on the same t = 1 algebras.
 """
 
+import hashlib
 import json
 import re
+import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import check_all_triples, times
 
+from bga.deform import deformed_algebra
 from bga.errors import NonAssociative
-from bga.fixtures import fixture_doc, fixture_rules, generated_family
+from bga.fixtures import (
+    even_cycle_doc,
+    fixture_doc,
+    fixture_rules,
+    generated_family,
+)
 from bga.hochschild import parallel_paths, standard_cocycles
 from bga.paths import Element
 from bga.presentation import (
@@ -94,8 +106,9 @@ def outcome(check):
 
 def assert_agree(alg, label):
     fast = outcome(alg.check_generator_triples)
-    full = outcome(alg.check_associative)
-    assert fast == full, label
+    composable = outcome(alg.check_associative)
+    full = outcome(lambda: check_all_triples(alg))
+    assert fast == composable == full, label
     if full is True:
         return True
     i, j, k = map(int, re.match(r"triple (\d+),(\d+),(\d+):", full).groups())
@@ -129,16 +142,6 @@ def test_fixtures_and_standard_cocycles_agree_with_oracle():
         assert_agree(alg, label)
         cases += 1
     assert cases >= 60
-
-
-def times(table, x, y):
-    """Sparse product of the coordinate dicts x and y through ``table``."""
-    out = {}
-    for i, a in x.items():
-        for j, b in y.items():
-            for k, c in table.get((i, j), {}).items():
-                out[k] = out.get(k, 0) + a * b * c
-    return {k: c for k, c in out.items() if c}
 
 
 def assert_idempotent_triples_hold(alg, label):
@@ -248,3 +251,28 @@ def test_a_failure_with_a_zero_first_product_is_found():
     assert not assert_agree(alg, label)
     assert outcome(alg.check_generator_triples) == (
         f"triple {x},{x},{y}: {[F(0)] * 4} != {[F(0), F(0), F(1), F(2)]}")
+
+
+# the message of the all-triples scan on the case below: triple 64,66,320
+CYCLE64_MESSAGE_SHA256 = (
+    "5fe4ad3045ce77eb5dc4dd50276bade977b1c3ce408b2d4aaecb9111a30a16eb")
+
+
+def test_a_failure_at_dimension_512_is_named_quickly():
+    # the 64-cycle with every multiplicity 2 has dimension 512; its first
+    # (a) rule deformed by its origin idempotent fails at t = 1, and the
+    # failure path visits the composable triples only, not all 512^3
+    g = parse_ribbon_graph(even_cycle_doc(32, [2] * 64))
+    system = reduction_system(g, bipartition(g))
+    ri = next(i for i, r in enumerate(system.rules) if r.info[0] == "a")
+    origin = system.rules[ri].tip[0]
+    start = time.perf_counter()
+    with pytest.raises(NonAssociative) as exc:
+        deformed_algebra(system, {ri: Element.idempotent(system.quiver,
+                                                         origin)})
+    assert time.perf_counter() - start < 5
+    assert len(irreducible_words(system)) == 512
+    message = str(exc.value)
+    assert message.startswith("triple 64,66,320: ")
+    assert hashlib.sha256(message.encode()).hexdigest() \
+        == CYCLE64_MESSAGE_SHA256

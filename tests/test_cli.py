@@ -216,6 +216,26 @@ def test_a_half_edge_id_with_a_bar_is_a_schema_error(tmp_path, capsys,
         2, '{"detail":"half-edge id \'v|1\' contains \'|\'","error":"schema"}\n')
 
 
+# one edge u -- v; a string of half-edge ids would be read letter by
+# letter, and an object by its keys
+ONE_EDGE = {"vertices": [{"id": "u", "multiplicity": 1},
+                         {"id": "v", "multiplicity": 2}],
+            "incidence": {"a": "u", "b": "v"}, "pairing": [["a", "b"]],
+            "rotation": {"u": ["a"], "v": ["b"]}}
+
+
+@pytest.mark.parametrize("halves", ["ab", {"a": 1, "b": 2}],
+                         ids=["string", "object"])
+def test_half_edges_that_are_not_a_list_are_a_schema_error(tmp_path, capsys,
+                                                           halves):
+    path = tmp_path / "halves.json"
+    path.write_text(json.dumps(dict(ONE_EDGE, half_edges=halves)))
+    assert run(capsys, "validate", "--input", str(path)) == (
+        2, '{"detail":"half_edges must be a JSON list","error":"schema"}\n')
+    path.write_text(json.dumps(dict(ONE_EDGE, half_edges=["a", "b"])))
+    assert run(capsys, "validate", "--input", str(path))[0] == 0
+
+
 def test_malformed_graph_document(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"vertices\": []")
@@ -368,6 +388,20 @@ def test_cochain_document_without_values(tmp_path, capsys):
                         "--deform-type", "custom", "--cochain", str(path))
     assert code == 2
     assert doc["error"] == "schema"
+
+
+def test_cochain_document_naming_a_tip_twice_is_a_schema_error(tmp_path,
+                                                               capsys):
+    # two values on EX1's tip b*b would otherwise leave only the last one
+    path = tmp_path / "cochain.json"
+    path.write_text(json.dumps({"values": [
+        {"tip": ["b", "b"],
+         "element": [{"vertex": "b|g", "word": [], "coeff": c}]}
+        for c in ("1", "5")]}))
+    for t in ("1", "formal:2"):
+        assert run(capsys, "deform", "--input", "EX1", "--deform-type",
+                   "custom", "--cochain", str(path), "--t", t) == (
+            2, '{"detail":"duplicate tip b*b","error":"schema"}\n')
 
 
 def test_out_flag_to_missing_directory(tmp_path, capsys):

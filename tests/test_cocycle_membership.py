@@ -29,7 +29,7 @@ from bga.hochschild import (
     vector_from_cochain,
     verify_basis,
 )
-from bga.linalg import kernel_basis
+from bga.linalg import kernel
 from bga.presentation import reduction_system
 from bga.rewrite import irreducible_basis
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
@@ -70,7 +70,7 @@ def test_row_membership_matches_verify_cocycle_on_fixtures():
     verdicts = {True: 0, False: 0}
     for label, system, alg in SYSTEMS:
         report = hh2(system, alg)
-        vecs = kernel_basis(report.rows, report.cochain_dim)
+        vecs = kernel(report.rows, report.cochain_dim)
         vecs += report.coboundaries[0] + report.representatives
         vecs += family_vectors(label, report)
         for vec in vecs:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from bga.errors import NotASubspace
 from bga.linalg import (
     annihilates,
-    kernel_basis,
+    kernel,
     quotient,
     rank,
     residual,
@@ -38,20 +38,21 @@ def test_rank():
     assert rank(m([0, 0, 0])) == 0
 
 
-def test_kernel_basis_free_columns_in_order():
-    # x + 2y + 3z = 0: free columns 1 and 2
-    ker = kernel_basis(m([1, 2, 3]), 3)
-    assert ker == m([-2, 1, 0], [-3, 0, 1])
+def test_kernel_is_rref_with_free_columns_as_pivots():
+    # x + 2y + 3z = 0: the row pivots at its last column, z, so x and y are
+    # free and pivot the kernel's rref
+    ker = kernel(m([1, 2, 3]), 3)
+    assert ker == m([1, 0, F(-1, 3)], [0, 1, F(-2, 3)])
     for v in ker:
         assert dot(m([1, 2, 3])[0], v) == 0
 
 
 def test_kernel_of_full_rank_matrix_is_trivial():
-    assert kernel_basis(m([1, 0], [0, 1]), 2) == []
+    assert kernel(m([1, 0], [0, 1]), 2) == []
 
 
 def test_kernel_of_zero_matrix_is_everything():
-    ker = kernel_basis(m([0, 0]), 2)
+    ker = kernel(m([0, 0]), 2)
     assert ker == m([1, 0], [0, 1])
 
 
@@ -95,7 +96,7 @@ def small_matrices(draw):
 @given(small_matrices())
 def test_rank_nullity(mn):
     rows, ncols = mn
-    ker = kernel_basis(rows, ncols)
+    ker = kernel(rows, ncols)
     assert rank(rows) + len(ker) == ncols
     for v in ker:
         for row in rows:
@@ -223,9 +224,12 @@ def test_sparse_rref_equals_dense_rref(mn):
 @settings(max_examples=150, deadline=None)
 @given(dense_matrices())
 def test_sparse_kernel_equals_dense_kernel(mn):
+    # kernel returns the rref of the null space, unique, so it must match
+    # the dense kernel basis once that is reduced
     rows, ncols = mn
-    ker = kernel_basis(m(*rows), ncols)
-    assert [densify(v, ncols) for v in ker] == dense_kernel(rows, ncols)
+    ker = kernel(m(*rows), ncols)
+    expected, _ = dense_rref(dense_kernel(rows, ncols), ncols)
+    assert [densify(v, ncols) for v in ker] == expected
     assert sparse_form_ok(ker)
 
 
