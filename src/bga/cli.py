@@ -26,7 +26,7 @@ from .errors import (
 )
 from .fixtures import fixture_doc, fixture_rules
 from .hochschild import hh2, standard_cocycles, verify_basis
-from .paths import element_from_doc, element_to_doc
+from .paths import element_from_doc, element_to_doc, word_from_doc
 from .presentation import (
     quiver_from_graph,
     reduction_system,
@@ -211,7 +211,7 @@ def _cochain_from_values_doc(system, doc):
     cochain = {}
     try:
         for entry in doc["values"]:
-            tip = tuple(entry["tip"])
+            tip = word_from_doc(entry["tip"])
             if tip not in by_tip:
                 raise UsageError(f"no rule with tip {'*'.join(tip)}")
             if by_tip[tip] in cochain:

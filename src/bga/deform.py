@@ -1,10 +1,12 @@
 """Deformations of a confluent reduction system along a parallel 2-cochain.
 
-A 2-cochain assigns to each rule an element parallel to its tip.  Deforming
-replaces every right-hand side phi(s) by phi(s) + t * psi(s), either formally
-(coefficients in Q[t]/(t^D)) or at t = 1 (plain rationals).  The tips never
-change, so the deformed system has the same irreducible words; what can break
-is confluence, and the checks here measure exactly that.
+A 2-cochain assigns to each rule a combination of irreducible paths parallel
+to its tip; ``rewrite.check_cochain`` validates it in the same way for every
+check here, at every truncation degree.  Deforming replaces every right-hand
+side phi(s) by phi(s) + t * psi(s), either formally (coefficients in
+Q[t]/(t^D)) or at t = 1 (plain rationals).  The tips never change, so the
+deformed system has the same irreducible words; what can break is
+confluence, and the checks here measure exactly that.
 
 ``verify_lift`` decides the formal case from reductions in the base system
 alone, one plain-rational term dict per power of t, and it is exact.
@@ -30,13 +32,13 @@ from __future__ import annotations
 from itertools import zip_longest
 
 from . import rewrite
-from .errors import NonTerminating, SchemaError
+from .errors import NonTerminating
 from .linalg import rank
-from .paths import Element, render, render_key
+from .paths import Element, render
 from .rewrite import (
     ReductionSystem,
     Rule,
-    check_parallel,
+    check_cochain,
     enumerate_ambiguities,
     irreducible_basis,
     overlap_sides,
@@ -84,29 +86,17 @@ class FormalCheck:
                 f"difference {render(diff)}")
 
 
-def _check_irreducible_values(system, cochain):
-    """The SchemaError a system of the deformed rules would raise, in rule
-    order, when a cochain value has a monomial that contains a tip."""
-    for ri, rule in enumerate(system.rules):
-        value = cochain.get(ri)
-        if value is not None and any(system.first_redex(word) is not None
-                                     for _, word in value.terms):
-            raise SchemaError(
-                f"rhs of {render_key(rule.tip)} is itself reducible")
-
-
 def verify_lift(system, cochain, degree):
     """Whether the rules deformed to rhs + t * psi over Q[t]/(t^degree)
     resolve every overlap, from traced reductions in the base system; see
     the module docstring.
 
-    The cochain is validated first: ``check_parallel``, then, when t
-    survives the truncation, the SchemaError the deformed rules would
-    raise for a value monomial that contains a tip.  The witness of a
-    failure is the first failing overlap, the difference of its two sides,
-    and the lowest order at which they differ.  The difference holds, per
-    path, its constant when t does not occur in it, else its polynomial in
-    t up to the highest order either side reaches, as text.  An overlap
+    The cochain is validated first by ``check_cochain``, at every degree,
+    degree 1 included.  The witness of a failure is the first failing
+    overlap, the difference of its two sides, and the lowest order at which
+    they differ.  The difference holds, per path, its constant when t does
+    not occur in it, else its polynomial in t up to the highest order either
+    side reaches, as text.  An overlap
     u|v|w has left side lift(uvw), and its right side sums
     c * lift(times_u(k)) shifted by n over the terms c * k of the order n
     of lift(vw).  Lifts stop at their last nonzero order, so a nilpotent
@@ -116,9 +106,7 @@ def verify_lift(system, cochain, degree):
     and NonTerminating is raised when one call has written more than
     ``rewrite.MAX_REDUCE_LETTERS`` letters.
     """
-    check_parallel(system, cochain)
-    if degree > 1:
-        _check_irreducible_values(system, cochain)
+    check_cochain(system, cochain)
     nf = system.normal_form
     budget = rewrite.MAX_REDUCE_LETTERS
     letters = 0
@@ -192,7 +180,7 @@ def deformed_algebra(system, cochain):
     """The t = 1 specialization, every rhs phi(s) replaced by
     phi(s) + psi(s), as a finite-dimensional algebra.
 
-    The cochain is validated by ``check_parallel``.  Tips are unchanged,
+    The cochain is validated by ``check_cochain``.  Tips are unchanged,
     so the basis of irreducible words is the base one.  The specialization
     is a well-defined algebra iff its structure constants are associative,
     and that is checked on the triples (x, y, g) with x, y non-idempotent
@@ -204,7 +192,7 @@ def deformed_algebra(system, cochain):
     NonAssociative is raised when a triple fails, naming the first failing
     basis triple (i, j, k) of all dim^3.
     """
-    check_parallel(system, cochain)
+    check_cochain(system, cochain)
     rules = []
     for ri, rule in enumerate(system.rules):
         rhs = rule.rhs

@@ -31,17 +31,13 @@ and the explicit standard cocycle family are available as cross-checks.
 
 from __future__ import annotations
 
-from .errors import (
-    NonParallelCochain,
-    NotApplicable,
-    RequiresConfluentSystem,
-)
+from .errors import NotApplicable, RequiresConfluentSystem
 from .linalg import annihilates, quotient, rank, residual, rref
 from .paths import Element, element_to_doc
 from .presentation import cycle_word, dimension_formula
 from .rewrite import (
+    check_cochain,
     check_diamond,
-    check_parallel,
     enumerate_ambiguities,
     overlap_sides,
     reduce,  # noqa: F401 - bench/tests reads the binding hochschild.reduce
@@ -85,20 +81,13 @@ def cochain_from_vector(alg, coords, vec):
 
 
 def vector_from_cochain(system, coords, cochain):
-    """Sparse coordinate vector {j: c} of a cochain; every monomial must be
-    a parallel irreducible basis path."""
-    check_parallel(system, cochain)
+    """Sparse coordinate vector {j: c} of a cochain, validated by
+    ``check_cochain``: every monomial is then a parallel irreducible path,
+    so a coordinate."""
+    check_cochain(system, cochain)
     index = {pair: j for j, pair in enumerate(coords)}
-    vec = {}
-    for ri, value in cochain.items():
-        for key, c in value.terms.items():
-            j = index.get((ri, key))
-            if j is None:
-                raise NonParallelCochain(
-                    f"monomial {key!r} on rule {ri} is not an irreducible "
-                    "basis path")
-            vec[j] = c
-    return vec
+    return {index[(ri, key)]: c for ri, value in cochain.items()
+            for key, c in value.terms.items()}
 
 
 def cochain_values_doc(system, cochain):

@@ -2,11 +2,12 @@
 
 A vector is a dict {column: value} of its nonzero entries, a matrix is a
 list of such rows.  Values are exact rationals: ``int`` when integral, else
-``Fraction``.  All eliminations are exact Gauss-Jordan on these rows, and
+``Fraction``.  Every value an elimination computes keeps that contract, so
+an integral result never stays a ``Fraction`` and the arithmetic on it stays
+integer.  All eliminations are exact Gauss-Jordan on these rows, and
 ``kernel`` reads the RREF of a null space off a single one.  The one
 division, the pivot inverse in ``rref``, divides ``Fraction(1)``, so
-nothing here is numerical.  A pivot of 1 or -1 is not divided by, so rows
-of integers with such pivots stay integral.
+nothing here is numerical.
 """
 
 from __future__ import annotations
@@ -19,17 +20,16 @@ _F1 = Fraction(1)
 
 
 def _sub_scaled(row, f, other):
-    """row -= f * other, in place; entries that cancel are dropped."""
+    """row -= f * other, in place; entries that cancel are dropped, and
+    integral ones are kept as int."""
     for c, x in other.items():
-        v = row.get(c)
-        if v is None:
-            row[c] = -f * x
+        v = row.get(c, 0) - f * x
+        if not v:
+            del row[c]
+        elif v.denominator == 1:
+            row[c] = v.numerator
         else:
-            v -= f * x
-            if v:
-                row[c] = v
-            else:
-                del row[c]
+            row[c] = v
 
 
 def _clear_pivots(row, done):
@@ -57,11 +57,11 @@ def rref(rows, ncols=None):
         if not row:
             continue
         p = min(row)
-        if row[p] == -1:
-            row = {c: -x for c, x in row.items()}
-        elif row[p] != 1:
+        if row[p] != 1:
             inv = _F1 / row[p]
-            row = {c: x * inv for c, x in row.items()}
+            for c, x in row.items():
+                x *= inv
+                row[c] = x.numerator if x.denominator == 1 else x
         for other in done.values():
             f = other.get(p)
             if f:
@@ -87,7 +87,7 @@ def kernel(rows, ncols):
     last = ncols - 1
     red, pivots = rref([{last - c: x for c, x in r.items()} for r in rows])
     pivot_set = {last - p for p in pivots}
-    vecs = {f: {f: _F1} for f in range(ncols) if f not in pivot_set}
+    vecs = {f: {f: 1} for f in range(ncols) if f not in pivot_set}
     for row, p in zip(red, pivots):
         for c, x in row.items():
             if c != p:

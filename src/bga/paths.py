@@ -207,12 +207,21 @@ def rational(text):
     return c.numerator if c.denominator == 1 else c
 
 
+def word_from_doc(value):
+    """A word read from a document, where it must be a JSON list of arrow
+    names: a string is not read letter by letter, nor an object by its
+    keys."""
+    if not isinstance(value, list):
+        raise SchemaError(f"word {value!r} is not a JSON list")
+    return tuple(value)
+
+
 def element_from_doc(quiver, doc):
     """Inverse of element_to_doc; raises SchemaError on a malformed list."""
     terms = {}
     try:
         for entry in doc:
-            key = quiver.key(entry["vertex"], tuple(entry["word"]))
+            key = quiver.key(entry["vertex"], word_from_doc(entry["word"]))
             terms[key] = terms.get(key, 0) + rational(entry["coeff"])
     except DOCUMENT_ERRORS as exc:
         raise SchemaError(f"malformed element: {exc!r}") from exc

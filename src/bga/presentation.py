@@ -23,7 +23,7 @@ from .errors import (
     RequiresConfluentSystem,
     SchemaError,
 )
-from .paths import Element, Quiver, rational
+from .paths import Element, Quiver, rational, word_from_doc
 # reduce is unused here, but bench/tests checks the name that spans rebinds
 from .rewrite import ReductionSystem, Rule, check_diamond, reduce
 from .ribbon import bipartition as default_bipartition
@@ -187,10 +187,11 @@ def rules_from_doc(quiver, doc):
     rules = []
     try:
         for entry in doc["rules"]:
-            tip = quiver.word_key(tuple(entry["tip"]))
+            tip = quiver.word_key(word_from_doc(entry["tip"]))
             terms = {}
             for coeff, word in entry["rhs"]:
-                key = quiver.word_key(tuple(word)) if word else (tip[0], ())
+                word = word_from_doc(word)
+                key = quiver.word_key(word) if word else (tip[0], ())
                 terms[key] = terms.get(key, 0) + rational(coeff)
             rules.append(Rule(tip, Element(quiver, terms)))
     except DOCUMENT_ERRORS as exc:

@@ -49,14 +49,14 @@ class Rule:
 class ReductionSystem:
     """Validated rule list over a fixed quiver.
 
-    The tips are indexed by their first two letters and by their last two
-    letters, as ``{letter pair: [(length, tip word, rule index)]}``.  Every
-    tip has length >= 2 and no tip is a subword of another, so at most one
-    tip starts (or ends) at any position of a word: a redex query is one
-    pair lookup per position, plus one comparison per tip sharing that
-    pair, and the suffix test is one lookup per word.  An occurrence that
-    starts further left also ends further left, so the leftmost redex by
-    start is the leftmost by end.
+    The tips are indexed once, by their last two letters, as
+    ``{letter pair: [(length, tip word, rule index)]}``.  Every tip has
+    length >= 2 and no tip is a subword of another, so at most one tip ends
+    at any position of a word, and an occurrence that ends further left
+    also starts further left: the redex query walks the end positions from
+    the left, one pair lookup per position plus one comparison per tip
+    ending in that pair, and its first hit is the leftmost redex.  The
+    suffix test is one lookup per word.
 
     The system is also the memo of its single-path normal forms.
     ``normal_form(key)`` is the normal form of the path as a term dict and
@@ -72,8 +72,7 @@ class ReductionSystem:
     is freed without the cyclic garbage collector.
     """
 
-    __slots__ = ("quiver", "rules", "_heads", "_ends", "_ambiguities",
-                 "_memo")
+    __slots__ = ("quiver", "rules", "_ends", "_ambiguities", "_memo")
 
     def __init__(self, quiver, rules):
         self.quiver = quiver
@@ -87,16 +86,13 @@ class ReductionSystem:
             tips.append(tuple(word))
         if len(set(tips)) != len(tips):
             raise SchemaError("duplicate tip")
-        heads, ends = {}, {}
+        ends = self._ends = {}
         for ri, tip in enumerate(tips):
-            entry = (len(tip), tip, ri)
-            heads.setdefault(tip[:2], []).append(entry)
-            ends.setdefault(tip[-2:], []).append(entry)
-        self._heads, self._ends = heads, ends
+            ends.setdefault(tip[-2:], []).append((len(tip), tip, ri))
         for a in tips:
-            inner = [ri for i in range(len(a) - 1)
-                     for k, tip, ri in heads.get(a[i:i + 2], ())
-                     if k < len(a) and a[i:i + k] == tip]
+            inner = [ri for j in range(2, len(a) + 1)
+                     for k, tip, ri in ends.get(a[j - 2:j], ())
+                     if k <= j and k < len(a) and a[j - k:j] == tip]
             if inner:
                 raise SchemaError(
                     f"tip {tips[min(inner)]!r} is a subword of tip {a!r}")
@@ -118,13 +114,14 @@ class ReductionSystem:
 
     def first_redex(self, word):
         """Leftmost (position, rule_index) redex, or None if irreducible."""
-        heads = self._heads
-        for i in range(len(word) - 1):
-            hit = heads.get(word[i:i + 2])
+        ends = self._ends
+        for i in range(2, len(word) + 1):
+            hit = ends.get(word[i - 2:i])
             if hit is not None:
                 for k, tip, ri in hit:
-                    if word[i:i + k] == tip:
-                        return i, ri
+                    # k <= i, or the slice would wrap round to the word's end
+                    if k <= i and word[i - k:i] == tip:
+                        return i - k, ri
         return None
 
     def tip_is_suffix(self, word):
@@ -148,9 +145,13 @@ class ReductionSystem:
         return (self._memo.get(key) or self._reduce_path(key))[1]
 
 
-def check_parallel(system, cochain):
-    """Validate a 2-cochain: dict rule_index -> Element, each monomial of a
-    value running parallel to that rule's tip."""
+def check_cochain(system, cochain):
+    """Validate a 2-cochain, dict rule_index -> Element, as the values of
+    deformed rules: first every monomial of a value must run parallel to
+    its rule's tip (NonParallelCochain, values in cochain order), then no
+    monomial may contain a tip (the SchemaError ``ReductionSystem`` raises
+    for a reducible rhs, rules in rule order).  So a valid value is a sum of
+    parallel irreducible paths."""
     q = system.quiver
     for ri, value in cochain.items():
         rule = system.rules[ri]
@@ -161,6 +162,11 @@ def check_parallel(system, cochain):
                 raise NonParallelCochain(
                     f"value on {render_key(rule.tip)} has non-parallel "
                     f"monomial {render_key(key)}")
+    for ri in sorted(cochain):
+        if any(system.first_redex(word) is not None
+               for _, word in cochain[ri].terms):
+            raise SchemaError(f"rhs of {render_key(system.rules[ri].tip)} "
+                              "is itself reducible")
 
 
 def reduce(system, element, trace=None):

@@ -29,7 +29,7 @@ from bga.paths import Element
 from bga.rewrite import (
     ReductionSystem,
     Rule,
-    check_parallel,
+    check_cochain,
     enumerate_ambiguities,
     reduce,
     resolve_overlap,
@@ -192,7 +192,7 @@ class DeformedSystem:
 
 def deform(system, cochain, ctx):
     """Deform each rhs by t times the cochain value, coefficients in ctx."""
-    check_parallel(system, cochain)
+    check_cochain(system, cochain)
     rules = []
     for ri, rule in enumerate(system.rules):
         terms = {k: ctx.from_fraction(c) for k, c in rule.rhs.terms.items()}

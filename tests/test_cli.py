@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bga.cli import main
-from bga.fixtures import fixture_doc
+from bga.fixtures import fixture_doc, fixture_rules
 
 
 def run(capsys, *argv):
@@ -311,7 +311,7 @@ def test_selftest_green(capsys):
         assert f["ok"], f["fixture"]
 
 
-def _positions(doc, path=()):
+def positions(doc, path=()):
     """The path of every value in a JSON document, the root included."""
     yield path
     if isinstance(doc, dict):
@@ -321,10 +321,10 @@ def _positions(doc, path=()):
     else:
         items = ()
     for key, value in items:
-        yield from _positions(value, path + (key,))
+        yield from positions(value, path + (key,))
 
 
-def _replaced(doc, path, value):
+def replaced(doc, path, value):
     if not path:
         return value
     doc = copy.deepcopy(doc)
@@ -352,9 +352,9 @@ def test_a_graph_document_with_one_value_replaced_gets_a_json_report(
     # a documented exit code, never a traceback
     doc = json.loads(fixture_doc(data.draw(
         st.sampled_from(["EX1", "DBL", "ANN2"]))))
-    path = data.draw(st.sampled_from(list(_positions(doc))))
+    path = data.draw(st.sampled_from(list(positions(doc))))
     target = tmp_path_factory.getbasetemp() / "mutated_graph.json"
-    target.write_text(json.dumps(_replaced(doc, path, data.draw(JSON_VALUES))))
+    target.write_text(json.dumps(replaced(doc, path, data.draw(JSON_VALUES))))
     for command in ("validate", "info"):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -388,6 +388,37 @@ def test_cochain_document_without_values(tmp_path, capsys):
                         "--deform-type", "custom", "--cochain", str(path))
     assert code == 2
     assert doc["error"] == "schema"
+
+
+def _annulus_rules_with(edit):
+    rules = json.loads(fixture_rules("ANNULUS"))
+    edit(rules["rules"][0])
+    return rules
+
+
+# a word in a document is a JSON list of arrow names: a string would be
+# read letter by letter
+@pytest.mark.parametrize("argv, doc, word", [
+    (("deform", "--input", "EX1", "--deform-type", "custom", "--t",
+      "formal:2", "--cochain"),
+     {"values": [{"tip": "bb", "element": [
+         {"vertex": "b|g", "word": [], "coeff": "5"}]}]}, "bb"),
+    (("deform", "--input", "EX1", "--deform-type", "custom", "--t",
+      "formal:2", "--cochain"),
+     {"values": [{"tip": ["b", "b"], "element": [
+         {"vertex": "b|g", "word": "b", "coeff": "1"}]}]}, "b"),
+    (("diamond", "--input", "ANNULUS", "--rules"),
+     _annulus_rules_with(lambda rule: rule.update(tip="xy")), "xy"),
+    (("diamond", "--input", "ANNULUS", "--rules"),
+     _annulus_rules_with(lambda rule: rule.update(rhs=[["1", "yx"]])), "yx"),
+], ids=["cochain_tip", "element_word", "rule_tip", "rule_rhs_word"])
+def test_a_word_that_is_not_a_list_is_a_schema_error(tmp_path, capsys, argv,
+                                                     doc, word):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, *argv, str(path)) == (
+        2, '{"detail":"word \'%s\' is not a JSON list","error":"schema"}\n'
+        % word)
 
 
 def test_cochain_document_naming_a_tip_twice_is_a_schema_error(tmp_path,
@@ -544,9 +575,10 @@ def test_shipped_letter_budget_ends_a_growing_formal_lift_quickly(
     assert (code, json.loads(out)["error"]) == (1, "non_terminating")
 
 
-# at t = 1 the deformed rules are validated like any rule document: a value
-# that is itself reducible is unusable input, a non-parallel one a failed
-# check; both pinned byte for byte
+# a cochain is validated like the values of deformed rules, at t = 1 and
+# at every truncation degree, formal:1 included: a value that is itself
+# reducible is unusable input, a non-parallel one a failed check; both
+# pinned byte for byte
 @pytest.mark.parametrize("argv, tip, element, expected", [
     (("--input", "ANNULUS"), ["x", "y"],
      [{"vertex": "x|y", "word": ["x", "y"], "coeff": "1"}],
@@ -559,7 +591,7 @@ def test_shipped_letter_budget_ends_a_growing_formal_lift_quickly(
 def test_deform_t1_rejects_a_bad_custom_cochain(tmp_path, capsys, argv, tip,
                                                 element, expected):
     path = _cochain_file(tmp_path, tip, element)
-    for t in ("1", "formal:4"):
+    for t in ("1", "formal:1", "formal:4"):
         assert run(capsys, "deform", *argv, "--deform-type", "custom",
                    "--cochain", path, "--t", t) == expected
 

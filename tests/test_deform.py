@@ -18,7 +18,7 @@ from bga.presentation import (
 from bga.rewrite import (
     ReductionSystem,
     Rule,
-    check_parallel,
+    check_cochain,
     irreducible_basis,
     resolve_overlap,
 )
@@ -61,7 +61,7 @@ def test_rejects_non_parallel_value():
     # rule 2 has the loop tip a*a; d runs between different vertices
     bad = {2: Element.path(q, "a|d", ("d",))}
     with pytest.raises(NonParallelCochain):
-        check_parallel(sys_, bad)
+        check_cochain(sys_, bad)
     with pytest.raises(NonParallelCochain):
         deform(sys_, bad, FormalCtx(2))
 

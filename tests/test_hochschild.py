@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from oracles import verify_cocycle, zeroth_differential
 
-from bga.errors import NonParallelCochain, NotApplicable, RequiresConfluentSystem
+from bga.errors import NotApplicable, RequiresConfluentSystem, SchemaError
 from bga.fixtures import fixture_doc, fixture_rules, generated_family
 from bga.hochschild import (
     cochain_from_vector,
@@ -93,8 +93,9 @@ def test_vector_from_cochain_rejects_reducible_value():
     sys_, alg = setup("ANNULUS")
     coords = cochain_space(sys_, alg)
     bad = {0: Element.path(sys_.quiver, "x|y", ("x", "y"))}
-    with pytest.raises(NonParallelCochain):
+    with pytest.raises(SchemaError) as err:
         vector_from_cochain(sys_, coords, bad)
+    assert str(err.value) == "rhs of x*y is itself reducible"
 
 
 # -- differentials --------------------------------------------------------------

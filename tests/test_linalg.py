@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bga.errors import NotASubspace
 from bga.linalg import (
@@ -111,6 +111,28 @@ def test_rref_idempotent(mn):
     assert red2 == red and piv2 == piv
 
 
+@st.composite
+def integer_matrices(draw):
+    """Small matrices of int entries, as sparse rows."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols,
+                                  max_size=ncols), max_size=6))
+    return [{c: x for c, x in enumerate(r) if x} for r in rows], ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+@example(([{0: 2, 1: 4, 2: 6}, {0: 1, 1: 3, 2: 5}], 3))
+def test_integral_values_come_back_as_int(mn):
+    # values are int when integral, else Fraction: an integral Fraction
+    # would make every row cleared against it compute in Fraction
+    rows, ncols = mn
+    red, _ = rref(rows, ncols)
+    for row in red + kernel(rows, ncols):
+        for x in row.values():
+            assert type(x) is (int if x.denominator == 1 else F)
+
+
 # -- the dense reference ---------------------------------------------------------
 #
 # Dense Gauss-Jordan on lists of Fractions, as the engine did it before its
@@ -206,7 +228,7 @@ def dense_matrices(draw, ncols=None):
 
 
 def sparse_form_ok(rows):
-    return all(isinstance(x, F) and x for r in rows for x in r.values())
+    return all(isinstance(x, (int, F)) and x for r in rows for x in r.values())
 
 
 @settings(max_examples=150, deadline=None)

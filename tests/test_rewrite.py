@@ -103,6 +103,25 @@ def test_rejects_subword_tips():
         ])
 
 
+def test_tips_sharing_their_last_two_letters():
+    # z*y*x, x*y*x and y*y*x all end in y*x: the redex is the leftmost by
+    # start, and a subword error names the inner tip of least rule index
+    q = Quiver(vertices=["1"], arrows={a: ("1", "1") for a in "xyz"})
+    tips = [("z", "y", "x"), ("x", "y", "x"), ("y", "y", "x")]
+    sys = ReductionSystem(q, [Rule(q.word_key(t), Element.zero(q))
+                              for t in tips])
+    assert sys.first_redex(("y", "y", "x", "y", "x")) == (0, 2)
+    assert sys.first_redex(("x", "z", "y", "x", "y", "x")) == (1, 0)
+    assert sys.first_redex(("z", "z", "x", "y", "y", "x")) == (3, 2)
+    assert sys.first_redex(("y", "x")) is None
+    assert sys.first_redex(("x", "y", "z", "y", "y")) is None
+    with pytest.raises(SchemaError) as err:
+        ReductionSystem(q, [Rule(q.word_key(t), Element.zero(q)) for t in
+                            tips + [("y", "y", "x", "z", "y", "x")]])
+    assert str(err.value) == ("tip ('z', 'y', 'x') is a subword of tip "
+                              "('y', 'y', 'x', 'z', 'y', 'x')")
+
+
 def test_rejects_non_parallel_rhs():
     g = graph("EX1")
     quiver = quiver_from_graph(g, EX1_BP1)
