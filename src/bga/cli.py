@@ -33,7 +33,7 @@ from .presentation import (
     rules_from_doc,
     two_cycle_set,
 )
-from .rewrite import check_diamond, irreducible_basis, irreducible_words
+from .rewrite import FiniteDimAlgebra, check_diamond, irreducible_words
 from .ribbon import Bipartition, bipartition, boundary_walks, parse_ribbon_graph
 
 def _error_code(exc):
@@ -161,7 +161,7 @@ def cmd_info(args):
 
 def cmd_basis(args):
     _, system, _ = _load(args)
-    alg = irreducible_basis(system)
+    alg = FiniteDimAlgebra(system)
     products = [[i, j, [[k, str(row[k])] for k in sorted(row)]]
                 for (i, j), row in sorted(alg.table.items())]
     emit({
@@ -190,7 +190,7 @@ def cmd_diamond(args):
 
 def cmd_hh2(args):
     g, system, _ = _load(args)
-    alg = irreducible_basis(system)
+    alg = FiniteDimAlgebra(system)
     report = hh2(system, alg, graph=g)
     emit(report.to_doc(), args)
     return 0
@@ -199,7 +199,7 @@ def cmd_hh2(args):
 def cmd_cocycles(args):
     g, system, bp = _load(args)
     family = standard_cocycles(g, bp or bipartition(g), system)
-    report = verify_basis(hh2(system, irreducible_basis(system)),
+    report = verify_basis(hh2(system, FiniteDimAlgebra(system)),
                           [s.cochain for s in family])
     emit({"cocycles": [s.to_doc(system) for s in family],
           "verification": report.to_doc()}, args)
@@ -284,7 +284,7 @@ def _selftest_fixture(name):
     g = parse_ribbon_graph(fixture_doc(name))
     rules_text = fixture_rules(name)
     system = _system(g, rules_text, None)
-    alg = irreducible_basis(system)
+    alg = FiniteDimAlgebra(system)
     checks = [
         {"name": "dimension", "expected": g.dimension_sum(), "got": alg.dim},
         {"name": "confluent", "expected": True,

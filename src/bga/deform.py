@@ -36,11 +36,11 @@ from .errors import NonTerminating
 from .linalg import rank
 from .paths import Element, render
 from .rewrite import (
+    FiniteDimAlgebra,
     ReductionSystem,
     Rule,
     check_cochain,
     enumerate_ambiguities,
-    irreducible_basis,
     overlap_sides,
 )
 
@@ -183,14 +183,8 @@ def deformed_algebra(system, cochain):
     The cochain is validated by ``check_cochain``.  Tips are unchanged,
     so the basis of irreducible words is the base one.  The specialization
     is a well-defined algebra iff its structure constants are associative,
-    and that is checked on the triples (x, y, g) with x, y non-idempotent
-    basis paths and g an arrow only: every other basis path is z = z' * a
-    with z' a shorter basis path and a an arrow, and induction on |z| gives
-    (xy)z = ((xy)z')a = (x(yz'))a = x((yz')a) = x(y(z'a)) = x(yz); a
-    triple with an idempotent in it holds because e * z and z * e are z or
-    0 and table rows are parallel to their paths.
-    NonAssociative is raised when a triple fails, naming the first failing
-    basis triple (i, j, k) of all dim^3.
+    which ``FiniteDimAlgebra.check_associative`` decides; it raises
+    NonAssociative naming the first failing basis triple (i, j, k).
     """
     check_cochain(system, cochain)
     rules = []
@@ -201,8 +195,8 @@ def deformed_algebra(system, cochain):
             rhs = rhs + value
         rules.append(Rule(rule.tip, rhs, info=rule.info))
     at_one = ReductionSystem(system.quiver, rules)
-    alg = irreducible_basis(at_one)
-    alg.check_generator_triples()
+    alg = FiniteDimAlgebra(at_one)
+    alg.check_associative()
     return alg
 
 

@@ -9,7 +9,7 @@ Fixture names accepted by :func:`fixture_doc` and the CLI:
 
     EX1      two edges, three vertices, one multiplicity-2 vertex
     DBL      two vertices joined by a double edge (one bigon pair)
-    LOC      single edge, multiplicities (m, 1); parameter m, default 2
+    LOC_m    single edge, multiplicities (m, 1); LOC is LOC_2
     ANNULUS  one vertex, one loop (not bipartite; rules bundled)
     TORUS    one vertex, two interleaved loops (not bipartite; rules bundled)
     ANN2     loop plus pendant edge (not bipartite; rules bundled)
@@ -133,20 +133,20 @@ _RULES = {
 }
 
 
-def fixture_doc(name, m=2):
+def fixture_doc(name):
     """JSON text of a bundled graph, or None for a name outside the fixture
-    namespace.  LOC takes a multiplicity parameter; the spellings LOC,
-    LOC_m and LOC_3 style names are accepted, and a LOC_ name with a bad
-    parameter is a SchemaError."""
+    namespace.  LOC_m names the LOC graph of multiplicity m, and LOC is
+    LOC_2; a LOC_ name with a bad parameter is a SchemaError."""
     key = name.upper()
     if key in _GRAPHS:
         return json.dumps(_GRAPHS[key])
-    if key == "LOC" or key.startswith("LOC_"):
-        if key.startswith("LOC_"):
-            try:
-                m = int(key[4:])
-            except ValueError:
-                raise SchemaError(f"bad LOC parameter in {name!r}") from None
+    if key == "LOC":
+        key = "LOC_2"
+    if key.startswith("LOC_"):
+        try:
+            m = int(key[4:])
+        except ValueError:
+            raise SchemaError(f"bad LOC parameter in {name!r}") from None
         if m < 1:
             raise SchemaError("LOC multiplicity must be >= 1")
         return json.dumps(_loc(m))

@@ -385,17 +385,18 @@ def _combine(scaled_rows):
 
 
 class FiniteDimAlgebra:
-    """Irreducible-path basis plus the structure constants of NF(b_i * b_j),
-    built on first read of ``table``, so callers that need only the basis
-    never pay them.
+    """The algebra of a reduction system: its basis is the irreducible
+    words of the system, listed by ``irreducible_words``, and its structure
+    constants are NF(b_i * b_j), built on first read of ``table``, so
+    callers that need only the basis never pay them.
     """
 
     __slots__ = ("system", "quiver", "basis", "index", "_table")
 
-    def __init__(self, system, basis_keys):
+    def __init__(self, system):
         self.system = system
         self.quiver = system.quiver
-        self.basis = list(basis_keys)
+        self.basis = irreducible_words(system)
         self.index = {k: i for i, k in enumerate(self.basis)}
         self._table = None
 
@@ -456,50 +457,23 @@ class FiniteDimAlgebra:
         return vec
 
     def check_associative(self):
-        """Associativity on the composable basis triples; raises
-        NonAssociative.
+        """Associativity of the structure constants; raises NonAssociative.
 
-        The failure path of ``check_generator_triples``: the error names the
-        lexicographically first failing triple (i, j, k) with the coordinate
-        vectors of (b_i b_j) b_k and b_i (b_j b_k).  A triple with b_j not
-        ending at the origin of b_i, or b_k not ending at the origin of b_j,
-        has both sides 0 (table rows are parallel to their paths), so only
-        the composable triples are visited, bucketed by path target as in
-        ``table`` and in (i, j, k) order: the first failure is the first of
-        all dim^3.  Products come from the sparse rows of ``table``.
-        """
-        table = self.table
-        empty = {}
-        ending_at = self._ending_at()
-        for i, ki in enumerate(self.basis):
-            for j, kj in ending_at[ki[0]]:
-                ij = table.get((i, j), empty)
-                for k, _kk in ending_at[kj[0]]:
-                    lhs = _combine((c, table.get((m, k), empty))
-                                   for m, c in ij.items())
-                    rhs = _combine((c, table.get((i, m), empty))
-                                   for m, c in table.get((j, k), empty).items())
-                    if lhs != rhs:
-                        raise NonAssociative(
-                            f"triple {i},{j},{k}: {self._dense(lhs)} != "
-                            f"{self._dense(rhs)}")
-        return True
+        Only the triples (x, y, g) of non-idempotent basis paths x, y and
+        an arrow g are checked.  Every basis path z != e(v) is z' * a with
+        z' a shorter basis path (prefixes of irreducible words are
+        irreducible) and a an arrow, so by induction on |z|
 
-    def check_generator_triples(self):
-        """Associativity from the triples (x, y, g) of non-idempotent basis
-        paths x, y and an arrow g.
+            (xy)z = ((xy)z')a = (x(yz'))a = x((yz')a) = x(y(z'a)) = x(yz),
 
-        Every basis path z != e(v) is z' * a with z' a shorter basis path
-        (prefixes of irreducible words are irreducible) and a an arrow, so
-        by induction on |z| the triples (x, y, g) with g an idempotent or
-        an arrow imply all dim^3.  A triple that contains an idempotent
-        always holds: e * z is z or 0, z * e is z or 0, and table rows are
-        parallel to their paths.  Only composable triples can fail, and
-        one with x * y = 0 and y * g = 0 has both sides 0, so only the
-        composable triples with x * y or y * g nonzero are visited, each
-        summing (xy)g - x(yg) into one dict.
-        On a failure ``check_associative`` raises NonAssociative for the
-        first failing triple of all.
+        and these triples, with those whose g is an idempotent, imply all
+        dim^3.  A triple that contains an idempotent always holds: e * z is
+        z or 0, z * e is z or 0, and table rows are parallel to their
+        paths.  Only composable triples can fail, and one with x * y = 0
+        and y * g = 0 has both sides 0, so only the composable triples with
+        x * y or y * g nonzero are visited, each summing (xy)g - x(yg) into
+        one dict.  So a triple fails here iff some basis triple fails, and
+        then ``_first_failure`` names the first of all.
         """
         q = self.quiver
         table = self.table
@@ -528,10 +502,33 @@ class FiniteDimAlgebra:
                         for k, d in table.get((i, m), empty).items():
                             diff[k] = diff.get(k, 0) - c * d
                     if any(diff.values()):
-                        return self.check_associative()
+                        self._first_failure()
         return True
 
+    def _first_failure(self):
+        """Raise NonAssociative for the lexicographically first failing
+        basis triple (i, j, k), with the coordinate vectors of (b_i b_j) b_k
+        and b_i (b_j b_k); called only when one fails.
 
-def irreducible_basis(system):
-    """FiniteDimAlgebra on the irreducible words of the system."""
-    return FiniteDimAlgebra(system, irreducible_words(system))
+        A triple with b_j not ending at the origin of b_i, or b_k not
+        ending at the origin of b_j, has both sides 0 (table rows are
+        parallel to their paths), so only the composable triples are
+        visited, bucketed by path target as in ``table`` and in (i, j, k)
+        order: the first failure is the first of all dim^3.  Products come
+        from the sparse rows of ``table``.
+        """
+        table = self.table
+        empty = {}
+        ending_at = self._ending_at()
+        for i, ki in enumerate(self.basis):
+            for j, kj in ending_at[ki[0]]:
+                ij = table.get((i, j), empty)
+                for k, _kk in ending_at[kj[0]]:
+                    lhs = _combine((c, table.get((m, k), empty))
+                                   for m, c in ij.items())
+                    rhs = _combine((c, table.get((i, m), empty))
+                                   for m, c in table.get((j, k), empty).items())
+                    if lhs != rhs:
+                        raise NonAssociative(
+                            f"triple {i},{j},{k}: {self._dense(lhs)} != "
+                            f"{self._dense(rhs)}")

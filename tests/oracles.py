@@ -15,8 +15,9 @@ so each test compares two independent computations:
   rightmost redex, found by trying every tip at every position, with no
   tip index; on a confluent system it must agree with ``rewrite.reduce``.
 * ``check_all_triples``: associativity on all dim^3 basis triples, the
-  oracle of ``FiniteDimAlgebra.check_associative`` and
-  ``check_generator_triples``, which visit the composable ones only.
+  oracle of ``FiniteDimAlgebra.check_associative``, which visits the
+  triples of two basis paths and an arrow, and then, to name a failure,
+  the composable basis triples only.
 """
 
 from __future__ import annotations

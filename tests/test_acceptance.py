@@ -32,10 +32,10 @@ from bga.presentation import (
     rules_from_doc,
 )
 from bga.rewrite import (
+    FiniteDimAlgebra,
     ReductionSystem,
     Rule,
     check_diamond,
-    irreducible_basis,
 )
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 
@@ -44,12 +44,12 @@ F = Fraction
 EX1_SWAPPED = Bipartition({"w"}, {"v1", "v2"})
 
 
-def graph(name, **kw):
-    return parse_ribbon_graph(fixture_doc(name, **kw))
+def graph(name):
+    return parse_ribbon_graph(fixture_doc(name))
 
 
-def system_for(name, bp=None, **kw):
-    g = graph(name, **kw)
+def system_for(name, bp=None):
+    g = graph(name)
     if fixture_rules(name):
         return rules_from_doc(quiver_from_graph(g), json.loads(fixture_rules(name)))
     return reduction_system(g, bp)
@@ -60,19 +60,19 @@ def family_graphs():
         yield label, parse_ribbon_graph(doc)
 
 
-def _setup(name, bp=None, **kw):
-    sys_ = system_for(name, bp, **kw)
-    return sys_, irreducible_basis(sys_)
+def _setup(name, bp=None):
+    sys_ = system_for(name, bp)
+    return sys_, FiniteDimAlgebra(sys_)
 
 
 def test_criterion_1_dimension_formula():
     cases = [("EX1", graph("EX1")), ("DBL", graph("DBL"))]
-    cases += [(f"LOC_{m}", graph("LOC", m=m)) for m in range(1, 6)]
+    cases += [(f"LOC_{m}", graph(f"LOC_{m}")) for m in range(1, 6)]
     cases += list(family_graphs())
     assert len(cases) >= 27
     for label, g in cases:
         sys_ = reduction_system(g)
-        alg = irreducible_basis(sys_)
+        alg = FiniteDimAlgebra(sys_)
         assert alg.dim == g.dimension_sum(), \
             f"{label}: basis {alg.dim} != formula {g.dimension_sum()}"
 
@@ -96,7 +96,7 @@ def test_criterion_2_diamond_condition():
 def test_criterion_3_hh2_reproduction():
     results = []  # (label, target, computed, formula note)
     for m in range(1, 6):
-        rep = hh2(*_setup("LOC", m=m), graph=graph("LOC", m=m))
+        rep = hh2(*_setup(f"LOC_{m}"), graph=graph(f"LOC_{m}"))
         results.append((f"LOC_{m}", m, rep.hh2_dim, rep.formula_matches))
     for name, target in (("ANNULUS", 5), ("TORUS", 6), ("ANN2", 3)):
         rep = hh2(*_setup(name))
@@ -155,7 +155,7 @@ def test_criterion_5_standard_basis_everywhere():
             continue  # local algebras carry no standard family
         bp = bipartition(g)
         sys_ = reduction_system(g, bp)
-        alg = irreducible_basis(sys_)
+        alg = FiniteDimAlgebra(sys_)
         std = standard_cocycles(g, bp, sys_)
         report = verify_basis(hh2(sys_, alg), [s.cochain for s in std])
         assert report.all_cocycles, label

@@ -31,7 +31,7 @@ from bga.hochschild import (
 )
 from bga.linalg import kernel
 from bga.presentation import reduction_system
-from bga.rewrite import irreducible_basis
+from bga.rewrite import FiniteDimAlgebra
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 
 
@@ -90,7 +90,7 @@ def test_row_membership_matches_verify_cocycle_on_drawn_cochains(doc, data):
     assume(g.dimension_sum() <= 60 and len(g.edge_ids()) > 1)
     bp = bipartition(g)
     system = reduction_system(g, bp)
-    alg = irreducible_basis(system)
+    alg = FiniteDimAlgebra(system)
     report = hh2(system, alg)
     vec = {}
     for s in standard_cocycles(g, bp, system):

@@ -36,10 +36,10 @@ from bga.presentation import (
     rules_from_doc,
 )
 from bga.rewrite import (
+    FiniteDimAlgebra,
     ReductionSystem,
     Rule,
     enumerate_ambiguities,
-    irreducible_basis,
     reduce,
     resolve_overlap,
 )
@@ -261,7 +261,7 @@ def fixture_systems():
         yield label, reduction_system(parse_ribbon_graph(doc))
 
 
-SYSTEMS = [(label, sys_, irreducible_basis(sys_))
+SYSTEMS = [(label, sys_, FiniteDimAlgebra(sys_))
            for label, sys_ in fixture_systems()]
 
 
@@ -340,4 +340,4 @@ def test_cocycle_rows_and_coboundaries_match_on_drawn_graphs(doc):
     g = parse_ribbon_graph(doc)
     assume(g.dimension_sum() <= 60)
     system = reduction_system(g)
-    assert_same_maps("drawn", system, irreducible_basis(system))
+    assert_same_maps("drawn", system, FiniteDimAlgebra(system))

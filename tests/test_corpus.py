@@ -42,7 +42,7 @@ from bga.fixtures import (
 )
 from bga.hochschild import cochain_space
 from bga.presentation import quiver_from_graph, reduction_system, rules_from_doc
-from bga.rewrite import irreducible_basis
+from bga.rewrite import FiniteDimAlgebra
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 
 NAMED = ("EX1", "DBL", "ANNULUS", "TORUS", "ANN2",
@@ -164,7 +164,7 @@ def custom(corpus):
     rng = random.Random(22)
     for label, argv, source in inputs(corpus):
         system = system_of(source)
-        alg = irreducible_basis(system)
+        alg = FiniteDimAlgebra(system)
         coords = cochain_space(system, alg)
         for i in range(10):
             doc = random_cochain(rng, system, alg, coords)

@@ -7,7 +7,7 @@ from oracles import FormalCtx, deform, verify_formal
 
 from bga.deform import deformed_algebra, semisimplicity
 from bga.errors import NonAssociative, NonParallelCochain
-from bga.fixtures import fixture_doc, fixture_rules
+from bga.fixtures import fixture_doc, fixture_rules, generated_family
 from bga.hochschild import standard_cocycles
 from bga.paths import Element
 from bga.presentation import (
@@ -16,10 +16,10 @@ from bga.presentation import (
     rules_from_doc,
 )
 from bga.rewrite import (
+    FiniteDimAlgebra,
     ReductionSystem,
     Rule,
     check_cochain,
-    irreducible_basis,
     resolve_overlap,
 )
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
@@ -27,12 +27,12 @@ from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 F = Fraction
 
 
-def graph(name, **kw):
-    return parse_ribbon_graph(fixture_doc(name, **kw))
+def graph(name):
+    return parse_ribbon_graph(fixture_doc(name))
 
 
-def system_for(name, bp=None, **kw):
-    g = graph(name, **kw)
+def system_for(name, bp=None):
+    g = graph(name)
     if fixture_rules(name):
         return rules_from_doc(quiver_from_graph(g), json.loads(fixture_rules(name)))
     return reduction_system(g, bp)
@@ -42,7 +42,7 @@ def standard_setup(name):
     g = graph(name)
     bp = bipartition(g)
     sys_ = system_for(name)
-    alg = irreducible_basis(sys_)
+    alg = FiniteDimAlgebra(sys_)
     return g, bp, sys_, alg
 
 
@@ -148,10 +148,23 @@ def test_unit_shift_deformation_is_semisimple():
 
 def test_base_radical_dimensions():
     for name, rad in (("EX1", 5), ("DBL", 6)):
-        alg = irreducible_basis(system_for(name))
+        alg = FiniteDimAlgebra(system_for(name))
         report = semisimplicity(alg)
         assert (report.dim, report.radical_dim) == (alg.dim, rad), name
         assert not report
+    # A / rad = k^{Q0} and the quiver has one vertex per edge, so the
+    # radical has dimension dim - |E| on every graph
+    cases = [(name, graph(name), system_for(name))
+             for name in ("EX1", "DBL", "ANNULUS", "TORUS", "ANN2")
+             + tuple(f"LOC_{m}" for m in range(1, 6))]
+    for label, doc in generated_family():
+        g = parse_ribbon_graph(doc)
+        cases.append((label, g, reduction_system(g)))
+    for label, g, system in cases:
+        alg = FiniteDimAlgebra(system)
+        assert semisimplicity(alg).radical_dim \
+            == alg.dim - len(g.edge_ids()), label
+    assert len(cases) >= 30
 
 
 def test_non_cocycle_specialization_is_caught():

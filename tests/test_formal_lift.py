@@ -45,7 +45,7 @@ from bga.presentation import (
     reduction_system,
     rules_from_doc,
 )
-from bga.rewrite import irreducible_basis
+from bga.rewrite import FiniteDimAlgebra
 from bga.ribbon import bipartition, parse_ribbon_graph
 
 DEGREES = (1, 2, 3, 4, 6)
@@ -208,7 +208,7 @@ def test_traced_check_matches_the_oracle_on_drawn_cochains(doc, degree, data):
     assume(g.dimension_sum() <= 60 and len(g.edge_ids()) > 1)
     bp = bipartition(g)
     system = reduction_system(g, bp)
-    alg = irreducible_basis(system)
+    alg = FiniteDimAlgebra(system)
     coords = cochain_space(system, alg)
     cochain = {}
     for s in standard_cocycles(g, bp, system):

@@ -25,26 +25,26 @@ from bga.presentation import (
     reduction_system,
     rules_from_doc,
 )
-from bga.rewrite import ReductionSystem, Rule, irreducible_basis
+from bga.rewrite import FiniteDimAlgebra, ReductionSystem, Rule
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 
 F = Fraction
 
 
-def graph(name, **kw):
-    return parse_ribbon_graph(fixture_doc(name, **kw))
+def graph(name):
+    return parse_ribbon_graph(fixture_doc(name))
 
 
-def system_for(name, bp=None, **kw):
-    g = graph(name, **kw)
+def system_for(name, bp=None):
+    g = graph(name)
     if fixture_rules(name):
         return rules_from_doc(quiver_from_graph(g), json.loads(fixture_rules(name)))
     return reduction_system(g, bp)
 
 
-def setup(name, bp=None, **kw):
-    sys_ = system_for(name, bp, **kw)
-    alg = irreducible_basis(sys_)
+def setup(name, bp=None):
+    sys_ = system_for(name, bp)
+    alg = FiniteDimAlgebra(sys_)
     return sys_, alg
 
 
@@ -136,10 +136,10 @@ def test_cocycle_dim_is_cochain_dim_minus_rank_of_rows():
     # sum; rank-nullity on the kept constraint rows counts them again
     names = ["EX1", "DBL", "ANNULUS", "TORUS", "ANN2"]
     systems = [(n, *setup(n)) for n in names]
-    systems += [(f"LOC_{m}", *setup("LOC", m=m)) for m in range(1, 6)]
+    systems += [(f"LOC_{m}", *setup(f"LOC_{m}")) for m in range(1, 6)]
     for label, doc in generated_family():
         sys_ = reduction_system(parse_ribbon_graph(doc))
-        systems.append((label, sys_, irreducible_basis(sys_)))
+        systems.append((label, sys_, FiniteDimAlgebra(sys_)))
     for label, sys_, alg in systems:
         report = hh2(sys_, alg)
         assert report.cocycle_dim == report.cochain_dim - rank(report.rows), \
@@ -173,8 +173,8 @@ def test_loc_dimensions_match_multiplicity():
     expected = {1: (2, 2, 1, 1), 2: (12, 6, 4, 2),
                 3: (16, 8, 5, 3), 4: (20, 10, 6, 4)}
     for m, d in expected.items():
-        g = graph("LOC", m=m)
-        rep = hh2(*setup("LOC", m=m), graph=g)
+        g = graph(f"LOC_{m}")
+        rep = hh2(*setup(f"LOC_{m}"), graph=g)
         assert dims(rep) == d, m
         assert rep.formula == m and rep.formula_matches
 
@@ -338,7 +338,7 @@ def test_standard_family_on_tree_with_higher_multiplicities():
     one = bipartition(g)
     for bp in (one, Bipartition(one.part_two, one.part_one)):
         sys_ = reduction_system(g, bp)
-        alg = irreducible_basis(sys_)
+        alg = FiniteDimAlgebra(sys_)
         rep = hh2(sys_, alg, graph=g)
         assert rep.hh2_dim == 4 and rep.formula_matches
         std = standard_cocycles(g, bp, sys_)
@@ -354,8 +354,8 @@ def test_standard_family_needs_construction_data():
 
 
 def test_standard_family_rejects_single_edge():
-    g = graph("LOC", m=2)
-    sys_, alg = setup("LOC", m=2)
+    g = graph("LOC_2")
+    sys_, alg = setup("LOC_2")
     with pytest.raises(NotApplicable):
         standard_cocycles(g, Bipartition({"p"}, {"q"}), sys_)
 

@@ -1,14 +1,17 @@
 """Every name a module of the package imports, and every private name it
 defines at module level, is read in that module; every public function,
 class and method is read somewhere in the package; only ``rewrite`` knows
-the layout of an overlap; the docstring examples run."""
+the layout of an overlap; the docstring examples run; every method that
+the bench spans hook is reached by the commands the bench runs."""
 
 import ast
 import doctest
 import importlib
+import time
 from pathlib import Path
 
 import bga
+from bga import cli
 
 SRC = Path(bga.__file__).parent
 
@@ -193,3 +196,29 @@ def test_docstring_examples_pass():
         assert failed == 0, path.stem
         attempted += tried
     assert attempted >= 3
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_every_method_the_bench_spans_hook_is_reached(monkeypatch, capsys):
+    # a renamed or bypassed method leaves its span or counter at 0
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+    tracer = spans.Tracer()
+    patches = spans.install(tracer, time.perf_counter)
+    try:
+        for argv in (["hh2"], ["cocycles"],
+                     ["deform", "--deform-type", "A", "--t", "formal:4"],
+                     ["deform", "--deform-type", "A", "--t", "1",
+                      "--check-semisimple"],
+                     ["basis"]):
+            assert cli.main(argv + ["--input", "EX1"]) == 0, argv
+    finally:
+        spans.uninstall(patches)
+    capsys.readouterr()
+    reached = set(tracer.names) | set(tracer.counts)
+    hooked = {name for (module, cls, method), name
+              in {**spans._METHODS, **spans._COUNTED}.items()
+              if (module, f"{cls}.{method}") not in UNREAD_BY_THE_PACKAGE}
+    assert sorted(hooked - reached) == []

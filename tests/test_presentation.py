@@ -22,8 +22,8 @@ import json
 F = Fraction
 
 
-def graph(name, **kw):
-    return parse_ribbon_graph(fixture_doc(name, **kw))
+def graph(name):
+    return parse_ribbon_graph(fixture_doc(name))
 
 
 def rules_dict(system):
@@ -107,14 +107,14 @@ def test_dbl_system():
 
 def test_loc_systems():
     for m in (2, 3, 5):
-        sys = reduction_system(graph("LOC", m=m))
+        sys = reduction_system(graph(f"LOC_{m}"))
         assert rules_dict(sys) == {
             ("x",) * m: {("y",): F(1)},
             ("y", "y"): {},
             ("x", "y"): {},
             ("y", "x"): {},
         }
-    sys1 = reduction_system(graph("LOC", m=1))
+    sys1 = reduction_system(graph("LOC_1"))
     assert rules_dict(sys1) == {("y", "y"): {}}
 
 
@@ -134,7 +134,7 @@ def test_non_bipartite_graph_has_no_derived_system():
 
 def test_plain_presentation_of_loc_is_one_power():
     for m in (1, 2, 4):
-        pres = build_presentation(graph("LOC", m=m))
+        pres = build_presentation(graph(f"LOC_{m}"))
         assert sorted(pres.quiver.arrows) == ["x"]
         assert len(pres.relations) == 1
         el = pres.relations[0]
@@ -180,13 +180,13 @@ def test_dimension_formula():
     assert dimension_formula(graph("EX1")) == 2
     assert dimension_formula(graph("DBL")) == 6
     for m in range(1, 6):
-        assert dimension_formula(graph("LOC", m=m)) == m
+        assert dimension_formula(graph(f"LOC_{m}")) == m
     with pytest.raises(NotApplicable):
         dimension_formula(graph("ANNULUS"))
 
 
 def test_dimension_formula_single_edge_both_multiplicities_large():
-    doc = json.loads(fixture_doc("LOC", m=2))
+    doc = json.loads(fixture_doc("LOC_2"))
     doc["vertices"][1]["multiplicity"] = 3
     g = parse_ribbon_graph(json.dumps(doc))
     assert dimension_formula(g) == 2 + 3 + 1

@@ -25,15 +25,15 @@ from bga.presentation import (
     reduction_system,
     rules_from_doc,
 )
-from bga.rewrite import irreducible_basis, reduce
+from bga.rewrite import FiniteDimAlgebra, reduce
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 
 TRIALS = 200
 F = Fraction
 
 
-def system_for(name, bp=None, **kw):
-    g = parse_ribbon_graph(fixture_doc(name, **kw))
+def system_for(name, bp=None):
+    g = parse_ribbon_graph(fixture_doc(name))
     if fixture_rules(name):
         return rules_from_doc(quiver_from_graph(g), json.loads(fixture_rules(name)))
     return reduction_system(g, bp)
@@ -43,14 +43,14 @@ def labeled_systems():
     yield "EX1", system_for("EX1")
     yield "EX1-swapped", system_for("EX1", Bipartition({"w"}, {"v1", "v2"}))
     yield "DBL", system_for("DBL")
-    yield "LOC_2", system_for("LOC", m=2)
-    yield "LOC_3", system_for("LOC", m=3)
+    yield "LOC_2", system_for("LOC_2")
+    yield "LOC_3", system_for("LOC_3")
     yield "ANNULUS", system_for("ANNULUS")
     yield "TORUS", system_for("TORUS")
     yield "ANN2", system_for("ANN2")
 
 
-SYSTEMS = [(label, sys_, irreducible_basis(sys_))
+SYSTEMS = [(label, sys_, FiniteDimAlgebra(sys_))
            for label, sys_ in labeled_systems()]
 
 
@@ -170,7 +170,7 @@ def test_hh2_invariant_under_bipartition_swap():
         one = bipartition(g)
         for bp in (one, Bipartition(one.part_two, one.part_one)):
             sys_ = reduction_system(g, bp)
-            dims.append(hh2(sys_, irreducible_basis(sys_), graph=g).hh2_dim)
+            dims.append(hh2(sys_, FiniteDimAlgebra(sys_), graph=g).hh2_dim)
         assert dims[0] == dims[1], label
 
 

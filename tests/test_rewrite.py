@@ -19,11 +19,11 @@ from bga.presentation import (
 )
 from bga.rewrite import (
     Ambiguity,
+    FiniteDimAlgebra,
     Rule,
     ReductionSystem,
     check_diamond,
     enumerate_ambiguities,
-    irreducible_basis,
     irreducible_words,
     overlap_sides,
     reduce,
@@ -34,12 +34,12 @@ from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 F = Fraction
 
 
-def graph(name, **kw):
-    return parse_ribbon_graph(fixture_doc(name, **kw))
+def graph(name):
+    return parse_ribbon_graph(fixture_doc(name))
 
 
-def system_for(name, bp=None, **kw):
-    g = graph(name, **kw)
+def system_for(name, bp=None):
+    g = graph(name)
     if fixture_rules(name):
         return rules_from_doc(quiver_from_graph(g), json.loads(fixture_rules(name)))
     return reduction_system(g, bp)
@@ -219,7 +219,7 @@ def test_tip_index_matches_a_scan_of_every_tip():
 # -- ambiguities ---------------------------------------------------------------
 
 def test_loc_plain_power_rule_has_one_ambiguity():
-    g = graph("LOC", m=2)
+    g = graph("LOC_2")
     quiver = quiver_from_graph(g)  # only the loop x survives
     sys = rules_from_doc(quiver, {"rules": [{"tip": ["x", "x", "x"], "rhs": []}]})
     ambs = enumerate_ambiguities(sys)
@@ -270,7 +270,7 @@ def test_ambiguities_match_the_redex_scan_oracle():
     systems = [system_for(*args) for args in (
         ("EX1", EX1_BP1), ("EX1", None), ("DBL", None), ("LOC_3", None),
         ("ANNULUS", None), ("TORUS", None), ("ANN2", None))]
-    systems += [system_for("LOC", m=m) for m in range(1, 6)]
+    systems += [system_for(f"LOC_{m}") for m in range(1, 6)]
     systems += [reduction_system(parse_ribbon_graph(doc))
                 for _, doc in generated_family()]
     long = long_tip_star()
@@ -295,7 +295,7 @@ def test_diamond_passes_on_fixtures():
         assert report.confluent, args
         assert report.n_ambiguities > 0
     for m in range(1, 6):
-        assert check_diamond(system_for("LOC", m=m)).confluent
+        assert check_diamond(system_for(f"LOC_{m}")).confluent
 
 
 def test_diamond_fails_on_planted_system():
@@ -421,13 +421,13 @@ def test_ambiguities_are_enumerated_once_per_system():
 # -- bases ----------------------------------------------------------------------
 
 def test_ex1_basis_both_bipartitions():
-    alg1 = irreducible_basis(system_for("EX1", EX1_BP1))
+    alg1 = FiniteDimAlgebra(system_for("EX1", EX1_BP1))
     assert set(alg1.basis) == {
         ("a|d", ()), ("b|g", ()),
         ("a|d", ("a",)), ("b|g", ("b",)), ("b|g", ("b", "b")),
         ("b|g", ("g",)), ("a|d", ("d",)),
     }
-    alg2 = irreducible_basis(system_for("EX1"))
+    alg2 = FiniteDimAlgebra(system_for("EX1"))
     assert set(alg2.basis) == {
         ("a|d", ()), ("b|g", ()),
         ("b|g", ("b",)), ("b|g", ("g",)), ("a|d", ("d",)),
@@ -439,15 +439,15 @@ def test_ex1_basis_both_bipartitions():
 def test_fixture_dimensions_match_multiplicity_sum():
     for name in ("EX1", "DBL", "ANNULUS", "TORUS", "ANN2"):
         g = graph(name)
-        alg = irreducible_basis(system_for(name))
+        alg = FiniteDimAlgebra(system_for(name))
         assert alg.dim == g.dimension_sum(), name
     for m in range(1, 6):
-        alg = irreducible_basis(system_for("LOC", m=m))
+        alg = FiniteDimAlgebra(system_for(f"LOC_{m}"))
         assert alg.dim == m + 1
 
 
 def test_basis_order_is_breadth_first():
-    alg = irreducible_basis(system_for("LOC", m=3))
+    alg = FiniteDimAlgebra(system_for("LOC_3"))
     words = [k[1] for k in alg.basis]
     assert sorted(map(len, words)) == [len(w) for w in words]
     assert words[0] == () and all(words[1:])
@@ -462,7 +462,7 @@ def test_infinite_dimensional_detected():
 
 def test_mult_table_matches_reduce():
     sys = system_for("EX1", EX1_BP1)
-    alg = irreducible_basis(sys)
+    alg = FiniteDimAlgebra(sys)
     q = sys.quiver
     i = alg.index[("b|g", ("g",))]
     j = alg.index[("a|d", ("d",))]
@@ -473,7 +473,7 @@ def test_mult_table_matches_reduce():
 
 def test_mult_table_is_built_on_first_read():
     sys = system_for("DBL")
-    alg = irreducible_basis(sys)
+    alg = FiniteDimAlgebra(sys)
     hh2(sys, alg)
     assert alg._table is None  # HH^2 reads the basis only
     table = alg.table
@@ -488,12 +488,12 @@ def test_mult_table_is_built_on_first_read():
 
 def test_mult_table_associativity():
     for name in ("EX1", "DBL", "ANN2"):
-        alg = irreducible_basis(system_for(name))
+        alg = FiniteDimAlgebra(system_for(name))
         assert alg.check_associative()
 
 
 def test_idempotents_sum_to_unit():
-    alg = irreducible_basis(system_for("DBL"))
+    alg = FiniteDimAlgebra(system_for("DBL"))
     unit = [F(0)] * alg.dim
     for v in alg.quiver.vertices:
         unit[alg.index[(v, ())]] = F(1)

@@ -20,8 +20,8 @@ from bga.ribbon import (
 from bga.fixtures import fixture_doc
 
 
-def graph(name, **kw):
-    return parse_ribbon_graph(fixture_doc(name, **kw))
+def graph(name):
+    return parse_ribbon_graph(fixture_doc(name))
 
 
 # -- parsing and validation -------------------------------------------------
@@ -207,7 +207,7 @@ def test_ex1_single_face_no_bigons():
 
 
 def test_pendant_edge_face_is_not_a_bigon():
-    bw = boundary_walks(graph("LOC", m=2))
+    bw = boundary_walks(graph("LOC_2"))
     assert all(len(f) == 2 for f in bw.faces)
     assert bw.bigon_faces == []  # one endpoint truncated
 
@@ -215,7 +215,7 @@ def test_pendant_edge_face_is_not_a_bigon():
 def test_dimension_sum():
     assert graph("EX1").dimension_sum() == 1 * 1 + 2 * 1 + 1 * 4
     assert graph("DBL").dimension_sum() == 8
-    assert graph("LOC", m=3).dimension_sum() == 3 + 1
+    assert graph("LOC_3").dimension_sum() == 3 + 1
 
 
 # -- randomized round-trip ----------------------------------------------------
