@@ -190,8 +190,7 @@ def cmd_diamond(args):
 
 def cmd_hh2(args):
     g, system, _ = _load(args)
-    alg = FiniteDimAlgebra(system)
-    report = hh2(system, alg, graph=g)
+    report = hh2(FiniteDimAlgebra(system), graph=g)
     emit(report.to_doc(), args)
     return 0
 
@@ -199,7 +198,7 @@ def cmd_hh2(args):
 def cmd_cocycles(args):
     g, system, bp = _load(args)
     family = standard_cocycles(g, bp or bipartition(g), system)
-    report = verify_basis(hh2(system, FiniteDimAlgebra(system)),
+    report = verify_basis(hh2(FiniteDimAlgebra(system)),
                           [s.cochain for s in family])
     emit({"cocycles": [s.to_doc(system) for s in family],
           "verification": report.to_doc()}, args)
@@ -290,7 +289,7 @@ def _selftest_fixture(name):
         {"name": "confluent", "expected": True,
          "got": bool(check_diamond(system))},
     ]
-    report = hh2(system, alg, graph=g)
+    report = hh2(alg, graph=g)
     checks.append({"name": "hh2_dim", "expected": _SELFTEST_HH2[name],
                    "got": report.hh2_dim})
     if report.formula is not None:

@@ -13,9 +13,7 @@ DOCUMENT_ERRORS = (KeyError, IndexError, TypeError, ValueError,
 
 
 class BgaError(Exception):
-    def __init__(self, detail=""):
-        super().__init__(detail)
-        self.detail = detail
+    """Any error the package raises on purpose; ``str`` gives its text."""
 
 
 class InputError(BgaError):

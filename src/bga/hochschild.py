@@ -47,27 +47,19 @@ from .ribbon import boundary_walks, spanning_tree
 
 # -- coordinates --------------------------------------------------------------
 
-def parallel_paths(alg):
-    """{(origin, target): basis keys}, each list in basis order."""
-    q = alg.quiver
-    out = {}
-    for k in alg.basis:
-        out.setdefault((k[0], q.path_target(k)), []).append(k)
-    return out
-
-
-def cochain_space(system, alg):
+def cochain_space(alg):
     """Ordered coordinate system for 2-cochains.
 
-    One coordinate per (rule, parallel basis path) pair; the list length is
-    the cochain dimension.
+    One coordinate per (rule, parallel basis path) pair: rules in order,
+    paths in basis order, read off ``alg.ending_at``.
     """
     q = alg.quiver
-    parallel = parallel_paths(alg)
     out = []
-    for ri, rule in enumerate(system.rules):
-        for key in parallel.get((rule.tip[0], q.path_target(rule.tip)), ()):
-            out.append((ri, key))
+    for ri, rule in enumerate(alg.system.rules):
+        origin = rule.tip[0]
+        for _, key in alg.ending_at[q.path_target(rule.tip)]:
+            if key[0] == origin:
+                out.append((ri, key))
     return out
 
 
@@ -120,27 +112,28 @@ def _letter_occurrences(system):
 
 
 def one_cochain_coords(alg):
-    """(arrow, parallel basis path) pairs: arrows by name, parallels in
-    basis order."""
-    parallel = parallel_paths(alg)
+    """(arrow, parallel basis path) pairs: arrows by name, paths in basis
+    order, read off ``alg.ending_at``."""
     out = []
-    for name in sorted(alg.quiver.arrows):
-        for key in parallel.get(alg.quiver.arrows[name], ()):
-            out.append((name, key))
+    for name, (origin, target) in sorted(alg.quiver.arrows.items()):
+        for _, key in alg.ending_at[target]:
+            if key[0] == origin:
+                out.append((name, key))
     return out
 
 
-def coboundary_image(system, alg, coords):
-    """Spanning set of the coboundary subspace in cochain coordinates.
+def coboundary_image(alg, coords):
+    """Spanning set of the coboundary subspace in the cochain coordinates
+    ``coords`` of ``cochain_space(alg)``.
 
     One vector per ``one_cochain_coords`` pair (arrow, path): the first
     differential of that 1-cochain.  Each occurrence of the arrow in
     tip - rhs is replaced by the path, and the word so made is reduced once,
     through the system's memo that the cocycle rows share.
     """
-    nf = system.normal_form
+    nf = alg.system.normal_form
     index = {pair: j for j, pair in enumerate(coords)}
-    occurrences = _letter_occurrences(system)
+    occurrences = _letter_occurrences(alg.system)
     vecs = []
     for name, (_, path) in one_cochain_coords(alg):
         vec = {}
@@ -192,7 +185,7 @@ def _cocycle_rows(system, coords):
     return rows
 
 
-def cocycle_space(system, alg):
+def cocycle_space(alg):
     """The cochain coordinates and the cocycle constraint rows.
 
     A cochain psi is a cocycle iff deforming every rhs to rhs + t * psi
@@ -207,17 +200,18 @@ def cocycle_space(system, alg):
       steps of the base reduction, and a word is rewritten the same way
       wherever it occurs, so each path's steps may come from the memo.
 
-    Returns (coords, rows): a cochain vector over ``coords`` is a cocycle
-    iff its dot product with every row is 0, so the cocycle space is the
-    null space of the rows.  ``check_diamond`` runs before
-    the coordinates are listed, so a system with an unresolved overlap
-    raises RequiresConfluentSystem first.
+    Returns (coords, rows) for the system ``alg.system``: a cochain vector
+    over ``coords`` is a cocycle iff its dot product with every row is 0,
+    so the cocycle space is the null space of the rows.  ``check_diamond``
+    runs before the coordinates are listed, so a system with an unresolved
+    overlap raises RequiresConfluentSystem first.
     """
+    system = alg.system
     report = check_diamond(system)
     if not report:
         raise RequiresConfluentSystem(
             f"{len(report.failures)} unresolved overlaps")
-    coords = cochain_space(system, alg)
+    coords = cochain_space(alg)
     return coords, _cocycle_rows(system, coords)
 
 
@@ -226,27 +220,27 @@ def cocycle_space(system, alg):
 class HH2Report:
     """Dimension data and normalized representatives of the quotient.
 
-    ``rows`` are the cocycle constraint rows, so a cochain vector is a
-    cocycle iff its dot product with each of them is 0.  ``coboundaries``
-    is the eliminated coboundary image, the (rows, pivots) pair of
-    ``rref``.  Both are kept so that cochains can be tested later.
+    ``rows`` are the cocycle constraint rows of ``alg.system``, so a
+    cochain vector is a cocycle iff its dot product with each of them is 0.
+    ``coboundaries`` is the eliminated coboundary image, the (rows, pivots)
+    pair of ``rref``.  Both are kept so that cochains can be tested later.
+    The representatives complement the coboundaries in the cocycles.
     """
 
-    __slots__ = ("system", "alg", "coords", "rows", "cochain_dim",
-                 "cocycle_dim", "coboundaries", "coboundary_dim", "hh2_dim",
-                 "formula", "formula_matches", "representatives")
+    __slots__ = ("alg", "coords", "rows", "cochain_dim", "cocycle_dim",
+                 "coboundaries", "coboundary_dim", "hh2_dim", "formula",
+                 "formula_matches", "representatives")
 
-    def __init__(self, system, alg, coords, rows, cocycle_dim, coboundaries,
-                 formula, formula_matches, representatives):
-        self.system = system
+    def __init__(self, alg, coords, rows, coboundaries, formula,
+                 formula_matches, representatives):
         self.alg = alg
         self.coords = coords
         self.rows = rows
         self.cochain_dim = len(coords)
-        self.cocycle_dim = cocycle_dim
         self.coboundaries = coboundaries
         self.coboundary_dim = len(coboundaries[1])
         self.hh2_dim = len(representatives)
+        self.cocycle_dim = self.hh2_dim + self.coboundary_dim
         self.formula = formula
         self.formula_matches = formula_matches
         self.representatives = representatives
@@ -255,8 +249,8 @@ class HH2Report:
         basis = []
         for vec in self.representatives:
             cochain = cochain_from_vector(self.alg, self.coords, vec)
-            basis.append({"tag": "generic",
-                          "values": cochain_values_doc(self.system, cochain)})
+            values = cochain_values_doc(self.alg.system, cochain)
+            basis.append({"tag": "generic", "values": values})
         return {
             "cochain_dim": self.cochain_dim,
             "cocycle_dim": self.cocycle_dim,
@@ -268,9 +262,9 @@ class HH2Report:
         }
 
 
-def hh2(system, alg, graph=None):
-    """Cocycles modulo coboundaries, with the closed count when a bipartite
-    (or two-vertex local) graph is supplied.
+def hh2(alg, graph=None):
+    """Cocycles modulo coboundaries of ``alg``, with the closed count when a
+    bipartite (or two-vertex local) graph is supplied.
 
     ``cocycle_space`` runs the confluence check.  Both linear maps read
     the system's normal-form memo, which keeps the reduce steps the
@@ -279,8 +273,8 @@ def hh2(system, alg, graph=None):
     coboundaries (``linalg.quotient``), so no cocycle basis is listed and
     two eliminations do: the coboundary image and that kernel.
     """
-    coords, rows = cocycle_space(system, alg)
-    red, pivots = rref(coboundary_image(system, alg, coords))
+    coords, rows = cocycle_space(alg)
+    red, pivots = rref(coboundary_image(alg, coords))
     reps = quotient(rows, len(coords), red, pivots)
     formula = matches = None
     if graph is not None:
@@ -289,8 +283,7 @@ def hh2(system, alg, graph=None):
             matches = formula == len(reps)
         except NotApplicable:
             pass
-    return HH2Report(system, alg, coords, rows, len(reps) + len(pivots),
-                     (red, pivots), formula, matches, reps)
+    return HH2Report(alg, coords, rows, (red, pivots), formula, matches, reps)
 
 
 # -- the standard family ------------------------------------------------------
@@ -452,7 +445,7 @@ def verify_basis(report, cochains):
     annihilate its vector, which is exact by the argument of
     ``cocycle_space``.
     """
-    vecs = [vector_from_cochain(report.system, report.coords, c)
+    vecs = [vector_from_cochain(report.alg.system, report.coords, c)
             for c in cochains]
     all_cocycles = annihilates(report.rows, vecs)
     red, pivots = report.coboundaries

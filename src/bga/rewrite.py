@@ -388,16 +388,21 @@ class FiniteDimAlgebra:
     """The algebra of a reduction system: its basis is the irreducible
     words of the system, listed by ``irreducible_words``, and its structure
     constants are NF(b_i * b_j), built on first read of ``table``, so
-    callers that need only the basis never pay them.
+    callers that need only the basis never pay them.  ``ending_at`` is the
+    basis bucketed once by path target, ``{vertex: [(j, b_j)]}`` in basis
+    order, for the table, the failure scan and the HH^2 coordinates.
     """
 
-    __slots__ = ("system", "quiver", "basis", "index", "_table")
+    __slots__ = ("system", "quiver", "basis", "index", "ending_at", "_table")
 
     def __init__(self, system):
         self.system = system
-        self.quiver = system.quiver
+        q = self.quiver = system.quiver
         self.basis = irreducible_words(system)
         self.index = {k: i for i, k in enumerate(self.basis)}
+        ending_at = self.ending_at = {v: [] for v in q.vertices}
+        for j, kj in enumerate(self.basis):
+            ending_at[q.path_target(kj)].append((j, kj))
         self._table = None
 
     @property
@@ -405,30 +410,22 @@ class FiniteDimAlgebra:
         """{(i, j): {k: c}} with NF(b_i * b_j) = sum c * b_k, zero products
         omitted, in (i, j)-lexicographic order.
 
-        The basis is bucketed by path target once; for each i only the j
-        whose target is the origin of b_i are normalised, through the
-        system's normal-form memo, since every other product is zero.
+        For each i only the j in ``ending_at`` the origin of b_i are
+        normalised, through the system's normal-form memo, since every
+        other product is zero.
         """
         if self._table is None:
             q, index = self.quiver, self.index
             nf = self.system.normal_form
-            ending_at = self._ending_at()
             table = {}
             for i, ki in enumerate(self.basis):
-                for j, kj in ending_at[ki[0]]:
+                for j, kj in self.ending_at[ki[0]]:
                     row = {index[key]: c
                            for key, c in nf(q.concat_key(ki, kj)).items()}
                     if row:
                         table[(i, j)] = row
             self._table = table
         return self._table
-
-    def _ending_at(self):
-        """{vertex: [(j, b_j)]}, the basis paths ending there in basis order."""
-        ending_at = {v: [] for v in self.quiver.vertices}
-        for j, kj in enumerate(self.basis):
-            ending_at[self.quiver.path_target(kj)].append((j, kj))
-        return ending_at
 
     @property
     def dim(self):
@@ -513,13 +510,13 @@ class FiniteDimAlgebra:
         A triple with b_j not ending at the origin of b_i, or b_k not
         ending at the origin of b_j, has both sides 0 (table rows are
         parallel to their paths), so only the composable triples are
-        visited, bucketed by path target as in ``table`` and in (i, j, k)
+        visited, through ``ending_at`` as in ``table`` and in (i, j, k)
         order: the first failure is the first of all dim^3.  Products come
         from the sparse rows of ``table``.
         """
         table = self.table
         empty = {}
-        ending_at = self._ending_at()
+        ending_at = self.ending_at
         for i, ki in enumerate(self.basis):
             for j, kj in ending_at[ki[0]]:
                 ij = table.get((i, j), empty)

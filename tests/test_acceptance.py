@@ -8,15 +8,15 @@ complex and the discrepancy is documented in the README.  The assertion
 keeps the original targets, so that line stays red on purpose.
 """
 
-import json
 import random
 from fractions import Fraction
 
 import test_properties as props
+from loaders import algebra, graph, system_for
 from oracles import FormalCtx, deform, verify_formal
 
 from bga.deform import deformed_algebra, semisimplicity, verify_lift
-from bga.fixtures import fixture_doc, fixture_rules, generated_family
+from bga.fixtures import generated_family
 from bga.hochschild import (
     cochain_space,
     coboundary_image,
@@ -26,11 +26,7 @@ from bga.hochschild import (
 )
 from bga.linalg import residual, rref
 from bga.paths import Element, Quiver
-from bga.presentation import (
-    quiver_from_graph,
-    reduction_system,
-    rules_from_doc,
-)
+from bga.presentation import reduction_system
 from bga.rewrite import (
     FiniteDimAlgebra,
     ReductionSystem,
@@ -44,25 +40,9 @@ F = Fraction
 EX1_SWAPPED = Bipartition({"w"}, {"v1", "v2"})
 
 
-def graph(name):
-    return parse_ribbon_graph(fixture_doc(name))
-
-
-def system_for(name, bp=None):
-    g = graph(name)
-    if fixture_rules(name):
-        return rules_from_doc(quiver_from_graph(g), json.loads(fixture_rules(name)))
-    return reduction_system(g, bp)
-
-
 def family_graphs():
     for label, doc in generated_family():
         yield label, parse_ribbon_graph(doc)
-
-
-def _setup(name, bp=None):
-    sys_ = system_for(name, bp)
-    return sys_, FiniteDimAlgebra(sys_)
 
 
 def test_criterion_1_dimension_formula():
@@ -96,13 +76,13 @@ def test_criterion_2_diamond_condition():
 def test_criterion_3_hh2_reproduction():
     results = []  # (label, target, computed, formula note)
     for m in range(1, 6):
-        rep = hh2(*_setup(f"LOC_{m}"), graph=graph(f"LOC_{m}"))
+        rep = hh2(algebra(f"LOC_{m}"), graph=graph(f"LOC_{m}"))
         results.append((f"LOC_{m}", m, rep.hh2_dim, rep.formula_matches))
     for name, target in (("ANNULUS", 5), ("TORUS", 6), ("ANN2", 3)):
-        rep = hh2(*_setup(name))
+        rep = hh2(algebra(name))
         results.append((name, target, rep.hh2_dim, None))
     for name, target in (("EX1", 2), ("DBL", 6)):
-        rep = hh2(*_setup(name), graph=graph(name))
+        rep = hh2(algebra(name), graph=graph(name))
         results.append((name, target, rep.hh2_dim, rep.formula_matches))
         assert rep.formula == target and rep.formula_matches, name
     lines = [
@@ -120,8 +100,8 @@ def test_criterion_3_hh2_reproduction():
 
 
 def test_criterion_4_annulus_coboundary_characterization():
-    sys_, alg = _setup("ANNULUS")
-    coords = cochain_space(sys_, alg)
+    alg = algebra("ANNULUS")
+    coords = cochain_space(alg)
     # rule 0 is the commutation rule; rules 1 and 2 are the vanishing
     # squares; each has the four parallels e, x, y, yx in basis order
     kappa = coords.index((0, ("x|y", ("y", "x"))))
@@ -129,7 +109,7 @@ def test_criterion_4_annulus_coboundary_characterization():
           for w in [(), ("x",), ("y",), ("y", "x")]]
     nu = [coords.index((2, ("x|y", w)))
           for w in [(), ("x",), ("y",), ("y", "x")]]
-    red, piv = rref(coboundary_image(sys_, alg, coords))
+    red, piv = rref(coboundary_image(alg, coords))
     must_vanish = {kappa, mu[0], mu[2], nu[0], nu[1]}
     free = {mu[1], mu[3], nu[2], nu[3]}
     rng = random.Random(61)
@@ -157,7 +137,7 @@ def test_criterion_5_standard_basis_everywhere():
         sys_ = reduction_system(g, bp)
         alg = FiniteDimAlgebra(sys_)
         std = standard_cocycles(g, bp, sys_)
-        report = verify_basis(hh2(sys_, alg), [s.cochain for s in std])
+        report = verify_basis(hh2(alg), [s.cochain for s in std])
         assert report.all_cocycles, label
         assert report.independent, label
         assert report.count == report.hh2_dim, \
@@ -170,14 +150,15 @@ def test_criterion_6_formal_deformations():
     for name in ("EX1", "DBL"):
         g = graph(name)
         bp = bipartition(g)
-        sys_, alg = _setup(name)
+        alg = algebra(name)
+        sys_ = alg.system
         for s in standard_cocycles(g, bp, sys_):
             check = verify_formal(deform(sys_, s.cochain, FormalCtx(4)))
             assert check.passes, (name, s.label)
             check = verify_lift(sys_, s.cochain, 4)
             assert check.passes, (name, s.label)
     g = graph("DBL")
-    sys_, alg = _setup("DBL")
+    sys_ = system_for("DBL")
     std = {s.label: s.cochain
            for s in standard_cocycles(g, bipartition(g), sys_)}
     pair = dict(std["D1(w1,w2)"])
@@ -196,7 +177,8 @@ def test_criterion_6_formal_deformations():
 def test_criterion_7_semisimple_unit_shift():
     for name in ("EX1", "DBL"):
         g = graph(name)
-        sys_, alg = _setup(name)
+        alg = algebra(name)
+        sys_ = alg.system
         assert semisimplicity(alg).radical_dim > 0, name
         shift = standard_cocycles(g, bipartition(g), sys_)[0]
         assert shift.kind == "A"

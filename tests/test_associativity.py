@@ -31,7 +31,7 @@ from bga.fixtures import (
     fixture_rules,
     generated_family,
 )
-from bga.hochschild import parallel_paths, standard_cocycles
+from bga.hochschild import standard_cocycles
 from bga.paths import Element
 from bga.presentation import (
     quiver_from_graph,
@@ -202,9 +202,8 @@ def parallel_cochains(draw):
     for ri, rule in enumerate(system.rules):
         if not draw(st.booleans()):
             continue
-        par = [k for k in parallel_paths(alg).get(
-                   (rule.tip[0], q.path_target(rule.tip)), [])
-               if len(k[1]) < len(rule.tip[1])]
+        par = [k for _, k in alg.ending_at[q.path_target(rule.tip)]
+               if k[0] == rule.tip[0] and len(k[1]) < len(rule.tip[1])]
         keys = draw(st.lists(st.sampled_from(par), max_size=3, unique=True)) \
             if par else []
         cochain = add(cochain, {ri: Element(q, {

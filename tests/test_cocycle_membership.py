@@ -38,7 +38,7 @@ from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 def agree(report, cochain):
     """Both decisions for one cochain; returns the common verdict."""
     by_rows = verify_basis(report, [cochain]).all_cocycles
-    assert by_rows == verify_cocycle(report.system, cochain)
+    assert by_rows == verify_cocycle(report.alg.system, cochain)
     return by_rows
 
 
@@ -60,16 +60,16 @@ def family_vectors(label, report):
     g = parse_ribbon_graph(doc)
     if len(g.edge_ids()) == 1:
         return []
-    family = standard_cocycles(g, bp or bipartition(g), report.system)
-    return [vector_from_cochain(report.system, report.coords, s.cochain)
+    family = standard_cocycles(g, bp or bipartition(g), report.alg.system)
+    return [vector_from_cochain(report.alg.system, report.coords, s.cochain)
             for s in family]
 
 
 def test_row_membership_matches_verify_cocycle_on_fixtures():
     rng = random.Random(8)
     verdicts = {True: 0, False: 0}
-    for label, system, alg in SYSTEMS:
-        report = hh2(system, alg)
+    for label, _system, alg in SYSTEMS:
+        report = hh2(alg)
         vecs = kernel(report.rows, report.cochain_dim)
         vecs += report.coboundaries[0] + report.representatives
         vecs += family_vectors(label, report)
@@ -91,7 +91,7 @@ def test_row_membership_matches_verify_cocycle_on_drawn_cochains(doc, data):
     bp = bipartition(g)
     system = reduction_system(g, bp)
     alg = FiniteDimAlgebra(system)
-    report = hh2(system, alg)
+    report = hh2(alg)
     vec = {}
     for s in standard_cocycles(g, bp, system):
         c = data.draw(st.integers(-2, 2))

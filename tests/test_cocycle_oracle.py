@@ -266,10 +266,10 @@ SYSTEMS = [(label, sys_, FiniteDimAlgebra(sys_))
 
 
 def assert_same_maps(label, system, alg):
-    coords = cochain_space(system, alg)
+    coords = cochain_space(alg)
     traced = _cocycle_rows(system, coords)
     assert traced == symbolic_cocycle_rows(system, coords), label
-    assert coboundary_image(system, alg, coords) == \
+    assert coboundary_image(alg, coords) == \
         whole_system_coboundaries(system, alg, coords), label
 
 

@@ -165,7 +165,7 @@ def custom(corpus):
     for label, argv, source in inputs(corpus):
         system = system_of(source)
         alg = FiniteDimAlgebra(system)
-        coords = cochain_space(system, alg)
+        coords = cochain_space(alg)
         for i in range(10):
             doc = random_cochain(rng, system, alg, coords)
             path = corpus.file(doc)

@@ -1,20 +1,15 @@
-import json
-
 import pytest
 from fractions import Fraction
 
+from loaders import algebra, graph, system_for
 from oracles import FormalCtx, deform, verify_formal
 
 from bga.deform import deformed_algebra, semisimplicity
 from bga.errors import NonAssociative, NonParallelCochain
-from bga.fixtures import fixture_doc, fixture_rules, generated_family
+from bga.fixtures import generated_family
 from bga.hochschild import standard_cocycles
 from bga.paths import Element
-from bga.presentation import (
-    quiver_from_graph,
-    reduction_system,
-    rules_from_doc,
-)
+from bga.presentation import reduction_system
 from bga.rewrite import (
     FiniteDimAlgebra,
     ReductionSystem,
@@ -27,23 +22,11 @@ from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 F = Fraction
 
 
-def graph(name):
-    return parse_ribbon_graph(fixture_doc(name))
-
-
-def system_for(name, bp=None):
-    g = graph(name)
-    if fixture_rules(name):
-        return rules_from_doc(quiver_from_graph(g), json.loads(fixture_rules(name)))
-    return reduction_system(g, bp)
-
-
 def standard_setup(name):
     g = graph(name)
     bp = bipartition(g)
-    sys_ = system_for(name)
-    alg = FiniteDimAlgebra(sys_)
-    return g, bp, sys_, alg
+    alg = algebra(name)
+    return g, bp, alg.system, alg
 
 
 def cochain_sum(a, b):
@@ -148,7 +131,7 @@ def test_unit_shift_deformation_is_semisimple():
 
 def test_base_radical_dimensions():
     for name, rad in (("EX1", 5), ("DBL", 6)):
-        alg = FiniteDimAlgebra(system_for(name))
+        alg = algebra(name)
         report = semisimplicity(alg)
         assert (report.dim, report.radical_dim) == (alg.dim, rad), name
         assert not report

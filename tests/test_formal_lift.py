@@ -93,7 +93,7 @@ def test_traced_check_matches_the_oracle_on_fixtures():
     rng = random.Random(9)
     verdicts = {True: 0, False: 0}
     for label, system, alg in SYSTEMS:
-        report = hh2(system, alg)
+        report = hh2(alg)
         cochains = [{}] + standard_family(label, system)
         cochains += [cochain_from_vector(alg, report.coords, v)
                      for v in report.representatives]
@@ -159,7 +159,7 @@ def test_non_nilpotent_psi_matches_the_oracle():
     # Psi is not nilpotent on this cochain's words: one overlap's chain
     # carries a word that grows by a letter per order
     (_, system, alg), = [s for s in SYSTEMS if s[0] == "ANN2"]
-    report = hh2(system, alg)
+    report = hh2(alg)
     cochain = cochain_from_vector(alg, report.coords, {11: 1, 8: 1})
     assert {render_key(system.rules[ri].tip): render(value)
             for ri, value in cochain.items()} == \
@@ -209,7 +209,7 @@ def test_traced_check_matches_the_oracle_on_drawn_cochains(doc, degree, data):
     bp = bipartition(g)
     system = reduction_system(g, bp)
     alg = FiniteDimAlgebra(system)
-    coords = cochain_space(system, alg)
+    coords = cochain_space(alg)
     cochain = {}
     for s in standard_cocycles(g, bp, system):
         c = data.draw(st.integers(-2, 2))

@@ -3,10 +3,11 @@ import json
 import pytest
 from fractions import Fraction
 
+from loaders import algebra, graph, system_for
 from oracles import verify_cocycle, zeroth_differential
 
 from bga.errors import NotApplicable, RequiresConfluentSystem, SchemaError
-from bga.fixtures import fixture_doc, fixture_rules, generated_family
+from bga.fixtures import even_cycle_doc, generated_family, star_doc
 from bga.hochschild import (
     cochain_from_vector,
     cochain_space,
@@ -20,32 +21,11 @@ from bga.hochschild import (
 )
 from bga.linalg import kernel, rank, residual, rref
 from bga.paths import Element
-from bga.presentation import (
-    quiver_from_graph,
-    reduction_system,
-    rules_from_doc,
-)
+from bga.presentation import reduction_system
 from bga.rewrite import FiniteDimAlgebra, ReductionSystem, Rule
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 
 F = Fraction
-
-
-def graph(name):
-    return parse_ribbon_graph(fixture_doc(name))
-
-
-def system_for(name, bp=None):
-    g = graph(name)
-    if fixture_rules(name):
-        return rules_from_doc(quiver_from_graph(g), json.loads(fixture_rules(name)))
-    return reduction_system(g, bp)
-
-
-def setup(name, bp=None):
-    sys_ = system_for(name, bp)
-    alg = FiniteDimAlgebra(sys_)
-    return sys_, alg
 
 
 def unit(i):
@@ -72,17 +52,41 @@ TREE23 = json.dumps({
 # -- coordinates ----------------------------------------------------------------
 
 def test_annulus_cochain_coordinates():
-    sys_, alg = setup("ANNULUS")
-    coords = cochain_space(sys_, alg)
+    alg = algebra("ANNULUS")
+    coords = cochain_space(alg)
     # three rules, each with the four loop classes at the single vertex
     words = [(), ("x",), ("y",), ("y", "x")]
     assert coords == [(ri, ("x|y", w)) for ri in range(3) for w in words]
 
 
+def test_coordinates_are_the_parallel_pairs():
+    # brute force from the definition, in the order the golden digests rely
+    # on: each rule (arrow) with every basis path parallel to its tip (to
+    # it), rules in order (arrows by name) and paths in basis order
+    names = ["EX1", "DBL", "ANNULUS", "TORUS", "ANN2"]
+    names += [f"LOC_{m}" for m in range(1, 6)]
+    algebras = [(n, algebra(n)) for n in names]
+    docs = generated_family() + [("star16", star_doc(16, [3] + [2] * 16)),
+                                 ("cycle32", even_cycle_doc(32, [2] * 64))]
+    algebras += [(label, FiniteDimAlgebra(
+        reduction_system(parse_ribbon_graph(doc)))) for label, doc in docs]
+    for label, alg in algebras:
+        q = alg.quiver
+        ends = {k: (k[0], q.path_target(k)) for k in alg.basis}
+        assert cochain_space(alg) == [
+            (ri, k) for ri, rule in enumerate(alg.system.rules)
+            for k in alg.basis
+            if ends[k] == (rule.tip[0], q.path_target(rule.tip))], label
+        assert one_cochain_coords(alg) == [
+            (name, k) for name in sorted(q.arrows) for k in alg.basis
+            if ends[k] == q.arrows[name]], label
+
+
 def test_vector_cochain_round_trip():
-    sys_, alg = setup("ANNULUS")
+    alg = algebra("ANNULUS")
+    sys_ = alg.system
     q = sys_.quiver
-    coords = cochain_space(sys_, alg)
+    coords = cochain_space(alg)
     vec = {3: F(2), 4: F(-1), 11: F(5)}
     cochain = cochain_from_vector(alg, coords, vec)
     assert vector_from_cochain(sys_, coords, cochain) == vec
@@ -90,8 +94,9 @@ def test_vector_cochain_round_trip():
 
 
 def test_vector_from_cochain_rejects_reducible_value():
-    sys_, alg = setup("ANNULUS")
-    coords = cochain_space(sys_, alg)
+    alg = algebra("ANNULUS")
+    sys_ = alg.system
+    coords = cochain_space(alg)
     bad = {0: Element.path(sys_.quiver, "x|y", ("x", "y"))}
     with pytest.raises(SchemaError) as err:
         vector_from_cochain(sys_, coords, bad)
@@ -101,7 +106,8 @@ def test_vector_from_cochain_rejects_reducible_value():
 # -- differentials --------------------------------------------------------------
 
 def test_differentials_compose_to_zero():
-    sys_, alg = setup("EX1", EX1_BP1)
+    alg = algebra("EX1", EX1_BP1)
+    sys_ = alg.system
     q = sys_.quiver
     phi = {"a|d": Element.path(q, "a|d", ("a",), F(3)),
            "b|g": Element.path(q, "b|g", ("b", "b"), F(-2))
@@ -110,7 +116,7 @@ def test_differentials_compose_to_zero():
     assert psi
     # d^1 psi, combined from the coboundary image's (arrow, path) vectors
     index = {pair: i for i, pair in enumerate(one_cochain_coords(alg))}
-    image = coboundary_image(sys_, alg, cochain_space(sys_, alg))
+    image = coboundary_image(alg, cochain_space(alg))
     vec = {}
     for name, value in psi.items():
         for key, c in value.terms.items():
@@ -121,11 +127,11 @@ def test_differentials_compose_to_zero():
 
 def test_coboundaries_are_cocycles():
     for name in ("EX1", "DBL", "ANNULUS", "ANN2"):
-        sys_, alg = setup(name)
-        coords, rows = cocycle_space(sys_, alg)
+        alg = algebra(name)
+        coords, rows = cocycle_space(alg)
         red = kernel(rows, len(coords))
         piv = [min(v) for v in red]
-        for v in coboundary_image(sys_, alg, coords):
+        for v in coboundary_image(alg, coords):
             assert not residual(red, piv, v), name
 
 
@@ -135,13 +141,13 @@ def test_cocycle_dim_is_cochain_dim_minus_rank_of_rows():
     # hh2 counts the cocycles as representatives plus coboundaries, a direct
     # sum; rank-nullity on the kept constraint rows counts them again
     names = ["EX1", "DBL", "ANNULUS", "TORUS", "ANN2"]
-    systems = [(n, *setup(n)) for n in names]
-    systems += [(f"LOC_{m}", *setup(f"LOC_{m}")) for m in range(1, 6)]
+    algebras = [(n, algebra(n)) for n in names]
+    algebras += [(f"LOC_{m}", algebra(f"LOC_{m}")) for m in range(1, 6)]
     for label, doc in generated_family():
-        sys_ = reduction_system(parse_ribbon_graph(doc))
-        systems.append((label, sys_, FiniteDimAlgebra(sys_)))
-    for label, sys_, alg in systems:
-        report = hh2(sys_, alg)
+        algebras.append((label, FiniteDimAlgebra(
+            reduction_system(parse_ribbon_graph(doc)))))
+    for label, alg in algebras:
+        report = hh2(alg)
         assert report.cocycle_dim == report.cochain_dim - rank(report.rows), \
             label
 
@@ -152,19 +158,19 @@ def dims(report):
 
 def test_ex1_dimensions_and_formula():
     g = graph("EX1")
-    sys_, alg = setup("EX1")
-    rep = hh2(sys_, alg, graph=g)
+    alg = algebra("EX1")
+    rep = hh2(alg, graph=g)
     assert dims(rep) == (7, 4, 2, 2)
     assert rep.formula == 2 and rep.formula_matches
-    sys1, alg1 = setup("EX1", EX1_BP1)
-    rep1 = hh2(sys1, alg1, graph=g)
+    alg1 = algebra("EX1", EX1_BP1)
+    rep1 = hh2(alg1, graph=g)
     assert dims(rep1) == (14, 6, 4, 2)
     assert rep1.formula == 2 and rep1.formula_matches
 
 
 def test_dbl_dimensions_and_formula():
     g = graph("DBL")
-    rep = hh2(*setup("DBL"), graph=g)
+    rep = hh2(algebra("DBL"), graph=g)
     assert dims(rep) == (16, 9, 3, 6)
     assert rep.formula == 6 and rep.formula_matches
 
@@ -174,33 +180,37 @@ def test_loc_dimensions_match_multiplicity():
                 3: (16, 8, 5, 3), 4: (20, 10, 6, 4)}
     for m, d in expected.items():
         g = graph(f"LOC_{m}")
-        rep = hh2(*setup(f"LOC_{m}"), graph=g)
+        rep = hh2(algebra(f"LOC_{m}"), graph=g)
         assert dims(rep) == d, m
         assert rep.formula == m and rep.formula_matches
 
 
 def test_annulus_dimensions():
-    assert dims(hh2(*setup("ANNULUS"))) == (12, 9, 4, 5)
+    assert dims(hh2(algebra("ANNULUS"))) == (12, 9, 4, 5)
 
 
 def test_torus_dimensions():
     # regression pin; confirmed against an independent complex
-    assert dims(hh2(*setup("TORUS"))) == (28, 10, 8, 2)
+    assert dims(hh2(algebra("TORUS"))) == (28, 10, 8, 2)
 
 
 def test_ann2_dimensions():
     # regression pin; confirmed against an independent complex
-    assert dims(hh2(*setup("ANN2"))) == (12, 7, 3, 4)
+    assert dims(hh2(algebra("ANN2"))) == (12, 7, 3, 4)
 
 
 def test_requires_confluence():
+    # finite-dimensional, basis e, x, y, y*x, but the overlap x|x|y
+    # resolves to 0 one way and to x the other
     q = system_for("ANNULUS").quiver
-    broken = ReductionSystem(q, [
+    broken = FiniteDimAlgebra(ReductionSystem(q, [
         Rule(q.word_key(("x", "y")), Element.idempotent(q, "x|y")),
-        Rule(q.word_key(("y", "x")), Element.zero(q)),
-    ])
+        Rule(q.word_key(("x", "x")), Element.zero(q)),
+        Rule(q.word_key(("y", "y")), Element.zero(q)),
+    ]))
+    assert [w for _, w in broken.basis] == [(), ("x",), ("y",), ("y", "x")]
     with pytest.raises(RequiresConfluentSystem):
-        hh2(broken, None)
+        hh2(broken)
 
 
 def test_hh2_makes_two_eliminations(monkeypatch):
@@ -215,17 +225,17 @@ def test_hh2_makes_two_eliminations(monkeypatch):
     monkeypatch.setattr("bga.hochschild.rref", counted)
     monkeypatch.setattr("bga.linalg.rref", counted)
     for name, dim in (("EX1", 2), ("ANNULUS", 5), ("ANN2", 4)):
-        sys_, alg = setup(name)
+        alg = algebra(name)
         calls.clear()
-        assert hh2(sys_, alg).hh2_dim == dim
+        assert hh2(alg).hh2_dim == dim
         assert len(calls) == 2, name
 
 
 # -- the annulus subspaces, coordinate by coordinate ------------------------------
 
 def test_annulus_cocycles_are_unit_axes():
-    sys_, alg = setup("ANNULUS")
-    coords, rows = cocycle_space(sys_, alg)
+    alg = algebra("ANNULUS")
+    coords, rows = cocycle_space(alg)
     red = kernel(rows, len(coords))
     piv = [min(v) for v in red]
     assert piv == list(range(3, 12))
@@ -235,9 +245,9 @@ def test_annulus_cocycles_are_unit_axes():
 def test_annulus_coboundary_axes():
     # on the nine cocycle axes kappa, mu_1..4, nu_1..4 a cochain bounds
     # exactly when kappa, mu_1, mu_3, nu_1, nu_2 all vanish
-    sys_, alg = setup("ANNULUS")
-    coords = cochain_space(sys_, alg)
-    red, piv = rref(coboundary_image(sys_, alg, coords))
+    alg = algebra("ANNULUS")
+    coords = cochain_space(alg)
+    red, piv = rref(coboundary_image(alg, coords))
     assert piv == [5, 7, 10, 11]
     assert red == [unit(i) for i in piv]
     kappa, mu, nu = 3, (4, 5, 6, 7), (8, 9, 10, 11)
@@ -249,9 +259,10 @@ def test_annulus_coboundary_axes():
 # -- the two-punctured annulus, rule by rule --------------------------------------
 
 def test_ann2_subspaces():
-    sys_, alg = setup("ANN2")
+    alg = algebra("ANN2")
+    sys_ = alg.system
     q = sys_.quiver
-    coords = cochain_space(sys_, alg)
+    coords = cochain_space(alg)
     assert coords == [
         (0, ("a1|a2", ())), (0, ("a1|a2", ("a1",))),
         (0, ("a1|a2", ("bq", "a2"))), (0, ("a1|a2", ("bq", "a2", "a1"))),
@@ -260,10 +271,10 @@ def test_ann2_subspaces():
         (2, ("a1|a2", ("bq", "a2"))), (2, ("a1|a2", ("bq", "a2", "a1"))),
         (3, ("bp|bq", ())), (3, ("bp|bq", ("a2", "a1", "bq"))),
     ]
-    redb, pivb = rref(coboundary_image(sys_, alg, coords))
+    redb, pivb = rref(coboundary_image(alg, coords))
     assert pivb == [7, 9, 11]
     assert redb == [unit(i) for i in pivb]
-    coords_c, rows = cocycle_space(sys_, alg)
+    coords_c, rows = cocycle_space(alg)
     assert coords_c == coords
     redc = kernel(rows, len(coords))
     pivc = [min(v) for v in redc]
@@ -283,7 +294,7 @@ def test_ann2_subspaces():
 
 def test_standard_family_ex1_both_bipartitions():
     g = graph("EX1")
-    sys_, alg = setup("EX1", EX1_BP1)
+    sys_ = system_for("EX1", EX1_BP1)
     std = standard_cocycles(g, EX1_BP1, sys_)
     assert [s.label for s in std] == ["A", "B(v2,1)"]
     assert [s.tag for s in std] == ["A", "B"]
@@ -301,7 +312,7 @@ def test_standard_family_ex1_both_bipartitions():
         by_tip[("b", "b", "b")]: Element.path(q, "b|g", ("b", "b"), F(-1)),
     }
     bp2 = bipartition(g)
-    sys2, alg2 = setup("EX1")
+    sys2 = system_for("EX1")
     std2 = standard_cocycles(g, bp2, sys2)
     assert [s.label for s in std2] == ["A", "B(v2,1)"]
     tips2 = {r.tip[1]: i for i, r in enumerate(sys2.rules)}
@@ -312,7 +323,7 @@ def test_standard_family_ex1_both_bipartitions():
 def test_standard_family_dbl():
     g = graph("DBL")
     bp = bipartition(g)
-    sys_, alg = setup("DBL")
+    sys_ = system_for("DBL")
     std = standard_cocycles(g, bp, sys_)
     assert [s.label for s in std] == [
         "A", "C(v2|w2)",
@@ -326,9 +337,10 @@ def test_standard_family_is_a_basis():
         g = graph(name)
         if bp is None:
             bp = bipartition(g)
-        sys_, alg = setup(name, bp)
+        alg = algebra(name, bp)
+        sys_ = alg.system
         std = standard_cocycles(g, bp, sys_)
-        report = verify_basis(hh2(sys_, alg), [s.cochain for s in std])
+        report = verify_basis(hh2(alg), [s.cochain for s in std])
         assert report.complete, name
         assert report.count == report.hh2_dim
 
@@ -339,23 +351,23 @@ def test_standard_family_on_tree_with_higher_multiplicities():
     for bp in (one, Bipartition(one.part_two, one.part_one)):
         sys_ = reduction_system(g, bp)
         alg = FiniteDimAlgebra(sys_)
-        rep = hh2(sys_, alg, graph=g)
+        rep = hh2(alg, graph=g)
         assert rep.hh2_dim == 4 and rep.formula_matches
         std = standard_cocycles(g, bp, sys_)
         assert [s.label for s in std] == ["A", "B(u,1)", "B(w,1)", "B(w,2)"]
-        assert verify_basis(hh2(sys_, alg), [s.cochain for s in std]).complete
+        assert verify_basis(hh2(alg), [s.cochain for s in std]).complete
 
 
 def test_standard_family_needs_construction_data():
     g = graph("TORUS")
-    sys_, alg = setup("TORUS")
+    sys_ = system_for("TORUS")
     with pytest.raises(NotApplicable):
         standard_cocycles(g, Bipartition({"p"}, set()), sys_)
 
 
 def test_standard_family_rejects_single_edge():
     g = graph("LOC_2")
-    sys_, alg = setup("LOC_2")
+    sys_ = system_for("LOC_2")
     with pytest.raises(NotApplicable):
         standard_cocycles(g, Bipartition({"p"}, {"q"}), sys_)
 
@@ -363,17 +375,18 @@ def test_standard_family_rejects_single_edge():
 # -- verification -----------------------------------------------------------------
 
 def test_verify_cocycle_discriminates():
-    sys_, alg = setup("ANNULUS")
+    sys_ = system_for("ANNULUS")
     q = sys_.quiver
     assert verify_cocycle(sys_, {0: Element.path(q, "x|y", ("y", "x"))})
     assert not verify_cocycle(sys_, {0: Element.idempotent(q, "x|y")})
 
 
 def test_verify_basis_flags_short_lists():
-    sys_, alg = setup("DBL")
+    alg = algebra("DBL")
+    sys_ = alg.system
     g = graph("DBL")
     std = standard_cocycles(g, bipartition(g), sys_)
-    report = verify_basis(hh2(sys_, alg), [s.cochain for s in std[:3]])
+    report = verify_basis(hh2(alg), [s.cochain for s in std[:3]])
     assert report.all_cocycles and report.independent
     assert not report.complete
 
@@ -382,7 +395,7 @@ def test_verify_basis_flags_short_lists():
 
 def test_report_doc_shape():
     g = graph("EX1")
-    rep = hh2(*setup("EX1"), graph=g)
+    rep = hh2(algebra("EX1"), graph=g)
     doc = rep.to_doc()
     assert sorted(doc) == ["basis", "coboundary_dim", "cochain_dim",
                            "cocycle_dim", "formula", "formula_matches",

@@ -1,5 +1,6 @@
 """Every name a module of the package imports, and every private name it
-defines at module level, is read in that module; every public function,
+defines at module level, is read in that module; every parameter of a
+function, method or lambda is read in its body; every public function,
 class and method is read somewhere in the package; only ``rewrite`` knows
 the layout of an overlap; the docstring examples run; every method that
 the bench spans hook is reached by the commands the bench runs."""
@@ -33,6 +34,12 @@ UNREAD_BY_THE_PACKAGE = {
     ("rewrite", "FiniteDimAlgebra.multiply_coords"):
         "dense products; bench/spans.py counts its calls",
     ("paths", "Element.scaled"): "Element arithmetic the oracles use",
+}
+
+# parameters their function never reads, and why each stays
+UNREAD_PARAMETERS = {
+    ("linalg", "rref", "ncols"):
+        "bench/spans.py Tracer.wrap_rref calls fn(rows, ncols) positionally",
 }
 
 # the only code that reads the parts u, v, w of an overlap u|v|w
@@ -103,6 +110,36 @@ def unread_public_names(trees):
     return out
 
 
+def unread_parameters(tree):
+    """(function, parameter) for each parameter of a function, method or
+    lambda of a module that its body never reads; ``self`` is exempt.
+    Methods are named "Class.method", nested functions "outer.inner" and
+    lambdas "<lambda>" under the name of what encloses them."""
+    out = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                a = child.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+                params += [p.arg for p in (a.vararg, a.kwarg) if p]
+                body = child.body if isinstance(child.body, list) \
+                    else [child.body]
+                read = set().union(*map(_read_names, body))
+                out.update((name, p) for p in params
+                           if p != "self" and p not in read)
+                visit(child, f"{name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
 def layout_readers(tree):
     """Top-level functions and classes of a module (``<module>`` for other
     statements) that read an attribute u, v or w, the parts of an overlap
@@ -141,6 +178,26 @@ def test_the_scan_finds_a_private_helper_left_behind():
 
 def test_every_private_name_is_read():
     assert sorted(_found(unread_private_names) - READ_BY_DOCTEST) == []
+
+
+def test_the_scan_finds_a_parameter_left_unread():
+    tree = ast.parse("def f(a, b, *args, c=1, **kw): return a + c + len(kw)\n"
+                     "class Memo:\n"
+                     "    def get(self, key, default): return key\n"
+                     "    def run(self, n):\n"
+                     "        def step(m, unused): return n + m\n"
+                     "        return map(lambda x, y: x, step(1, 2), n)\n"
+                     "g = lambda u: 0\n")
+    assert unread_parameters(tree) == {
+        ("f", "b"), ("f", "args"), ("Memo.get", "default"),
+        ("Memo.run.step", "unused"), ("Memo.run.<lambda>", "y"),
+        ("<lambda>", "u")}
+
+
+def test_every_parameter_is_read():
+    found = {(module, *pair) for module, pair in _found(unread_parameters)}
+    assert sorted(found - UNREAD_PARAMETERS.keys()) == []
+    assert UNREAD_PARAMETERS.keys() <= found
 
 
 def test_the_scan_finds_public_code_no_module_reads():

@@ -2,6 +2,8 @@ import hashlib
 import pytest
 from fractions import Fraction
 
+from loaders import graph
+
 from bga.errors import InvalidBipartition, NotApplicable, NotBipartite
 from bga.fixtures import fixture_doc, fixture_rules, generated_family
 from bga.paths import Element
@@ -20,10 +22,6 @@ from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 import json
 
 F = Fraction
-
-
-def graph(name):
-    return parse_ribbon_graph(fixture_doc(name))
 
 
 def rules_dict(system):

@@ -1,15 +1,14 @@
-import json
-
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
 
+from loaders import graph, system_for
 from oracles import last_redex, reduce_rightmost
 from test_cocycle_oracle import bipartite_graphs
 
 from bga.deform import deformed_algebra
 from bga.errors import InfiniteDimensional, NonAssociative, SchemaError
-from bga.fixtures import fixture_doc, fixture_rules, generated_family, star_doc
+from bga.fixtures import generated_family, star_doc
 from bga.hochschild import hh2, standard_cocycles
 from bga.paths import Element, Quiver
 from bga.presentation import (
@@ -32,17 +31,6 @@ from bga.rewrite import (
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 
 F = Fraction
-
-
-def graph(name):
-    return parse_ribbon_graph(fixture_doc(name))
-
-
-def system_for(name, bp=None):
-    g = graph(name)
-    if fixture_rules(name):
-        return rules_from_doc(quiver_from_graph(g), json.loads(fixture_rules(name)))
-    return reduction_system(g, bp)
 
 
 EX1_BP1 = Bipartition({"w"}, {"v1", "v2"})
@@ -474,7 +462,7 @@ def test_mult_table_matches_reduce():
 def test_mult_table_is_built_on_first_read():
     sys = system_for("DBL")
     alg = FiniteDimAlgebra(sys)
-    hh2(sys, alg)
+    hh2(alg)
     assert alg._table is None  # HH^2 reads the basis only
     table = alg.table
     assert alg.table is table

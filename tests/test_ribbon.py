@@ -3,6 +3,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from loaders import graph
+
 from bga.errors import (
     Disconnected,
     InvalidInvolution,
@@ -18,10 +20,6 @@ from bga.ribbon import (
     spanning_tree,
 )
 from bga.fixtures import fixture_doc
-
-
-def graph(name):
-    return parse_ribbon_graph(fixture_doc(name))
 
 
 # -- parsing and validation -------------------------------------------------
