@@ -163,7 +163,7 @@ def cmd_basis(args):
     _, system, _ = _load(args)
     alg = FiniteDimAlgebra(system)
     products = [[i, j, [[k, str(row[k])] for k in sorted(row)]]
-                for (i, j), row in sorted(alg.table.items())]
+                for (i, j), row in alg.table.items()]
     emit({
         "dim": alg.dim,
         "vertices": list(alg.quiver.vertices),

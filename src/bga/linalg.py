@@ -4,15 +4,17 @@ A vector is a dict {column: value} of its nonzero entries, a matrix is a
 list of such rows.  Values are exact rationals: ``int`` when integral, else
 ``Fraction``.  Every value an elimination computes keeps that contract, so
 an integral result never stays a ``Fraction`` and the arithmetic on it stays
-integer.  All eliminations are exact Gauss-Jordan on these rows, and
-``kernel`` reads the RREF of a null space off a single one.  The one
-division, the pivot inverse in ``rref``, divides ``Fraction(1)``, so
-nothing here is numerical.
+integer.  ``rref``, and ``kernel`` and ``quotient`` through it, are exact
+Gauss-Jordan on these rows, and ``kernel`` reads the RREF of a null space
+off a single one.  Their one division, the pivot inverse in ``rref``,
+divides ``Fraction(1)``.  ``rank`` eliminates forward over the integers and
+divides only by a gcd, so nothing here is numerical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import NotASubspace
 
@@ -72,7 +74,39 @@ def rref(rows, ncols=None):
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    """Rank by fraction-free forward elimination (after Bareiss).
+
+    Each row is scaled to integers by the lcm of its denominators.  While
+    its leading column p is the pivot of a kept row, the two are cross
+    multiplied by the gcd-reduced pair (pivot[p], row[p]) so that p cancels,
+    and the row is divided by the gcd of its entries; a row left nonzero is
+    kept at its new leading column.  No pivot row is reduced back, no
+    ``Fraction`` is made, and the rows passed in are not changed.
+    """
+    done = {}
+    for r in rows:
+        d = lcm(*(x.denominator for x in r.values()))
+        row = {c: x.numerator * (d // x.denominator)
+               for c, x in r.items() if x}
+        while row:
+            p = min(row)
+            pivot = done.get(p)
+            if pivot is None:
+                done[p] = row
+                break
+            g = gcd(pivot[p], row[p])
+            f, h = pivot[p] // g, row[p] // g
+            row = {c: f * x for c, x in row.items()}
+            for c, y in pivot.items():
+                v = row.get(c, 0) - h * y
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {c: x // g for c, x in row.items()}
+    return len(done)
 
 
 def kernel(rows, ncols):

@@ -12,7 +12,7 @@ leaves at most one minimal completion per overlap, and the basis search
 below is exhaustive.  ``reduce`` rewrites every word at its leftmost redex;
 the test suite checks its normal forms against a rightmost reduction.  Each
 system memoises the normal form and the reduce steps of every single path
-it is asked about, computed by the same loop as ``reduce``, and the overlap
+it is asked about, as the loop of ``reduce`` computes them, and the overlap
 resolutions, the multiplication table, the cocycle rows and the formal
 lifts all read them from that one memo.
 """
@@ -61,13 +61,15 @@ class ReductionSystem:
     The system is also the memo of its single-path normal forms.
     ``normal_form(key)`` is the normal form of the path as a term dict and
     ``steps(key)`` the list of its reduce steps (empty for an irreducible
-    path).  Both come from the one loop behind ``reduce``, run on the term
-    dict ``{key: 1}``, so they are exactly what ``reduce(system,
+    path).  A path that one redex scan settles (irreducible, or rewritten
+    to 0 by its leftmost redex) is entered from that scan; any other runs
+    the loop behind ``reduce`` on the term dict ``{key: 1}``, starting from
+    the redex found.  Either way they are exactly what ``reduce(system,
     Element.path(...), trace=steps)`` gives: the same terms in the same
-    order, with the same coefficient types.  A reduction always rewrites a
-    given word at the same redex, so the normal form is linear and a sum
-    may be reduced term by term.  The returned dicts and lists are shared
-    and must not be changed.
+    order, with the same coefficient types, from the same scans.  A
+    reduction always rewrites a given word at the same redex, so the normal
+    form is linear and a sum may be reduced term by term.  The returned
+    dicts and lists are shared and must not be changed.
     The memo refers to nothing that refers back to the system, so a system
     is freed without the cyclic garbage collector.
     """
@@ -134,8 +136,24 @@ class ReductionSystem:
         return False
 
     def _reduce_path(self, key):
-        steps = []
-        hit = self._memo[key] = (_reduce_terms(self, {key: 1}, steps), steps)
+        """Fill the memo entry of a path from one redex scan.  An
+        irreducible path, or one whose leftmost redex is a zero-rhs rule
+        within the letter budget, is settled by that scan; any other goes
+        to the loop of ``reduce`` with the redex already found."""
+        origin, word = key
+        redex = self.first_redex(word)
+        if redex is None:
+            hit = ({key: 1}, [])
+        else:
+            pos, ri = redex
+            rule = self.rules[ri]
+            if rule.rhs.terms or len(word) > MAX_REDUCE_LETTERS:
+                steps = []
+                hit = (_reduce_terms(self, {key: 1}, steps, redex), steps)
+            else:
+                right = word[pos + len(rule.tip[1]):]
+                hit = ({}, [(1, origin, word[:pos], ri, right)])
+        self._memo[key] = hit
         return hit
 
     def normal_form(self, key):
@@ -185,13 +203,14 @@ def reduce(system, element, trace=None):
                    _reduce_terms(system, dict(element.terms), trace))
 
 
-def _reduce_terms(system, terms, trace):
+def _reduce_terms(system, terms, trace, first=None):
     """The loop of ``reduce`` on a zero-free term dict, which it rewrites in
     place and returns.
 
     One worklist: a heap pops the smallest key not yet known to be
     irreducible, and its leftmost redex is replaced in place.  Keys found
-    irreducible are never scanned again.
+    irreducible are never scanned again.  ``first``, when given, is the
+    leftmost redex of the smallest key, already scanned by the caller.
     """
     find = system.first_redex
     budget = MAX_REDUCE_LETTERS
@@ -204,10 +223,13 @@ def _reduce_terms(system, terms, trace):
         if key in irreducible or key not in terms:
             continue
         origin, word = key
-        redex = find(word)
-        if redex is None:
-            irreducible.add(key)
-            continue
+        if first is None:
+            redex = find(word)
+            if redex is None:
+                irreducible.add(key)
+                continue
+        else:
+            redex, first = first, None
         letters += len(word)
         if letters > budget:
             raise NonTerminating(f"no normal form within {budget} letters")

@@ -306,3 +306,44 @@ def test_annihilates_equals_dense_dot_products(data):
     vecs = data.draw(st.permutations(vecs))
     expected = all(dense_dot(r, v) == 0 for r in rows for v in vecs)
     assert annihilates(m(*rows), m(*vecs)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_matrices())
+def test_rank_counts_the_rref_pivots(mn):
+    # fractional entries: rank scales each row to integers first
+    rows, _ = mn
+    assert rank(m(*rows)) == len(rref(m(*rows))[1])
+
+
+@st.composite
+def wide_integer_matrices(draw):
+    """Integer matrices with entries up to 10^6, so pivots are rarely
+    units, and with rows that are integer combinations of earlier ones."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-10**6, 10**6))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        a, b = (draw(st.integers(-50, 50)) for _ in range(2))
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    rows = draw(st.permutations(rows))
+    return [{c: x for c, x in enumerate(r) if x} for r in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_integer_matrices())
+@example([{0: 6, 1: 10}, {0: 9, 1: 15}, {0: 4, 1: 7, 2: 999983}])
+def test_rank_of_integer_matrices_counts_the_rref_pivots(rows):
+    assert rank(rows) == len(rref(rows)[1])
+
+
+def test_rank_leaves_its_rows_unchanged():
+    rows = [{0: 6, 1: 10, 2: F(1, 3)}, {0: 9, 1: 15, 2: F(1, 2)},
+            {0: 4, 2: 7}]
+    before = [dict(r) for r in rows]
+    assert rank(rows) == 2
+    assert rows == before
+    assert [[type(x) for x in r.values()] for r in rows] == \
+        [[type(x) for x in r.values()] for r in before]

@@ -6,7 +6,6 @@ from loaders import graph
 
 from bga.errors import InvalidBipartition, NotApplicable, NotBipartite
 from bga.fixtures import fixture_doc, fixture_rules, generated_family
-from bga.paths import Element
 from bga.presentation import (
     build_presentation,
     cycle_word,
@@ -17,7 +16,7 @@ from bga.presentation import (
     two_cycle_set,
 )
 from bga.rewrite import reduce
-from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
+from bga.ribbon import Bipartition, parse_ribbon_graph
 
 import json
 

@@ -7,7 +7,7 @@ from oracles import last_redex, reduce_rightmost
 from test_cocycle_oracle import bipartite_graphs
 
 from bga.deform import deformed_algebra
-from bga.errors import InfiniteDimensional, NonAssociative, SchemaError
+from bga.errors import InfiniteDimensional, NonTerminating, SchemaError
 from bga.fixtures import generated_family, star_doc
 from bga.hochschild import hh2, standard_cocycles
 from bga.paths import Element, Quiver
@@ -371,6 +371,28 @@ def test_normal_forms_scan_each_word_once(monkeypatch):
         assert by_memo == scans, word
         lengths.add(min(len(sys.steps(key)), 2))
     assert lengths == {0, 1, 2}
+
+
+def test_normal_forms_keep_the_letter_budget(monkeypatch):
+    # a path that one redex scan settles is charged the letters reduce
+    # charges it: a zero rewrite of a word over budget raises reduce's
+    # error, and an irreducible word is never charged
+    monkeypatch.setattr("bga.rewrite.MAX_REDUCE_LETTERS", 2)
+    sys = shared_pair_system()
+    q = sys.quiver
+    zero = q.word_key(("x", "y", "x"))
+    assert not sys.rules[sys.first_redex(zero[1])[1]].rhs.terms
+    with pytest.raises(NonTerminating) as by_reduce:
+        reduce(sys, Element.path(q, *zero))
+    with pytest.raises(NonTerminating) as by_memo:
+        sys.normal_form(zero)
+    assert str(by_memo.value) == str(by_reduce.value)
+    irreducible = q.word_key(("x",) * 4)
+    assert sys.first_redex(irreducible[1]) is None
+    assert reduce(sys, Element.path(q, *irreducible)).terms == \
+        {irreducible: 1}
+    assert sys.normal_form(irreducible) == {irreducible: 1}
+    assert sys.steps(irreducible) == []
 
 
 def _exact(terms):
