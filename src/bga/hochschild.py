@@ -271,7 +271,8 @@ def hh2(alg, graph=None):
     cocycle rows are read from.  The representatives are the rref of the
     cocycles that vanish at the coboundaries' pivots, a complement of the
     coboundaries (``linalg.quotient``), so no cocycle basis is listed and
-    two eliminations do: the coboundary image and that kernel.
+    two eliminations do: the coboundary image and the kernel of the
+    cocycle rows with the coboundaries' pivot columns deleted.
     """
     coords, rows = cocycle_space(alg)
     red, pivots = rref(coboundary_image(alg, coords))

@@ -49,7 +49,8 @@ def rref(rows, ncols=None):
     Returns (reduced_rows, pivot_columns) in increasing pivot order; zero
     rows are dropped, pivot entries are 1 and pivot columns are cleared in
     every other row.  Each row is cleared of the known pivots, scaled at
-    its leading column p, and p is cleared from the rows holding it.
+    its leading column p (by the int -1 when that entry is -1, so an int
+    row makes no ``Fraction``), and p is cleared from the rows holding it.
     ``ncols`` is not read; it stays for callers that pass it positionally.
     """
     done = {}
@@ -60,7 +61,7 @@ def rref(rows, ncols=None):
             continue
         p = min(row)
         if row[p] != 1:
-            inv = _F1 / row[p]
+            inv = -1 if row[p] == -1 else _F1 / row[p]
             for c, x in row.items():
                 x *= inv
                 row[c] = x.numerator if x.denominator == 1 else x
@@ -157,11 +158,15 @@ def quotient(rows, ncols, sub_red, sub_pivots):
     """Representatives of ker(rows) / span(sub), sub given by its rref.
 
     Raises NotASubspace unless the rows annihilate sub.  Returns the rref
-    of W = ker(rows) with sub's pivot columns set to 0, the ``kernel`` of
-    the rows below a unit row e_p per pivot p of sub: ker(rows) is the
+    of W = ker(rows) with sub's pivot columns set to 0: ker(rows) is the
     direct sum of W and span(sub), so the length is the quotient dimension.
-    The unit rows go first, so they clear sub's pivots from each row at once.
+    W is the ``kernel`` of the rows with sub's pivot columns P deleted, less
+    the unit vector e_p of each p in P, the one kernel vector whose smallest
+    column is p: every other vector is 0 on P.
     """
     if not annihilates(rows, sub_red):
         raise NotASubspace("vector outside the ambient span")
-    return kernel([{p: 1} for p in sub_pivots] + rows, ncols)
+    dropped = set(sub_pivots)
+    free = kernel([{c: x for c, x in r.items() if c not in dropped}
+                   for r in rows], ncols)
+    return [v for v in free if min(v) not in dropped]

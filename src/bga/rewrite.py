@@ -331,17 +331,19 @@ def overlap_sides(system, amb):
 
 
 def resolve_overlap(system, amb):
-    """Normal forms (left, right), as Elements, of the overlap u*v*w
+    """Normal forms (left, right), as term dicts, of the overlap u*v*w
     reduced both ways through the system's memo: ``left`` rewrites the tip
     u*v first, ``right`` reduces v*w first and then the product with u.
-    The overlap resolves iff left == right.
+    Both are zero-free, so the overlap resolves iff left == right.  ``left``
+    is the memo's own entry and must not be changed.
     """
     nf = system.normal_form
     uvw, vw, times_u = overlap_sides(system, amb)
-    q = system.quiver
-    return (Element(q, nf(uvw)),
-            Element(q, _combine((c, nf(times_u(k)))
-                                for k, c in nf(vw).items())))
+    right = {}
+    for k, c in nf(vw).items():
+        for key, d in nf(times_u(k)).items():
+            right[key] = right.get(key, 0) + c * d
+    return nf(uvw), {k: v for k, v in right.items() if v}
 
 
 class DiamondReport:
@@ -349,7 +351,7 @@ class DiamondReport:
 
     def __init__(self, confluent, failures, n_ambiguities):
         self.confluent = confluent
-        self.failures = failures        # list of (Ambiguity, nf_left, nf_right)
+        self.failures = failures        # list of (Ambiguity, left, right)
         self.n_ambiguities = n_ambiguities
 
     def __bool__(self):
@@ -357,13 +359,16 @@ class DiamondReport:
 
 
 def check_diamond(system):
-    """Resolve every overlap ambiguity both ways and compare normal forms."""
+    """Resolve every overlap ambiguity both ways and compare the normal
+    forms as term dicts.  A failure is listed as (Ambiguity, left, right)
+    with both sides as Elements; a resolved overlap makes no Element."""
     ambiguities = enumerate_ambiguities(system)
+    q = system.quiver
     failures = []
     for amb in ambiguities:
         left, right = resolve_overlap(system, amb)
         if left != right:
-            failures.append((amb, left, right))
+            failures.append((amb, Element(q, left), Element(q, right)))
     return DiamondReport(not failures, failures, len(ambiguities))
 
 

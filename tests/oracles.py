@@ -229,8 +229,10 @@ def verify_formal(dsys):
     # deformed ones as well
     ambiguities = enumerate_ambiguities(dsys.base)
     witness = None
+    q = dsys.system.quiver
     for amb in ambiguities:
-        left, right = resolve_overlap(dsys.system, amb)
+        left, right = (Element(q, side)
+                       for side in resolve_overlap(dsys.system, amb))
         if left != right:
             diff = left - right
             orders = [o for o in map(_lowest_order, diff.terms.values())

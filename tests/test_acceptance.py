@@ -12,11 +12,10 @@ import random
 from fractions import Fraction
 
 import test_properties as props
-from loaders import algebra, graph, system_for
+from loaders import algebra, generated_family, graph, system_for
 from oracles import FormalCtx, deform, verify_formal
 
 from bga.deform import deformed_algebra, semisimplicity, verify_lift
-from bga.fixtures import generated_family
 from bga.hochschild import (
     cochain_space,
     coboundary_image,

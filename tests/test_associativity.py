@@ -21,16 +21,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from loaders import even_cycle_doc, generated_family
 from oracles import check_all_triples, times
 
 from bga.deform import deformed_algebra
 from bga.errors import NonAssociative
-from bga.fixtures import (
-    even_cycle_doc,
-    fixture_doc,
-    fixture_rules,
-    generated_family,
-)
+from bga.fixtures import fixture_doc, fixture_rules
 from bga.hochschild import standard_cocycles
 from bga.paths import Element
 from bga.presentation import (

@@ -512,6 +512,37 @@ def test_non_confluent_rules_output_is_pinned(tmp_path, capsys):
                "--rules", str(rules)) == (1, BROKEN_ANNULUS_HH2)
 
 
+# the finite-dimensional, non-confluent annulus rules of
+# tests/test_hochschild.py::test_requires_confluence: hh2 stops at the
+# diamond check, and cocycles stops earlier, at the annulus loop
+NON_CONFLUENT_ANNULUS = {
+    "diamond": (1,
+        '{"ambiguities":4,"confluent":false,"failures":['
+        '{"left":[{"coeff":"1","vertex":"x|y","word":["y"]}],"right":[],'
+        '"word":["x","y","y"]},'
+        '{"left":[],"right":[{"coeff":"1","vertex":"x|y","word":["x"]}],'
+        '"word":["x","x","y"]}]}\n'),
+    "hh2": (1,
+        '{"detail":"2 unresolved overlaps",'
+        '"error":"requires_confluent_system"}\n'),
+    "cocycles": (2,
+        '{"detail":"loop at vertex \'q\'","error":"non_bipartite"}\n'),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NON_CONFLUENT_ANNULUS))
+def test_non_confluent_finite_rules_output_is_pinned(tmp_path, capsys,
+                                                     command):
+    rules = tmp_path / "non_confluent.json"
+    rules.write_text(json.dumps({"rules": [
+        {"tip": ["x", "y"], "rhs": [["1", []]]},
+        {"tip": ["x", "x"], "rhs": []},
+        {"tip": ["y", "y"], "rhs": []},
+    ]}))
+    assert run(capsys, command, "--input", "ANNULUS",
+               "--rules", str(rules)) == NON_CONFLUENT_ANNULUS[command]
+
+
 def _growing_t1_deformation(tmp_path, capsys):
     # a2*bq -> -2 a2*a1*bq at t = 1 lengthens the word at every step, so
     # only the letter budget ends the reduction

@@ -18,10 +18,11 @@ import random
 
 from hypothesis import assume, event, given, settings, strategies as st
 
+from loaders import generated_family
 from oracles import verify_cocycle
 from test_cocycle_oracle import SYSTEMS, bipartite_graphs
 
-from bga.fixtures import fixture_doc, generated_family
+from bga.fixtures import fixture_doc
 from bga.hochschild import (
     cochain_from_vector,
     hh2,

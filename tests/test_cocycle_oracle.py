@@ -20,8 +20,9 @@ import json
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
+from loaders import generated_family
 
-from bga.fixtures import fixture_doc, fixture_rules, generated_family
+from bga.fixtures import fixture_doc, fixture_rules
 from bga.hochschild import (
     _cocycle_rows,
     coboundary_image,
@@ -189,7 +190,7 @@ def symbolic_cocycle_rows(system, coords):
     dsys = ReductionSystem(q, def_rules)
     rows = []
     for amb in enumerate_ambiguities(system):
-        left, right = resolve_overlap(dsys, amb)
+        left, right = (Element(q, side) for side in resolve_overlap(dsys, amb))
         diff = left - right
         for key in sorted(diff.terms):
             c = diff.terms[key]

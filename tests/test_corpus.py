@@ -30,16 +30,11 @@ import json
 import random
 
 import pytest
+from loaders import even_cycle_doc, generated_family, star_doc
 from test_cli import positions, replaced
 
 from bga.cli import main
-from bga.fixtures import (
-    even_cycle_doc,
-    fixture_doc,
-    fixture_rules,
-    generated_family,
-    star_doc,
-)
+from bga.fixtures import fixture_doc, fixture_rules
 from bga.hochschild import cochain_space
 from bga.presentation import quiver_from_graph, reduction_system, rules_from_doc
 from bga.rewrite import FiniteDimAlgebra

@@ -1,12 +1,11 @@
 import pytest
 from fractions import Fraction
 
-from loaders import algebra, graph, system_for
+from loaders import algebra, generated_family, graph, system_for
 from oracles import FormalCtx, deform, verify_formal
 
 from bga.deform import deformed_algebra, semisimplicity
 from bga.errors import NonAssociative, NonParallelCochain
-from bga.fixtures import generated_family
 from bga.hochschild import standard_cocycles
 from bga.paths import Element
 from bga.presentation import reduction_system
@@ -108,7 +107,8 @@ def test_resolve_overlap_reproduces_the_formal_witness():
     ds = deform(sys_, cochain_sum(std["D1(w1,w2)"], std["D2(w1,w2)"]),
                 FormalCtx(4))
     amb, diff, _ = verify_formal(ds).witness
-    left, right = resolve_overlap(ds.system, amb)
+    q = ds.system.quiver
+    left, right = (Element(q, side) for side in resolve_overlap(ds.system, amb))
     assert left - right == diff
 
 

@@ -18,8 +18,9 @@ normal-form memo.
 import hashlib
 import json
 
+from loaders import generated_family
+
 from bga.cli import main
-from bga.fixtures import generated_family
 
 NAMED = ("EX1", "DBL", "ANNULUS", "TORUS", "ANN2", "LOC_2")
 

@@ -3,11 +3,17 @@ import json
 import pytest
 from fractions import Fraction
 
-from loaders import algebra, graph, system_for
+from loaders import (
+    algebra,
+    even_cycle_doc,
+    generated_family,
+    graph,
+    star_doc,
+    system_for,
+)
 from oracles import verify_cocycle, zeroth_differential
 
 from bga.errors import NotApplicable, RequiresConfluentSystem, SchemaError
-from bga.fixtures import even_cycle_doc, generated_family, star_doc
 from bga.hochschild import (
     cochain_from_vector,
     cochain_space,

@@ -27,8 +27,6 @@ READ_BY_DOCTEST = {("ribbon", "_DOCTEST_DOC")}
 
 # public names that no module of the package reads, and why each stays
 UNREAD_BY_THE_PACKAGE = {
-    ("fixtures", "generated_family"):
-        "the bipartite graph family of the broad-coverage tests",
     ("presentation", "build_presentation"):
         "the classical relations; the non-bipartite presentation needs them",
     ("rewrite", "reduce"):

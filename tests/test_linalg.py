@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from loaders import algebra, generated_family
 
 from bga.errors import NotASubspace
+from bga.hochschild import coboundary_image, cocycle_space
 from bga.linalg import (
     annihilates,
     kernel,
@@ -12,6 +14,9 @@ from bga.linalg import (
     residual,
     rref,
 )
+from bga.presentation import reduction_system
+from bga.rewrite import FiniteDimAlgebra
+from bga.ribbon import parse_ribbon_graph
 
 F = Fraction
 
@@ -347,3 +352,93 @@ def test_rank_leaves_its_rows_unchanged():
     assert rows == before
     assert [[type(x) for x in r.values()] for r in rows] == \
         [[type(x) for x in r.values()] for r in before]
+
+
+# -- quotient on the free columns ----------------------------------------------
+
+def former_quotient(rows, ncols, sub_pivots):
+    """``quotient`` as it was first defined: the kernel of the rows below a
+    unit row e_p per pivot p of sub."""
+    return kernel([{p: 1} for p in sub_pivots] + rows, ncols)
+
+
+def entries(vecs):
+    """Each vector's entries in dict order, with their types."""
+    return [[(c, type(x), x) for c, x in v.items()] for v in vecs]
+
+
+@st.composite
+def quotient_inputs(draw):
+    """Rows, their width and a subspace of their kernel: integer
+    combinations of the kernel basis, so sub has any rank from 0 to the
+    nullity and its pivots need not be unit columns."""
+    rows, ncols = draw(dense_matrices())
+    space = dense_kernel(rows, ncols)
+    combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(space),
+                                    max_size=len(space)),
+                           max_size=len(space) + 1))
+    sub = [[sum(c * v[j] for c, v in zip(combo, space)) for j in range(ncols)]
+           for combo in combos]
+    return rows, ncols, sub
+
+
+@settings(max_examples=200, deadline=None)
+@given(quotient_inputs())
+@example(([], 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))   # no rows, all of P
+@example(([], 3, []))                                   # no rows, P empty
+@example(([[1, 2, 3]], 3, []))                          # P empty
+@example(([[0, 0, 0]], 2, [[0, 1], [1, 0]]))            # a zero row, all of P
+@example(([[1, -1, 0, F(1, 2)]], 4, [[1, 1, 0, 0], [0, 0, 1, 0]]))
+def test_quotient_equals_the_kernel_below_unit_rows(inputs):
+    rows, ncols, sub = inputs
+    sub_red, sub_piv = rref(m(*sub))
+    got = quotient(m(*rows), ncols, sub_red, sub_piv)
+    assert entries(got) == entries(former_quotient(m(*rows), ncols, sub_piv))
+
+
+def test_quotient_on_the_hh2_inputs_equals_the_kernel_below_unit_rows():
+    names = [(name, None) for name in ("EX1", "DBL", "ANNULUS", "TORUS",
+                                       "ANN2", "LOC_1", "LOC_2", "LOC_3")]
+    names += [(label, doc) for label, doc in generated_family()]
+    for label, doc in names:
+        alg = (algebra(label) if doc is None else
+               FiniteDimAlgebra(reduction_system(parse_ribbon_graph(doc))))
+        coords, rows = cocycle_space(alg)
+        red, pivots = rref(coboundary_image(alg, coords))
+        assert entries(quotient(rows, len(coords), red, pivots)) == \
+            entries(former_quotient(rows, len(coords), pivots)), label
+
+
+# -- rref with unit pivots ---------------------------------------------------------
+
+@st.composite
+def unit_pivot_matrices(draw):
+    """Integer rows with distinct leading columns, each led by 1 or -1,
+    shuffled, with negated copies and zero rows mixed in: every pivot rref
+    meets is 1 or -1."""
+    ncols = draw(st.integers(1, 7))
+    leads = draw(st.lists(st.integers(0, ncols - 1), unique=True,
+                          max_size=ncols))
+    rows = []
+    for p in leads:
+        rest = draw(st.lists(st.integers(-5, 5), min_size=ncols - p - 1,
+                             max_size=ncols - p - 1))
+        rows.append([0] * p + [draw(st.sampled_from((1, -1)))] + rest)
+    if rows:
+        for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
+            rows.append([-x for x in rows[i]])
+    rows += [[0] * ncols] * draw(st.integers(0, 1))
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_pivot_matrices())
+@example(([[-1, 2, 3], [0, -1, 4]], 3))
+@example(([[0, -1, 4], [1, 2, -3], [-1, 0, 0]], 3))
+def test_rref_with_unit_pivots_stays_in_int(mn):
+    rows, ncols = mn
+    red, piv = rref([{c: x for c, x in enumerate(r) if x} for r in rows])
+    dred, dpiv = dense_rref(rows, ncols)
+    assert piv == dpiv
+    assert [densify(r, ncols) for r in red] == dred
+    assert all(type(x) is int for r in red for x in r.values())

@@ -2,10 +2,10 @@ import hashlib
 import pytest
 from fractions import Fraction
 
-from loaders import graph
+from loaders import generated_family, graph
 
 from bga.errors import InvalidBipartition, NotApplicable, NotBipartite
-from bga.fixtures import fixture_doc, fixture_rules, generated_family
+from bga.fixtures import fixture_doc, fixture_rules
 from bga.presentation import (
     build_presentation,
     cycle_word,

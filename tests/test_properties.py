@@ -6,10 +6,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from loaders import system_for
+from loaders import generated_family, system_for
 from oracles import reduce_rightmost, zeroth_differential
 
-from bga.fixtures import fixture_doc, generated_family
+from bga.fixtures import fixture_doc
 from bga.hochschild import (
     coboundary_image,
     cochain_space,

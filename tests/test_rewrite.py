@@ -2,13 +2,12 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings
 
-from loaders import graph, system_for
+from loaders import generated_family, graph, star_doc, system_for
 from oracles import last_redex, reduce_rightmost
 from test_cocycle_oracle import bipartite_graphs
 
 from bga.deform import deformed_algebra
 from bga.errors import InfiniteDimensional, NonTerminating, SchemaError
-from bga.fixtures import generated_family, star_doc
 from bga.hochschild import hh2, standard_cocycles
 from bga.paths import Element, Quiver
 from bga.presentation import (
@@ -298,7 +297,8 @@ def test_diamond_fails_on_planted_system():
 
 def test_resolve_overlap_gives_the_diamond_failures():
     sys = planted_broken_system()
-    resolved = {amb.word: resolve_overlap(sys, amb)
+    resolved = {amb.word: tuple(Element(sys.quiver, side)
+                                for side in resolve_overlap(sys, amb))
                 for amb in enumerate_ambiguities(sys)}
     report = check_diamond(sys)
     assert [amb.word for amb, _, _ in report.failures] == \
