@@ -15,18 +15,9 @@ import re
 import sys
 
 from .deform import deformed_algebra, semisimplicity, verify_lift
-from .errors import (
-    DOCUMENT_ERRORS,
-    BgaError,
-    InputError,
-    NonBipartite,
-    NotApplicable,
-    SchemaError,
-    UsageError,
-)
+from .errors import BgaError, InputError, NonBipartite, NotApplicable, UsageError
 from .fixtures import fixture_doc, fixture_rules
-from .hochschild import hh2, standard_cocycles, verify_basis
-from .paths import element_from_doc, element_to_doc, word_from_doc
+from .hochschild import cochain_from_values_doc, hh2, standard_cocycles, verify_basis
 from .presentation import (
     quiver_from_graph,
     reduction_system,
@@ -119,7 +110,7 @@ def _graph_doc(g):
         bipartite = False
     return {
         "vertices": len(g.vertices()),
-        "edges": len(g.edge_ids()),
+        "edges": len(g.edges),
         "half_edges": len(g.half_edges),
         "faces": len(walks.faces),
         "bigon_faces": len(walks.bigon_faces),
@@ -151,7 +142,7 @@ def cmd_info(args):
         "dim": dim,
         "formula": g.dimension_sum(),
         "match": dim == g.dimension_sum(),
-        "betti": len(g.edge_ids()) - len(g.vertices()) + 1,
+        "betti": len(g.edges) - len(g.vertices()) + 1,
         "rules": len(system.rules),
         "two_cycles": len(two_cycle_set(system)),
     })
@@ -177,14 +168,7 @@ def cmd_basis(args):
 def cmd_diamond(args):
     _, system, _ = _load(args)
     report = check_diamond(system)
-    failures = [{
-        "word": list(amb.word),
-        "left": element_to_doc(left),
-        "right": element_to_doc(right),
-    } for amb, left, right in report.failures]
-    emit({"confluent": report.confluent,
-          "ambiguities": report.n_ambiguities,
-          "failures": failures}, args)
+    emit(report.to_doc(), args)
     return 0 if report.confluent else 1
 
 
@@ -205,29 +189,12 @@ def cmd_cocycles(args):
     return 0 if report.complete else 1
 
 
-def _cochain_from_values_doc(system, doc):
-    by_tip = {rule.tip[1]: ri for ri, rule in enumerate(system.rules)}
-    cochain = {}
-    try:
-        for entry in doc["values"]:
-            tip = word_from_doc(entry["tip"])
-            if tip not in by_tip:
-                raise UsageError(f"no rule with tip {'*'.join(tip)}")
-            if by_tip[tip] in cochain:
-                raise SchemaError(f"duplicate tip {'*'.join(tip)}")
-            cochain[by_tip[tip]] = element_from_doc(system.quiver,
-                                                    entry["element"])
-    except DOCUMENT_ERRORS as exc:
-        raise SchemaError(f"malformed cochain document: {exc!r}") from exc
-    return cochain
-
-
 def _select_cochain(args, g, bp, system):
     if args.deform_type == "custom":
         if not args.cochain:
             raise UsageError("--deform-type custom needs --cochain FILE")
         doc = json.loads(_read(args.cochain))
-        return _cochain_from_values_doc(system, doc), "custom"
+        return cochain_from_values_doc(system, doc), "custom"
     for s in standard_cocycles(g, bp or bipartition(g), system):
         if s.kind == args.deform_type:
             return s.cochain, s.label
@@ -248,23 +215,14 @@ def cmd_deform(args):
     cochain, label = _select_cochain(args, g, bp, system)
     if degree is not None:
         check = verify_lift(system, cochain, degree)
-        doc = {"type": args.deform_type, "label": label, "t": args.t,
-               "passes": check.passes, "ambiguities": check.n_ambiguities,
-               "witness": None}
-        if check.witness is not None:
-            amb, _diff, order = check.witness
-            doc["witness"] = {"word": list(amb.word), "order": order,
-                              "detail": check.describe()}
-        emit(doc, args)
+        emit({"type": args.deform_type, "label": label, "t": args.t,
+              **check.to_doc()}, args)
         return 0 if check.passes else 1
     alg = deformed_algebra(system, cochain)
     doc = {"type": args.deform_type, "label": label, "t": "1",
            "dimension": alg.dim, "basis": _basis_doc(alg)}
     if args.check_semisimple:
-        report = semisimplicity(alg)
-        doc.update({"semisimple": report.semisimple,
-                    "radical_dim": report.radical_dim,
-                    "gram_rank": report.gram_rank})
+        doc.update(semisimplicity(alg).to_doc())
     emit(doc, args)
     return 0
 
@@ -295,7 +253,7 @@ def _selftest_fixture(name):
     if report.formula is not None:
         checks.append({"name": "formula_matches", "expected": True,
                        "got": report.formula_matches})
-    if rules_text is None and len(g.edge_ids()) > 1:
+    if rules_text is None and len(g.edges) > 1:
         family = standard_cocycles(g, bipartition(g), system)
         basis = verify_basis(report, [s.cochain for s in family])
         checks.append({"name": "standard_basis_complete", "expected": True,

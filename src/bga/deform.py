@@ -85,6 +85,15 @@ class FormalCheck:
         return (f"overlap {'*'.join(amb.word)} fails at order t^{order}: "
                 f"difference {render(diff)}")
 
+    def to_doc(self):
+        witness = None
+        if self.witness is not None:
+            amb, _diff, order = self.witness
+            witness = {"word": list(amb.word), "order": order,
+                       "detail": self.describe()}
+        return {"passes": self.passes, "ambiguities": self.n_ambiguities,
+                "witness": witness}
+
 
 def verify_lift(system, cochain, degree):
     """Whether the rules deformed to rhs + t * psi over Q[t]/(t^degree)
@@ -211,6 +220,10 @@ class SemisimplicityReport:
 
     def __bool__(self):
         return self.semisimple
+
+    def to_doc(self):
+        return {"semisimple": self.semisimple, "radical_dim": self.radical_dim,
+                "gram_rank": self.gram_rank}
 
 
 def semisimplicity(alg):

@@ -31,9 +31,15 @@ and the explicit standard cocycle family are available as cross-checks.
 
 from __future__ import annotations
 
-from .errors import NotApplicable, RequiresConfluentSystem
+from .errors import (
+    DOCUMENT_ERRORS,
+    NotApplicable,
+    RequiresConfluentSystem,
+    SchemaError,
+    UsageError,
+)
 from .linalg import annihilates, quotient, rank, residual, rref
-from .paths import Element, element_to_doc
+from .paths import Element, element_from_doc, element_to_doc, word_from_doc
 from .presentation import cycle_word, dimension_formula
 from .rewrite import (
     check_cochain,
@@ -92,6 +98,25 @@ def cochain_values_doc(system, cochain):
         out.append({"tip": list(system.rules[ri].tip[1]),
                     "element": element_to_doc(value)})
     return out
+
+
+def cochain_from_values_doc(system, doc):
+    """Cochain of a ``{"values": cochain_values_doc(...)}`` document;
+    UsageError for an unknown tip, else SchemaError if malformed."""
+    by_tip = {rule.tip[1]: ri for ri, rule in enumerate(system.rules)}
+    cochain = {}
+    try:
+        for entry in doc["values"]:
+            tip = word_from_doc(entry["tip"])
+            if tip not in by_tip:
+                raise UsageError(f"no rule with tip {'*'.join(tip)}")
+            if by_tip[tip] in cochain:
+                raise SchemaError(f"duplicate tip {'*'.join(tip)}")
+            cochain[by_tip[tip]] = element_from_doc(system.quiver,
+                                                    entry["element"])
+    except DOCUMENT_ERRORS as exc:
+        raise SchemaError(f"malformed cochain document: {exc!r}") from exc
+    return cochain
 
 
 # -- differentials ------------------------------------------------------------
@@ -315,19 +340,13 @@ class StandardCocycle:
 
 
 def _rule_index(system):
-    a_rule, b_rule, c_rule = {}, {}, {}
-    for ri, rule in enumerate(system.rules):
-        info = rule.info
-        if info is None:
-            raise NotApplicable(
-                "rules carry no construction data (user-supplied system)")
-        if info[0] == "a":
-            a_rule[info[1]] = ri
-        elif info[0] == "b":
-            b_rule[info[1]] = ri
-        else:
-            c_rule[(info[1], info[2])] = ri
-    return a_rule, b_rule, c_rule
+    """{tag: rule index} over the tags ``Rule.info`` of derived rules;
+    raises NotApplicable when a rule carries none."""
+    index = {rule.info: ri for ri, rule in enumerate(system.rules)}
+    if None in index:
+        raise NotApplicable(
+            "rules carry no construction data (user-supplied system)")
+    return index
 
 
 def standard_cocycles(graph, bp, system):
@@ -336,38 +355,41 @@ def standard_cocycles(graph, bp, system):
     Four shapes: (A) one idempotent/arrow pair spread over all rules,
     (B) one per vertex v and power 1 <= i < m(v), (C) one per non-tree edge,
     (D) two per bigon half-edge pair.  Counts are 1, sum(m(v)-1),
-    |E|-|V|+1, and the number of ordered vanishing 2-cycles.
+    |E|-|V|+1, and the number of ordered vanishing 2-cycles.  Each value
+    sits on the rule found by its tag in ``_rule_index``.
     """
-    if len(graph.edge_ids()) == 1:
+    if len(graph.edges) == 1:
         raise NotApplicable("single-edge algebras have no standard family")
-    a_rule, b_rule, c_rule = _rule_index(system)
+    rule_of = _rule_index(system)
+    a_rule = {e: rule_of[("a", e)] for e in graph.edges if ("a", e) in rule_of}
+    b_rule = {h: rule_of[("b", h)] for h in sorted(graph.half_edges)
+              if ("b", h) in rule_of}
     q = system.quiver
     out = []
 
     # (A): the unit shift.  +e on every cycle-commutation tip, -(last arrow)
     # on every vanishing-power tip, 0 elsewhere.
     values = {}
-    for edge, ri in sorted(a_rule.items()):
+    for ri in a_rule.values():
         values[ri] = Element.idempotent(q, system.rules[ri].tip[0])
-    for h, ri in sorted(b_rule.items()):
+    for ri in b_rule.values():
         last = system.rules[ri].tip[1][-1]
         values[ri] = Element.path(q, q.arrows[last][0], (last,), coeff=-1)
     out.append(StandardCocycle("A", "A", values))
 
-    # (B): multiplicity-lowering cycle terms, one per (vertex, power).
-    for v in sorted(graph.vertices()):
-        m = graph.multiplicity[v]
-        for i in range(1, m):
+    # (B): multiplicity-lowering cycle terms, one per (vertex, power).  The
+    # graph has no loops, so at most one half of an edge lies at v.
+    for v in graph.vertices():
+        for i in range(1, graph.multiplicity[v]):
             values = {}
-            side = bp.side(v)
-            for edge, ri in sorted(a_rule.items()):
-                h = system.rules[ri].info[1 + side]  # h1 or h2 of the edge
-                if graph.incidence[h] == v:
-                    word = cycle_word(graph, h, i)
-                    values[ri] = Element.path(q, q.arrows[word[-1]][0], word)
-            if side == 2:
+            for edge, ri in a_rule.items():
+                for h in graph.edges[edge]:
+                    if graph.incidence[h] == v:
+                        word = cycle_word(graph, h, i)
+                        values[ri] = Element.path(q, q.arrows[word[-1]][0], word)
+            if bp.side(v) == 2:
                 span = i * graph.valence(v) + 1
-                for h, ri in sorted(b_rule.items()):
+                for h, ri in b_rule.items():
                     if graph.incidence[h] == v:
                         word = system.rules[ri].tip[1][-span:]
                         values[ri] = Element.path(
@@ -377,7 +399,7 @@ def standard_cocycles(graph, bp, system):
     # (C): one per edge outside a spanning tree, rescaling its commutation
     # rule by its own replacement.
     tree = spanning_tree(graph)
-    for edge in graph.edge_ids():
+    for edge in graph.edges:
         if edge in tree:
             continue
         ri = a_rule[edge]  # cycle edges have non-truncated endpoints
@@ -400,14 +422,14 @@ def standard_cocycles(graph, bp, system):
         vcyc = cycle_word(graph, i1, graph.multiplicity[v])
         astar = vcyc[1:]              # the v-cycle at e1 minus alpha
         values = {
-            c_rule[(alpha, beta)]: Element.idempotent(q, e1),
-            c_rule[(beta, alpha)]: Element.idempotent(q, e2),
-            b_rule[h1]: Element.path(q, q.arrows[astar[-1]][0], astar),
+            rule_of[("c", alpha, beta)]: Element.idempotent(q, e1),
+            rule_of[("c", beta, alpha)]: Element.idempotent(q, e2),
+            rule_of[("b", h1)]: Element.path(q, q.arrows[astar[-1]][0], astar),
         }
         out.append(StandardCocycle("D1", f"D1({h1},{h2})", values))
         wcyc = cycle_word(graph, h2, graph.multiplicity[w])
         values = {
-            c_rule[(beta, alpha)]: Element.path(
+            rule_of[("c", beta, alpha)]: Element.path(
                 q, q.arrows[wcyc[-1]][0], wcyc),
         }
         out.append(StandardCocycle("D2", f"D2({h1},{h2})", values))

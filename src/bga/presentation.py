@@ -74,7 +74,7 @@ def quiver_from_graph(g, bp=None):
     deleted = _deleted_halves(g, bp)
     keep = [h for h in g.half_edges if h not in deleted]
     arrows = {h: (g.edge_of(h), g.edge_of(g.successor(h))) for h in keep}
-    return Quiver(g.edge_ids(), arrows)
+    return Quiver(g.edges, arrows)
 
 
 class BrauerPresentation:
@@ -118,8 +118,7 @@ def build_presentation(g):
             word = arrow_word(hu) + arrow_word(hv)
             emit({quiver.word_key(word): 1})
     # the two cycle powers of an edge agree
-    for edge in g.edge_ids():
-        h1, h2 = edge.split("|")
+    for h1, h2 in g.edges.values():
         v1, v2 = g.incidence[h1], g.incidence[h2]
         if g.is_truncated(v1) or g.is_truncated(v2):
             continue
@@ -136,10 +135,11 @@ def build_presentation(g):
 
 
 def _derive_rules(g, bp, quiver):
+    """Rules of g for bp, each tagged by its source, ("a", edge id), ("b",
+    half-edge) or ("c", arrow, arrow); no two rules share a tag."""
     rules = []
     # (a) part-one cycle powers rewrite to the part-two side of their edge
-    for edge in g.edge_ids():
-        h1, h2 = edge.split("|")
+    for edge, (h1, h2) in g.edges.items():
         if bp.side(g.incidence[h1]) == 2:
             h1, h2 = h2, h1
         v1, v2 = g.incidence[h1], g.incidence[h2]
@@ -148,7 +148,7 @@ def _derive_rules(g, bp, quiver):
         tip = quiver.word_key(cycle_word(g, h1, g.multiplicity[v1]))
         rhs_word = cycle_word(g, h2, g.multiplicity[v2])
         rhs = Element(quiver, {quiver.word_key(rhs_word): 1})
-        rules.append(Rule(tip, rhs, info=("a", edge, h1, h2)))
+        rules.append(Rule(tip, rhs, info=("a", edge)))
     # (b) one step past a part-two cycle power vanishes
     for h in sorted(g.half_edges):
         if bp.side(g.incidence[h]) != 2:
@@ -223,7 +223,7 @@ def dimension_formula(g):
     bipartite, with the two-cycle count read off the bigon faces.
     """
     mults = g.multiplicity
-    n_edges = len(g.edges())
+    n_edges = len(g.edges)
     if n_edges == 1 and len(mults) == 2:
         m1, m2 = sorted(mults.values())
         return m1 + m2 + 1 if m1 > 1 else m2

@@ -29,7 +29,7 @@ from .errors import (
     NonTerminating,
     SchemaError,
 )
-from .paths import Element, render_key
+from .paths import Element, element_to_doc, render_key
 
 MAX_REDUCE_LETTERS = 2_000_000
 
@@ -356,6 +356,14 @@ class DiamondReport:
 
     def __bool__(self):
         return self.confluent
+
+    def to_doc(self):
+        return {"confluent": self.confluent,
+                "ambiguities": self.n_ambiguities,
+                "failures": [{"word": list(amb.word),
+                              "left": element_to_doc(left),
+                              "right": element_to_doc(right)}
+                             for amb, left, right in self.failures]}
 
 
 def check_diamond(system):

@@ -15,8 +15,8 @@ Documents are JSON objects:
      "rotation": {"v": ["h1", ...], ...}}
 
 >>> g = parse_ribbon_graph(_DOCTEST_DOC)
->>> sorted(g.edges())
-[('h1', 'h2')]
+>>> g.edges
+{'h1|h2': ('h1', 'h2')}
 >>> g.valence('u')
 1
 """
@@ -45,7 +45,8 @@ _DOCTEST_DOC = """{
 
 
 class RibbonGraph:
-    __slots__ = ("multiplicity", "half_edges", "incidence", "pairing", "rotation")
+    __slots__ = ("multiplicity", "half_edges", "incidence", "pairing",
+                 "rotation", "edges")
 
     def __init__(self, multiplicity, half_edges, incidence, pairing, rotation):
         self.multiplicity = dict(multiplicity)   # vertex id -> m(v) >= 1
@@ -53,6 +54,9 @@ class RibbonGraph:
         self.incidence = dict(incidence)         # half-edge -> vertex (the map s)
         self.pairing = dict(pairing)             # involution iota, both directions stored
         self.rotation = {v: list(hs) for v, hs in rotation.items()}
+        # edge id (``edge_of``) -> (smaller half, larger half), ids sorted
+        self.edges = dict(sorted((self.edge_of(h), tuple(sorted((h, p))))
+                                 for h, p in self.pairing.items()))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -72,19 +76,6 @@ class RibbonGraph:
         """Canonical edge id: the two half-edge ids joined by '|', smaller first."""
         a, b = sorted((h, self.pairing[h]))
         return f"{a}|{b}"
-
-    def edges(self):
-        seen = set()
-        out = []
-        for h in self.half_edges:
-            k = tuple(sorted((h, self.pairing[h])))
-            if k not in seen:
-                seen.add(k)
-                out.append(k)
-        return out
-
-    def edge_ids(self):
-        return sorted(f"{a}|{b}" for a, b in self.edges())
 
     def valence(self, v):
         return len(self.rotation[v])
@@ -217,6 +208,8 @@ def _bfs(g):
 def _check_connected(g):
     if not g.multiplicity:
         raise SchemaError("graph has no vertices")
+    if not g.edges:
+        raise SchemaError("graph has no edges")
     missing = sorted(g.multiplicity.keys() - _bfs(g).keys())
     if missing:
         raise Disconnected(f"unreachable vertices: {missing}")
@@ -286,7 +279,7 @@ def check_bipartition(g, bp):
     verts = set(g.vertices())
     if set(bp.part_one) | set(bp.part_two) != verts or set(bp.part_one) & set(bp.part_two):
         return False
-    for a, b in g.edges():
+    for a, b in g.edges.values():
         va, vb = g.incidence[a], g.incidence[b]
         if (va in bp.part_one) == (vb in bp.part_one):
             return False

@@ -10,6 +10,10 @@ from bga.rewrite import FiniteDimAlgebra
 from bga.ribbon import parse_ribbon_graph
 
 
+NAMED = ("EX1", "DBL", "ANNULUS", "TORUS", "ANN2",
+         "LOC_1", "LOC_2", "LOC_3", "LOC_4", "LOC_5")
+
+
 def graph(name):
     return parse_ribbon_graph(fixture_doc(name))
 

@@ -130,7 +130,7 @@ def test_criterion_5_standard_basis_everywhere():
     cases += list(family_graphs())
     checked = 0
     for label, g in cases:
-        if len(g.edge_ids()) == 1:
+        if len(g.edges) == 1:
             continue  # local algebras carry no standard family
         bp = bipartition(g)
         sys_ = reduction_system(g, bp)

@@ -74,7 +74,7 @@ SETUPS = _setups()
 
 
 def _family(g, bp, system):
-    if bp is None or len(g.edge_ids()) < 2:
+    if bp is None or len(g.edges) < 2:
         return []
     return [s.cochain for s in standard_cocycles(g, bp, system)]
 
@@ -122,7 +122,7 @@ def t1_algebras():
     """((label, cocycle label), t = 1 algebra) for every fixture with a
     standard family and every cocycle in it."""
     for label, g, bp, system in SETUPS:
-        if bp is None or len(g.edge_ids()) < 2:
+        if bp is None or len(g.edges) < 2:
             continue
         for s in standard_cocycles(g, bp, system):
             yield (label, s.label), at_one(system, s.cochain)

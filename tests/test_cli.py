@@ -236,6 +236,19 @@ def test_half_edges_that_are_not_a_list_are_a_schema_error(tmp_path, capsys,
     assert run(capsys, "validate", "--input", str(path))[0] == 0
 
 
+# one vertex and no edge: the quiver would have no vertex at all
+EDGELESS = {"vertices": [{"id": "v", "multiplicity": 2}], "half_edges": [],
+            "incidence": {}, "pairing": [], "rotation": {"v": []}}
+
+
+@pytest.mark.parametrize("command", ["validate", "hh2", "cocycles"])
+def test_a_graph_with_no_edges_is_a_schema_error(tmp_path, capsys, command):
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps(EDGELESS))
+    assert run(capsys, command, "--input", str(path)) == (
+        2, '{"detail":"graph has no edges","error":"schema"}\n')
+
+
 def test_malformed_graph_document(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"vertices\": []")

@@ -59,7 +59,7 @@ def family_vectors(label, report):
         return []
     doc, bp = GRAPHS[label]
     g = parse_ribbon_graph(doc)
-    if len(g.edge_ids()) == 1:
+    if len(g.edges) == 1:
         return []
     family = standard_cocycles(g, bp or bipartition(g), report.alg.system)
     return [vector_from_cochain(report.alg.system, report.coords, s.cochain)
@@ -88,7 +88,7 @@ def test_row_membership_matches_verify_cocycle_on_fixtures():
 @given(bipartite_graphs(), st.data())
 def test_row_membership_matches_verify_cocycle_on_drawn_cochains(doc, data):
     g = parse_ribbon_graph(doc)
-    assume(g.dimension_sum() <= 60 and len(g.edge_ids()) > 1)
+    assume(g.dimension_sum() <= 60 and len(g.edges) > 1)
     bp = bipartition(g)
     system = reduction_system(g, bp)
     alg = FiniteDimAlgebra(system)

@@ -30,7 +30,7 @@ import json
 import random
 
 import pytest
-from loaders import even_cycle_doc, generated_family, star_doc
+from loaders import NAMED, even_cycle_doc, generated_family, star_doc
 from test_cli import positions, replaced
 
 from bga.cli import main
@@ -40,8 +40,6 @@ from bga.presentation import quiver_from_graph, reduction_system, rules_from_doc
 from bga.rewrite import FiniteDimAlgebra
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 
-NAMED = ("EX1", "DBL", "ANNULUS", "TORUS", "ANN2",
-         "LOC_1", "LOC_2", "LOC_3", "LOC_4", "LOC_5")
 EX1_SWAPPED = "w|v1,v2"
 KINDS = ("A", "B", "C", "D1", "D2")
 AT_ONE = ("--t", "1", "--check-semisimple")

@@ -146,7 +146,7 @@ def test_base_radical_dimensions():
     for label, g, system in cases:
         alg = FiniteDimAlgebra(system)
         assert semisimplicity(alg).radical_dim \
-            == alg.dim - len(g.edge_ids()), label
+            == alg.dim - len(g.edges), label
     assert len(cases) >= 30
 
 

@@ -80,7 +80,7 @@ def standard_family(label, system):
         return []
     doc, bp = GRAPHS[label]
     g = parse_ribbon_graph(doc)
-    if len(g.edge_ids()) == 1:
+    if len(g.edges) == 1:
         return []
     family = standard_cocycles(g, bp or bipartition(g), system)
     d2 = {s.label[2:]: s.cochain for s in family if s.kind == "D2"}
@@ -205,7 +205,7 @@ def test_reducible_value_is_refused_at_every_degree():
 @given(bipartite_graphs(), st.sampled_from(DEGREES), st.data())
 def test_traced_check_matches_the_oracle_on_drawn_cochains(doc, degree, data):
     g = parse_ribbon_graph(doc)
-    assume(g.dimension_sum() <= 60 and len(g.edge_ids()) > 1)
+    assume(g.dimension_sum() <= 60 and len(g.edges) > 1)
     bp = bipartition(g)
     system = reduction_system(g, bp)
     alg = FiniteDimAlgebra(system)

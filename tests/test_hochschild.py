@@ -15,9 +15,11 @@ from oracles import verify_cocycle, zeroth_differential
 
 from bga.errors import NotApplicable, RequiresConfluentSystem, SchemaError
 from bga.hochschild import (
+    cochain_from_values_doc,
     cochain_from_vector,
     cochain_space,
     coboundary_image,
+    cochain_values_doc,
     cocycle_space,
     hh2,
     one_cochain_coords,
@@ -97,6 +99,28 @@ def test_vector_cochain_round_trip():
     cochain = cochain_from_vector(alg, coords, vec)
     assert vector_from_cochain(sys_, coords, cochain) == vec
     assert cochain[0] == Element.path(q, "x|y", ("y", "x"), F(2))
+
+
+def test_cochain_values_document_round_trip():
+    # each standard cochain, written as its "values" document and read back
+    graphs = [(name, graph(name)) for name in ("EX1", "DBL")]
+    graphs += [(label, parse_ribbon_graph(doc))
+               for label, doc in generated_family()]
+    checked = 0
+    for label, g in graphs:
+        if len(g.edges) == 1:
+            continue  # no standard family
+        bp = bipartition(g)
+        for b in (bp, Bipartition(bp.part_two, bp.part_one)):
+            sys_ = reduction_system(g, b)
+            for s in standard_cocycles(g, b, sys_):
+                text = json.dumps({"values": cochain_values_doc(sys_,
+                                                                s.cochain)})
+                back = cochain_from_values_doc(sys_, json.loads(text))
+                assert back == {ri: value for ri, value in s.cochain.items()
+                                if value}, (label, s.label)
+                checked += 1
+    assert checked > 100
 
 
 def test_vector_from_cochain_rejects_reducible_value():

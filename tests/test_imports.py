@@ -2,8 +2,9 @@
 private name a package module defines at module level, is read in that
 module; every parameter of a function, method or lambda is read in its
 body; every public function, class and method is read somewhere in the
-package; only ``rewrite`` knows the layout of an overlap; the docstring
-examples run; every method that the bench spans hook is reached by the
+package; only ``rewrite`` knows the layout of an overlap; no module reads
+a rule's tag by position, and only the ``--bipartition`` reader splits
+text at "|"; the docstring examples run; every method that the bench spans hook is reached by the
 commands the bench runs."""
 
 import ast
@@ -44,6 +45,10 @@ UNREAD_PARAMETERS = {
 
 # the only code that reads the parts u, v, w of an overlap u|v|w
 LAYOUT_OWNERS = {("rewrite", "Ambiguity"), ("rewrite", "overlap_sides")}
+
+# the only code that splits text at "|": the --bipartition override
+# "v1,v2|w"; edge ids are looked up in the graph's edge table instead
+BAR_SPLITTERS = {("cli", "_parse_bipartition")}
 
 
 def _read_names(tree):
@@ -140,14 +145,35 @@ def unread_parameters(tree):
     return out
 
 
-def layout_readers(tree):
+def _top_level_holders(tree, hit):
     """Top-level functions and classes of a module (``<module>`` for other
-    statements) that read an attribute u, v or w, the parts of an overlap
-    u|v|w."""
+    statements) that hold a node for which ``hit`` is true."""
     return {getattr(node, "name", "<module>") for node in tree.body
-            for n in ast.walk(node)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-            and n.attr in ("u", "v", "w")}
+            for n in ast.walk(node) if hit(n)}
+
+
+def layout_readers(tree):
+    """What reads an attribute u, v or w, the parts of an overlap u|v|w."""
+    return _top_level_holders(tree, lambda n: isinstance(n, ast.Attribute)
+                              and isinstance(n.ctx, ast.Load)
+                              and n.attr in ("u", "v", "w"))
+
+
+def tag_position_readers(tree):
+    """What subscripts an attribute ``info``: a rule's tag read by position
+    instead of looked up whole."""
+    return _top_level_holders(tree, lambda n: isinstance(n, ast.Subscript)
+                              and isinstance(n.value, ast.Attribute)
+                              and n.value.attr == "info")
+
+
+def bar_splitters(tree):
+    """What calls ``.split("|")``, taking a joined id back apart."""
+    return _top_level_holders(tree, lambda n: isinstance(n, ast.Call)
+                              and isinstance(n.func, ast.Attribute)
+                              and n.func.attr == "split"
+                              and any(isinstance(a, ast.Constant)
+                                      and a.value == "|" for a in n.args))
 
 
 def _found(scan, root=SRC):
@@ -243,6 +269,36 @@ def test_only_overlap_sides_lays_out_an_overlap():
     found = _found(layout_readers)
     assert sorted(found - LAYOUT_OWNERS) == []
     assert LAYOUT_OWNERS <= found
+
+
+def test_the_scan_finds_a_tag_read_by_position():
+    tree = ast.parse("def b_term(rule): return rule.info[2]\n"
+                     "class Index:\n"
+                     "    def get(self, r): return {r.info: 0}\n"
+                     "    def kind(self, r): r.info[0] = 'a'\n"
+                     "def keyed(info): return info[1]\n"
+                     "first = rules[0].info[0]\n")
+    assert tag_position_readers(tree) == {"b_term", "Index", "<module>"}
+
+
+def test_no_module_reads_a_rule_tag_by_position():
+    assert sorted(_found(tag_position_readers)) == []
+
+
+def test_the_scan_finds_an_id_split_at_a_bar():
+    tree = ast.parse("def halves(edge): return edge.split('|')\n"
+                     "def names(text): return text.split(',')\n"
+                     "class Graph:\n"
+                     "    def ids(self): return [e.split('|', 1) for e in self.e]\n"
+                     "    def joined(self): return '|'.join(self.e)\n"
+                     "a, b = 'x|y'.split('|')\n")
+    assert bar_splitters(tree) == {"halves", "Graph", "<module>"}
+
+
+def test_only_the_bipartition_override_is_split_at_a_bar():
+    found = _found(bar_splitters)
+    assert sorted(found - BAR_SPLITTERS) == []
+    assert BAR_SPLITTERS <= found
 
 
 def test_docstring_examples_pass():

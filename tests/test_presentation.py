@@ -2,9 +2,17 @@ import hashlib
 import pytest
 from fractions import Fraction
 
-from loaders import generated_family, graph
+from hypothesis import given, settings
 
-from bga.errors import InvalidBipartition, NotApplicable, NotBipartite
+from loaders import NAMED, generated_family, graph
+from test_cocycle_oracle import bipartite_graphs
+
+from bga.errors import (
+    InvalidBipartition,
+    NonBipartite,
+    NotApplicable,
+    NotBipartite,
+)
 from bga.fixtures import fixture_doc, fixture_rules
 from bga.presentation import (
     build_presentation,
@@ -15,8 +23,9 @@ from bga.presentation import (
     rules_from_doc,
     two_cycle_set,
 )
+from bga.hochschild import _rule_index
 from bga.rewrite import reduce
-from bga.ribbon import Bipartition, parse_ribbon_graph
+from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 
 import json
 
@@ -203,3 +212,40 @@ def test_generated_family_documents_are_pinned():
     text = "".join(doc for _, doc in generated_family())
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "894f160aac31483e1fc64905a7e1a2ecb09d6fb0821ec59b98768075e359ffbc"
+
+
+# -- rule tags ------------------------------------------------------------------
+
+def derived_systems(g):
+    """The systems derived from g for its default bipartition and for the
+    swapped one; none when g is not bipartite."""
+    try:
+        bp = bipartition(g)
+    except NonBipartite:
+        return []
+    return [reduction_system(g, b)
+            for b in (bp, Bipartition(bp.part_two, bp.part_one))]
+
+
+def assert_one_tag_per_rule(system):
+    # a tag shared by two rules would make the tag index drop one of them
+    # without an error
+    tags = [rule.info for rule in system.rules]
+    assert None not in tags and len(set(tags)) == len(tags)
+    assert _rule_index(system) == {tag: ri for ri, tag in enumerate(tags)}
+
+
+def test_every_derived_rule_of_the_named_and_family_graphs_has_its_own_tag():
+    graphs = [graph(name) for name in NAMED]
+    graphs += [parse_ribbon_graph(doc) for _, doc in generated_family()]
+    systems = [s for g in graphs for s in derived_systems(g)]
+    assert len(systems) == 2 * (7 + len(generated_family()))
+    for system in systems:
+        assert_one_tag_per_rule(system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bipartite_graphs())
+def test_every_derived_rule_of_a_drawn_graph_has_its_own_tag(doc):
+    for system in derived_systems(parse_ribbon_graph(doc)):
+        assert_one_tag_per_rule(system)

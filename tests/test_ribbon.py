@@ -1,9 +1,10 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from loaders import graph
+from loaders import NAMED, generated_family, graph
+from test_cocycle_oracle import bipartite_graphs
 
 from bga.errors import (
     Disconnected,
@@ -28,7 +29,7 @@ def test_ex1_shape():
     g = graph("EX1")
     assert g.vertices() == ["v1", "v2", "w"]
     assert len(g.half_edges) == 4
-    assert len(g.edges()) == 2
+    assert len(g.edges) == 2
     assert g.multiplicity == {"v1": 1, "v2": 2, "w": 1}
     assert g.valence("w") == 2
     assert g.is_truncated("v1")
@@ -39,7 +40,41 @@ def test_ex1_shape():
 def test_valence_sum_is_twice_edges():
     for name in ("EX1", "DBL", "ANNULUS", "TORUS", "ANN2"):
         g = graph(name)
-        assert sum(g.valence(v) for v in g.vertices()) == 2 * len(g.edges())
+        assert sum(g.valence(v) for v in g.vertices()) == 2 * len(g.edges)
+
+
+def assert_edge_table(g):
+    """``g.edges`` is the table the pairing defines: the sorted "a|b" ids,
+    each with its halves a < b."""
+    pairs = {tuple(sorted(pair)) for pair in g.pairing.items()}
+    assert list(g.edges.items()) == sorted((f"{a}|{b}", (a, b))
+                                           for a, b in pairs)
+
+
+def test_the_edge_table_of_every_named_and_family_graph():
+    for name in NAMED:
+        assert_edge_table(graph(name))
+    for _, doc in generated_family():
+        assert_edge_table(parse_ribbon_graph(doc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bipartite_graphs())
+def test_the_edge_table_of_drawn_graphs(doc):
+    assert_edge_table(parse_ribbon_graph(doc))
+
+
+def test_the_edge_table_sorts_ids_not_pairs():
+    # the ids are compared as strings: "ab|c" < "a|b" since "b" < "|",
+    # although the pair ("a", "b") comes before ("ab", "c")
+    g = parse_ribbon_graph(json.dumps({
+        "vertices": [{"id": "u", "multiplicity": 1},
+                     {"id": "v", "multiplicity": 1}],
+        "half_edges": ["ab", "c", "a", "b"],
+        "incidence": {"ab": "u", "c": "v", "a": "u", "b": "v"},
+        "pairing": [["ab", "c"], ["a", "b"]],
+        "rotation": {"u": ["ab", "a"], "v": ["c", "b"]}}))
+    assert list(g.edges.items()) == [("ab|c", ("ab", "c")), ("a|b", ("a", "b"))]
 
 
 def _doc(**overrides):
@@ -165,10 +200,10 @@ def test_check_bipartition():
 
 def test_spanning_trees():
     g = graph("EX1")
-    assert spanning_tree(g) == set(g.edge_ids())  # EX1 is a tree
+    assert spanning_tree(g) == set(g.edges)  # EX1 is a tree
     d = graph("DBL")
     t = spanning_tree(d)
-    assert len(t) == 1 and t < set(d.edge_ids())
+    assert len(t) == 1 and t < set(d.edges)
     a = graph("ANNULUS")
     assert spanning_tree(a) == set()  # one vertex, loops only
 
