@@ -83,14 +83,13 @@ def _parse_bipartition(args):
 
 
 def _load(args):
-    """(graph, reduction system, --bipartition override or None) for a run.
-    The system comes from --rules, else the fixture's bundled rules, else a
-    fresh build."""
+    """(graph, reduction system) for a run.  The system comes from --rules,
+    else the fixture's bundled rules, else a fresh build, for the
+    --bipartition override when one is given."""
     g, rules_text = _load_graph(args)
     if args.rules:
         rules_text = _read(args.rules)
-    bp = _parse_bipartition(args)
-    return g, _system(g, rules_text, bp), bp
+    return g, _system(g, rules_text, _parse_bipartition(args))
 
 
 def _system(g, rules_text, bp):
@@ -135,7 +134,7 @@ def cmd_validate(args):
 
 
 def cmd_info(args):
-    g, system, _ = _load(args)
+    g, system = _load(args)
     dim = len(irreducible_words(system))
     doc = _graph_doc(g)
     doc.update({
@@ -151,7 +150,7 @@ def cmd_info(args):
 
 
 def cmd_basis(args):
-    _, system, _ = _load(args)
+    _, system = _load(args)
     alg = FiniteDimAlgebra(system)
     products = [[i, j, [[k, str(row[k])] for k in sorted(row)]]
                 for (i, j), row in alg.table.items()]
@@ -166,22 +165,22 @@ def cmd_basis(args):
 
 
 def cmd_diamond(args):
-    _, system, _ = _load(args)
+    _, system = _load(args)
     report = check_diamond(system)
     emit(report.to_doc(), args)
     return 0 if report.confluent else 1
 
 
 def cmd_hh2(args):
-    g, system, _ = _load(args)
+    g, system = _load(args)
     report = hh2(FiniteDimAlgebra(system), graph=g)
     emit(report.to_doc(), args)
     return 0
 
 
 def cmd_cocycles(args):
-    g, system, bp = _load(args)
-    family = standard_cocycles(g, bp or bipartition(g), system)
+    g, system = _load(args)
+    family = standard_cocycles(g, system)
     report = verify_basis(hh2(FiniteDimAlgebra(system)),
                           [s.cochain for s in family])
     emit({"cocycles": [s.to_doc(system) for s in family],
@@ -189,13 +188,13 @@ def cmd_cocycles(args):
     return 0 if report.complete else 1
 
 
-def _select_cochain(args, g, bp, system):
+def _select_cochain(args, g, system):
     if args.deform_type == "custom":
         if not args.cochain:
             raise UsageError("--deform-type custom needs --cochain FILE")
         doc = json.loads(_read(args.cochain))
         return cochain_from_values_doc(system, doc), "custom"
-    for s in standard_cocycles(g, bp or bipartition(g), system):
+    for s in standard_cocycles(g, system):
         if s.kind == args.deform_type:
             return s.cochain, s.label
     raise NotApplicable(
@@ -203,7 +202,7 @@ def _select_cochain(args, g, bp, system):
 
 
 def cmd_deform(args):
-    g, system, bp = _load(args)
+    g, system = _load(args)
     if not args.deform_type:
         raise UsageError("deform needs --deform-type")
     m = re.fullmatch(r"formal:(\d+)", args.t)
@@ -212,7 +211,7 @@ def cmd_deform(args):
     degree = int(m.group(1)) if m else None
     if degree is not None and degree < 1:
         raise UsageError("truncation degree must be >= 1")
-    cochain, label = _select_cochain(args, g, bp, system)
+    cochain, label = _select_cochain(args, g, system)
     if degree is not None:
         check = verify_lift(system, cochain, degree)
         emit({"type": args.deform_type, "label": label, "t": args.t,
@@ -254,7 +253,7 @@ def _selftest_fixture(name):
         checks.append({"name": "formula_matches", "expected": True,
                        "got": report.formula_matches})
     if rules_text is None and len(g.edges) > 1:
-        family = standard_cocycles(g, bipartition(g), system)
+        family = standard_cocycles(g, system)
         basis = verify_basis(report, [s.cochain for s in family])
         checks.append({"name": "standard_basis_complete", "expected": True,
                        "got": basis.complete})

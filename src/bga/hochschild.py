@@ -48,7 +48,7 @@ from .rewrite import (
     overlap_sides,
     reduce,  # noqa: F401 - bench/tests reads the binding hochschild.reduce
 )
-from .ribbon import boundary_walks, spanning_tree
+from .ribbon import bipartition, boundary_walks, spanning_tree
 
 
 # -- coordinates --------------------------------------------------------------
@@ -349,15 +349,21 @@ def _rule_index(system):
     return index
 
 
-def standard_cocycles(graph, bp, system):
-    """The explicit cocycle family of a bipartite, non-local Brauer graph.
+def standard_cocycles(graph, system):
+    """The explicit cocycle family of a bipartite, non-local Brauer graph,
+    on the rules ``reduction_system`` derived for one bipartition of it.
 
     Four shapes: (A) one idempotent/arrow pair spread over all rules,
     (B) one per vertex v and power 1 <= i < m(v), (C) one per non-tree edge,
     (D) two per bigon half-edge pair.  Counts are 1, sum(m(v)-1),
     |E|-|V|+1, and the number of ordered vanishing 2-cycles.  Each value
-    sits on the rule found by its tag in ``_rule_index``.
+    sits on the rule found by its tag in ``_rule_index``; the part-two
+    half-edges are those with a ("b", h) rule, so the sides are the ones
+    the system was derived for.  Raises NonBipartite for a graph with no
+    bipartition, then NotApplicable for a single edge, then NotApplicable
+    for a system whose rules carry no tags.
     """
+    bipartition(graph)
     if len(graph.edges) == 1:
         raise NotApplicable("single-edge algebras have no standard family")
     rule_of = _rule_index(system)
@@ -368,17 +374,17 @@ def standard_cocycles(graph, bp, system):
     out = []
 
     # (A): the unit shift.  +e on every cycle-commutation tip, -(last arrow)
-    # on every vanishing-power tip, 0 elsewhere.
+    # on every vanishing-power tip (the b-rule of h ends in h), 0 elsewhere.
     values = {}
     for ri in a_rule.values():
         values[ri] = Element.idempotent(q, system.rules[ri].tip[0])
-    for ri in b_rule.values():
-        last = system.rules[ri].tip[1][-1]
-        values[ri] = Element.path(q, q.arrows[last][0], (last,), coeff=-1)
+    for h, ri in b_rule.items():
+        values[ri] = Element.path(q, q.arrows[h][0], (h,), coeff=-1)
     out.append(StandardCocycle("A", "A", values))
 
     # (B): multiplicity-lowering cycle terms, one per (vertex, power).  The
-    # graph has no loops, so at most one half of an edge lies at v.
+    # graph has no loops, so at most one half of an edge lies at v; only a
+    # part-two v has b-rules, each lowered to the i-th cycle power times h.
     for v in graph.vertices():
         for i in range(1, graph.multiplicity[v]):
             values = {}
@@ -387,13 +393,11 @@ def standard_cocycles(graph, bp, system):
                     if graph.incidence[h] == v:
                         word = cycle_word(graph, h, i)
                         values[ri] = Element.path(q, q.arrows[word[-1]][0], word)
-            if bp.side(v) == 2:
-                span = i * graph.valence(v) + 1
-                for h, ri in b_rule.items():
-                    if graph.incidence[h] == v:
-                        word = system.rules[ri].tip[1][-span:]
-                        values[ri] = Element.path(
-                            q, q.arrows[word[-1]][0], word, coeff=-1)
+            for h, ri in b_rule.items():
+                if graph.incidence[h] == v:
+                    word = cycle_word(graph, graph.successor(h), i) + (h,)
+                    values[ri] = Element.path(
+                        q, q.arrows[word[-1]][0], word, coeff=-1)
             out.append(StandardCocycle("B", f"B({v},{i})", values))
 
     # (C): one per edge outside a spanning tree, rescaling its commutation
@@ -412,7 +416,7 @@ def standard_cocycles(graph, bp, system):
     # way around.
     bigons = sorted((graph.incidence[h], h)
                     for face in boundary_walks(graph).bigon_faces
-                    for h in face if bp.side(graph.incidence[h]) == 2)
+                    for h in face if h in b_rule)
     for w, h1 in bigons:
         h2 = graph.successor(h1)
         i1, i2 = graph.pairing[h1], graph.pairing[h2]

@@ -140,7 +140,7 @@ def _derive_rules(g, bp, quiver):
     rules = []
     # (a) part-one cycle powers rewrite to the part-two side of their edge
     for edge, (h1, h2) in g.edges.items():
-        if bp.side(g.incidence[h1]) == 2:
+        if g.incidence[h1] in bp.part_two:
             h1, h2 = h2, h1
         v1, v2 = g.incidence[h1], g.incidence[h2]
         if g.is_truncated(v1):
@@ -151,7 +151,7 @@ def _derive_rules(g, bp, quiver):
         rules.append(Rule(tip, rhs, info=("a", edge)))
     # (b) one step past a part-two cycle power vanishes
     for h in sorted(g.half_edges):
-        if bp.side(g.incidence[h]) != 2:
+        if g.incidence[h] not in bp.part_two:
             continue
         word = cycle_word(g, g.successor(h), g.multiplicity[g.incidence[h]]) + (h,)
         rules.append(Rule(quiver.word_key(word), Element.zero(quiver), info=("b", h)))

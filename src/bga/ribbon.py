@@ -222,13 +222,6 @@ class Bipartition:
         self.part_one = frozenset(part_one)
         self.part_two = frozenset(part_two)
 
-    def side(self, v):
-        if v in self.part_one:
-            return 1
-        if v in self.part_two:
-            return 2
-        raise KeyError(v)
-
     def __repr__(self):
         return f"Bipartition({sorted(self.part_one)}, {sorted(self.part_two)})"
 

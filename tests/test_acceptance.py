@@ -132,10 +132,9 @@ def test_criterion_5_standard_basis_everywhere():
     for label, g in cases:
         if len(g.edges) == 1:
             continue  # local algebras carry no standard family
-        bp = bipartition(g)
-        sys_ = reduction_system(g, bp)
+        sys_ = reduction_system(g, bipartition(g))
         alg = FiniteDimAlgebra(sys_)
-        std = standard_cocycles(g, bp, sys_)
+        std = standard_cocycles(g, sys_)
         report = verify_basis(hh2(alg), [s.cochain for s in std])
         assert report.all_cocycles, label
         assert report.independent, label
@@ -148,10 +147,9 @@ def test_criterion_5_standard_basis_everywhere():
 def test_criterion_6_formal_deformations():
     for name in ("EX1", "DBL"):
         g = graph(name)
-        bp = bipartition(g)
         alg = algebra(name)
         sys_ = alg.system
-        for s in standard_cocycles(g, bp, sys_):
+        for s in standard_cocycles(g, sys_):
             check = verify_formal(deform(sys_, s.cochain, FormalCtx(4)))
             assert check.passes, (name, s.label)
             check = verify_lift(sys_, s.cochain, 4)
@@ -159,7 +157,7 @@ def test_criterion_6_formal_deformations():
     g = graph("DBL")
     sys_ = system_for("DBL")
     std = {s.label: s.cochain
-           for s in standard_cocycles(g, bipartition(g), sys_)}
+           for s in standard_cocycles(g, sys_)}
     pair = dict(std["D1(w1,w2)"])
     for ri, el in std["D2(w1,w2)"].items():
         pair[ri] = pair[ri] + el if ri in pair else el
@@ -179,7 +177,7 @@ def test_criterion_7_semisimple_unit_shift():
         alg = algebra(name)
         sys_ = alg.system
         assert semisimplicity(alg).radical_dim > 0, name
-        shift = standard_cocycles(g, bipartition(g), sys_)[0]
+        shift = standard_cocycles(g, sys_)[0]
         assert shift.kind == "A"
         dalg = deformed_algebra(sys_, shift.cochain)
         report = semisimplicity(dalg)

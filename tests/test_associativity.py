@@ -76,7 +76,7 @@ SETUPS = _setups()
 def _family(g, bp, system):
     if bp is None or len(g.edges) < 2:
         return []
-    return [s.cochain for s in standard_cocycles(g, bp, system)]
+    return [s.cochain for s in standard_cocycles(g, system)]
 
 
 SMALL = [(label, system, _family(g, bp, system))
@@ -124,7 +124,7 @@ def t1_algebras():
     for label, g, bp, system in SETUPS:
         if bp is None or len(g.edges) < 2:
             continue
-        for s in standard_cocycles(g, bp, system):
+        for s in standard_cocycles(g, system):
             yield (label, s.label), at_one(system, s.cochain)
 
 

@@ -257,6 +257,43 @@ def test_malformed_graph_document(tmp_path, capsys):
     assert doc["error"] == "schema"
 
 
+@pytest.mark.parametrize("argv, out", [
+    (("hh2",),
+     '{"detail":"--input is required for this command","error":"usage"}\n'),
+    (("deform", "--input", "EX1", "--deform-type", "custom"),
+     '{"detail":"--deform-type custom needs --cochain FILE","error":"usage"}\n'),
+], ids=["no_input", "custom_without_cochain"])
+def test_missing_arguments_are_usage_errors(capsys, argv, out):
+    assert run(capsys, *argv) == (2, out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("frobnicate", "--input", "EX1"),
+    ("deform", "--input", "EX1", "--deform-type", "E"),
+], ids=["unknown_command", "bad_deform_type"])
+def test_argument_errors_are_one_json_line_on_stdout(capsys, argv):
+    # argparse's own wording differs between Python versions, so only the
+    # code is pinned
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.err, captured.out.count("\n")) == (2, "", 1)
+    assert json.loads(captured.out)["error"] == "usage"
+
+
+@pytest.mark.parametrize("doc, out", [
+    ({"vertices": [], "half_edges": [], "incidence": {}, "pairing": [],
+      "rotation": {}},
+     '{"detail":"graph has no vertices","error":"schema"}\n'),
+    (dict(ONE_EDGE, half_edges=["a", "a"]),
+     '{"detail":"duplicate half-edge id","error":"schema"}\n'),
+], ids=["empty", "duplicate_half_edge"])
+def test_empty_and_duplicate_graph_documents_are_schema_errors(
+        tmp_path, capsys, doc, out):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "validate", "--input", str(path)) == (2, out)
+
+
 def test_invalid_bipartition(capsys):
     code, doc = run_doc(capsys, "hh2", "--input", "EX1",
                         "--bipartition", "v1|w")

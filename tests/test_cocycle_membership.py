@@ -33,7 +33,7 @@ from bga.hochschild import (
 from bga.linalg import kernel
 from bga.presentation import reduction_system
 from bga.rewrite import FiniteDimAlgebra
-from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
+from bga.ribbon import bipartition, parse_ribbon_graph
 
 
 def agree(report, cochain):
@@ -43,25 +43,21 @@ def agree(report, cochain):
     return by_rows
 
 
-# the graphs behind the derived systems of SYSTEMS, with the bipartition
-# each was built from (None: the graph's own); the bundled rule systems
-# carry no construction data and so have no standard family
-GRAPHS = {"EX1": (fixture_doc("EX1"), None),
-          "DBL": (fixture_doc("DBL"), None),
-          "EX1-swapped": (fixture_doc("EX1"),
-                          Bipartition({"w"}, {"v1", "v2"}))}
-GRAPHS.update((label, (doc, None)) for label, doc in generated_family())
+# the graphs behind the derived systems of SYSTEMS; the bundled rule
+# systems carry no construction data and so have no standard family
+GRAPHS = {"EX1": fixture_doc("EX1"), "DBL": fixture_doc("DBL"),
+          "EX1-swapped": fixture_doc("EX1")}
+GRAPHS.update(generated_family())
 
 
 def family_vectors(label, report):
     """Coordinate vectors of the standard family, when the system has one."""
     if label not in GRAPHS:
         return []
-    doc, bp = GRAPHS[label]
-    g = parse_ribbon_graph(doc)
+    g = parse_ribbon_graph(GRAPHS[label])
     if len(g.edges) == 1:
         return []
-    family = standard_cocycles(g, bp or bipartition(g), report.alg.system)
+    family = standard_cocycles(g, report.alg.system)
     return [vector_from_cochain(report.alg.system, report.coords, s.cochain)
             for s in family]
 
@@ -89,12 +85,11 @@ def test_row_membership_matches_verify_cocycle_on_fixtures():
 def test_row_membership_matches_verify_cocycle_on_drawn_cochains(doc, data):
     g = parse_ribbon_graph(doc)
     assume(g.dimension_sum() <= 60 and len(g.edges) > 1)
-    bp = bipartition(g)
-    system = reduction_system(g, bp)
+    system = reduction_system(g, bipartition(g))
     alg = FiniteDimAlgebra(system)
     report = hh2(alg)
     vec = {}
-    for s in standard_cocycles(g, bp, system):
+    for s in standard_cocycles(g, system):
         c = data.draw(st.integers(-2, 2))
         for j, x in vector_from_cochain(system, report.coords,
                                         s.cochain).items():

@@ -16,16 +16,14 @@ from bga.rewrite import (
     check_cochain,
     resolve_overlap,
 )
-from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
+from bga.ribbon import Bipartition, parse_ribbon_graph
 
 F = Fraction
 
 
 def standard_setup(name):
-    g = graph(name)
-    bp = bipartition(g)
     alg = algebra(name)
-    return g, bp, alg.system, alg
+    return graph(name), alg.system, alg
 
 
 def cochain_sum(a, b):
@@ -79,16 +77,16 @@ def test_zero_cochain_reflects_base_confluence():
 
 def test_every_standard_cocycle_lifts_to_degree_four():
     for name in ("EX1", "DBL"):
-        g, bp, sys_, alg = standard_setup(name)
-        for s in standard_cocycles(g, bp, sys_):
+        g, sys_, alg = standard_setup(name)
+        for s in standard_cocycles(g, sys_):
             check = verify_formal(deform(sys_, s.cochain, FormalCtx(4)))
             assert check.passes, (name, s.label)
             assert check.witness is None
 
 
 def test_bigon_pair_sum_obstructed_at_order_two():
-    g, bp, sys_, alg = standard_setup("DBL")
-    std = {s.label: s.cochain for s in standard_cocycles(g, bp, sys_)}
+    g, sys_, alg = standard_setup("DBL")
+    std = {s.label: s.cochain for s in standard_cocycles(g, sys_)}
     mixed = cochain_sum(std["D1(w1,w2)"], std["D2(w1,w2)"])
     check = verify_formal(deform(sys_, mixed, FormalCtx(4)))
     assert not check
@@ -102,8 +100,8 @@ def test_bigon_pair_sum_obstructed_at_order_two():
 
 
 def test_resolve_overlap_reproduces_the_formal_witness():
-    g, bp, sys_, alg = standard_setup("DBL")
-    std = {s.label: s.cochain for s in standard_cocycles(g, bp, sys_)}
+    g, sys_, alg = standard_setup("DBL")
+    std = {s.label: s.cochain for s in standard_cocycles(g, sys_)}
     ds = deform(sys_, cochain_sum(std["D1(w1,w2)"], std["D2(w1,w2)"]),
                 FormalCtx(4))
     amb, diff, _ = verify_formal(ds).witness
@@ -116,10 +114,10 @@ def test_resolve_overlap_reproduces_the_formal_witness():
 
 def test_unit_shift_deformation_is_semisimple():
     for name, dim in (("EX1", 7), ("DBL", 8)):
-        g, bp, sys_, alg = standard_setup(name)
+        g, sys_, alg = standard_setup(name)
         base = semisimplicity(alg)
         assert base.radical_dim > 0
-        a = standard_cocycles(g, bp, sys_)[0]
+        a = standard_cocycles(g, sys_)[0]
         assert a.kind == "A"
         dalg = deformed_algebra(sys_, a.cochain)
         assert dalg.dim == dim == g.dimension_sum()

@@ -78,11 +78,10 @@ def standard_family(label, system):
     """Standard cocycles plus each D1 + D2 sum, when the system has them."""
     if label not in GRAPHS:
         return []
-    doc, bp = GRAPHS[label]
-    g = parse_ribbon_graph(doc)
+    g = parse_ribbon_graph(GRAPHS[label])
     if len(g.edges) == 1:
         return []
-    family = standard_cocycles(g, bp or bipartition(g), system)
+    family = standard_cocycles(g, system)
     d2 = {s.label[2:]: s.cochain for s in family if s.kind == "D2"}
     sums = [cochain_sum(s.cochain, d2[s.label[2:]])
             for s in family if s.kind == "D1"]
@@ -206,12 +205,11 @@ def test_reducible_value_is_refused_at_every_degree():
 def test_traced_check_matches_the_oracle_on_drawn_cochains(doc, degree, data):
     g = parse_ribbon_graph(doc)
     assume(g.dimension_sum() <= 60 and len(g.edges) > 1)
-    bp = bipartition(g)
-    system = reduction_system(g, bp)
+    system = reduction_system(g, bipartition(g))
     alg = FiniteDimAlgebra(system)
     coords = cochain_space(alg)
     cochain = {}
-    for s in standard_cocycles(g, bp, system):
+    for s in standard_cocycles(g, system):
         c = data.draw(st.integers(-2, 2))
         if c:
             cochain = cochain_sum(cochain, {ri: el.scaled(c)

@@ -13,7 +13,12 @@ from loaders import (
 )
 from oracles import verify_cocycle, zeroth_differential
 
-from bga.errors import NotApplicable, RequiresConfluentSystem, SchemaError
+from bga.errors import (
+    NonBipartite,
+    NotApplicable,
+    RequiresConfluentSystem,
+    SchemaError,
+)
 from bga.hochschild import (
     cochain_from_values_doc,
     cochain_from_vector,
@@ -29,7 +34,7 @@ from bga.hochschild import (
 )
 from bga.linalg import kernel, rank, residual, rref
 from bga.paths import Element
-from bga.presentation import reduction_system
+from bga.presentation import reduction_system, rules_from_doc
 from bga.rewrite import FiniteDimAlgebra, ReductionSystem, Rule
 from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
 
@@ -113,13 +118,18 @@ def test_cochain_values_document_round_trip():
         bp = bipartition(g)
         for b in (bp, Bipartition(bp.part_two, bp.part_one)):
             sys_ = reduction_system(g, b)
-            for s in standard_cocycles(g, b, sys_):
+            std = standard_cocycles(g, sys_)
+            for s in std:
                 text = json.dumps({"values": cochain_values_doc(sys_,
                                                                 s.cochain)})
                 back = cochain_from_values_doc(sys_, json.loads(text))
                 assert back == {ri: value for ri, value in s.cochain.items()
                                 if value}, (label, s.label)
                 checked += 1
+            # the family reads its sides off the rules of either system
+            report = verify_basis(hh2(FiniteDimAlgebra(sys_)),
+                                  [s.cochain for s in std])
+            assert report.complete, (label, b)
     assert checked > 100
 
 
@@ -325,7 +335,7 @@ def test_ann2_subspaces():
 def test_standard_family_ex1_both_bipartitions():
     g = graph("EX1")
     sys_ = system_for("EX1", EX1_BP1)
-    std = standard_cocycles(g, EX1_BP1, sys_)
+    std = standard_cocycles(g, sys_)
     assert [s.label for s in std] == ["A", "B(v2,1)"]
     assert [s.tag for s in std] == ["A", "B"]
     by_tip = {r.tip[1]: i for i, r in enumerate(sys_.rules)}
@@ -341,9 +351,8 @@ def test_standard_family_ex1_both_bipartitions():
         by_tip[("d", "g")]: Element.path(q, "b|g", ("b",)),
         by_tip[("b", "b", "b")]: Element.path(q, "b|g", ("b", "b"), F(-1)),
     }
-    bp2 = bipartition(g)
     sys2 = system_for("EX1")
-    std2 = standard_cocycles(g, bp2, sys2)
+    std2 = standard_cocycles(g, sys2)
     assert [s.label for s in std2] == ["A", "B(v2,1)"]
     tips2 = {r.tip[1]: i for i, r in enumerate(sys2.rules)}
     assert std2[1].cochain == {
@@ -352,9 +361,8 @@ def test_standard_family_ex1_both_bipartitions():
 
 def test_standard_family_dbl():
     g = graph("DBL")
-    bp = bipartition(g)
     sys_ = system_for("DBL")
-    std = standard_cocycles(g, bp, sys_)
+    std = standard_cocycles(g, sys_)
     assert [s.label for s in std] == [
         "A", "C(v2|w2)",
         "D1(w1,w2)", "D2(w1,w2)", "D1(w2,w1)", "D2(w2,w1)",
@@ -364,12 +372,8 @@ def test_standard_family_dbl():
 
 def test_standard_family_is_a_basis():
     for name, bp in (("EX1", EX1_BP1), ("EX1", None), ("DBL", None)):
-        g = graph(name)
-        if bp is None:
-            bp = bipartition(g)
         alg = algebra(name, bp)
-        sys_ = alg.system
-        std = standard_cocycles(g, bp, sys_)
+        std = standard_cocycles(graph(name), alg.system)
         report = verify_basis(hh2(alg), [s.cochain for s in std])
         assert report.complete, name
         assert report.count == report.hh2_dim
@@ -383,23 +387,39 @@ def test_standard_family_on_tree_with_higher_multiplicities():
         alg = FiniteDimAlgebra(sys_)
         rep = hh2(alg, graph=g)
         assert rep.hh2_dim == 4 and rep.formula_matches
-        std = standard_cocycles(g, bp, sys_)
+        std = standard_cocycles(g, sys_)
         assert [s.label for s in std] == ["A", "B(u,1)", "B(w,1)", "B(w,2)"]
         assert verify_basis(hh2(alg), [s.cochain for s in std]).complete
 
 
 def test_standard_family_needs_construction_data():
-    g = graph("TORUS")
-    sys_ = system_for("TORUS")
-    with pytest.raises(NotApplicable):
-        standard_cocycles(g, Bipartition({"p"}, set()), sys_)
+    # the derived rules of EX1, written as a rule document and read back:
+    # the same rules without their tags
+    g = graph("EX1")
+    derived = system_for("EX1")
+    doc = {"rules": [{"tip": list(r.tip[1]),
+                      "rhs": [[str(c), list(w)]
+                              for (_, w), c in r.rhs.terms.items()]}
+                     for r in derived.rules]}
+    sys_ = rules_from_doc(derived.quiver, doc)
+    assert [r.tip for r in sys_.rules] == [r.tip for r in derived.rules]
+    with pytest.raises(NotApplicable, match="construction data"):
+        standard_cocycles(g, sys_)
 
 
 def test_standard_family_rejects_single_edge():
     g = graph("LOC_2")
     sys_ = system_for("LOC_2")
-    with pytest.raises(NotApplicable):
-        standard_cocycles(g, Bipartition({"p"}, {"q"}), sys_)
+    with pytest.raises(NotApplicable, match="single-edge"):
+        standard_cocycles(g, sys_)
+
+
+def test_standard_family_needs_a_bipartite_graph():
+    # a graph with a loop is reported before its untagged bundled rules,
+    # in the order the cli reports them
+    for name in ("TORUS", "ANN2", "ANNULUS"):
+        with pytest.raises(NonBipartite):
+            standard_cocycles(graph(name), system_for(name))
 
 
 # -- verification -----------------------------------------------------------------
@@ -415,7 +435,7 @@ def test_verify_basis_flags_short_lists():
     alg = algebra("DBL")
     sys_ = alg.system
     g = graph("DBL")
-    std = standard_cocycles(g, bipartition(g), sys_)
+    std = standard_cocycles(g, sys_)
     report = verify_basis(hh2(alg), [s.cochain for s in std[:3]])
     assert report.all_cocycles and report.independent
     assert not report.complete

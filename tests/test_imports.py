@@ -3,8 +3,9 @@ private name a package module defines at module level, is read in that
 module; every parameter of a function, method or lambda is read in its
 body; every public function, class and method is read somewhere in the
 package; only ``rewrite`` knows the layout of an overlap; no module reads
-a rule's tag by position, and only the ``--bipartition`` reader splits
-text at "|"; the docstring examples run; every method that the bench spans hook is reached by the
+a rule's tag by position, only the ``--bipartition`` reader splits
+text at "|", and only ``ribbon`` and ``presentation`` read the parts of a
+bipartition; the docstring examples run; every method that the bench spans hook is reached by the
 commands the bench runs."""
 
 import ast
@@ -49,6 +50,11 @@ LAYOUT_OWNERS = {("rewrite", "Ambiguity"), ("rewrite", "overlap_sides")}
 # the only code that splits text at "|": the --bipartition override
 # "v1,v2|w"; edge ids are looked up in the graph's edge table instead
 BAR_SPLITTERS = {("cli", "_parse_bipartition")}
+
+# the only modules that read the parts of a Bipartition: ribbon makes and
+# checks it, presentation derives the rules from it; every other module
+# reads the sides off those rules' tags
+BIPARTITION_READERS = {"ribbon", "presentation"}
 
 
 def _read_names(tree):
@@ -176,6 +182,13 @@ def bar_splitters(tree):
                                       and a.value == "|" for a in n.args))
 
 
+def bipartition_readers(tree):
+    """What reads an attribute ``part_one`` or ``part_two``."""
+    return _top_level_holders(tree, lambda n: isinstance(n, ast.Attribute)
+                              and isinstance(n.ctx, ast.Load)
+                              and n.attr in ("part_one", "part_two"))
+
+
 def _found(scan, root=SRC):
     return {(path.stem, name) for path in sorted(root.glob("*.py"))
             for name in scan(ast.parse(path.read_text()))}
@@ -299,6 +312,22 @@ def test_only_the_bipartition_override_is_split_at_a_bar():
     found = _found(bar_splitters)
     assert sorted(found - BAR_SPLITTERS) == []
     assert BAR_SPLITTERS <= found
+
+
+def test_the_scan_finds_a_bipartition_read_by_its_parts():
+    tree = ast.parse("def side(bp, v): return 2 if v in bp.part_two else 1\n"
+                     "class Family:\n"
+                     "    def halves(self): return sorted(self.bp.part_one)\n"
+                     "    def flip(self, bp): bp.part_two = set()\n"
+                     "def tagged(rule): return rule.info == ('b', 'h')\n"
+                     "first = min(bp.part_one)\n")
+    assert bipartition_readers(tree) == {"side", "Family", "<module>"}
+
+
+def test_only_ribbon_and_presentation_read_a_bipartition():
+    found = {module for module, _ in _found(bipartition_readers)}
+    assert sorted(found - BIPARTITION_READERS) == []
+    assert BIPARTITION_READERS <= found
 
 
 def test_docstring_examples_pass():

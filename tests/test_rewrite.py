@@ -27,7 +27,7 @@ from bga.rewrite import (
     reduce,
     resolve_overlap,
 )
-from bga.ribbon import Bipartition, bipartition, parse_ribbon_graph
+from bga.ribbon import Bipartition, parse_ribbon_graph
 
 F = Fraction
 
@@ -61,7 +61,7 @@ def half_unit_shift_system():
     rhs coefficients mix int and Fraction."""
     g = graph("DBL")
     sys = system_for("DBL")
-    a = standard_cocycles(g, bipartition(g), sys)[0]
+    a = standard_cocycles(g, sys)[0]
     half = {ri: Element(sys.quiver, {k: c * F(1, 2)
                                      for k, c in value.terms.items()})
             for ri, value in a.cochain.items()}
