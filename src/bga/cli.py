@@ -17,7 +17,8 @@ import sys
 from .deform import deformed_algebra, semisimplicity, verify_lift
 from .errors import BgaError, InputError, NonBipartite, NotApplicable, UsageError
 from .fixtures import fixture_doc, fixture_rules
-from .hochschild import cochain_from_values_doc, hh2, standard_cocycles, verify_basis
+from .hochschild import (_standard_members, cochain_from_values_doc, hh2,
+                         standard_cocycles, verify_basis)
 from .presentation import (
     quiver_from_graph,
     reduction_system,
@@ -194,7 +195,7 @@ def _select_cochain(args, g, system):
             raise UsageError("--deform-type custom needs --cochain FILE")
         doc = json.loads(_read(args.cochain))
         return cochain_from_values_doc(system, doc), "custom"
-    for s in standard_cocycles(g, system):
+    for s in _standard_members(g, system):
         if s.kind == args.deform_type:
             return s.cochain, s.label
     raise NotApplicable(

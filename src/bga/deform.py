@@ -37,8 +37,6 @@ from .linalg import rank
 from .paths import Element, render
 from .rewrite import (
     FiniteDimAlgebra,
-    ReductionSystem,
-    Rule,
     check_cochain,
     enumerate_ambiguities,
     overlap_sides,
@@ -189,22 +187,16 @@ def deformed_algebra(system, cochain):
     """The t = 1 specialization, every rhs phi(s) replaced by
     phi(s) + psi(s), as a finite-dimensional algebra.
 
-    The cochain is validated by ``check_cochain``.  Tips are unchanged,
-    so the basis of irreducible words is the base one.  The specialization
-    is a well-defined algebra iff its structure constants are associative,
+    The cochain is validated by ``check_cochain``, which makes every check
+    the validating constructor would, so ``ReductionSystem.with_values``
+    builds the system on the base tip index: the tips and so the basis of
+    irreducible words are the base ones.  The specialization is a
+    well-defined algebra iff its structure constants are associative,
     which ``FiniteDimAlgebra.check_associative`` decides; it raises
     NonAssociative naming the first failing basis triple (i, j, k).
     """
     check_cochain(system, cochain)
-    rules = []
-    for ri, rule in enumerate(system.rules):
-        rhs = rule.rhs
-        value = cochain.get(ri)
-        if value is not None:
-            rhs = rhs + value
-        rules.append(Rule(rule.tip, rhs, info=rule.info))
-    at_one = ReductionSystem(system.quiver, rules)
-    alg = FiniteDimAlgebra(at_one)
+    alg = FiniteDimAlgebra(system.with_values(cochain))
     alg.check_associative()
     return alg
 

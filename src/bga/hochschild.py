@@ -351,7 +351,15 @@ def _rule_index(system):
 
 def standard_cocycles(graph, system):
     """The explicit cocycle family of a bipartite, non-local Brauer graph,
-    on the rules ``reduction_system`` derived for one bipartition of it.
+    on the rules ``reduction_system`` derived for one bipartition of it,
+    as a list; see ``_standard_members``."""
+    return list(_standard_members(graph, system))
+
+
+def _standard_members(graph, system):
+    """The members of ``standard_cocycles`` one at a time, in family
+    order: ``bga deform`` stops at the first of its kind, and builds no
+    later member (only C and D read the spanning tree and the faces).
 
     Four shapes: (A) one idempotent/arrow pair spread over all rules,
     (B) one per vertex v and power 1 <= i < m(v), (C) one per non-tree edge,
@@ -361,7 +369,7 @@ def standard_cocycles(graph, system):
     half-edges are those with a ("b", h) rule, so the sides are the ones
     the system was derived for.  Raises NonBipartite for a graph with no
     bipartition, then NotApplicable for a single edge, then NotApplicable
-    for a system whose rules carry no tags.
+    for a system whose rules carry no tags, all before the first member.
     """
     bipartition(graph)
     if len(graph.edges) == 1:
@@ -371,7 +379,6 @@ def standard_cocycles(graph, system):
     b_rule = {h: rule_of[("b", h)] for h in sorted(graph.half_edges)
               if ("b", h) in rule_of}
     q = system.quiver
-    out = []
 
     # (A): the unit shift.  +e on every cycle-commutation tip, -(last arrow)
     # on every vanishing-power tip (the b-rule of h ends in h), 0 elsewhere.
@@ -380,7 +387,7 @@ def standard_cocycles(graph, system):
         values[ri] = Element.idempotent(q, system.rules[ri].tip[0])
     for h, ri in b_rule.items():
         values[ri] = Element.path(q, q.arrows[h][0], (h,), coeff=-1)
-    out.append(StandardCocycle("A", "A", values))
+    yield StandardCocycle("A", "A", values)
 
     # (B): multiplicity-lowering cycle terms, one per (vertex, power).  The
     # graph has no loops, so at most one half of an edge lies at v; only a
@@ -398,7 +405,7 @@ def standard_cocycles(graph, system):
                     word = cycle_word(graph, graph.successor(h), i) + (h,)
                     values[ri] = Element.path(
                         q, q.arrows[word[-1]][0], word, coeff=-1)
-            out.append(StandardCocycle("B", f"B({v},{i})", values))
+            yield StandardCocycle("B", f"B({v},{i})", values)
 
     # (C): one per edge outside a spanning tree, rescaling its commutation
     # rule by its own replacement.
@@ -407,8 +414,7 @@ def standard_cocycles(graph, system):
         if edge in tree:
             continue
         ri = a_rule[edge]  # cycle edges have non-truncated endpoints
-        out.append(StandardCocycle(
-            "C", f"C({edge})", {ri: system.rules[ri].rhs}))
+        yield StandardCocycle("C", f"C({edge})", {ri: system.rules[ri].rhs})
 
     # (D): bigon terms, one pair per bigon face.  The face's half h1 at its
     # part-two vertex w has rotation successor h2; the partners i1, i2 of
@@ -430,14 +436,13 @@ def standard_cocycles(graph, system):
             rule_of[("c", beta, alpha)]: Element.idempotent(q, e2),
             rule_of[("b", h1)]: Element.path(q, q.arrows[astar[-1]][0], astar),
         }
-        out.append(StandardCocycle("D1", f"D1({h1},{h2})", values))
+        yield StandardCocycle("D1", f"D1({h1},{h2})", values)
         wcyc = cycle_word(graph, h2, graph.multiplicity[w])
         values = {
             rule_of[("c", beta, alpha)]: Element.path(
                 q, q.arrows[wcyc[-1]][0], wcyc),
         }
-        out.append(StandardCocycle("D2", f"D2({h1},{h2})", values))
-    return out
+        yield StandardCocycle("D2", f"D2({h1},{h2})", values)
 
 
 # -- verification -------------------------------------------------------------

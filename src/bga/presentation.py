@@ -136,8 +136,14 @@ def build_presentation(g):
 
 def _derive_rules(g, bp, quiver):
     """Rules of g for bp, each tagged by its source, ("a", edge id), ("b",
-    half-edge) or ("c", arrow, arrow); no two rules share a tag."""
+    half-edge) or ("c", arrow, arrow); no two rules share a tag.  Tips are
+    keyed unchecked (``ReductionSystem`` checks them); zero rhs are shared."""
     rules = []
+    zero = Element.zero(quiver)
+
+    def tip_key(word):
+        return (quiver.arrows[word[-1]][0], word)
+
     # (a) part-one cycle powers rewrite to the part-two side of their edge
     for edge, (h1, h2) in g.edges.items():
         if g.incidence[h1] in bp.part_two:
@@ -145,7 +151,7 @@ def _derive_rules(g, bp, quiver):
         v1, v2 = g.incidence[h1], g.incidence[h2]
         if g.is_truncated(v1):
             continue
-        tip = quiver.word_key(cycle_word(g, h1, g.multiplicity[v1]))
+        tip = tip_key(cycle_word(g, h1, g.multiplicity[v1]))
         rhs_word = cycle_word(g, h2, g.multiplicity[v2])
         rhs = Element(quiver, {quiver.word_key(rhs_word): 1})
         rules.append(Rule(tip, rhs, info=("a", edge)))
@@ -154,14 +160,13 @@ def _derive_rules(g, bp, quiver):
         if g.incidence[h] not in bp.part_two:
             continue
         word = cycle_word(g, g.successor(h), g.multiplicity[g.incidence[h]]) + (h,)
-        rules.append(Rule(quiver.word_key(word), Element.zero(quiver), info=("b", h)))
+        rules.append(Rule(tip_key(word), zero, info=("b", h)))
     # (c) the remaining products of non-successive arrows vanish
     for hu in sorted(quiver.arrows):
         for hv in quiver.arrows_into(quiver.origin(hu)):
             if g.successor(hv) == hu:
                 continue
-            rules.append(Rule(quiver.word_key((hu, hv)), Element.zero(quiver),
-                              info=("c", hu, hv)))
+            rules.append(Rule(tip_key((hu, hv)), zero, info=("c", hu, hv)))
     return rules
 
 

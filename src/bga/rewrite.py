@@ -110,6 +110,21 @@ class ReductionSystem:
         self._ambiguities = None    # filled by enumerate_ambiguities
         self._memo = {}             # path key -> (normal form, steps)
 
+    def with_values(self, cochain):
+        """This system with each rhs phi(s) replaced by phi(s) + psi(s), for
+        a cochain {rule index: Element} that ``check_cochain`` passed, so
+        nothing is checked again.  The tips are unchanged: the new system
+        shares the tip index and ambiguities, and gets an empty memo."""
+        out = object.__new__(ReductionSystem)
+        out.quiver = self.quiver
+        out.rules = [rule if ri not in cochain
+                     else Rule(rule.tip, rule.rhs + cochain[ri], rule.info)
+                     for ri, rule in enumerate(self.rules)]
+        out._ends = self._ends
+        out._ambiguities = self._ambiguities
+        out._memo = {}
+        return out
+
     @property
     def max_tip_length(self):
         return max((len(rule.tip[1]) for rule in self.rules), default=0)
@@ -446,15 +461,24 @@ class FiniteDimAlgebra:
         omitted, in (i, j)-lexicographic order.
 
         For each i only the j in ``ending_at`` the origin of b_i are
-        normalised, through the system's normal-form memo, since every
-        other product is zero.
+        visited, since every other product is zero.  A product with an
+        idempotent factor is the other factor, a basis path and so
+        irreducible: its row is read off as {j: 1} or {i: 1}.  The rest are
+        normalised through the system's normal-form memo.
         """
         if self._table is None:
             q, index = self.quiver, self.index
             nf = self.system.normal_form
             table = {}
             for i, ki in enumerate(self.basis):
+                if not ki[1]:
+                    for j, _ in self.ending_at[ki[0]]:
+                        table[(i, j)] = {j: 1}
+                    continue
                 for j, kj in self.ending_at[ki[0]]:
+                    if not kj[1]:
+                        table[(i, j)] = {i: 1}
+                        continue
                     row = {index[key]: c
                            for key, c in nf(q.concat_key(ki, kj)).items()}
                     if row:

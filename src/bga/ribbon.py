@@ -45,8 +45,12 @@ _DOCTEST_DOC = """{
 
 
 class RibbonGraph:
+    """A validated ribbon graph.  The rotation and the pairing are indexed
+    once, when the graph is built: ``successor`` and ``edge_of`` are
+    lookups, and ``edges`` is the edge table in sorted id order."""
+
     __slots__ = ("multiplicity", "half_edges", "incidence", "pairing",
-                 "rotation", "edges")
+                 "rotation", "edges", "_successor", "_edge_of")
 
     def __init__(self, multiplicity, half_edges, incidence, pairing, rotation):
         self.multiplicity = dict(multiplicity)   # vertex id -> m(v) >= 1
@@ -54,9 +58,14 @@ class RibbonGraph:
         self.incidence = dict(incidence)         # half-edge -> vertex (the map s)
         self.pairing = dict(pairing)             # involution iota, both directions stored
         self.rotation = {v: list(hs) for v, hs in rotation.items()}
+        self._successor = {h: cyc[(i + 1) % len(cyc)]
+                           for cyc in self.rotation.values()
+                           for i, h in enumerate(cyc)}
+        halves = {h: tuple(sorted((h, p))) for h, p in self.pairing.items()}
+        self._edge_of = {h: f"{a}|{b}" for h, (a, b) in halves.items()}
         # edge id (``edge_of``) -> (smaller half, larger half), ids sorted
-        self.edges = dict(sorted((self.edge_of(h), tuple(sorted((h, p))))
-                                 for h, p in self.pairing.items()))
+        self.edges = dict(sorted((self._edge_of[h], pair)
+                                 for h, pair in halves.items()))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -68,14 +77,11 @@ class RibbonGraph:
 
     def successor(self, h):
         """rho(h): next half-edge in the rotation at the vertex of h."""
-        cyc = self.rotation[self.incidence[h]]
-        i = cyc.index(h)
-        return cyc[(i + 1) % len(cyc)]
+        return self._successor[h]
 
     def edge_of(self, h):
         """Canonical edge id: the two half-edge ids joined by '|', smaller first."""
-        a, b = sorted((h, self.pairing[h]))
-        return f"{a}|{b}"
+        return self._edge_of[h]
 
     def valence(self, v):
         return len(self.rotation[v])

@@ -1,13 +1,16 @@
 import contextlib
 import copy
 import gc
+import hashlib
 import io
 import json
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from loaders import generated_family
 
+from bga import hochschild
 from bga.cli import main
 from bga.fixtures import fixture_doc, fixture_rules
 
@@ -169,6 +172,43 @@ def test_unavailable_standard_type(capsys):
                         "--deform-type", "C")
     assert code == 1
     assert doc["error"] == "not_applicable"
+
+
+# sha256 of the stdout of ``deform --deform-type A``, exit code 0, as it
+# was when the command built the whole standard family to pick one member
+DEFORM_A_DIGESTS = {
+    ("EX1", "1"):
+        "3e01eedc95997c1be2d7732a043496f1f0c62047d8312f1c5f51e87c1307f77e",
+    ("EX1", "formal:4"):
+        "7179269b0ed6e31c8a28c3b6684f404e1d54771f494142b2e5f90b25a65fad73",
+    ("DBL", "1"):
+        "6fdabb8448bfa61f901292eee89c281aae780a21ac286f5c0ab64c2b45848453",
+    ("DBL", "formal:4"):
+        "e42421c8e0ad3033f7f8cef1bc9a719c893cf463ca3118bb87af1d0f0f2221e6",
+    ("cycle4o1", "1"):
+        "9066f5075ea4f29437923d5b73aa96d83d3cb0bac3f8150435b7e81164d62769",
+    ("cycle4o1", "formal:4"):
+        "f7d373b2ce9b07ac564a5431b1e675cafec635fa3b9bdaf5ee21468fd094cf6f",
+}
+
+
+def test_deform_builds_only_the_member_it_selects(tmp_path, capsys,
+                                                  monkeypatch):
+    # the (C) and (D) members are the only readers of these two
+    def unreachable(graph):
+        raise AssertionError("deform --deform-type A built a C or D member")
+
+    monkeypatch.setattr(hochschild, "spanning_tree", unreachable)
+    monkeypatch.setattr(hochschild, "boundary_walks", unreachable)
+    path = tmp_path / "cycle4o1.json"
+    path.write_text(dict(generated_family())["cycle4o1"])
+    inputs = {"EX1": "EX1", "DBL": "DBL", "cycle4o1": str(path)}
+    for (label, t), digest in DEFORM_A_DIGESTS.items():
+        extra = ("--check-semisimple",) if t == "1" else ()
+        code, out = run(capsys, "deform", "--input", inputs[label],
+                        "--deform-type", "A", "--t", t, *extra)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) \
+            == (0, digest), (label, t)
 
 
 def test_missing_input_file(capsys):

@@ -1,12 +1,31 @@
-import pytest
+import json
+import random
 from fractions import Fraction
 
-from loaders import algebra, generated_family, graph, system_for
+import pytest
+from loaders import NAMED, algebra, generated_family, graph, system_for
 from oracles import FormalCtx, deform, verify_formal
+from test_corpus import (
+    SLOW_AT_ONE,
+    Corpus,
+    inputs,
+    random_cochain,
+    system_of,
+)
 
 from bga.deform import deformed_algebra, semisimplicity
-from bga.errors import NonAssociative, NonParallelCochain
-from bga.hochschild import standard_cocycles
+from bga.errors import (
+    NonAssociative,
+    NonParallelCochain,
+    NonTerminating,
+    SchemaError,
+)
+from bga.fixtures import fixture_rules
+from bga.hochschild import (
+    cochain_from_values_doc,
+    cochain_space,
+    standard_cocycles,
+)
 from bga.paths import Element
 from bga.presentation import reduction_system
 from bga.rewrite import (
@@ -154,3 +173,96 @@ def test_non_cocycle_specialization_is_caught():
     bad = {0: Element.idempotent(q, "x|y")}
     with pytest.raises(NonAssociative):
         deformed_algebra(sys_, bad)
+
+
+# -- the t = 1 system without a second validation ----------------------------------
+
+def rule_entries(system):
+    """Tips, rhs terms in their order with each coefficient's type, and
+    tags of the rules."""
+    return [(r.tip, [(k, type(c), c) for k, c in r.rhs.terms.items()], r.info)
+            for r in system.rules]
+
+
+def table_outcome(alg):
+    """The table in its order with each value's type, or the error text."""
+    try:
+        return [(ij, [(k, type(c), c) for k, c in row.items()])
+                for ij, row in alg.table.items()]
+    except NonTerminating as exc:
+        return str(exc)
+
+
+def validated_t1_system(system, cochain):
+    """The t = 1 rules run through the validating constructor."""
+    return ReductionSystem(system.quiver, [
+        Rule(r.tip, r.rhs + cochain[ri] if ri in cochain else r.rhs, r.info)
+        for ri, r in enumerate(system.rules)])
+
+
+def assert_with_values_validates(system, cochain, label):
+    """``with_values`` is the system the validating constructor builds from
+    the same rules, on the base tip index and with an empty memo."""
+    check_cochain(system, cochain)
+    fast = system.with_values(cochain)
+    slow = validated_t1_system(system, cochain)
+    assert rule_entries(fast) == rule_entries(slow), label
+    assert fast._ends is system._ends and fast._ends == slow._ends, label
+    assert fast._memo == {} and fast._memo is not system._memo, label
+    a, b = FiniteDimAlgebra(fast), FiniteDimAlgebra(slow)
+    assert a.basis == b.basis, label
+    assert table_outcome(a) == table_outcome(b), label
+
+
+def corpus_cochains(tmp_path):
+    """(label, system, cochain) for every seeded custom cochain that the
+    corpus runs at t = 1, drawn as ``test_corpus.custom`` draws them."""
+    corpus = Corpus(tmp_path)
+    rng = random.Random(22)
+    for label, _, source in inputs(corpus):
+        system = system_of(source)
+        alg = FiniteDimAlgebra(system)
+        coords = cochain_space(alg)
+        for i in range(10):
+            doc = random_cochain(rng, system, alg, coords)
+            if (label, i) not in SLOW_AT_ONE:
+                yield (label, i), system, cochain_from_values_doc(
+                    system, json.loads(doc))
+
+
+def test_with_values_is_the_validated_t1_system():
+    cases = [(name, graph(name), system_for(name)) for name in NAMED]
+    for label, doc in generated_family():
+        g = parse_ribbon_graph(doc)
+        cases.append((label, g, reduction_system(g)))
+    count = 0
+    for label, g, system in cases:
+        assert_with_values_validates(system, {}, label)
+        if len(g.edges) < 2 or fixture_rules(label):
+            continue
+        for s in standard_cocycles(g, system):
+            assert_with_values_validates(system, s.cochain, (label, s.label))
+            count += 1
+    assert count >= 100
+
+
+def test_with_values_agrees_on_the_corpus_cochains(tmp_path):
+    kept = rejected = 0
+    for label, system, cochain in corpus_cochains(tmp_path):
+        try:
+            check_cochain(system, cochain)
+        except (NonParallelCochain, SchemaError) as exc:
+            # deformed_algebra raises what it raised when it built the
+            # t = 1 system with the validating constructor
+            with pytest.raises(type(exc)) as got:
+                deformed_algebra(system, cochain)
+            assert str(got.value) == str(exc), label
+            if isinstance(exc, SchemaError):
+                with pytest.raises(SchemaError) as built:
+                    validated_t1_system(system, cochain)
+                assert str(built.value) == str(exc), label
+            rejected += 1
+            continue
+        assert_with_values_validates(system, cochain, label)
+        kept += 1
+    assert kept >= 200 and rejected >= 20

@@ -336,6 +336,7 @@ def test_standard_family_ex1_both_bipartitions():
     g = graph("EX1")
     sys_ = system_for("EX1", EX1_BP1)
     std = standard_cocycles(g, sys_)
+    assert isinstance(std, list)  # deform alone takes the members lazily
     assert [s.label for s in std] == ["A", "B(v2,1)"]
     assert [s.tag for s in std] == ["A", "B"]
     by_tip = {r.tip[1]: i for i, r in enumerate(sys_.rules)}

@@ -2,12 +2,17 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings
 
-from loaders import generated_family, graph, star_doc, system_for
+from loaders import NAMED, generated_family, graph, star_doc, system_for
 from oracles import last_redex, reduce_rightmost
 from test_cocycle_oracle import bipartite_graphs
 
 from bga.deform import deformed_algebra
-from bga.errors import InfiniteDimensional, NonTerminating, SchemaError
+from bga.errors import (
+    InfiniteDimensional,
+    NonAssociative,
+    NonTerminating,
+    SchemaError,
+)
 from bga.hochschild import hh2, standard_cocycles
 from bga.paths import Element, Quiver
 from bga.presentation import (
@@ -494,6 +499,46 @@ def test_mult_table_is_built_on_first_read():
             nf = reduce(sys, Element(q, {ki: 1}) * Element(q, {kj: 1}))
             assert table.get((i, j), {}) == {
                 alg.index[k]: c for k, c in nf.terms.items()}
+
+
+def reference_table(alg):
+    """The table with every composable product reduced through the memo,
+    those with an idempotent factor too."""
+    q, nf = alg.quiver, alg.system.normal_form
+    table = {}
+    for i, ki in enumerate(alg.basis):
+        for j, kj in alg.ending_at[ki[0]]:
+            row = {alg.index[k]: c for k, c in nf(q.concat_key(ki, kj)).items()}
+            if row:
+                table[(i, j)] = row
+    return table
+
+
+def table_entries(table):
+    """The table as a list in its own order, each row in its own order and
+    each value with its type."""
+    return [(ij, [(k, type(c), c) for k, c in row.items()])
+            for ij, row in table.items()]
+
+
+def test_idempotent_rows_are_the_reduced_products():
+    algebras = [(name, FiniteDimAlgebra(system_for(name))) for name in NAMED]
+    for label, doc in generated_family():
+        g = parse_ribbon_graph(doc)
+        system = reduction_system(g)
+        algebras.append((label, FiniteDimAlgebra(system)))
+        if len(g.edges) < 2:
+            continue
+        for s in standard_cocycles(g, system):
+            try:
+                algebras.append(((label, s.label),
+                                 deformed_algebra(system, s.cochain)))
+            except NonAssociative:
+                continue
+    for label, alg in algebras:
+        assert table_entries(alg.table) \
+            == table_entries(reference_table(alg)), label
+    assert len(algebras) >= 100
 
 
 def test_mult_table_associativity():

@@ -64,6 +64,29 @@ def test_the_edge_table_of_drawn_graphs(doc):
     assert_edge_table(parse_ribbon_graph(doc))
 
 
+def assert_graph_index(g):
+    """``successor`` and ``edge_of``, read off the indexes the graph builds
+    once, agree at every half-edge with the rotation and the pairing."""
+    for h in g.half_edges:
+        cyc = g.rotation[g.incidence[h]]
+        assert g.successor(h) == cyc[(cyc.index(h) + 1) % len(cyc)], h
+        a, b = sorted((h, g.pairing[h]))
+        assert g.edge_of(h) == f"{a}|{b}", h
+
+
+def test_the_graph_index_of_every_named_and_family_graph():
+    for name in NAMED:
+        assert_graph_index(graph(name))
+    for _, doc in generated_family():
+        assert_graph_index(parse_ribbon_graph(doc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bipartite_graphs())
+def test_the_graph_index_of_drawn_graphs(doc):
+    assert_graph_index(parse_ribbon_graph(doc))
+
+
 def test_the_edge_table_sorts_ids_not_pairs():
     # the ids are compared as strings: "ab|c" < "a|b" since "b" < "|",
     # although the pair ("a", "b") comes before ("ab", "c")
