@@ -206,7 +206,7 @@ def cmd_deform(args):
     g, system = _load(args)
     if not args.deform_type:
         raise UsageError("deform needs --deform-type")
-    m = re.fullmatch(r"formal:(\d+)", args.t)
+    m = re.fullmatch(r"formal:([0-9]+)", args.t)
     if m is None and args.t != "1":
         raise UsageError('--t must be "1" or "formal:D"')
     degree = int(m.group(1)) if m else None

@@ -10,15 +10,23 @@ resolves each tip-on-tip overlap to first order in t.  Both linear maps are
 built from reductions in the base system alone, with exact rational
 coefficients:
 
-* cocycle constraints: each overlap is resolved both ways by
-  ``rewrite.overlap_sides`` through the system's normal-form memo, which
-  keeps the reduce steps of every path; an unknown coordinate (rule r, path p)
-  contributes the normal form of ``left p right`` for every step that
-  rewrote the tip of r between ``left`` and ``right`` (see
-  ``cocycle_space`` for why this is the order-t part of the deformed
+* cocycle constraints: ``rewrite.overlap_steps`` lists the reduce steps
+  of both resolutions of each overlap, from the system's normal-form memo
+  or, for a monomial overlap, off its two rules; an unknown coordinate
+  (rule r, path p) contributes the normal form of ``left p right`` for
+  every step that rewrote the tip of r between ``left`` and ``right``
+  (see ``cocycle_space`` for why this is the order-t part of the deformed
   reduction);
 * coboundaries: the arrow-indexed 1-cochains are substituted into the
   letter occurrences of every tip - rhs.
+
+Both maps skip a word ``left p right`` with a zero pair of the system at
+one of its two junctions: ``left`` is irreducible in both (the part of a
+word before its leftmost redex, or a prefix of a tip or of an rhs
+monomial), so a zero pair at the left junction is the word's leftmost
+redex, and the system is confluent, so a zero pair at the right one also
+makes the normal form 0 (see ``rewrite``).  Only words within the letter
+budget are skipped.
 
 ``hh2`` keeps the constraint rows, and ``verify_basis`` tests cochains for
 being cocycles against them with ``linalg.annihilates``.  The test suite
@@ -41,11 +49,12 @@ from .errors import (
 from .linalg import annihilates, quotient, rank, residual, rref
 from .paths import Element, element_from_doc, element_to_doc, word_from_doc
 from .presentation import cycle_word, dimension_formula
+from . import rewrite
 from .rewrite import (
     check_cochain,
     check_diamond,
     enumerate_ambiguities,
-    overlap_sides,
+    overlap_steps,
     reduce,  # noqa: F401 - bench/tests reads the binding hochschild.reduce
 )
 from .ribbon import bipartition, boundary_walks, spanning_tree
@@ -121,18 +130,46 @@ def cochain_from_values_doc(system, doc):
 
 # -- differentials ------------------------------------------------------------
 
+def _junctions(system):
+    """The zero-pair test at the junctions of a word left * p * right, as
+    a function ``around(left, right)`` -> (za, zb, b): za holds the letters
+    that make a zero pair after the last letter of ``left``, zb those that
+    make one before the first letter b of ``right`` (b is None for an empty
+    ``right``).  A zero pair sits at a junction iff
+    ``p[0] in za or p[-1] in zb`` for a nonempty p, and iff ``b in za``
+    for an empty one.  With ``left`` irreducible, the pair at the left
+    junction is the leftmost redex, and in a confluent system a pair
+    anywhere settles the word: either way its normal form is 0 (see
+    ``rewrite``).
+    """
+    after, before = {}, {}
+    for a, b in system.zero_pairs:
+        after.setdefault(a, set()).add(b)
+        before.setdefault(b, set()).add(a)
+
+    def around(left, right):
+        b = right[0] if right else None
+        return after.get(left[-1], ()) if left else (), before.get(b, ()), b
+
+    return around
+
+
 def _letter_occurrences(system):
-    """{arrow: [(rule_index, coeff, origin, left, right)]} over every letter
-    of every monomial of tip - rhs: the tip with coefficient +1, the rhs
-    monomials negated, ``left`` and ``right`` the words around the letter."""
+    """{arrow: [(rule_index, coeff, origin, left, right, za, zb, b)]} over
+    every letter of every monomial of tip - rhs: the tip with coefficient
+    +1, the rhs monomials negated, ``left`` and ``right`` the words around
+    the letter, and za, zb, b the junction data of ``_junctions`` for
+    the word left * path * right."""
+    around = _junctions(system)
     out = {}
     for ri, rule in enumerate(system.rules):
         monomials = [(rule.tip, 1)]
         monomials += [(k, -c) for k, c in rule.rhs.terms.items()]
         for (origin, word), c in monomials:
             for i, letter in enumerate(word):
+                left, right = word[:i], word[i + 1:]
                 out.setdefault(letter, []).append(
-                    (ri, c, origin, word[:i], word[i + 1:]))
+                    (ri, c, origin, left, right, *around(left, right)))
     return out
 
 
@@ -149,20 +186,27 @@ def one_cochain_coords(alg):
 
 def coboundary_image(alg, coords):
     """Spanning set of the coboundary subspace in the cochain coordinates
-    ``coords`` of ``cochain_space(alg)``.
+    ``coords`` of ``cochain_space(alg)``, for a confluent system.
 
     One vector per ``one_cochain_coords`` pair (arrow, path): the first
     differential of that 1-cochain.  Each occurrence of the arrow in
     tip - rhs is replaced by the path, and the word so made is reduced once,
-    through the system's memo that the cocycle rows share.
+    through the system's memo that the cocycle rows share.  Its left part
+    is a prefix of a tip or of an rhs monomial, so it is irreducible, and a
+    word with a zero pair at a junction of left|path|right is 0 and is
+    skipped, unless it is longer than the letter budget.
     """
     nf = alg.system.normal_form
+    budget = rewrite.MAX_REDUCE_LETTERS
     index = {pair: j for j, pair in enumerate(coords)}
     occurrences = _letter_occurrences(alg.system)
     vecs = []
     for name, (_, path) in one_cochain_coords(alg):
         vec = {}
-        for ri, c, origin, left, right in occurrences.get(name, ()):
+        for ri, c, origin, left, right, za, zb, b in occurrences.get(name, ()):
+            if (((path[0] in za or path[-1] in zb) if path else b in za)
+                    and len(left) + len(path) + len(right) <= budget):
+                continue
             for k, d in nf((origin, left + path + right)).items():
                 j = index[(ri, k)]
                 vec[j] = vec.get(j, 0) + c * d
@@ -178,28 +222,29 @@ def _cocycle_rows(system, coords):
 
     Unknown j = (rule r, path p) enters the rhs of r as t * x_j * p.  A base
     step c * left (tip r) right then adds c * t * x_j * left p right; the
-    t-part of a resolution is the normal form of the sum over its steps.
-    The steps are the traces the system's memo keeps for the
-    ``overlap_sides`` keys: u*v*w on the left; on the right, the steps of
-    v*w under the prefix u (a step at origin o with left word lw gets the
-    left word of ``times_u((o, lw))``), then those of ``times_u(k)`` for
-    the terms e * k of NF(v*w).
+    t-part of a resolution is the normal form of the sum over its steps,
+    which ``rewrite.overlap_steps`` lists for both sides.  The left word of
+    a step is the part before a leftmost redex, so it is irreducible, and
+    the system is confluent: a word with a zero pair at a junction of
+    left|p|right is 0 and is skipped, unless it is longer than the letter
+    budget.
     """
-    nf, path_steps = system.normal_form, system.steps
+    nf = system.normal_form
+    around = _junctions(system)
+    budget = rewrite.MAX_REDUCE_LETTERS
     by_rule = {}
     for j, (ri, (_, p)) in enumerate(coords):
         by_rule.setdefault(ri, []).append((j, p))
     rows = []
     for amb in enumerate_ambiguities(system):
-        uvw, vw, times_u = overlap_sides(system, amb)
-        steps = list(path_steps(uvw))
-        steps += [(-c, *times_u((o, lw)), ri, rw)
-                  for c, o, lw, ri, rw in path_steps(vw)]
-        steps += [(-e * c, o, lw, ri, rw) for k, e in nf(vw).items()
-                  for c, o, lw, ri, rw in path_steps(times_u(k))]
         diff = {}
-        for c, o, lw, ri, rw in steps:
+        for c, o, lw, ri, rw in overlap_steps(system, amb):
+            za, zb, b = around(lw, rw)
+            n = len(lw) + len(rw)
             for j, p in by_rule.get(ri, ()):
+                if (((p[0] in za or p[-1] in zb) if p else b in za)
+                        and n + len(p) <= budget):
+                    continue
                 for k, d in nf((o, lw + p + rw)).items():
                     row = diff.setdefault(k, {})
                     row[j] = row.get(j, 0) + c * d

@@ -15,6 +15,25 @@ system memoises the normal form and the reduce steps of every single path
 it is asked about, as the loop of ``reduce`` computes them, and the overlap
 resolutions, the multiplication table, the cocycle rows and the formal
 lifts all read them from that one memo.
+
+Two facts about the monomial rules (rhs 0) settle a result without a
+reduction, and every consumer uses them:
+
+* A zero pair at a junction.  ``zero_pairs`` is the set of length-2 tips
+  whose rhs is 0.  Let x be irreducible and the pair (x[-1], y[0]) a zero
+  pair.  No redex of x*y ends inside x, and the length-2 tip ending at the
+  junction is the only tip ending there, so it is the leftmost redex and
+  NF(x*y) = 0 in any system.  In a confluent system the normal form is
+  reduction-unique (Bergman's diamond lemma), so a zero pair anywhere in a
+  word, rewritten first, makes its normal form 0.
+* A monomial overlap.  When both rules of an overlap u|v|w rewrite to 0,
+  the leftmost redex of u*v*w is the tip u*v and that of v*w is the
+  completing tip, which ends at its last letter; each is one step to 0.
+  So both sides are 0, and ``overlap_steps`` reads the two steps off the
+  rules.
+
+A word so settled is never longer than ``MAX_REDUCE_LETTERS``: a longer
+one goes to the memo, which raises NonTerminating as ``reduce`` would.
 """
 
 from __future__ import annotations
@@ -72,9 +91,14 @@ class ReductionSystem:
     dicts and lists are shared and must not be changed.
     The memo refers to nothing that refers back to the system, so a system
     is freed without the cyclic garbage collector.
+
+    ``zero_pairs`` is the set of the length-2 tips, as letter pairs, whose
+    rhs is 0; see the module docstring for what a zero pair at a junction
+    settles.
     """
 
-    __slots__ = ("quiver", "rules", "_ends", "_ambiguities", "_memo")
+    __slots__ = ("quiver", "rules", "zero_pairs", "_ends", "_ambiguities",
+                 "_memo")
 
     def __init__(self, quiver, rules):
         self.quiver = quiver
@@ -107,6 +131,7 @@ class ReductionSystem:
                 if self.first_redex(word) is not None:
                     raise SchemaError(
                         f"rhs of {render_key(rule.tip)} is itself reducible")
+        self.zero_pairs = _zero_pairs(self.rules)
         self._ambiguities = None    # filled by enumerate_ambiguities
         self._memo = {}             # path key -> (normal form, steps)
 
@@ -114,12 +139,14 @@ class ReductionSystem:
         """This system with each rhs phi(s) replaced by phi(s) + psi(s), for
         a cochain {rule index: Element} that ``check_cochain`` passed, so
         nothing is checked again.  The tips are unchanged: the new system
-        shares the tip index and ambiguities, and gets an empty memo."""
+        shares the tip index and ambiguities, and gets an empty memo.  Its
+        zero pairs are rebuilt, since a value may land on a zero rule."""
         out = object.__new__(ReductionSystem)
         out.quiver = self.quiver
         out.rules = [rule if ri not in cochain
                      else Rule(rule.tip, rule.rhs + cochain[ri], rule.info)
                      for ri, rule in enumerate(self.rules)]
+        out.zero_pairs = _zero_pairs(out.rules)
         out._ends = self._ends
         out._ambiguities = self._ambiguities
         out._memo = {}
@@ -141,14 +168,15 @@ class ReductionSystem:
                         return i - k, ri
         return None
 
-    def tip_is_suffix(self, word):
+    def suffix_rule(self, word):
+        """Index of the rule whose tip ends the word, or None."""
         hit = self._ends.get(word[-2:])
         if hit is not None:
-            for k, tip, _ in hit:
+            for k, tip, ri in hit:
                 # word[-k:] is the whole word when it is shorter than k
                 if word[-k:] == tip:
-                    return True
-        return False
+                    return ri
+        return None
 
     def _reduce_path(self, key):
         """Fill the memo entry of a path from one redex scan.  An
@@ -176,6 +204,12 @@ class ReductionSystem:
 
     def steps(self, key):
         return (self._memo.get(key) or self._reduce_path(key))[1]
+
+
+def _zero_pairs(rules):
+    """The length-2 tips with rhs 0, as a set of letter pairs."""
+    return frozenset(rule.tip[1] for rule in rules
+                     if len(rule.tip[1]) == 2 and not rule.rhs.terms)
 
 
 def check_cochain(system, cochain):
@@ -274,17 +308,27 @@ def _reduce_terms(system, terms, trace, first=None):
 class Ambiguity:
     """Overlap witness u*v*w: uv is a tip, v*w reducible, both minimally."""
 
-    __slots__ = ("u", "v", "w", "rule_index")
+    __slots__ = ("u", "v", "w", "rule_index", "completion_index")
 
-    def __init__(self, u, v, w, rule_index):
+    def __init__(self, u, v, w, rule_index, completion_index):
         self.u = u                      # single arrow name
         self.v = v                      # word tuple
         self.w = w                      # word tuple
         self.rule_index = rule_index    # rule whose tip is (u,) + v
+        self.completion_index = completion_index    # rule whose tip ends v*w
 
     @property
     def word(self):
         return (self.u,) + self.v + self.w
+
+    def is_monomial(self, system):
+        """Whether both rules rewrite to 0 in ``system`` and u*v*w keeps the
+        letter budget: then both sides of the overlap are 0, and so are the
+        steps of u*v*w and v*w (see the module docstring)."""
+        rules = system.rules
+        return (not rules[self.rule_index].rhs.terms
+                and not rules[self.completion_index].rhs.terms
+                and 1 + len(self.v) + len(self.w) <= MAX_REDUCE_LETTERS)
 
     def __repr__(self):
         return f"Ambiguity({self.u!r}, {self.v!r}, {self.w!r})"
@@ -301,30 +345,37 @@ def enumerate_ambiguities(system):
     basis, and works on infinite-dimensional algebras too.  v is a proper
     subword of a tip, so it is irreducible, and w grows only while v*w
     stays irreducible; a redex of v*w2 = v*w*a must therefore end at its
-    last letter, and ``tip_is_suffix`` decides both tests, for v*w2 and for
-    w2, with one lookup each.  The rules are fixed at construction, so the
+    last letter, and ``suffix_rule`` decides both tests, for v*w2 and for
+    w2, with one lookup each, and names the completing rule.  The overlaps
+    are in (rule, word) order: u and v are fixed per rule, so sorting each
+    rule's w is enough.  The rules are fixed at construction, so the
     search runs once per system and later calls return the same tuple.
     """
     if system._ambiguities is not None:
         return system._ambiguities
     q = system.quiver
+    suffix_rule = system.suffix_rule
     max_w = system.max_tip_length - 1
     out = []
     for ri, rule in enumerate(system.rules):
         origin, tip_word = rule.tip
         u, v = tip_word[0], tip_word[1:]
+        found = []
         frontier = [()]
         while frontier:
             w = frontier.pop()
             attach = origin if not w else q.arrows[w[-1]][0]
             for name in q.arrows_into(attach):
                 w2 = w + (name,)
-                if system.tip_is_suffix(v + w2):
-                    if not system.tip_is_suffix(w2):
-                        out.append(Ambiguity(u, v, w2, ri))
+                ci = suffix_rule(v + w2)
+                if ci is not None:
+                    if suffix_rule(w2) is None:
+                        found.append((w2, ci))
                 elif len(w2) < max_w:
                     frontier.append(w2)
-    out.sort(key=lambda a: (a.rule_index, a.word))
+        # each w2 is found once, so the completing rule never breaks a tie
+        found.sort()
+        out += [Ambiguity(u, v, w, ri, ci) for w, ci in found]
     system._ambiguities = tuple(out)
     return system._ambiguities
 
@@ -343,6 +394,32 @@ def overlap_sides(system, amb):
     origin = system.quiver.arrows[amb.w[-1]][0]
     vw = (origin, amb.v + amb.w)
     return (origin, (u,) + vw[1]), vw, lambda key: (key[0], (u,) + key[1])
+
+
+def overlap_steps(system, amb):
+    """The reduce steps of both resolutions of the overlap u|v|w, the right
+    ones negated: the steps of u*v*w; then those of v*w under the prefix u
+    (a step at origin o with left word lw gets the left word of
+    ``times_u((o, lw))``); then, for the terms e * k of NF(v*w), those of
+    ``times_u(k)`` scaled by e.  The lists are read from the memo, except
+    for a monomial overlap, whose two steps are read off its rules: tip u*v
+    at the start of u*v*w, and the completing tip at the end of v*w, each
+    rewritten to 0 with coefficient 1.
+    """
+    uvw, vw, times_u = overlap_sides(system, amb)
+    if amb.is_monomial(system):
+        origin, word = uvw
+        r1, r2 = amb.rule_index, amb.completion_index
+        return [(1, origin, (), r1, word[len(system.rules[r1].tip[1]):]),
+                (-1, origin, word[:-len(system.rules[r2].tip[1])], r2, ())]
+    path_steps = system.steps
+    steps = list(path_steps(uvw))
+    steps += [(-c, *times_u((o, lw)), ri, rw)
+              for c, o, lw, ri, rw in path_steps(vw)]
+    steps += [(-e * c, o, lw, ri, rw)
+              for k, e in system.normal_form(vw).items()
+              for c, o, lw, ri, rw in path_steps(times_u(k))]
+    return steps
 
 
 def resolve_overlap(system, amb):
@@ -384,11 +461,15 @@ class DiamondReport:
 def check_diamond(system):
     """Resolve every overlap ambiguity both ways and compare the normal
     forms as term dicts.  A failure is listed as (Ambiguity, left, right)
-    with both sides as Elements; a resolved overlap makes no Element."""
+    with both sides as Elements; a resolved overlap makes no Element.  A
+    monomial overlap has both sides 0: it is counted, and nothing is
+    reduced for it."""
     ambiguities = enumerate_ambiguities(system)
     q = system.quiver
     failures = []
     for amb in ambiguities:
+        if amb.is_monomial(system):
+            continue
         left, right = resolve_overlap(system, amb)
         if left != right:
             failures.append((amb, Element(q, left), Element(q, right)))
@@ -414,7 +495,7 @@ def irreducible_words(system):
         for (origin, word) in level:
             for name in q.arrows_into(origin):
                 cand = word + (name,)
-                if system.tip_is_suffix(cand):
+                if system.suffix_rule(cand) is not None:
                     continue
                 if len(cand) > cap:
                     raise InfiniteDimensional(
@@ -463,21 +544,30 @@ class FiniteDimAlgebra:
         For each i only the j in ``ending_at`` the origin of b_i are
         visited, since every other product is zero.  A product with an
         idempotent factor is the other factor, a basis path and so
-        irreducible: its row is read off as {j: 1} or {i: 1}.  The rest are
+        irreducible: its row is read off as {j: 1} or {i: 1}.  b_i is
+        irreducible, so a zero pair at the junction of b_i * b_j is its
+        leftmost redex and the product is 0, in any system.  The rest are
         normalised through the system's normal-form memo.
         """
         if self._table is None:
             q, index = self.quiver, self.index
-            nf = self.system.normal_form
+            system = self.system
+            nf, zero = system.normal_form, system.zero_pairs
             table = {}
             for i, ki in enumerate(self.basis):
-                if not ki[1]:
+                wi = ki[1]
+                if not wi:
                     for j, _ in self.ending_at[ki[0]]:
                         table[(i, j)] = {j: 1}
                     continue
+                last = wi[-1]
                 for j, kj in self.ending_at[ki[0]]:
-                    if not kj[1]:
+                    wj = kj[1]
+                    if not wj:
                         table[(i, j)] = {i: 1}
+                        continue
+                    if ((last, wj[0]) in zero
+                            and len(wi) + len(wj) <= MAX_REDUCE_LETTERS):
                         continue
                     row = {index[key]: c
                            for key, c in nf(q.concat_key(ki, kj)).items()}

@@ -167,6 +167,21 @@ def test_deform_bad_t_is_usage_error_before_the_cochain(capsys):
         assert (code, doc["error"]) == (2, "usage"), argv
 
 
+def test_deform_degree_takes_ascii_digits_only(capsys):
+    # int() reads any Unicode digit, so the pattern must not let one in:
+    # Arabic-Indic, fullwidth and superscript threes are not a degree
+    for t in ("formal:٣", "formal:３", "formal:³",
+              "formal:1٣"):
+        code, doc = run_doc(capsys, "deform", "--input", "EX1",
+                            "--deform-type", "A", "--t", t)
+        assert (code, doc) == (2, {
+            "error": "usage",
+            "detail": '--t must be "1" or "formal:D"'}), t
+    code, doc = run_doc(capsys, "deform", "--input", "EX1",
+                        "--deform-type", "A", "--t", "formal:3")
+    assert (code, doc["t"], doc["passes"]) == (0, "formal:3", True)
+
+
 def test_unavailable_standard_type(capsys):
     code, doc = run_doc(capsys, "deform", "--input", "EX1",
                         "--deform-type", "C")

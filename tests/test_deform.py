@@ -208,6 +208,7 @@ def assert_with_values_validates(system, cochain, label):
     slow = validated_t1_system(system, cochain)
     assert rule_entries(fast) == rule_entries(slow), label
     assert fast._ends is system._ends and fast._ends == slow._ends, label
+    assert fast.zero_pairs == slow.zero_pairs, label
     assert fast._memo == {} and fast._memo is not system._memo, label
     a, b = FiniteDimAlgebra(fast), FiniteDimAlgebra(slow)
     assert a.basis == b.basis, label

@@ -6,7 +6,7 @@ from loaders import NAMED, generated_family, graph, star_doc, system_for
 from oracles import last_redex, reduce_rightmost
 from test_cocycle_oracle import bipartite_graphs
 
-from bga.deform import deformed_algebra
+from bga.deform import deformed_algebra, verify_lift
 from bga.errors import (
     InfiniteDimensional,
     NonAssociative,
@@ -59,6 +59,15 @@ def shared_pair_system():
     return ReductionSystem(q, [
         Rule(q.word_key(word), Element.zero(q))
         for word in (("x", "y", "x"), ("x", "y", "y"), ("y", "y", "x"))])
+
+
+def all_pairs_zero_system():
+    """Every product of two of the loops x, y is 0: each overlap has three
+    letters and is monomial, and each product of two arrows is settled at
+    its junction."""
+    q = two_loop_quiver()
+    return ReductionSystem(q, [Rule(q.word_key((a, b)), Element.zero(q))
+                               for a in "xy" for b in "xy"])
 
 
 def half_unit_shift_system():
@@ -205,8 +214,9 @@ def test_tip_index_matches_a_scan_of_every_tip():
                     if word[i:i + len(rule.tip[1])] == rule.tip[1]]
             assert sys.first_redex(word) == min(hits, default=None)
             assert last_redex(sys, word) == max(hits, default=None)
-            assert sys.tip_is_suffix(word) == any(
-                i + len(sys.rules[ri].tip[1]) == len(word) for i, ri in hits)
+            assert sys.suffix_rule(word) == next(
+                (ri for i, ri in hits
+                 if i + len(sys.rules[ri].tip[1]) == len(word)), None)
 
 # -- ambiguities ---------------------------------------------------------------
 
@@ -228,9 +238,18 @@ def test_ex1_ambiguities_respect_minimality():
     assert ("b", ("b", "b"), ("b", "b")) not in triples
 
 
+def oracle_completion(system, word):
+    """Index of the one rule whose tip ends the word, by a scan of every
+    rule."""
+    [ri] = [ri for ri, rule in enumerate(system.rules)
+            if word[-len(rule.tip[1]):] == rule.tip[1]]
+    return ri
+
+
 def oracle_ambiguities(system):
     """The ambiguity search that scans v*w2 and w2 for a redex anywhere
-    with ``first_redex``, as (u, v, w, rule_index) tuples."""
+    with ``first_redex``, as (u, v, w, rule_index, completion_index)
+    tuples, sorted by the whole word."""
     q = system.quiver
     max_w = max((len(rule.tip[1]) for rule in system.rules), default=0) - 1
     out = []
@@ -245,15 +264,16 @@ def oracle_ambiguities(system):
                 w2 = w + (name,)
                 if system.first_redex(v + w2) is not None:
                     if system.first_redex(w2) is None:
-                        out.append(Ambiguity(u, v, w2, ri))
+                        out.append(Ambiguity(
+                            u, v, w2, ri, oracle_completion(system, v + w2)))
                 elif len(w2) < max_w:
                     frontier.append(w2)
     out.sort(key=lambda a: (a.rule_index, a.word))
-    return [(a.u, a.v, a.w, a.rule_index) for a in out]
+    return [(a.u, a.v, a.w, a.rule_index, a.completion_index) for a in out]
 
 
 def assert_oracle_ambiguities(system):
-    assert [(a.u, a.v, a.w, a.rule_index)
+    assert [(a.u, a.v, a.w, a.rule_index, a.completion_index)
             for a in enumerate_ambiguities(system)] == \
         oracle_ambiguities(system)
 
@@ -382,6 +402,7 @@ def test_normal_forms_keep_the_letter_budget(monkeypatch):
     # a path that one redex scan settles is charged the letters reduce
     # charges it: a zero rewrite of a word over budget raises reduce's
     # error, and an irreducible word is never charged
+    dims = hh2(FiniteDimAlgebra(all_pairs_zero_system())).to_doc()
     monkeypatch.setattr("bga.rewrite.MAX_REDUCE_LETTERS", 2)
     sys = shared_pair_system()
     q = sys.quiver
@@ -398,6 +419,27 @@ def test_normal_forms_keep_the_letter_budget(monkeypatch):
         {irreducible: 1}
     assert sys.normal_form(irreducible) == {irreducible: 1}
     assert sys.steps(irreducible) == []
+    # a product or an overlap that a monomial rule settles without a
+    # reduction is still charged when it is over budget: the table and
+    # hh2 raise reduce's error, as when every such word was reduced
+    square = all_pairs_zero_system()
+    assert not any(amb.is_monomial(square)
+                   for amb in enumerate_ambiguities(square))
+    with pytest.raises(NonTerminating) as by_hh2:
+        hh2(FiniteDimAlgebra(all_pairs_zero_system()))
+    with pytest.raises(NonTerminating) as by_lift:
+        verify_lift(all_pairs_zero_system(), {}, 2)
+    assert str(by_hh2.value) == str(by_lift.value) == str(by_reduce.value)
+    assert len(FiniteDimAlgebra(all_pairs_zero_system()).table) == 5
+    monkeypatch.setattr("bga.rewrite.MAX_REDUCE_LETTERS", 1)
+    with pytest.raises(NonTerminating) as by_table:
+        FiniteDimAlgebra(all_pairs_zero_system()).table
+    assert str(by_table.value) == "no normal form within 1 letters"
+    monkeypatch.setattr("bga.rewrite.MAX_REDUCE_LETTERS", 3)
+    square = all_pairs_zero_system()
+    assert all(amb.is_monomial(square)
+               for amb in enumerate_ambiguities(square))
+    assert hh2(FiniteDimAlgebra(square)).to_doc() == dims
 
 
 def _exact(terms):
