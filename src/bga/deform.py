@@ -165,7 +165,7 @@ def verify_lift(system, cochain, degree):
         if (amb.is_monomial(system) and amb.rule_index not in cochain
                 and amb.completion_index not in cochain):
             continue
-        uvw, vw, times_u = overlap_sides(system, amb)
+        uvw, vw, times_u, _ = overlap_sides(system, amb)
         left = lift(uvw)
         sums = []
         for n, part in enumerate(lift(vw)):
@@ -194,13 +194,15 @@ def deformed_algebra(system, cochain):
     """The t = 1 specialization, every rhs phi(s) replaced by
     phi(s) + psi(s), as a finite-dimensional algebra.
 
-    The cochain is validated by ``check_cochain``, which makes every check
-    the validating constructor would, so ``ReductionSystem.with_values``
-    builds the system on the base tip index: the tips and so the basis of
-    irreducible words are the base ones.  The specialization is a
-    well-defined algebra iff its structure constants are associative,
-    which ``FiniteDimAlgebra.check_associative`` decides; it raises
-    NonAssociative naming the first failing basis triple (i, j, k).
+    The cochain is validated by ``check_cochain``, which keeps the rules'
+    invariants, so ``ReductionSystem.with_values`` builds the system on
+    the base tip index: the tips and so the basis of irreducible words are
+    the base ones.  The specialization is a well-defined algebra iff its
+    structure constants are associative, which
+    ``FiniteDimAlgebra.check_associative`` decides at the overlaps; it
+    raises NonAssociative naming the first failing basis triple (i, j, k).
+    Nothing here builds the multiplication table: only a caller that reads
+    it, such as ``semisimplicity``, pays for it.
     """
     check_cochain(system, cochain)
     alg = FiniteDimAlgebra(system.with_values(cochain))

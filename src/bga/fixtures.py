@@ -18,6 +18,7 @@ Fixture names accepted by :func:`fixture_doc` and the CLI:
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import SchemaError
 
@@ -135,18 +136,18 @@ _RULES = {
 
 def fixture_doc(name):
     """JSON text of a bundled graph, or None for a name outside the fixture
-    namespace.  LOC_m names the LOC graph of multiplicity m, and LOC is
-    LOC_2; a LOC_ name with a bad parameter is a SchemaError."""
+    namespace.  LOC_m names the LOC graph of multiplicity m, written in
+    ASCII digits only, and LOC is LOC_2; a LOC_ name with any other
+    parameter is a SchemaError."""
     key = name.upper()
     if key in _GRAPHS:
         return json.dumps(_GRAPHS[key])
     if key == "LOC":
         key = "LOC_2"
     if key.startswith("LOC_"):
-        try:
-            m = int(key[4:])
-        except ValueError:
-            raise SchemaError(f"bad LOC parameter in {name!r}") from None
+        if re.fullmatch(r"[0-9]+", key[4:]) is None:
+            raise SchemaError(f"bad LOC parameter in {name!r}")
+        m = int(key[4:])
         if m < 1:
             raise SchemaError("LOC multiplicity must be >= 1")
         return json.dumps(_loc(m))

@@ -25,7 +25,13 @@ from .errors import (
 )
 from .paths import Element, Quiver, rational, word_from_doc
 # reduce is unused here, but bench/tests checks the name that spans rebinds
-from .rewrite import ReductionSystem, Rule, check_diamond, reduce
+from .rewrite import (
+    ReductionSystem,
+    Rule,
+    check_diamond,
+    checked_system,
+    reduce,
+)
 from .ribbon import bipartition as default_bipartition
 from .ribbon import boundary_walks, check_bipartition
 
@@ -71,6 +77,11 @@ def quiver_from_graph(g, bp=None):
     InvalidBipartition for a bp that is not a proper 2-coloring of g."""
     if bp is not None and not check_bipartition(g, bp):
         raise InvalidBipartition("not a proper 2-coloring of the graph")
+    return _quiver(g, bp)
+
+
+def _quiver(g, bp):
+    """The quiver of g for bp, which is None or known to 2-color g."""
     deleted = _deleted_halves(g, bp)
     keep = [h for h in g.half_edges if h not in deleted]
     arrows = {h: (g.edge_of(h), g.edge_of(g.successor(h))) for h in keep}
@@ -136,12 +147,13 @@ def build_presentation(g):
 
 def _derive_rules(g, bp, quiver):
     """Rules of g for bp, each tagged by its source, ("a", edge id), ("b",
-    half-edge) or ("c", arrow, arrow); no two rules share a tag.  Tips are
-    keyed unchecked (``ReductionSystem`` checks them); zero rhs are shared."""
+    half-edge) or ("c", arrow, arrow); no two rules share a tag.  Tips and
+    rhs paths are keyed unchecked, and nothing checks the rules: they keep
+    the invariants of ``rewrite`` by construction.  Zero rhs are shared."""
     rules = []
     zero = Element.zero(quiver)
 
-    def tip_key(word):
+    def path_key(word):
         return (quiver.arrows[word[-1]][0], word)
 
     # (a) part-one cycle powers rewrite to the part-two side of their edge
@@ -151,22 +163,21 @@ def _derive_rules(g, bp, quiver):
         v1, v2 = g.incidence[h1], g.incidence[h2]
         if g.is_truncated(v1):
             continue
-        tip = tip_key(cycle_word(g, h1, g.multiplicity[v1]))
-        rhs_word = cycle_word(g, h2, g.multiplicity[v2])
-        rhs = Element(quiver, {quiver.word_key(rhs_word): 1})
-        rules.append(Rule(tip, rhs, info=("a", edge)))
+        tip = path_key(cycle_word(g, h1, g.multiplicity[v1]))
+        rhs = path_key(cycle_word(g, h2, g.multiplicity[v2]))
+        rules.append(Rule(tip, Element(quiver, {rhs: 1}), info=("a", edge)))
     # (b) one step past a part-two cycle power vanishes
     for h in sorted(g.half_edges):
         if g.incidence[h] not in bp.part_two:
             continue
         word = cycle_word(g, g.successor(h), g.multiplicity[g.incidence[h]]) + (h,)
-        rules.append(Rule(tip_key(word), zero, info=("b", h)))
+        rules.append(Rule(path_key(word), zero, info=("b", h)))
     # (c) the remaining products of non-successive arrows vanish
     for hu in sorted(quiver.arrows):
         for hv in quiver.arrows_into(quiver.origin(hu)):
             if g.successor(hv) == hu:
                 continue
-            rules.append(Rule(tip_key((hu, hv)), zero, info=("c", hu, hv)))
+            rules.append(Rule(path_key((hu, hv)), zero, info=("c", hu, hv)))
     return rules
 
 
@@ -175,20 +186,24 @@ def reduction_system(g, bp=None):
     the graph: no relations are built and the rules are derived once.
 
     Without a bipartition the default one of the graph is used; raises
-    NotBipartite when none exists, InvalidBipartition for a bad one.
+    NotBipartite when none exists, InvalidBipartition for a bad one.  Only
+    a given bipartition is checked: the default one 2-colors g as found.
     """
     if bp is None:
         try:
             bp = default_bipartition(g)
         except NonBipartite as exc:
             raise NotBipartite(str(exc)) from exc
-    quiver = quiver_from_graph(g, bp)
+        quiver = _quiver(g, bp)
+    else:
+        quiver = quiver_from_graph(g, bp)
     rules = _derive_rules(g, bp, quiver)
     return ReductionSystem(quiver, rules)
 
 
 def rules_from_doc(quiver, doc):
-    """ReductionSystem from a JSON rule document on an existing quiver."""
+    """ReductionSystem from a JSON rule document on an existing quiver; the
+    rules are checked by ``checked_system``."""
     rules = []
     try:
         for entry in doc["rules"]:
@@ -201,7 +216,7 @@ def rules_from_doc(quiver, doc):
             rules.append(Rule(tip, Element(quiver, terms)))
     except DOCUMENT_ERRORS as exc:
         raise SchemaError(f"malformed rules document: {exc!r}") from exc
-    return ReductionSystem(quiver, rules)
+    return checked_system(quiver, rules)
 
 
 def two_cycle_set(system):

@@ -2,19 +2,23 @@
 
 A reduction system is a list of rules ``tip -> rhs`` where the tip is a path
 word of length >= 2 and the rhs an element parallel to it (same origin and
-target).  Invariants enforced at construction time:
+target).  Every system satisfies two invariants:
 
 * tips are pairwise distinct and none is a contiguous subword of another,
 * every rhs monomial is parallel to its tip and contains no tip itself.
 
-Under these invariants irreducibility is plain subword-freeness, a word
-leaves at most one minimal completion per overlap, and the basis search
-below is exhaustive.  ``reduce`` rewrites every word at its leftmost redex;
-the test suite checks its normal forms against a rightmost reduction.  Each
-system memoises the normal form and the reduce steps of every single path
-it is asked about, as the loop of ``reduce`` computes them, and the overlap
-resolutions, the multiplication table, the cocycle rows and the formal
-lifts all read them from that one memo.
+The constructor does not check them.  ``checked_system`` does, for rules
+read from a document; the rules that ``presentation`` derives from a graph
+satisfy them by construction, and ``check_cochain`` keeps them for the
+deformed rules of a cochain.  Under these invariants irreducibility is
+plain subword-freeness, a word leaves at most one minimal completion per
+overlap, and the basis search below is exhaustive.  ``reduce`` rewrites
+every word at its leftmost redex; the test suite checks its normal forms
+against a rightmost reduction.  Each system memoises the normal form and
+the reduce steps of every single path it is asked about, as the loop of
+``reduce`` computes them, and the overlap resolutions, the multiplication
+table, the cocycle rows and the formal lifts all read them from that one
+memo.
 
 Two facts about the monomial rules (rhs 0) settle a result without a
 reduction, and every consumer uses them:
@@ -66,7 +70,8 @@ class Rule:
 
 
 class ReductionSystem:
-    """Validated rule list over a fixed quiver.
+    """Rule list over a fixed quiver, which the constructor indexes and
+    does not check (see the module docstring).
 
     The tips are indexed once, by their last two letters, as
     ``{letter pair: [(length, tip word, rule index)]}``.  Every tip has
@@ -103,34 +108,10 @@ class ReductionSystem:
     def __init__(self, quiver, rules):
         self.quiver = quiver
         self.rules = list(rules)
-        tips = []
-        for rule in self.rules:
-            origin, word = rule.tip
-            quiver.key(origin, word)
-            if len(word) < 2:
-                raise SchemaError(f"tip {word!r} shorter than 2 arrows")
-            tips.append(tuple(word))
-        if len(set(tips)) != len(tips):
-            raise SchemaError("duplicate tip")
         ends = self._ends = {}
-        for ri, tip in enumerate(tips):
+        for ri, rule in enumerate(self.rules):
+            tip = rule.tip[1]
             ends.setdefault(tip[-2:], []).append((len(tip), tip, ri))
-        for a in tips:
-            inner = [ri for j in range(2, len(a) + 1)
-                     for k, tip, ri in ends.get(a[j - 2:j], ())
-                     if k <= j and k < len(a) and a[j - k:j] == tip]
-            if inner:
-                raise SchemaError(
-                    f"tip {tips[min(inner)]!r} is a subword of tip {a!r}")
-        for rule in self.rules:
-            t_end = quiver.path_target(rule.tip)
-            for (origin, word) in rule.rhs.terms:
-                if origin != rule.tip[0] or quiver.path_target((origin, word)) != t_end:
-                    raise SchemaError(
-                        f"rhs of {render_key(rule.tip)} is not parallel to it")
-                if self.first_redex(word) is not None:
-                    raise SchemaError(
-                        f"rhs of {render_key(rule.tip)} is itself reducible")
         self.zero_pairs = _zero_pairs(self.rules)
         self._ambiguities = None    # filled by enumerate_ambiguities
         self._memo = {}             # path key -> (normal form, steps)
@@ -138,9 +119,9 @@ class ReductionSystem:
     def with_values(self, cochain):
         """This system with each rhs phi(s) replaced by phi(s) + psi(s), for
         a cochain {rule index: Element} that ``check_cochain`` passed, so
-        nothing is checked again.  The tips are unchanged: the new system
-        shares the tip index and ambiguities, and gets an empty memo.  Its
-        zero pairs are rebuilt, since a value may land on a zero rule."""
+        the new rules keep the invariants.  The tips are unchanged: the new
+        system shares the tip index and ambiguities, and gets an empty memo.
+        Its zero pairs are rebuilt, since a value may land on a zero rule."""
         out = object.__new__(ReductionSystem)
         out.quiver = self.quiver
         out.rules = [rule if ri not in cochain
@@ -212,13 +193,55 @@ def _zero_pairs(rules):
                      if len(rule.tip[1]) == 2 and not rule.rhs.terms)
 
 
+def checked_system(quiver, rules):
+    """The ``ReductionSystem`` of rules that nothing has checked yet, such
+    as those of a rules document.  Raises SchemaError for the first rule
+    that breaks the module's invariants, in this order: a tip that is not a
+    path of the quiver or is shorter than 2 arrows (rules in order), a
+    duplicate tip, a tip that is a subword of another (tips in order, the
+    inner tip of least rule index named), then an rhs monomial that is not
+    parallel to its tip or is itself reducible (rules in order).  Rules
+    derived from a graph satisfy them by construction and skip this."""
+    rules = list(rules)
+    tips = []
+    for rule in rules:
+        origin, word = rule.tip
+        quiver.key(origin, word)
+        if len(word) < 2:
+            raise SchemaError(f"tip {word!r} shorter than 2 arrows")
+        tips.append(tuple(word))
+    if len(set(tips)) != len(tips):
+        raise SchemaError("duplicate tip")
+    system = ReductionSystem(quiver, rules)
+    ends = system._ends
+    for a in tips:
+        inner = [ri for j in range(2, len(a) + 1)
+                 for k, tip, ri in ends.get(a[j - 2:j], ())
+                 if k <= j and k < len(a) and a[j - k:j] == tip]
+        if inner:
+            raise SchemaError(
+                f"tip {tips[min(inner)]!r} is a subword of tip {a!r}")
+    for rule in rules:
+        t_end = quiver.path_target(rule.tip)
+        for (origin, word) in rule.rhs.terms:
+            if (origin != rule.tip[0]
+                    or quiver.path_target((origin, word)) != t_end):
+                raise SchemaError(
+                    f"rhs of {render_key(rule.tip)} is not parallel to it")
+            if system.first_redex(word) is not None:
+                raise SchemaError(
+                    f"rhs of {render_key(rule.tip)} is itself reducible")
+    return system
+
+
 def check_cochain(system, cochain):
     """Validate a 2-cochain, dict rule_index -> Element, as the values of
     deformed rules: first every monomial of a value must run parallel to
     its rule's tip (NonParallelCochain, values in cochain order), then no
-    monomial may contain a tip (the SchemaError ``ReductionSystem`` raises
+    monomial may contain a tip (the SchemaError ``checked_system`` raises
     for a reducible rhs, rules in rule order).  So a valid value is a sum of
-    parallel irreducible paths."""
+    parallel irreducible paths, and the deformed rules pass every check of
+    ``checked_system`` when the base rules do."""
     q = system.quiver
     for ri, value in cochain.items():
         rule = system.rules[ri]
@@ -340,40 +363,49 @@ def enumerate_ambiguities(system):
     u runs over tip head letters, v over the matching tip tails, and w over
     irreducible words making v*w reducible while every proper written prefix
     v*w[:j] stays irreducible.  Minimality forces the completing tip to end
-    at the last letter of w and begin inside v, so w is shorter than the
-    longest tip; the search is a capped right extension, never the full
-    basis, and works on infinite-dimensional algebras too.  v is a proper
-    subword of a tip, so it is irreducible, and w grows only while v*w
-    stays irreducible; a redex of v*w2 = v*w*a must therefore end at its
-    last letter, and ``suffix_rule`` decides both tests, for v*w2 and for
-    w2, with one lookup each, and names the completing rule.  The overlaps
-    are in (rule, word) order: u and v are fixed per rule, so sorting each
-    rule's w is enough.  The rules are fixed at construction, so the
-    search runs once per system and later calls return the same tuple.
+    at the last letter of w and begin inside v (one beginning at u would
+    hold the tip u*v, one inside w would make w reducible), so the
+    completing tip is x*w for a nonempty suffix x of v: the search looks
+    up the tips that begin with the first letter of x and keeps those that
+    go on with the rest of x and are longer than it.  Their w is
+    irreducible (a tip ending w would be a subword of the completing tip)
+    and shorter than the longest tip; only the minimality of v*w is left,
+    and since v is a proper subword of a tip, so irreducible, a redex of
+    v*w[:j] must end at its last letter: ``suffix_rule`` decides each prefix
+    with one lookup.  No basis is listed, so the search works on
+    infinite-dimensional algebras too.  At most one tip ends at each
+    position, so each w is found once.  The overlaps are in (rule, word)
+    order: u and v are fixed per rule, so sorting each rule's w is enough.
+    The rules are fixed at construction, so the search runs once per system
+    and later calls return the same tuple.
     """
     if system._ambiguities is not None:
         return system._ambiguities
-    q = system.quiver
     suffix_rule = system.suffix_rule
-    max_w = system.max_tip_length - 1
+    heads = {}
+    for ci, rule in enumerate(system.rules):
+        tip = rule.tip[1]
+        heads.setdefault(tip[0], []).append((ci, tip))
     out = []
     for ri, rule in enumerate(system.rules):
-        origin, tip_word = rule.tip
+        tip_word = rule.tip[1]
         u, v = tip_word[0], tip_word[1:]
         found = []
-        frontier = [()]
-        while frontier:
-            w = frontier.pop()
-            attach = origin if not w else q.arrows[w[-1]][0]
-            for name in q.arrows_into(attach):
-                w2 = w + (name,)
-                ci = suffix_rule(v + w2)
-                if ci is not None:
-                    if suffix_rule(w2) is None:
-                        found.append((w2, ci))
-                elif len(w2) < max_w:
-                    frontier.append(w2)
-        # each w2 is found once, so the completing rule never breaks a tie
+        for s, first in enumerate(v):
+            tips = heads.get(first)
+            if tips is None:
+                continue
+            x = v[s:]
+            n = len(x)
+            for ci, tip in tips:
+                if len(tip) > n and tip[:n] == x:
+                    w = tip[n:]
+                    for j in range(1, len(w)):
+                        if suffix_rule(v + w[:j]) is not None:
+                            break
+                    else:
+                        found.append((w, ci))
+        # each w is found once, so the completing rule never breaks a tie
         found.sort()
         out += [Ambiguity(u, v, w, ri, ci) for w, ci in found]
     system._ambiguities = tuple(out)
@@ -381,19 +413,23 @@ def enumerate_ambiguities(system):
 
 
 def overlap_sides(system, amb):
-    """The overlap u|v|w as (uvw, vw, times_u): the path keys u*v*w and
-    v*w, and the map from the key of a path parallel to v*w to the key of
-    u times that path.  No other code knows the layout.
+    """The overlap u|v|w as (uvw, vw, times_u, (u, v, w)): the path keys
+    u*v*w and v*w, the map from the key of a path parallel to v*w to the
+    key of u times that path, and the keys of the three factors.  No other
+    code knows the layout.  The factors are basis paths: u is an arrow, v a
+    proper subword of a tip, and w is irreducible by its search.
 
     The leftmost redex of u*v*w is the tip uv (no tip is a subword of
     another), so NF(uvw) = NF(rhs(uv)*w) is the left resolution and the
     reduce steps of uvw start with that rewrite; the right one is the sum
     of c * NF(times_u(k)) over the terms c * k of NF(vw).
     """
-    u = amb.u
-    origin = system.quiver.arrows[amb.w[-1]][0]
-    vw = (origin, amb.v + amb.w)
-    return (origin, (u,) + vw[1]), vw, lambda key: (key[0], (u,) + key[1])
+    u, v, w = (amb.u,), amb.v, amb.w
+    arrows = system.quiver.arrows
+    origin = arrows[w[-1]][0]
+    vw = (origin, v + w)
+    return ((origin, u + vw[1]), vw, lambda key: (key[0], u + key[1]),
+            ((arrows[u[0]][0], u), (arrows[v[-1]][0], v), (origin, w)))
 
 
 def overlap_steps(system, amb):
@@ -406,7 +442,7 @@ def overlap_steps(system, amb):
     at the start of u*v*w, and the completing tip at the end of v*w, each
     rewritten to 0 with coefficient 1.
     """
-    uvw, vw, times_u = overlap_sides(system, amb)
+    uvw, vw, times_u, _ = overlap_sides(system, amb)
     if amb.is_monomial(system):
         origin, word = uvw
         r1, r2 = amb.rule_index, amb.completion_index
@@ -430,7 +466,7 @@ def resolve_overlap(system, amb):
     is the memo's own entry and must not be changed.
     """
     nf = system.normal_form
-    uvw, vw, times_u = overlap_sides(system, amb)
+    uvw, vw, times_u, _ = overlap_sides(system, amb)
     right = {}
     for k, c in nf(vw).items():
         for key, d in nf(times_u(k)).items():
@@ -539,42 +575,49 @@ class FiniteDimAlgebra:
     @property
     def table(self):
         """{(i, j): {k: c}} with NF(b_i * b_j) = sum c * b_k, zero products
-        omitted, in (i, j)-lexicographic order.
-
-        For each i only the j in ``ending_at`` the origin of b_i are
-        visited, since every other product is zero.  A product with an
-        idempotent factor is the other factor, a basis path and so
-        irreducible: its row is read off as {j: 1} or {i: 1}.  b_i is
-        irreducible, so a zero pair at the junction of b_i * b_j is its
-        leftmost redex and the product is 0, in any system.  The rest are
-        normalised through the system's normal-form memo.
+        omitted, in (i, j)-lexicographic order.  For each i only the j in
+        ``ending_at`` the origin of b_i are visited, since every other
+        product is zero; each product is taken by ``_product_of``.
         """
         if self._table is None:
-            q, index = self.quiver, self.index
-            system = self.system
-            nf, zero = system.normal_form, system.zero_pairs
+            product = self._product_of()
             table = {}
             for i, ki in enumerate(self.basis):
-                wi = ki[1]
-                if not wi:
-                    for j, _ in self.ending_at[ki[0]]:
-                        table[(i, j)] = {j: 1}
-                    continue
-                last = wi[-1]
                 for j, kj in self.ending_at[ki[0]]:
-                    wj = kj[1]
-                    if not wj:
-                        table[(i, j)] = {i: 1}
-                        continue
-                    if ((last, wj[0]) in zero
-                            and len(wi) + len(wj) <= MAX_REDUCE_LETTERS):
-                        continue
-                    row = {index[key]: c
-                           for key, c in nf(q.concat_key(ki, kj)).items()}
+                    row = product(ki, kj)
                     if row:
                         table[(i, j)] = row
             self._table = table
         return self._table
+
+    def _product_of(self):
+        """The product of two basis paths x and y, y ending where x starts,
+        as a function (x, y) -> the table row {k: c} of NF(x * y) =
+        sum c * b_k.  A product with an idempotent factor is the other
+        factor, a basis path and so irreducible.  x is irreducible, so a
+        zero pair at the junction of x * y is its leftmost redex and the
+        product is 0, in any system.  The rest are read from the system's
+        normal-form memo as ``normal_form`` reads it, inlined since the
+        table takes one product per composable basis pair."""
+        system, index = self.system, self.index
+        memo, reduce_path = system._memo.get, system._reduce_path
+        zero, concat = system.zero_pairs, system.quiver.concat_key
+
+        def product(x, y):
+            wx, wy = x[1], y[1]
+            if not wx:
+                return {index[y]: 1}
+            if not wy:
+                return {index[x]: 1}
+            if (wx[-1], wy[0]) in zero \
+                    and len(wx) + len(wy) <= MAX_REDUCE_LETTERS:
+                return {}
+            key = concat(x, y)
+            row = {}
+            for k, c in (memo(key) or reduce_path(key))[0].items():
+                row[index[k]] = c
+            return row
+        return product
 
     @property
     def dim(self):
@@ -603,52 +646,38 @@ class FiniteDimAlgebra:
         return vec
 
     def check_associative(self):
-        """Associativity of the structure constants; raises NonAssociative.
+        """Associativity of the structure constants, by the diamond lemma;
+        raises NonAssociative.
 
-        Only the triples (x, y, g) of non-idempotent basis paths x, y and
-        an arrow g are checked.  Every basis path z != e(v) is z' * a with
-        z' a shorter basis path (prefixes of irreducible words are
-        irreducible) and a an arrow, so by induction on |z|
-
-            (xy)z = ((xy)z')a = (x(yz'))a = x((yz')a) = x(y(z'a)) = x(yz),
-
-        and these triples, with those whose g is an idempotent, imply all
-        dim^3.  A triple that contains an idempotent always holds: e * z is
-        z or 0, z * e is z or 0, and table rows are parallel to their
-        paths.  Only composable triples can fail, and one with x * y = 0
-        and y * g = 0 has both sides 0, so only the composable triples with
-        x * y or y * g nonzero are visited, each summing (xy)g - x(yg) into
-        one dict.  So a triple fails here iff some basis triple fails, and
-        then ``_first_failure`` names the first of all.
+        Every overlap u|v|w has u, v and w basis paths (``overlap_sides``),
+        and the leftmost redex of u*v*w is the tip u*v, so its two sides
+        are the basis triple products (u v) w and u (v w): a failing
+        overlap is a failing triple.  Conversely, in a terminating system
+        whose overlaps all resolve, normal forms are reduction-unique and
+        the algebra is associative (Bergman 1978, Thm 1.2); the test suite
+        checks the verdict against a scan of the whole table.  Each
+        product is taken by ``_product_of``, so it is one the table reuses
+        from the memo; a monomial overlap has both sides 0 and is skipped.
+        On a failure, ``_first_failure`` names the first failing basis
+        triple of all.
         """
-        q = self.quiver
-        table = self.table
-        empty = {}
-        paths_from = {v: [] for v in q.vertices}
-        arrows_into = {v: [] for v in q.vertices}
-        for i, (origin, word) in enumerate(self.basis):
-            if word:
-                paths_from[origin].append(i)
-                if len(word) == 1:
-                    arrows_into[q.target(word[0])].append(i)
-        for j, kj in enumerate(self.basis):
-            if not kj[1]:
+        system, basis, product = self.system, self.basis, self._product_of()
+        for amb in enumerate_ambiguities(system):
+            if amb.is_monomial(system):
                 continue
-            right = [(g, table.get((j, g), empty)) for g in arrows_into[kj[0]]]
-            for i in paths_from[q.path_target(kj)]:
-                ij = table.get((i, j), empty)
-                for g, jg in right:
-                    if not ij and not jg:
-                        continue
-                    diff = {}
-                    for m, c in ij.items():
-                        for k, d in table.get((m, g), empty).items():
-                            diff[k] = diff.get(k, 0) + c * d
-                    for m, c in jg.items():
-                        for k, d in table.get((i, m), empty).items():
-                            diff[k] = diff.get(k, 0) - c * d
-                    if any(diff.values()):
-                        self._first_failure()
+            u, v, w = overlap_sides(system, amb)[3]
+            diff = {}
+            for m, c in product(u, v).items():
+                for k, d in product(basis[m], w).items():
+                    diff[k] = diff.get(k, 0) + c * d
+            for m, c in product(v, w).items():
+                for k, d in product(u, basis[m]).items():
+                    diff[k] = diff.get(k, 0) - c * d
+            if any(diff.values()):
+                self._first_failure()
+                raise RuntimeError(
+                    f"overlap {'*'.join(amb.word)} fails, but no basis "
+                    "triple does")
         return True
 
     def _first_failure(self):

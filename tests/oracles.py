@@ -14,10 +14,11 @@ so each test compares two independent computations:
 * ``reduce_rightmost`` and ``last_redex``: a reduction that rewrites the
   rightmost redex, found by trying every tip at every position, with no
   tip index; on a confluent system it must agree with ``rewrite.reduce``.
-* ``check_all_triples``: associativity on all dim^3 basis triples, the
-  oracle of ``FiniteDimAlgebra.check_associative``, which visits the
-  triples of two basis paths and an arrow, and then, to name a failure,
-  the composable basis triples only.
+* ``check_all_triples``: associativity on all dim^3 basis triples, and
+  ``check_generator_triples``: on the triples of two basis paths and an
+  arrow, read from the whole table.  Both are oracles of
+  ``FiniteDimAlgebra.check_associative``, which checks the overlaps only,
+  and then, to name a failure, the composable basis triples.
 """
 
 from __future__ import annotations
@@ -342,4 +343,57 @@ def check_all_triples(alg):
                              for v in (lhs, rhs)]
                     raise NonAssociative(
                         f"triple {i},{j},{k}: {dense[0]} != {dense[1]}")
+    return True
+
+
+def check_generator_triples(alg):
+    """Associativity of the structure constants from the whole table;
+    raises NonAssociative through ``alg._first_failure``.
+
+    Only the triples (x, y, g) of non-idempotent basis paths x, y and an
+    arrow g are checked.  Every basis path z != e(v) is z' * a with z' a
+    shorter basis path (prefixes of irreducible words are irreducible) and
+    a an arrow, so by induction on |z|
+
+        (xy)z = ((xy)z')a = (x(yz'))a = x((yz')a) = x(y(z'a)) = x(yz),
+
+    and these triples, with those whose g is an idempotent, imply all
+    dim^3.  A triple that contains an idempotent always holds: e * z is z
+    or 0, z * e is z or 0, and table rows are parallel to their paths.
+    Only composable triples can fail, and one with x * y = 0 and y * g = 0
+    has both sides 0, so only the composable triples with x * y or y * g
+    nonzero are visited, each summing (xy)g - x(yg) into one dict.  So a
+    triple fails here iff some basis triple fails, and then
+    ``_first_failure`` names the first of all.
+    """
+    q = alg.quiver
+    table = alg.table
+    empty = {}
+    paths_from = {v: [] for v in q.vertices}
+    arrows_into = {v: [] for v in q.vertices}
+    for i, (origin, word) in enumerate(alg.basis):
+        if word:
+            paths_from[origin].append(i)
+            if len(word) == 1:
+                arrows_into[q.target(word[0])].append(i)
+    for j, kj in enumerate(alg.basis):
+        if not kj[1]:
+            continue
+        right = [(g, table.get((j, g), empty)) for g in arrows_into[kj[0]]]
+        for i in paths_from[q.path_target(kj)]:
+            ij = table.get((i, j), empty)
+            for g, jg in right:
+                if not ij and not jg:
+                    continue
+                diff = {}
+                for m, c in ij.items():
+                    for k, d in table.get((m, g), empty).items():
+                        diff[k] = diff.get(k, 0) + c * d
+                for m, c in jg.items():
+                    for k, d in table.get((i, m), empty).items():
+                        diff[k] = diff.get(k, 0) - c * d
+                if any(diff.values()):
+                    alg._first_failure()
+                    raise AssertionError(
+                        f"triple {i},{j},{g} fails, but no first failure")
     return True

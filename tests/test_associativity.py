@@ -1,16 +1,18 @@
-"""The associativity check against the all-triples oracle.
+"""The associativity check against the all-triples and the
+generator-triple oracles.
 
-``check_associative`` visits only (x, y, g) with x, y non-idempotent basis
-paths and g an arrow, and skips those with x * y = 0 and y * g = 0; when
-one fails, its failure scan names the first failing triple among the
+``check_associative`` resolves the overlaps of the t = 1 system only;
+when one fails, its failure scan names the first failing triple among the
 composable basis triples.  ``oracles.check_all_triples`` visits every basis
-triple.  Both must agree on the outcome, and on a failure raise the same
-NonAssociative message, whose coordinate vectors must also be the dense
-``multiply_coords`` products.
-The lemma behind the first restriction (a triple with an idempotent in it
-always holds) and the table the check reads (NF(b_i * b_j) for every
-ordered pair, a pair absent exactly when its product is 0) are tested
-straight from ``alg.table`` on the same t = 1 algebras.
+triple, and ``oracles.check_generator_triples`` the triples of two basis
+paths and an arrow, from the whole table.  They must agree on the outcome,
+and on a failure raise the same NonAssociative message, whose coordinate
+vectors must also be the dense ``multiply_coords`` products.  A work guard
+checks that the overlap check builds no table.  The lemma behind the
+generator-triple oracle's restriction (a triple with an idempotent in it
+always holds) and the table the failure scan reads (NF(b_i * b_j) for
+every ordered pair, a pair absent exactly when its product is 0) are
+tested straight from ``alg.table`` on the same t = 1 algebras.
 """
 
 import hashlib
@@ -18,14 +20,24 @@ import json
 import re
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
-from loaders import even_cycle_doc, generated_family
-from oracles import check_all_triples, times
+from hypothesis import assume, given, settings, strategies as st
+from loaders import NAMED, even_cycle_doc, generated_family, graph, system_for
+from oracles import check_all_triples, check_generator_triples, times
+from test_cocycle_oracle import bipartite_graphs
+from test_corpus import Corpus, inputs
+from test_deform import corpus_cochains
 
+from bga.cli import main
 from bga.deform import deformed_algebra
-from bga.errors import NonAssociative
+from bga.errors import (
+    NonAssociative,
+    NonParallelCochain,
+    NonTerminating,
+    SchemaError,
+)
 from bga.fixtures import fixture_doc, fixture_rules
 from bga.hochschild import standard_cocycles
 from bga.paths import Element
@@ -38,6 +50,7 @@ from bga.rewrite import (
     FiniteDimAlgebra,
     ReductionSystem,
     Rule,
+    check_cochain,
     irreducible_words,
     reduce,
 )
@@ -269,3 +282,141 @@ def test_a_failure_at_dimension_512_is_named_quickly():
     assert message.startswith("triple 64,66,320: ")
     assert hashlib.sha256(message.encode()).hexdigest() \
         == CYCLE64_MESSAGE_SHA256
+
+
+# -- the overlaps decide ----------------------------------------------------
+
+def verdict(check):
+    """True, or the type and text of what ``check`` raised."""
+    try:
+        return check()
+    except (NonAssociative, NonTerminating) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def overlap_verdict(system, cochain, label):
+    """The verdict of ``check_associative`` on the t = 1 system, after
+    checking that the generator-triple oracle, on a second t = 1 system
+    with its own memo, gives the same one."""
+    fast = verdict(lambda: FiniteDimAlgebra(
+        system.with_values(cochain)).check_associative())
+    full = verdict(lambda: check_generator_triples(
+        FiniteDimAlgebra(system.with_values(cochain))))
+    assert fast == full, label
+    return fast[0] if isinstance(fast, tuple) else "holds"
+
+
+def test_overlaps_decide_on_the_corpus_cochains(tmp_path):
+    seen = []
+    for label, system, cochain in corpus_cochains(tmp_path):
+        try:
+            check_cochain(system, cochain)
+        except (NonParallelCochain, SchemaError):
+            continue
+        seen.append(overlap_verdict(system, cochain, label))
+    assert seen.count("holds") >= 20 and seen.count("NonAssociative") >= 200
+    assert seen.count("NonTerminating") >= 1
+
+
+def family_setups():
+    """(label, graph, system) of every fixture with derived rules, EX1
+    under both bipartitions and ``generated_family()``."""
+    out = [(name, graph(name), system_for(name)) for name in NAMED]
+    out.append(("EX1~swapped", graph("EX1"),
+                system_for("EX1", Bipartition({"w"}, {"v1", "v2"}))))
+    for label, doc in generated_family():
+        g = parse_ribbon_graph(doc)
+        out.append((label, g, reduction_system(g)))
+    return [(label, g, system) for label, g, system in out
+            if len(g.edges) >= 2 and not fixture_rules(label)]
+
+
+def test_overlaps_decide_on_every_standard_cocycle():
+    seen = []
+    for label, g, system in family_setups():
+        for s in standard_cocycles(g, system):
+            seen.append(overlap_verdict(system, s.cochain, (label, s.label)))
+    assert len(seen) >= 100 and set(seen) == {"holds"}
+    # a sum of cocycles need not deform to an algebra at t = 1
+    for label, g, system in family_setups():
+        family = [s.cochain for s in standard_cocycles(g, system)]
+        for a, b in combinations(family, 2):
+            seen.append(overlap_verdict(system, add(a, b), label))
+    assert seen.count("NonAssociative") >= 20
+
+
+@st.composite
+def drawn_cochains(draw):
+    """A drawn bipartite graph, its system and a parallel cochain: an
+    integer combination of its standard cocycles plus, on some rules, basis
+    paths shorter than the tip."""
+    g = parse_ribbon_graph(draw(bipartite_graphs()))
+    system = reduction_system(g)
+    alg = FiniteDimAlgebra(system)
+    assume(alg.dim <= MAX_DIM)
+    q = system.quiver
+    cochain = {}
+    if len(g.edges) >= 2:
+        for s in standard_cocycles(g, system):
+            c = draw(st.integers(-1, 2))
+            if c:
+                cochain = add(cochain, {ri: el.scaled(c)
+                                        for ri, el in s.cochain.items()})
+    for ri, rule in enumerate(system.rules):
+        par = [k for _, k in alg.ending_at[q.path_target(rule.tip)]
+               if k[0] == rule.tip[0] and len(k[1]) < len(rule.tip[1])]
+        if par and draw(st.integers(0, 3)) == 0:
+            k = draw(st.sampled_from(par))
+            cochain = add(cochain, {ri: Element(q, {k: draw(st.sampled_from(
+                (1, -1, F(1, 2))))})})
+    return system, cochain
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_cochains())
+def test_overlaps_decide_on_drawn_graphs(case):
+    system, cochain = case
+    overlap_verdict(system, cochain, "drawn")
+
+
+def test_a_failing_overlap_with_no_failing_triple_is_an_error(monkeypatch):
+    label, system, _family = next(s for s in SMALL if s[0] == "ANNULUS")
+    q = system.quiver
+    alg = at_one(system, {0: Element.path(q, "x|y", ("y",))})
+    monkeypatch.setattr(FiniteDimAlgebra, "_first_failure", lambda self: None)
+    with pytest.raises(RuntimeError) as err:
+        alg.check_associative()
+    assert str(err.value) == "overlap x*x*y fails, but no basis triple does"
+
+
+def test_deform_at_one_builds_the_table_only_where_it_is_read(
+        monkeypatch, capsys, tmp_path):
+    built = []
+    table = FiniteDimAlgebra.table
+
+    def counted(self):
+        if self._table is None:
+            built.append(self)
+        return table.fget(self)
+
+    monkeypatch.setattr(FiniteDimAlgebra, "table", property(counted))
+    runs = 0
+    for label, argv, _source in inputs(Corpus(tmp_path)):
+        for kind in ("A", "B", "C", "D1", "D2"):
+            run = ["deform", *argv, "--deform-type", kind, "--t", "1"]
+            if main(run) != 0:
+                continue
+            assert built == [], (label, kind)
+            assert main(run + ["--check-semisimple"]) == 0
+            assert len(built) == 1, (label, kind)
+            built.clear()
+            runs += 1
+    capsys.readouterr()
+    assert runs >= 40
+    # a failure names its triple from the table, built once
+    cochain = tmp_path / "cochain.json"
+    cochain.write_text(json.dumps({"values": [{"tip": ["x", "y"], "element": [
+        {"vertex": "x|y", "word": ["y"], "coeff": "1"}]}]}))
+    assert main(["deform", "--input", "ANNULUS", "--deform-type", "custom",
+                 "--cochain", str(cochain), "--t", "1"]) == 1
+    assert "triple" in capsys.readouterr().out and len(built) == 1

@@ -260,6 +260,18 @@ def test_a_bad_loc_name_keeps_its_own_message(capsys, name, out):
     assert run(capsys, "validate", "--input", name) == (2, out)
 
 
+@pytest.mark.parametrize("name", [
+    "LOC_ 3", "LOC_3 ", "LOC_+3", "LOC_-1", "LOC_\u0663", "LOC_\uff13",
+    "LOC_\u00b3", "LOC_1_0", "LOC_3\n",
+], ids=["space", "trailing-space", "plus", "minus", "arabic-indic",
+        "fullwidth", "superscript", "underscore", "newline"])
+def test_a_loc_parameter_takes_ascii_digits_only(capsys, name):
+    # int() would read each of these as a number: LOC_3, LOC_-1 or LOC_10
+    detail = json.dumps(f"bad LOC parameter in {name!r}")
+    assert run(capsys, "validate", "--input", name) == (
+        2, f'{{"detail":{detail},"error":"schema"}}\n')
+
+
 @pytest.mark.parametrize("command", ["validate", "hh2"])
 def test_a_half_edge_id_with_a_bar_is_a_schema_error(tmp_path, capsys,
                                                       command):

@@ -22,7 +22,10 @@ word of any other type is pinned by ``tests/test_cli.py`` instead.  So is
 a value that contains a tip, at ``formal:1``.
 
 The digests were recorded before ``ReductionSystem`` lost its second tip
-index; a change to any of them is a test edit with a reason.
+index; a change to any of them is a test edit with a reason.  ``errors``
+was recorded again when a LOC parameter became ASCII digits only: its two
+``LOC_-1`` runs now give the ``bad LOC parameter`` error instead of ``LOC
+multiplicity must be >= 1``, and no other run changed.
 """
 
 import hashlib
@@ -49,8 +52,8 @@ PINNED = {
                          "4f8f9a749bb7c87477a91350d4490f58"),
     "custom": (1278, "bdf163d5f6a50a645fe99854a5abf740"
                      "c364da6952eb943d2b9764542cfeb757"),
-    "errors": (1924, "9af3166cc42e3c0c3085843572e9f18b"
-                     "232d582c55ea9542d88f01109fbdc59d"),
+    "errors": (1924, "747cbab3f891e27f33eaf76373752ae6"
+                     "ac8ead7f281b023c9aadbccb58b1b9d2"),
     "ladder": (12, "f492ce2fbff003c65bf89f9908139bc2"
                    "ab5cd6415d0d44ec387517da8a88ed55"),
     "standard": (800, "9638529fb7c53531da8dc679ab0a7d52"

@@ -33,6 +33,7 @@ from bga.rewrite import (
     ReductionSystem,
     Rule,
     check_cochain,
+    checked_system,
     resolve_overlap,
 )
 from bga.ribbon import Bipartition, parse_ribbon_graph
@@ -194,15 +195,15 @@ def table_outcome(alg):
 
 
 def validated_t1_system(system, cochain):
-    """The t = 1 rules run through the validating constructor."""
-    return ReductionSystem(system.quiver, [
+    """The t = 1 rules run through ``checked_system``."""
+    return checked_system(system.quiver, [
         Rule(r.tip, r.rhs + cochain[ri] if ri in cochain else r.rhs, r.info)
         for ri, r in enumerate(system.rules)])
 
 
 def assert_with_values_validates(system, cochain, label):
-    """``with_values`` is the system the validating constructor builds from
-    the same rules, on the base tip index and with an empty memo."""
+    """``with_values`` is the system ``checked_system`` builds from the
+    same rules, on the base tip index and with an empty memo."""
     check_cochain(system, cochain)
     fast = system.with_values(cochain)
     slow = validated_t1_system(system, cochain)
@@ -253,8 +254,8 @@ def test_with_values_agrees_on_the_corpus_cochains(tmp_path):
         try:
             check_cochain(system, cochain)
         except (NonParallelCochain, SchemaError) as exc:
-            # deformed_algebra raises what it raised when it built the
-            # t = 1 system with the validating constructor
+            # deformed_algebra raises what checked_system raises on the
+            # t = 1 rules
             with pytest.raises(type(exc)) as got:
                 deformed_algebra(system, cochain)
             assert str(got.value) == str(exc), label

@@ -30,6 +30,7 @@ from bga.rewrite import (
     ReductionSystem,
     Rule,
     check_diamond,
+    checked_system,
     enumerate_ambiguities,
     overlap_sides,
     overlap_steps,
@@ -57,9 +58,9 @@ def t1_systems(label, g, system):
 
 
 def fresh(system):
-    """The system rebuilt by the validating constructor: an empty memo and
-    its own zero pairs."""
-    return ReductionSystem(system.quiver, system.rules)
+    """The system rebuilt by ``checked_system``: an empty memo and its own
+    zero pairs."""
+    return checked_system(system.quiver, system.rules)
 
 
 def junction_killed(system, left, middle, right):
@@ -134,8 +135,8 @@ def assert_settled_words_are_zero(system, keys, label):
 
 
 def assert_t1_table_is_exact(system, label):
-    """The t = 1 system's zero pairs are the ones the validating
-    constructor builds, the products the junction test settles are 0 and
+    """The t = 1 system's zero pairs are the ones ``checked_system``
+    builds, the products the junction test settles are 0 and
     the table is the one every product reduced gives."""
     assert system.zero_pairs == fresh(system).zero_pairs, label
     alg = FiniteDimAlgebra(system)
@@ -213,7 +214,7 @@ def test_monomial_overlaps_resolve_to_zero_without_a_reduction():
             check = fresh(system)
             assert resolve_overlap(check, amb) == ({}, {}), label
             # the two steps read off the rules are the memo's steps
-            uvw, vw, times_u = overlap_sides(check, amb)
+            uvw, vw, times_u, _ = overlap_sides(check, amb)
             assert check.normal_form(vw) == {}
             memo = list(check.steps(uvw))
             memo += [(-c, *times_u((o, lw)), ri, rw)
@@ -237,7 +238,7 @@ def needed_keys(system):
     out = set()
     for amb in enumerate_ambiguities(ref):
         if not amb.is_monomial(ref):
-            uvw, vw, times_u = overlap_sides(ref, amb)
+            uvw, vw, times_u, _ = overlap_sides(ref, amb)
             out.update([uvw, vw, *map(times_u, ref.normal_form(vw))])
     alg = FiniteDimAlgebra(ref)
     for left, middle, right, key in [*row_words(ref, cochain_space(alg)),

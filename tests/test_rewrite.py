@@ -13,6 +13,7 @@ from bga.errors import (
     NonTerminating,
     SchemaError,
 )
+from bga.fixtures import fixture_rules
 from bga.hochschild import hh2, standard_cocycles
 from bga.paths import Element, Quiver
 from bga.presentation import (
@@ -26,6 +27,7 @@ from bga.rewrite import (
     Rule,
     ReductionSystem,
     check_diamond,
+    checked_system,
     enumerate_ambiguities,
     irreducible_words,
     overlap_sides,
@@ -92,13 +94,13 @@ def long_tip_star():
 def test_rejects_short_tip():
     q = two_loop_quiver()
     with pytest.raises(SchemaError):
-        ReductionSystem(q, [Rule(q.word_key(("x",)), Element.zero(q))])
+        checked_system(q, [Rule(q.word_key(("x",)), Element.zero(q))])
 
 
 def test_rejects_subword_tips():
     q = two_loop_quiver()
     with pytest.raises(SchemaError):
-        ReductionSystem(q, [
+        checked_system(q, [
             Rule(q.word_key(("x", "y")), Element.zero(q)),
             Rule(q.word_key(("x", "y", "x")), Element.zero(q)),
         ])
@@ -117,8 +119,8 @@ def test_tips_sharing_their_last_two_letters():
     assert sys.first_redex(("y", "x")) is None
     assert sys.first_redex(("x", "y", "z", "y", "y")) is None
     with pytest.raises(SchemaError) as err:
-        ReductionSystem(q, [Rule(q.word_key(t), Element.zero(q)) for t in
-                            tips + [("y", "y", "x", "z", "y", "x")]])
+        checked_system(q, [Rule(q.word_key(t), Element.zero(q)) for t in
+                           tips + [("y", "y", "x", "z", "y", "x")]])
     assert str(err.value) == ("tip ('z', 'y', 'x') is a subword of tip "
                               "('y', 'y', 'x', 'z', 'y', 'x')")
 
@@ -128,7 +130,7 @@ def test_rejects_non_parallel_rhs():
     quiver = quiver_from_graph(g, EX1_BP1)
     with pytest.raises(SchemaError):
         # d goes between different vertices; an idempotent is not parallel
-        ReductionSystem(quiver, [
+        checked_system(quiver, [
             Rule(quiver.word_key(("d", "a")), Element.idempotent(quiver, "a|d")),
         ])
 
@@ -136,11 +138,44 @@ def test_rejects_non_parallel_rhs():
 def test_rejects_reducible_rhs():
     q = two_loop_quiver()
     with pytest.raises(SchemaError):
-        ReductionSystem(q, [
+        checked_system(q, [
             Rule(q.word_key(("x", "x")), Element.zero(q)),
             Rule(q.word_key(("y", "y")),
                  Element.path(q, "1", ("x", "x"))),
         ])
+
+
+def assert_derived_rules_pass_the_checks(system, label):
+    """The derived system is what ``checked_system`` builds from its rules:
+    the checks accept them, and the rules, tip index and zero pairs are
+    the same."""
+    checked = checked_system(system.quiver, system.rules)
+    assert [(r.tip, r.rhs.terms, r.info) for r in checked.rules] \
+        == [(r.tip, r.rhs.terms, r.info) for r in system.rules], label
+    assert checked._ends == system._ends, label
+    assert checked.zero_pairs == system.zero_pairs, label
+
+
+def test_derived_rules_pass_the_checks():
+    cases = [(name, system_for(name)) for name in NAMED
+             if not fixture_rules(name)]
+    for name, parts in (("EX1", ({"v1", "v2"}, {"w"})),
+                        ("DBL", ({"v"}, {"w"}))):
+        for one, two in (parts, parts[::-1]):
+            cases.append(((name, sorted(one)), reduction_system(
+                graph(name), Bipartition(one, two))))
+    cases += [(label, reduction_system(parse_ribbon_graph(doc)))
+              for label, doc in generated_family()]
+    for label, system in cases:
+        assert_derived_rules_pass_the_checks(system, label)
+    assert len(cases) >= 30
+
+
+@settings(max_examples=60, deadline=None)
+@given(bipartite_graphs())
+def test_derived_rules_of_drawn_graphs_pass_the_checks(doc):
+    assert_derived_rules_pass_the_checks(
+        reduction_system(parse_ribbon_graph(doc)), "drawn")
 
 
 # -- reduction ----------------------------------------------------------------
@@ -339,10 +374,18 @@ def test_overlap_left_key_rewrites_its_tip_first():
         q = sys.quiver
         nf = sys.normal_form
         for amb in enumerate_ambiguities(sys):
-            uvw, vw, times_u = overlap_sides(sys, amb)
+            uvw, vw, times_u, factors = overlap_sides(sys, amb)
             origin = q.arrows[amb.w[-1]][0]
             assert (uvw, vw) == ((origin, amb.word),
                                  (origin, amb.v + amb.w))
+            # the factors are basis paths, and u*v*w is their product
+            basis = set(irreducible_words(sys))
+            assert factors == ((q.arrows[amb.u][0], (amb.u,)),
+                               (q.arrows[amb.v[-1]][0], amb.v),
+                               (origin, amb.w))
+            assert basis.issuperset(factors), (args, amb)
+            assert q.concat_key(q.concat_key(factors[0], factors[1]),
+                                factors[2]) == uvw
             assert sys.steps(uvw)[0] == (1, origin, (), amb.rule_index, amb.w)
             w_el = Element.path(q, origin, amb.w)
             rhs_w = reduce(sys, sys.rules[amb.rule_index].rhs * w_el)
