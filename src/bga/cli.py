@@ -15,7 +15,8 @@ import re
 import sys
 
 from .deform import deformed_algebra, semisimplicity, verify_lift
-from .errors import BgaError, InputError, NonBipartite, NotApplicable, UsageError
+from .errors import (BgaError, InputError, JsonError, NonBipartite,
+                     NotApplicable, UsageError)
 from .fixtures import fixture_doc, fixture_rules
 from .hochschild import (_standard_members, cochain_from_values_doc, hh2,
                          standard_cocycles, verify_basis)
@@ -59,6 +60,15 @@ def _read(path):
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
+def _json(text):
+    """The JSON document of a rules or cochain text; JsonError also for an
+    integer literal too long to convert (a plain ValueError)."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise JsonError(str(exc)) from exc
+
+
 def _load_graph(args):
     """(graph, bundled rules text or None): --input names a fixture or a
     graph file, and only a fixture may bundle rules."""
@@ -97,7 +107,7 @@ def _system(g, rules_text, bp):
     """The rule document's system on the quiver of g for bp, else the one
     derived from g; a bp that does not 2-color g raises InvalidBipartition."""
     if rules_text is not None:
-        return rules_from_doc(quiver_from_graph(g, bp), json.loads(rules_text))
+        return rules_from_doc(quiver_from_graph(g, bp), _json(rules_text))
     return reduction_system(g, bp)
 
 
@@ -193,7 +203,7 @@ def _select_cochain(args, g, system):
     if args.deform_type == "custom":
         if not args.cochain:
             raise UsageError("--deform-type custom needs --cochain FILE")
-        doc = json.loads(_read(args.cochain))
+        doc = _json(_read(args.cochain))
         return cochain_from_values_doc(system, doc), "custom"
     for s in _standard_members(g, system):
         if s.kind == args.deform_type:
@@ -323,9 +333,6 @@ def main(argv=None):
     try:
         args = _PARSER.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except json.JSONDecodeError as exc:
-        emit_error("json", str(exc))
-        return 2
     except BgaError as exc:
         emit_error(_error_code(exc), str(exc))
         return 2 if isinstance(exc, InputError) else 1

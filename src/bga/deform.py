@@ -1,6 +1,6 @@
 """Deformations of a confluent reduction system along a parallel 2-cochain.
 
-A 2-cochain assigns to each rule a combination of irreducible paths parallel
+A 2-cochain assigns to each rule a term dict of irreducible paths parallel
 to its tip; ``rewrite.check_cochain`` validates it in the same way for every
 check here, at every truncation degree.  Deforming replaces every right-hand
 side phi(s) by phi(s) + t * psi(s), either formally (coefficients in
@@ -25,10 +25,10 @@ overlap, laid out by ``rewrite.overlap_sides``.  A monomial overlap
 (both rules rewrite to 0) whose rules carry no value of the cochain is
 skipped: u*v*w and v*w each reduce in one step to 0 by a rule psi leaves
 alone, so Psi is 0 on both, and both lifts are empty at every order.  No
-deformed system is built; a failure's witness holds plain values, a
-constant or a polynomial in t as text, which only render.  The test suite
-keeps the deformed system over truncated polynomials as the independent
-oracle.
+deformed system is built; a failure's witness is a term dict of plain
+values, a constant or a polynomial in t as text, which only render.  The
+test suite keeps the deformed system over truncated polynomials as the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from itertools import zip_longest
 from . import rewrite
 from .errors import NonTerminating
 from .linalg import rank
-from .paths import Element, render
+from .paths import render
 from .rewrite import (
     FiniteDimAlgebra,
     check_cochain,
@@ -66,8 +66,8 @@ class FormalCheck:
     """Outcome of resolving every overlap of the formally deformed system.
 
     ``witness`` is None when all overlaps agree, else a triple of the first
-    failing ambiguity, the normal-form difference, and the lowest t-order at
-    which the difference is visible.
+    failing ambiguity, the normal-form difference as a term dict, and the
+    lowest t-order at which the difference is visible.
     """
 
     __slots__ = ("passes", "n_ambiguities", "witness")
@@ -132,7 +132,7 @@ def verify_lift(system, cochain, degree):
             for c, origin, left, ri, right in system.steps(key):
                 value = cochain.get(ri)
                 if value is not None:
-                    for (_, word), d in value.terms.items():
+                    for (_, word), d in value.items():
                         k = (origin, left + word + right)
                         letters += len(k[1])
                         out[k] = out.get(k, 0) + c * d
@@ -186,7 +186,7 @@ def verify_lift(system, cochain, degree):
                     terms[k] = _witness_value(coeffs)
             order = next(n for n, (a, b) in enumerate(by_order) if a != b)
             return FormalCheck(False, len(ambiguities),
-                               (amb, Element(system.quiver, terms), order))
+                               (amb, terms, order))
     return FormalCheck(True, len(ambiguities), None)
 
 

@@ -24,6 +24,10 @@ class UsageError(InputError):
     pass
 
 
+class JsonError(InputError):
+    pass
+
+
 class SchemaError(InputError):
     pass
 

@@ -1,9 +1,10 @@
 """Second Hochschild cohomology of the quotient of a confluent system.
 
-A 2-cochain assigns to each rule an algebra element parallel to its tip
-(same origin and target).  The coordinate system runs over all pairs
-(rule, parallel irreducible basis path), tips in rule order and parallels
-in basis order, so every report is deterministic.
+A 2-cochain assigns to each rule a term dict of paths parallel to its tip
+(same origin and target): it is a dict ``{rule index: term dict}``.  The
+coordinate system runs over all pairs (rule, parallel irreducible basis
+path), tips in rule order and parallels in basis order, so every report is
+deterministic.
 
 A cochain psi is a cocycle iff deforming every rhs to rhs + t * psi
 resolves each tip-on-tip overlap to first order in t.  Both linear maps are
@@ -47,7 +48,7 @@ from .errors import (
     UsageError,
 )
 from .linalg import annihilates, quotient, rank, residual, rref
-from .paths import Element, element_from_doc, element_to_doc, word_from_doc
+from .paths import element_from_doc, element_to_doc, word_from_doc
 from .presentation import cycle_word, dimension_formula
 from . import rewrite
 from .rewrite import (
@@ -78,13 +79,14 @@ def cochain_space(alg):
     return out
 
 
-def cochain_from_vector(alg, coords, vec):
-    """Cochain dict rule_index -> Element from a sparse coordinate vector."""
-    terms = {}
+def cochain_from_vector(coords, vec):
+    """Cochain dict rule_index -> term dict from a sparse coordinate vector,
+    whose entries are nonzero."""
+    cochain = {}
     for j, c in sorted(vec.items()):
         ri, key = coords[j]
-        terms.setdefault(ri, {})[key] = c
-    return {ri: Element(alg.quiver, t) for ri, t in terms.items()}
+        cochain.setdefault(ri, {})[key] = c
+    return cochain
 
 
 def vector_from_cochain(system, coords, cochain):
@@ -94,19 +96,14 @@ def vector_from_cochain(system, coords, cochain):
     check_cochain(system, cochain)
     index = {pair: j for j, pair in enumerate(coords)}
     return {index[(ri, key)]: c for ri, value in cochain.items()
-            for key, c in value.terms.items()}
+            for key, c in value.items()}
 
 
 def cochain_values_doc(system, cochain):
     """JSON-friendly list of the nonzero values, in rule order."""
-    out = []
-    for ri in sorted(cochain):
-        value = cochain[ri]
-        if not value:
-            continue
-        out.append({"tip": list(system.rules[ri].tip[1]),
-                    "element": element_to_doc(value)})
-    return out
+    return [{"tip": list(system.rules[ri].tip[1]),
+             "element": element_to_doc(cochain[ri])}
+            for ri in sorted(cochain) if cochain[ri]]
 
 
 def cochain_from_values_doc(system, doc):
@@ -164,7 +161,7 @@ def _letter_occurrences(system):
     out = {}
     for ri, rule in enumerate(system.rules):
         monomials = [(rule.tip, 1)]
-        monomials += [(k, -c) for k, c in rule.rhs.terms.items()]
+        monomials += [(k, -c) for k, c in rule.rhs.items()]
         for (origin, word), c in monomials:
             for i, letter in enumerate(word):
                 left, right = word[:i], word[i + 1:]
@@ -318,7 +315,7 @@ class HH2Report:
     def to_doc(self):
         basis = []
         for vec in self.representatives:
-            cochain = cochain_from_vector(self.alg, self.coords, vec)
+            cochain = cochain_from_vector(self.coords, vec)
             values = cochain_values_doc(self.alg.system, cochain)
             basis.append({"tag": "generic", "values": values})
         return {
@@ -429,9 +426,9 @@ def _standard_members(graph, system):
     # on every vanishing-power tip (the b-rule of h ends in h), 0 elsewhere.
     values = {}
     for ri in a_rule.values():
-        values[ri] = Element.idempotent(q, system.rules[ri].tip[0])
+        values[ri] = {(system.rules[ri].tip[0], ()): 1}
     for h, ri in b_rule.items():
-        values[ri] = Element.path(q, q.arrows[h][0], (h,), coeff=-1)
+        values[ri] = {q.word_key((h,)): -1}
     yield StandardCocycle("A", "A", values)
 
     # (B): multiplicity-lowering cycle terms, one per (vertex, power).  The
@@ -443,17 +440,16 @@ def _standard_members(graph, system):
             for edge, ri in a_rule.items():
                 for h in graph.edges[edge]:
                     if graph.incidence[h] == v:
-                        word = cycle_word(graph, h, i)
-                        values[ri] = Element.path(q, q.arrows[word[-1]][0], word)
+                        values[ri] = {q.word_key(cycle_word(graph, h, i)): 1}
             for h, ri in b_rule.items():
                 if graph.incidence[h] == v:
                     word = cycle_word(graph, graph.successor(h), i) + (h,)
-                    values[ri] = Element.path(
-                        q, q.arrows[word[-1]][0], word, coeff=-1)
+                    values[ri] = {q.word_key(word): -1}
             yield StandardCocycle("B", f"B({v},{i})", values)
 
     # (C): one per edge outside a spanning tree, rescaling its commutation
-    # rule by its own replacement.
+    # rule by its own replacement: the value is the rule's rhs dict itself,
+    # which nothing changes.
     tree = spanning_tree(graph)
     for edge in graph.edges:
         if edge in tree:
@@ -477,15 +473,14 @@ def _standard_members(graph, system):
         vcyc = cycle_word(graph, i1, graph.multiplicity[v])
         astar = vcyc[1:]              # the v-cycle at e1 minus alpha
         values = {
-            rule_of[("c", alpha, beta)]: Element.idempotent(q, e1),
-            rule_of[("c", beta, alpha)]: Element.idempotent(q, e2),
-            rule_of[("b", h1)]: Element.path(q, q.arrows[astar[-1]][0], astar),
+            rule_of[("c", alpha, beta)]: {(e1, ()): 1},
+            rule_of[("c", beta, alpha)]: {(e2, ()): 1},
+            rule_of[("b", h1)]: {q.word_key(astar): 1},
         }
         yield StandardCocycle("D1", f"D1({h1},{h2})", values)
         wcyc = cycle_word(graph, h2, graph.multiplicity[w])
         values = {
-            rule_of[("c", beta, alpha)]: Element.path(
-                q, q.arrows[wcyc[-1]][0], wcyc),
+            rule_of[("c", beta, alpha)]: {q.word_key(wcyc): 1},
         }
         yield StandardCocycle("D2", f"D2({h1},{h2})", values)
 

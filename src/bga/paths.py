@@ -1,18 +1,22 @@
-"""Quivers and exact path-algebra arithmetic.
+"""Quivers, path keys, and the text and document forms of a term dict.
 
 A path is keyed by ``(origin, word)`` where ``word`` is a tuple of arrow
 names written left to right with the rightmost arrow applied first, so the
 word ``(u, v)`` means "v, then u" and needs ``origin(u) == target(v)``.
 The empty word at vertex v is the idempotent e(v).
 
-Elements are finite combinations of paths with exact rational coefficients
-(``int`` when integral, else ``Fraction``), stored as a zero-free dict.
-Multiplication is the bilinear extension of concatenation; non-composable
-products are zero, not an error.
+A linear combination of paths (a rule's right-hand side, a cochain value,
+a normal form) is a zero-free term dict ``{path key: coefficient}`` with
+exact rational coefficients: ``int`` when integral, else ``Fraction``.
+Every layer computes on these dicts directly.  The engine only adds,
+negates, multiplies and truth-tests a coefficient, so ``render`` also
+prints a failed formal lift's witness, whose coefficients may be
+polynomials in t held as text.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import DOCUMENT_ERRORS, SchemaError
@@ -76,104 +80,16 @@ class Quiver:
         return (k2[0], k1[1] + k2[1])
 
 
-class Element:
-    """Linear combination of paths of one quiver.
-
-    Coefficients are exact rationals (``int`` when integral, else
-    ``Fraction``); they are only added, negated, multiplied, and
-    truth-tested, so any type with those operations works too.  ``render``
-    prints every coefficient with ``str``, so an Element that is only
-    printed, such as a failed formal lift's witness, may hold polynomials
-    in t as text.
-    """
-
-    __slots__ = ("quiver", "terms")
-
-    def __init__(self, quiver, terms=None):
-        self.quiver = quiver
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls, quiver):
-        return cls(quiver)
-
-    @classmethod
-    def path(cls, quiver, origin, word, coeff=1):
-        return cls(quiver, {quiver.key(origin, word): coeff})
-
-    @classmethod
-    def idempotent(cls, quiver, vertex, coeff=1):
-        return cls(quiver, {(vertex, ()): coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            s = c if s is None else s + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return Element(self.quiver, terms)
-
-    def __neg__(self):
-        return Element(self.quiver, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self + (-other)
-
-    def scaled(self, c):
-        if not c:
-            return Element(self.quiver)
-        return Element(self.quiver, {k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        q = self.quiver
-        terms = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                if k1[0] != (q.arrows[k2[1][0]][1] if k2[1] else k2[0]):
-                    continue  # not composable: contributes zero
-                k = (k2[0], k1[1] + k2[1])
-                c = c1 * c2
-                s = terms.get(k)
-                s = c if s is None else s + c
-                if s:
-                    terms[k] = s
-                else:
-                    terms.pop(k, None)
-        return Element(q, terms)
-
-    def __repr__(self):
-        return f"Element({render(self)})"
-
-
 def render_key(key):
     origin, word = key
     return "*".join(word) if word else f"e({origin})"
 
 
-def render(el):
-    """Human-readable form, terms in sorted key order."""
-    if not el.terms:
-        return "0"
+def render(terms):
+    """Human-readable form of a term dict, terms in sorted key order."""
     parts = []
-    for k in sorted(el.terms):
-        c = el.terms[k]
+    for k in sorted(terms):
+        c = terms[k]
         body = render_key(k)
         if c == 1:
             parts.append(body)
@@ -184,25 +100,32 @@ def render(el):
             if any(ch in txt for ch in "+- ") and not txt.lstrip("-").isdigit():
                 txt = f"({txt})"
             parts.append(f"{txt} {body}")
-    return " + ".join(parts).replace("+ -", "- ")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
-def element_to_doc(el):
-    """JSON-friendly list form, sorted by key; rational coefficients only."""
-    out = []
-    for (origin, word) in sorted(el.terms):
-        c = el.terms[(origin, word)]
-        out.append({"vertex": origin, "word": list(word), "coeff": str(c)})
-    return out
+def element_to_doc(terms):
+    """JSON-friendly list form of a term dict, sorted by key; rational
+    coefficients only."""
+    return [{"vertex": key[0], "word": list(key[1]), "coeff": str(terms[key])}
+            for key in sorted(terms)]
+
+
+# the coefficient strings element_to_doc writes: str of an int or Fraction
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def rational(text):
     """Exact value of a coefficient given as a string or an integer: an int
-    when integral, else a Fraction.  A JSON float or boolean is refused, so
-    no binary fraction enters the exact arithmetic."""
+    when integral, else a Fraction.  A string must be spelled as
+    ``element_to_doc`` writes it, else it raises the ValueError of an
+    invalid ``Fraction`` literal: an exponent such as "1e100000000" would
+    make a number too long to compute with or print.  A JSON float or
+    boolean is refused, so no binary fraction enters the exact arithmetic."""
     if isinstance(text, (bool, float)):
         raise SchemaError(
             f"coefficient {text!r} is not a string or an integer")
+    if isinstance(text, str) and not _RATIONAL.fullmatch(text):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
     c = Fraction(text)
     return c.numerator if c.denominator == 1 else c
 
@@ -217,7 +140,8 @@ def word_from_doc(value):
 
 
 def element_from_doc(quiver, doc):
-    """Inverse of element_to_doc; raises SchemaError on a malformed list."""
+    """Inverse of element_to_doc: the zero-free term dict of the list, the
+    entries of one path summed; raises SchemaError on a malformed list."""
     terms = {}
     try:
         for entry in doc:
@@ -225,4 +149,4 @@ def element_from_doc(quiver, doc):
             terms[key] = terms.get(key, 0) + rational(entry["coeff"])
     except DOCUMENT_ERRORS as exc:
         raise SchemaError(f"malformed element: {exc!r}") from exc
-    return Element(quiver, terms)
+    return {k: c for k, c in terms.items() if c}

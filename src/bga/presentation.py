@@ -23,7 +23,7 @@ from .errors import (
     RequiresConfluentSystem,
     SchemaError,
 )
-from .paths import Element, Quiver, rational, word_from_doc
+from .paths import Quiver, rational, word_from_doc
 # reduce is unused here, but bench/tests checks the name that spans rebinds
 from .rewrite import (
     ReductionSystem,
@@ -93,7 +93,7 @@ class BrauerPresentation:
 
     def __init__(self, quiver, relations):
         self.quiver = quiver
-        self.relations = relations  # list of Elements generating the ideal
+        self.relations = relations  # term dicts generating the ideal
 
 
 def build_presentation(g):
@@ -112,11 +112,10 @@ def build_presentation(g):
     seen = set()
 
     def emit(terms):
-        el = Element(quiver, terms)
-        key = tuple(sorted((k, str(c)) for k, c in el.terms.items()))
-        if el and key not in seen:
+        key = tuple(sorted((k, str(c)) for k, c in terms.items()))
+        if key not in seen:
             seen.add(key)
-            relations.append(el)
+            relations.append(terms)
 
     halves = sorted(g.half_edges)
     # products u*v of composable arrows not successive in the rotation vanish
@@ -149,9 +148,9 @@ def _derive_rules(g, bp, quiver):
     """Rules of g for bp, each tagged by its source, ("a", edge id), ("b",
     half-edge) or ("c", arrow, arrow); no two rules share a tag.  Tips and
     rhs paths are keyed unchecked, and nothing checks the rules: they keep
-    the invariants of ``rewrite`` by construction.  Zero rhs are shared."""
+    the invariants of ``rewrite`` by construction.  Each rule has its own
+    rhs dict, {rhs: 1} or a zero {}."""
     rules = []
-    zero = Element.zero(quiver)
 
     def path_key(word):
         return (quiver.arrows[word[-1]][0], word)
@@ -165,19 +164,19 @@ def _derive_rules(g, bp, quiver):
             continue
         tip = path_key(cycle_word(g, h1, g.multiplicity[v1]))
         rhs = path_key(cycle_word(g, h2, g.multiplicity[v2]))
-        rules.append(Rule(tip, Element(quiver, {rhs: 1}), info=("a", edge)))
+        rules.append(Rule(tip, {rhs: 1}, info=("a", edge)))
     # (b) one step past a part-two cycle power vanishes
     for h in sorted(g.half_edges):
         if g.incidence[h] not in bp.part_two:
             continue
         word = cycle_word(g, g.successor(h), g.multiplicity[g.incidence[h]]) + (h,)
-        rules.append(Rule(path_key(word), zero, info=("b", h)))
+        rules.append(Rule(path_key(word), {}, info=("b", h)))
     # (c) the remaining products of non-successive arrows vanish
     for hu in sorted(quiver.arrows):
         for hv in quiver.arrows_into(quiver.origin(hu)):
             if g.successor(hv) == hu:
                 continue
-            rules.append(Rule(path_key((hu, hv)), zero, info=("c", hu, hv)))
+            rules.append(Rule(path_key((hu, hv)), {}, info=("c", hu, hv)))
     return rules
 
 
@@ -203,7 +202,8 @@ def reduction_system(g, bp=None):
 
 def rules_from_doc(quiver, doc):
     """ReductionSystem from a JSON rule document on an existing quiver; the
-    rules are checked by ``checked_system``."""
+    terms of one path are summed, zero coefficients dropped, and the rules
+    are checked by ``checked_system``."""
     rules = []
     try:
         for entry in doc["rules"]:
@@ -213,7 +213,7 @@ def rules_from_doc(quiver, doc):
                 word = word_from_doc(word)
                 key = quiver.word_key(word) if word else (tip[0], ())
                 terms[key] = terms.get(key, 0) + rational(coeff)
-            rules.append(Rule(tip, Element(quiver, terms)))
+            rules.append(Rule(tip, {k: c for k, c in terms.items() if c}))
     except DOCUMENT_ERRORS as exc:
         raise SchemaError(f"malformed rules document: {exc!r}") from exc
     return checked_system(quiver, rules)

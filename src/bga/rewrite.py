@@ -1,8 +1,8 @@
 """Reduction systems on path algebras and the diamond-lemma toolkit.
 
 A reduction system is a list of rules ``tip -> rhs`` where the tip is a path
-word of length >= 2 and the rhs an element parallel to it (same origin and
-target).  Every system satisfies two invariants:
+word of length >= 2 and the rhs a term dict (see ``paths``) parallel to it
+(same origin and target).  Every system satisfies two invariants:
 
 * tips are pairwise distinct and none is a contiguous subword of another,
 * every rhs monomial is parallel to its tip and contains no tip itself.
@@ -52,7 +52,7 @@ from .errors import (
     NonTerminating,
     SchemaError,
 )
-from .paths import Element, element_to_doc, render_key
+from .paths import element_to_doc, render, render_key
 
 MAX_REDUCE_LETTERS = 2_000_000
 
@@ -62,11 +62,11 @@ class Rule:
 
     def __init__(self, tip, rhs, info=None):
         self.tip = tip          # path key (origin, word), len(word) >= 2
-        self.rhs = rhs          # Element, parallel to tip
+        self.rhs = rhs          # term dict, parallel to tip
         self.info = info        # provenance tag for derived rules, else None
 
     def __repr__(self):
-        return f"Rule({render_key(self.tip)} -> {self.rhs!r})"
+        return f"Rule({render_key(self.tip)} -> {render(self.rhs)})"
 
 
 class ReductionSystem:
@@ -89,8 +89,8 @@ class ReductionSystem:
     to 0 by its leftmost redex) is entered from that scan; any other runs
     the loop behind ``reduce`` on the term dict ``{key: 1}``, starting from
     the redex found.  Either way they are exactly what ``reduce(system,
-    Element.path(...), trace=steps)`` gives: the same terms in the same
-    order, with the same coefficient types, from the same scans.  A
+    {key: 1}, trace=steps)`` gives: the same terms in the same order, with
+    the same coefficient types, from the same scans.  A
     reduction always rewrites a given word at the same redex, so the normal
     form is linear and a sum may be reduced term by term.  The returned
     dicts and lists are shared and must not be changed.
@@ -118,15 +118,21 @@ class ReductionSystem:
 
     def with_values(self, cochain):
         """This system with each rhs phi(s) replaced by phi(s) + psi(s), for
-        a cochain {rule index: Element} that ``check_cochain`` passed, so
-        the new rules keep the invariants.  The tips are unchanged: the new
-        system shares the tip index and ambiguities, and gets an empty memo.
-        Its zero pairs are rebuilt, since a value may land on a zero rule."""
+        a cochain {rule index: term dict} that ``check_cochain`` passed, so
+        the new rules keep the invariants.  Each sum is a new zero-free
+        dict.  The tips are unchanged: the new system shares the tip index
+        and ambiguities, and gets an empty memo.  Its zero pairs are
+        rebuilt, since a value may land on a zero rule or cancel an rhs."""
         out = object.__new__(ReductionSystem)
         out.quiver = self.quiver
-        out.rules = [rule if ri not in cochain
-                     else Rule(rule.tip, rule.rhs + cochain[ri], rule.info)
-                     for ri, rule in enumerate(self.rules)]
+        out.rules = rules = list(self.rules)
+        for ri, value in cochain.items():
+            rule = rules[ri]
+            rhs = dict(rule.rhs)
+            for k, c in value.items():
+                rhs[k] = rhs.get(k, 0) + c
+            rules[ri] = Rule(rule.tip, {k: c for k, c in rhs.items() if c},
+                             rule.info)
         out.zero_pairs = _zero_pairs(out.rules)
         out._ends = self._ends
         out._ambiguities = self._ambiguities
@@ -171,7 +177,7 @@ class ReductionSystem:
         else:
             pos, ri = redex
             rule = self.rules[ri]
-            if rule.rhs.terms or len(word) > MAX_REDUCE_LETTERS:
+            if rule.rhs or len(word) > MAX_REDUCE_LETTERS:
                 steps = []
                 hit = (_reduce_terms(self, {key: 1}, steps, redex), steps)
             else:
@@ -190,7 +196,7 @@ class ReductionSystem:
 def _zero_pairs(rules):
     """The length-2 tips with rhs 0, as a set of letter pairs."""
     return frozenset(rule.tip[1] for rule in rules
-                     if len(rule.tip[1]) == 2 and not rule.rhs.terms)
+                     if len(rule.tip[1]) == 2 and not rule.rhs)
 
 
 def checked_system(quiver, rules):
@@ -223,7 +229,7 @@ def checked_system(quiver, rules):
                 f"tip {tips[min(inner)]!r} is a subword of tip {a!r}")
     for rule in rules:
         t_end = quiver.path_target(rule.tip)
-        for (origin, word) in rule.rhs.terms:
+        for (origin, word) in rule.rhs:
             if (origin != rule.tip[0]
                     or quiver.path_target((origin, word)) != t_end):
                 raise SchemaError(
@@ -235,7 +241,7 @@ def checked_system(quiver, rules):
 
 
 def check_cochain(system, cochain):
-    """Validate a 2-cochain, dict rule_index -> Element, as the values of
+    """Validate a 2-cochain, dict rule_index -> term dict, as the values of
     deformed rules: first every monomial of a value must run parallel to
     its rule's tip (NonParallelCochain, values in cochain order), then no
     monomial may contain a tip (the SchemaError ``checked_system`` raises
@@ -247,20 +253,21 @@ def check_cochain(system, cochain):
         rule = system.rules[ri]
         o_tip = rule.tip[0]
         t_tip = q.path_target(rule.tip)
-        for key in value.terms:
+        for key in value:
             if key[0] != o_tip or q.path_target(key) != t_tip:
                 raise NonParallelCochain(
                     f"value on {render_key(rule.tip)} has non-parallel "
                     f"monomial {render_key(key)}")
     for ri in sorted(cochain):
         if any(system.first_redex(word) is not None
-               for _, word in cochain[ri].terms):
+               for _, word in cochain[ri]):
             raise SchemaError(f"rhs of {render_key(system.rules[ri].tip)} "
                               "is itself reducible")
 
 
-def reduce(system, element, trace=None):
-    """Normal form of an element under the reduction system.
+def reduce(system, terms, trace=None):
+    """Normal form, as a new term dict, of a zero-free term dict under the
+    reduction system; the dict passed in is not changed.
 
     When ``trace`` is a list, each step appends ``(coeff, origin, left,
     rule_index, right)``: the term ``coeff * left tip right`` at ``origin``
@@ -271,8 +278,7 @@ def reduce(system, element, trace=None):
     word it rewrites, so words that grow at every step exhaust the budget
     as fast as their scans cost time.
     """
-    return Element(system.quiver,
-                   _reduce_terms(system, dict(element.terms), trace))
+    return _reduce_terms(system, dict(terms), trace)
 
 
 def _reduce_terms(system, terms, trace, first=None):
@@ -312,7 +318,7 @@ def _reduce_terms(system, terms, trace, first=None):
         coeff = terms.pop(key)
         if trace is not None:
             trace.append((coeff, origin, left, ri, right))
-        for (_, r_word), c in rule.rhs.terms.items():
+        for (_, r_word), c in rule.rhs.items():
             new_key = (origin, left + r_word + right)
             s = terms.get(new_key)
             if s is None:
@@ -349,8 +355,8 @@ class Ambiguity:
         letter budget: then both sides of the overlap are 0, and so are the
         steps of u*v*w and v*w (see the module docstring)."""
         rules = system.rules
-        return (not rules[self.rule_index].rhs.terms
-                and not rules[self.completion_index].rhs.terms
+        return (not rules[self.rule_index].rhs
+                and not rules[self.completion_index].rhs
                 and 1 + len(self.v) + len(self.w) <= MAX_REDUCE_LETTERS)
 
     def __repr__(self):
@@ -497,18 +503,17 @@ class DiamondReport:
 def check_diamond(system):
     """Resolve every overlap ambiguity both ways and compare the normal
     forms as term dicts.  A failure is listed as (Ambiguity, left, right)
-    with both sides as Elements; a resolved overlap makes no Element.  A
+    with both sides as term dicts, ``left`` a copy of the memo's entry.  A
     monomial overlap has both sides 0: it is counted, and nothing is
     reduced for it."""
     ambiguities = enumerate_ambiguities(system)
-    q = system.quiver
     failures = []
     for amb in ambiguities:
         if amb.is_monomial(system):
             continue
         left, right = resolve_overlap(system, amb)
         if left != right:
-            failures.append((amb, Element(q, left), Element(q, right)))
+            failures.append((amb, dict(left), right))
     return DiamondReport(not failures, failures, len(ambiguities))
 
 
@@ -658,6 +663,9 @@ class FiniteDimAlgebra:
         checks the verdict against a scan of the whole table.  Each
         product is taken by ``_product_of``, so it is one the table reuses
         from the memo; a monomial overlap has both sides 0 and is skipped.
+        That reuse is why the check keeps its own basis-path products
+        rather than going through ``check_diamond``, whose overlap-word
+        normal forms no table row reads.
         On a failure, ``_first_failure`` names the first failing basis
         triple of all.
         """

@@ -99,7 +99,8 @@ def parse_ribbon_graph(text):
     if isinstance(text, (str, bytes)):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # a decode error, or an integer literal too long to convert
             raise SchemaError(f"not valid JSON: {exc}") from exc
     else:
         doc = text

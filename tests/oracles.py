@@ -9,8 +9,8 @@ so each test compares two independent computations:
   of ``deform.verify_lift``.
 * ``verify_cocycle``: the same at D = 2, the first-order deformation; the
   oracle of the constraint rows that ``hochschild.verify_basis`` reads.
-* ``zeroth_differential``: d^0 of a vertex cochain, by Element products and
-  ``reduce``; d^1 d^0 = 0 checks the coboundary image.
+* ``zeroth_differential``: d^0 of a vertex cochain, by term-dict products
+  and ``reduce``; d^1 d^0 = 0 checks the coboundary image.
 * ``reduce_rightmost`` and ``last_redex``: a reduction that rewrites the
   rightmost redex, found by trying every tip at every position, with no
   tip index; on a confluent system it must agree with ``rewrite.reduce``.
@@ -19,6 +19,10 @@ so each test compares two independent computations:
   arrow, read from the whole table.  Both are oracles of
   ``FiniteDimAlgebra.check_associative``, which checks the overlaps only,
   and then, to name a failure, the composable basis triples.
+
+A linear combination of paths is a zero-free term dict {path key:
+coefficient}, as in the package; ``add``, ``multiply`` and
+``cochain_sum`` are the arithmetic on them that the oracles and tests need.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from fractions import Fraction
 
 from bga.deform import FormalCheck
 from bga.errors import BgaError, NonAssociative
-from bga.paths import Element
 from bga.rewrite import (
     ReductionSystem,
     Rule,
@@ -39,6 +42,41 @@ from bga.rewrite import (
 
 _F0 = 0
 _F1 = 1
+
+
+# -- term dicts -----------------------------------------------------------------
+
+def add(a, b, c=1):
+    """The zero-free term dict a + c * b; neither argument is changed."""
+    out = dict(a)
+    for k, d in b.items():
+        s = out.get(k, 0) + c * d
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def multiply(quiver, a, b):
+    """The product of two term dicts: the bilinear extension of path
+    concatenation, in which a non-composable pair gives 0."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            if k1[0] == quiver.path_target(k2):
+                k = quiver.concat_key(k1, k2)
+                out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def cochain_sum(a, b, c=1):
+    """The cochain a + c * b, value by value; a value that cancels stays,
+    as an empty dict."""
+    out = dict(a)
+    for ri, value in b.items():
+        out[ri] = add(out.get(ri, {}), value, c)
+    return out
 
 
 # -- truncated polynomials ------------------------------------------------------
@@ -56,7 +94,7 @@ def _as_rational(x):
 class TruncPoly:
     """Polynomial in t truncated at degree D, with exact rational
     coefficients: ``int`` when integral, else ``Fraction``.  It has +, *,
-    unary - and truth testing, so ``Element`` and ``reduce`` take it as a
+    unary - and truth testing, so term dicts and ``reduce`` take it as a
     coefficient unchanged."""
 
     __slots__ = ("coeffs",)
@@ -197,10 +235,10 @@ def deform(system, cochain, ctx):
     check_cochain(system, cochain)
     rules = []
     for ri, rule in enumerate(system.rules):
-        terms = {k: ctx.from_fraction(c) for k, c in rule.rhs.terms.items()}
+        terms = {k: ctx.from_fraction(c) for k, c in rule.rhs.items()}
         value = cochain.get(ri)
         if value is not None:
-            for k, c in value.terms.items():
+            for k, c in value.items():
                 s = terms.get(k)
                 tc = ctx.times_t(c)
                 s = tc if s is None else s + tc
@@ -208,8 +246,7 @@ def deform(system, cochain, ctx):
                     terms[k] = s
                 else:
                     terms.pop(k, None)
-        rules.append(Rule(rule.tip, Element(system.quiver, terms),
-                          info=rule.info))
+        rules.append(Rule(rule.tip, terms, info=rule.info))
     deformed = ReductionSystem(system.quiver, rules)
     return DeformedSystem(system, ctx, deformed)
 
@@ -230,13 +267,11 @@ def verify_formal(dsys):
     # deformed ones as well
     ambiguities = enumerate_ambiguities(dsys.base)
     witness = None
-    q = dsys.system.quiver
     for amb in ambiguities:
-        left, right = (Element(q, side)
-                       for side in resolve_overlap(dsys.system, amb))
+        left, right = resolve_overlap(dsys.system, amb)
         if left != right:
-            diff = left - right
-            orders = [o for o in map(_lowest_order, diff.terms.values())
+            diff = add(left, right, -1)
+            orders = [o for o in map(_lowest_order, diff.values())
                       if o is not None]
             witness = (amb, diff, min(orders))
             break
@@ -254,20 +289,20 @@ def verify_cocycle(system, cochain):
 def zeroth_differential(system, phi):
     """1-cochain (d phi)(arrow) = NF(arrow * phi(origin) - phi(target) * arrow).
 
-    ``phi`` maps vertices to algebra elements; missing vertices count as 0.
+    ``phi`` maps vertices to term dicts; missing vertices count as 0.
     """
     q = system.quiver
     out = {}
     for name in sorted(q.arrows):
         o, t = q.arrows[name]
-        a_el = Element.path(q, o, (name,))
-        val = Element.zero(q)
+        arrow = {q.key(o, (name,)): 1}
+        val = {}
         p = phi.get(o)
         if p is not None:
-            val = val + reduce(system, a_el * p)
+            val = reduce(system, multiply(q, arrow, p))
         p = phi.get(t)
         if p is not None:
-            val = val - reduce(system, p * a_el)
+            val = add(val, reduce(system, multiply(q, p, arrow)), -1)
         if val:
             out[name] = val
     return out
@@ -286,10 +321,10 @@ def last_redex(system, word):
     return None
 
 
-def reduce_rightmost(system, element):
-    """Normal form by rewriting each reducible term at its rightmost redex,
-    until no term is reducible."""
-    terms = dict(element.terms)
+def reduce_rightmost(system, terms):
+    """Normal form of a term dict by rewriting each reducible term at its
+    rightmost redex, until no term is reducible."""
+    terms = dict(terms)
     todo = list(terms)
     while todo:
         key = todo.pop()
@@ -303,7 +338,7 @@ def reduce_rightmost(system, element):
         rule = system.rules[ri]
         left, right = word[:pos], word[pos + len(rule.tip[1]):]
         coeff = terms.pop(key)
-        for (_, r_word), c in rule.rhs.terms.items():
+        for (_, r_word), c in rule.rhs.items():
             k = (origin, left + r_word + right)
             s = terms.get(k, 0) + coeff * c
             if s:
@@ -311,7 +346,7 @@ def reduce_rightmost(system, element):
             else:
                 terms.pop(k, None)
             todo.append(k)
-    return Element(system.quiver, terms)
+    return terms
 
 
 # -- associativity --------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import test_properties as props
 from loaders import algebra, generated_family, graph, system_for
-from oracles import FormalCtx, deform, verify_formal
+from oracles import FormalCtx, cochain_sum, deform, verify_formal
 
 from bga.deform import deformed_algebra, semisimplicity, verify_lift
 from bga.hochschild import (
@@ -24,7 +24,7 @@ from bga.hochschild import (
     verify_basis,
 )
 from bga.linalg import residual, rref
-from bga.paths import Element, Quiver
+from bga.paths import Quiver
 from bga.presentation import reduction_system
 from bga.rewrite import (
     FiniteDimAlgebra,
@@ -64,8 +64,8 @@ def test_criterion_2_diamond_condition():
         assert check_diamond(sys_).confluent, label
     q = Quiver(vertices=["1"], arrows={"x": ("1", "1"), "y": ("1", "1")})
     planted = ReductionSystem(q, [
-        Rule(q.word_key(("x", "y")), Element.idempotent(q, "1")),
-        Rule(q.word_key(("y", "x")), Element.zero(q)),
+        Rule(q.word_key(("x", "y")), {("1", ()): 1}),
+        Rule(q.word_key(("y", "x")), {}),
     ])
     report = check_diamond(planted)
     assert not report.confluent
@@ -158,9 +158,7 @@ def test_criterion_6_formal_deformations():
     sys_ = system_for("DBL")
     std = {s.label: s.cochain
            for s in standard_cocycles(g, sys_)}
-    pair = dict(std["D1(w1,w2)"])
-    for ri, el in std["D2(w1,w2)"].items():
-        pair[ri] = pair[ri] + el if ri in pair else el
+    pair = cochain_sum(std["D1(w1,w2)"], std["D2(w1,w2)"])
     check = verify_formal(deform(sys_, pair, FormalCtx(4)))
     assert not check.passes
     _amb, _diff, order = check.witness

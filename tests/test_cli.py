@@ -588,6 +588,60 @@ def test_malformed_cochain_coefficient(tmp_path, capsys, coeff):
         assert doc["error"] == "schema"
 
 
+# a coefficient string is an ASCII integer or fraction, as element_to_doc
+# writes it; an exponent would make a number too long to compute with or
+# print, and the rest are spellings Fraction would also have taken
+@pytest.mark.parametrize("coeff", [
+    "1e100000000", "1e10000000", "1e5000", "٣", "1_000", " 2 ", "2.5"])
+def test_a_coefficient_takes_only_the_spelling_documents_write(tmp_path,
+                                                               capsys, coeff):
+    refusal = repr(ValueError(f"Invalid literal for Fraction: {coeff!r}"))
+    path = _cochain_file(tmp_path, ["b", "b"],
+                         [{"vertex": "b|g", "word": [], "coeff": coeff}])
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps(
+        {"rules": [{"tip": ["b", "b"], "rhs": [[coeff, []]]}]}))
+    for argv, detail in (
+            (("deform", "--input", "EX1", "--deform-type", "custom",
+              "--cochain", path, "--t", "formal:2"),
+             f"malformed element: {refusal}"),
+            (("deform", "--input", "EX1", "--deform-type", "custom",
+              "--cochain", path, "--t", "1"),
+             f"malformed element: {refusal}"),
+            (("info", "--input", "EX1", "--rules", str(rules)),
+             f"malformed rules document: {refusal}")):
+        start = time.perf_counter()
+        assert run(capsys, *argv) == (2, json.dumps(
+            {"detail": detail, "error": "schema"}, sort_keys=True,
+            separators=(",", ":")) + "\n")
+        assert time.perf_counter() - start < 1, argv
+
+
+HUGE_INTEGER = "1" + "0" * 5000     # past the 4300-digit conversion limit
+
+
+def test_a_huge_json_integer_is_a_json_error(tmp_path, capsys):
+    graph = tmp_path / "graph.json"
+    graph.write_text(fixture_doc("EX1").replace(
+        '"multiplicity": 2', f'"multiplicity": {HUGE_INTEGER}'))
+    code, doc = run_doc(capsys, "validate", "--input", str(graph))
+    assert code == 2 and doc["error"] == "schema"
+    assert doc["detail"].startswith("not valid JSON: Exceeds the limit")
+    rules = tmp_path / "rules.json"
+    rules.write_text('{"rules": [{"tip": ["b", "b"], "rhs": [[%s, []]]}]}'
+                     % HUGE_INTEGER)
+    cochain = tmp_path / "cochain.json"
+    cochain.write_text('{"values": [{"tip": ["b", "b"], "element": '
+                       '[{"vertex": "b|g", "word": [], "coeff": %s}]}]}'
+                       % HUGE_INTEGER)
+    for argv in (("info", "--input", "EX1", "--rules", str(rules)),
+                 ("deform", "--input", "EX1", "--deform-type", "custom",
+                  "--cochain", str(cochain), "--t", "1")):
+        code, doc = run_doc(capsys, *argv)
+        assert code == 2 and doc["error"] == "json", argv
+        assert doc["detail"].startswith("Exceeds the limit"), argv
+
+
 # x*y -> y*x + e(x|y) on the annulus: the non-cocycle {rule 0: e(x|y)}
 ANNULUS_NON_ASSOCIATIVE = (
     '{"detail":"triple 1,1,2: [Fraction(0, 1), Fraction(0, 1), '

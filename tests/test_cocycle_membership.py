@@ -75,7 +75,7 @@ def test_row_membership_matches_verify_cocycle_on_fixtures():
             j = rng.randrange(report.cochain_dim)
             noisy[j] = noisy.get(j, 0) + rng.choice((-2, -1, 1, 3))
             for v in (vec, noisy):
-                cochain = cochain_from_vector(alg, report.coords, v)
+                cochain = cochain_from_vector(report.coords, v)
                 verdicts[agree(report, cochain)] += 1
     assert min(verdicts.values()) > 100, verdicts
 
@@ -99,6 +99,6 @@ def test_row_membership_matches_verify_cocycle_on_drawn_cochains(doc, data):
                   st.sampled_from((-1, 1, 2))), max_size=2))
     for j, x in noise:
         vec[j] = vec.get(j, 0) + x
-    cochain = cochain_from_vector(alg, report.coords,
+    cochain = cochain_from_vector(report.coords,
                                   {j: x for j, x in vec.items() if x})
     event("cocycle" if agree(report, cochain) else "not a cocycle")

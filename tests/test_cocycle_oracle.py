@@ -8,7 +8,7 @@ rules.  The oracles here are the older whole-system computations:
   ``LinScalar`` coefficients (affine-linear in symbolic unknowns over
   Q[t]/(t^2)), one row per overlap and differing normal-form key,
 * one substitution loop over every rule per (arrow, parallel path)
-  1-cochain, by Element products, each rule's sum reduced at once.
+  1-cochain, by term-dict products, each rule's sum reduced at once.
 
 Both sides must agree row for row and vector for vector, on the fixtures
 with and without bundled rules, on ``generated_family()`` and on
@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 from loaders import generated_family
+from oracles import add, multiply
 
 from bga.fixtures import fixture_doc, fixture_rules
 from bga.hochschild import (
@@ -30,7 +31,6 @@ from bga.hochschild import (
     one_cochain_coords,
     vector_from_cochain,
 )
-from bga.paths import Element
 from bga.presentation import (
     quiver_from_graph,
     reduction_system,
@@ -181,19 +181,19 @@ def symbolic_cocycle_rows(system, coords):
         by_rule.setdefault(ri, []).append((j, key))
     def_rules = []
     for ri, rule in enumerate(system.rules):
-        terms = {k: ctx.from_fraction(c) for k, c in rule.rhs.terms.items()}
+        terms = {k: ctx.from_fraction(c) for k, c in rule.rhs.items()}
         for j, key in by_rule.get(ri, []):
             u = ctx.unknown(j)
             s = terms.get(key)
             terms[key] = u if s is None else s + u
-        def_rules.append(Rule(rule.tip, Element(q, terms)))
+        def_rules.append(Rule(rule.tip, terms))
     dsys = ReductionSystem(q, def_rules)
     rows = []
     for amb in enumerate_ambiguities(system):
-        left, right = (Element(q, side) for side in resolve_overlap(dsys, amb))
-        diff = left - right
-        for key in sorted(diff.terms):
-            c = diff.terms[key]
+        left, right = resolve_overlap(dsys, amb)
+        diff = add(left, right, -1)
+        for key in sorted(diff):
+            c = diff[key]
             assert not c.c0 and not c.c1, amb
             if c.lin:
                 rows.append(c.lin)
@@ -202,13 +202,13 @@ def symbolic_cocycle_rows(system, coords):
 
 def whole_system_first_differential(system, psi):
     """Substitute psi into every letter of every monomial of every rule, by
-    Element products, and reduce each rule's signed sum."""
+    term-dict products, and reduce each rule's signed sum."""
     q = system.quiver
     out = {}
     for ri, rule in enumerate(system.rules):
-        total = Element.zero(q)
+        total = {}
         monomials = [(rule.tip, _F1)]
-        monomials += [(k, -c) for k, c in rule.rhs.terms.items()]
+        monomials += [(k, -c) for k, c in rule.rhs.items()]
         for (m_origin, word), c in monomials:
             for i, letter in enumerate(word):
                 repl = psi.get(letter)
@@ -216,11 +216,12 @@ def whole_system_first_differential(system, psi):
                     continue
                 left_w, right_w = word[:i], word[i + 1:]
                 lo, lt = q.arrows[letter]
-                left_el = (Element.path(q, q.arrows[left_w[-1]][0], left_w)
-                           if left_w else Element.idempotent(q, lt))
-                right_el = (Element.path(q, m_origin, right_w)
-                            if right_w else Element.idempotent(q, lo))
-                total = total + (left_el * repl * right_el).scaled(c)
+                left_el = ({q.key(q.arrows[left_w[-1]][0], left_w): 1}
+                           if left_w else {(lt, ()): 1})
+                right_el = ({q.key(m_origin, right_w): 1}
+                            if right_w else {(lo, ()): 1})
+                total = add(total, multiply(q, multiply(q, left_el, repl),
+                                            right_el), c)
         nf = reduce(system, total)
         if nf:
             out[ri] = nf
@@ -228,22 +229,21 @@ def whole_system_first_differential(system, psi):
 
 
 def whole_system_coboundaries(system, alg, coords):
-    q = alg.quiver
     return [vector_from_cochain(system, coords, whole_system_first_differential(
-        system, {name: Element(q, {key: _F1})}))
+        system, {name: {key: _F1}}))
         for name, key in one_cochain_coords(alg)]
 
 
 def replay(system, element, trace):
-    """Apply the recorded steps to the element's terms, term by term."""
-    terms = dict(element.terms)
+    """Apply the recorded steps to a term dict, term by term."""
+    terms = dict(element)
     for coeff, origin, left, ri, right in trace:
         rule = system.rules[ri]
         for word, c in [(rule.tip[1], -_F1)] + [
-                (w, d) for (_, w), d in rule.rhs.terms.items()]:
+                (w, d) for (_, w), d in rule.rhs.items()]:
             key = (origin, left + word + right)
             terms[key] = terms.get(key, 0) + coeff * c
-    return Element(system.quiver, terms)
+    return {k: c for k, c in terms.items() if c}
 
 
 # -- the systems ---------------------------------------------------------------
@@ -285,11 +285,11 @@ def test_traces_replay_to_the_normal_form():
         q = system.quiver
         for amb in enumerate_ambiguities(system):
             origin = q.arrows[amb.w[-1]][0]
-            w_el = Element.path(q, origin, amb.w)
-            u_el = Element.path(q, q.arrows[amb.u][0], (amb.u,))
-            vw = Element(q, {(origin, amb.v + amb.w): F(-2, 3)})
-            for el in (system.rules[amb.rule_index].rhs * w_el, vw,
-                       u_el * reduce(system, vw)):
+            w_el = {q.key(origin, amb.w): 1}
+            u_el = {q.key(q.arrows[amb.u][0], (amb.u,)): 1}
+            vw = {(origin, amb.v + amb.w): F(-2, 3)}
+            for el in (multiply(q, system.rules[amb.rule_index].rhs, w_el),
+                       vw, multiply(q, u_el, reduce(system, vw))):
                 trace = []
                 nf = reduce(system, el, trace=trace)
                 assert replay(system, el, trace) == nf, label

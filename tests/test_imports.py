@@ -6,12 +6,17 @@ package; only ``rewrite`` knows the layout of an overlap; no module reads
 a rule's tag by position, only the ``--bipartition`` reader splits
 text at "|", and only ``ribbon`` and ``presentation`` read the parts of a
 bipartition; the docstring examples run; every method that the bench spans hook is reached by the
-commands the bench runs."""
+commands the bench runs; and every function and method of the package is
+reached by some command, or is listed with the reason it stays."""
 
 import ast
 import doctest
 import importlib
+import inspect
+import json
+import sys
 import time
+import types
 from pathlib import Path
 
 import bga
@@ -32,10 +37,36 @@ UNREAD_BY_THE_PACKAGE = {
     ("presentation", "build_presentation"):
         "the classical relations; the non-bipartite presentation needs them",
     ("rewrite", "reduce"):
-        "the public normal form of an Element, for the oracles and bench spans",
+        "the public normal form of a term dict, for the oracles and bench "
+        "spans",
     ("rewrite", "FiniteDimAlgebra.multiply_coords"):
         "dense products; bench/spans.py counts its calls",
-    ("paths", "Element.scaled"): "Element arithmetic the oracles use",
+}
+
+# functions and methods, by qualified name, that no command runs, and why
+# each stays
+REACHED_BY_NO_COMMAND = {
+    ("presentation", "build_presentation"):
+        "the classical relations; the non-bipartite presentation needs them",
+    ("presentation", "build_presentation.<locals>.arrow_word"):
+        "a helper of build_presentation",
+    ("presentation", "build_presentation.<locals>.emit"):
+        "a helper of build_presentation",
+    ("presentation", "BrauerPresentation.__init__"):
+        "what build_presentation returns",
+    ("rewrite", "reduce"):
+        "the public normal form of a term dict, for the oracles and bench "
+        "spans",
+    ("rewrite", "FiniteDimAlgebra.multiply_coords"):
+        "dense products; bench/spans.py counts its calls",
+    ("cli", "_build_parser"): "runs once, at import",
+    ("rewrite", "Rule.__repr__"): "for a reader of the library",
+    ("rewrite", "Ambiguity.__repr__"): "for a reader of the library",
+    ("hochschild", "StandardCocycle.__repr__"): "for a reader of the library",
+    ("ribbon", "Bipartition.__repr__"): "for a reader of the library",
+    ("deform", "FormalCheck.__bool__"): "a truth test in the library",
+    ("deform", "SemisimplicityReport.__bool__"): "a truth test in the library",
+    ("hochschild", "BasisReport.__bool__"): "a truth test in the library",
 }
 
 # parameters their function never reads, and why each stays
@@ -365,3 +396,102 @@ def test_every_method_the_bench_spans_hook_is_reached(monkeypatch, capsys):
               in {**spans._METHODS, **spans._COUNTED}.items()
               if (module, f"{cls}.{method}") not in UNREAD_BY_THE_PACKAGE}
     assert sorted(hooked - reached) == []
+
+
+def defined_functions(path):
+    """(qualified name, first line) of every function, method and lambda
+    a source file defines; class bodies and comprehensions are not
+    counted."""
+    out = set()
+    todo = [compile(path.read_text(), str(path), "exec")]
+    while todo:
+        for const in todo.pop().co_consts:
+            if isinstance(const, types.CodeType):
+                todo.append(const)
+                if const.co_flags & inspect.CO_OPTIMIZED and (
+                        not const.co_name.startswith("<")
+                        or const.co_name == "<lambda>"):
+                    out.add((const.co_qualname, const.co_firstlineno))
+    return out
+
+
+def reached_functions(argvs):
+    """(module, qualified name, first line) of every package function that
+    the ``cli.main`` calls on ``argvs`` enter, from a profile hook."""
+    codes = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for argv in argvs:
+            cli.main(argv)
+    finally:
+        sys.setprofile(None)
+    return {(Path(c.co_filename).stem, c.co_qualname, c.co_firstlineno)
+            for c in codes if Path(c.co_filename).parent == SRC}
+
+
+def test_the_reach_scan_lists_nested_functions_and_lambdas(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("def f(xs):\n"
+                    "    def g(): return [x for x in xs]\n"
+                    "    return lambda: g\n"
+                    "class C:\n"
+                    "    def run(self): pass\n")
+    assert defined_functions(path) == {
+        ("f", 1), ("f.<locals>.g", 2), ("f.<locals>.<lambda>", 3),
+        ("C.run", 5)}
+
+
+# a triangle: no bipartition, an odd cycle as witness
+TRIANGLE = {
+    "vertices": [{"id": v, "multiplicity": 2} for v in "pqr"],
+    "half_edges": ["p1", "q1", "q2", "r1", "r2", "p2"],
+    "incidence": {"p1": "p", "p2": "p", "q1": "q", "q2": "q",
+                  "r1": "r", "r2": "r"},
+    "pairing": [["p1", "q1"], ["q2", "r1"], ["r2", "p2"]],
+    "rotation": {"p": ["p1", "p2"], "q": ["q1", "q2"], "r": ["r1", "r2"]},
+}
+# x*y -> e(x|y) on the annulus overlaps y*x -> 0 without resolving
+BROKEN_ANNULUS = {"rules": [{"tip": ["x", "y"], "rhs": [["1", []]]},
+                            {"tip": ["y", "x"], "rhs": []}]}
+# e(x|y) on the annulus rule x*y -> y*x is no cocycle
+NON_COCYCLE = {"values": [{"tip": ["x", "y"], "element": [
+    {"vertex": "x|y", "word": [], "coeff": "1"}]}]}
+
+
+def test_every_function_of_the_package_is_reached(tmp_path, capsys):
+    files = {}
+    for name, doc in (("triangle", TRIANGLE), ("broken", BROKEN_ANNULUS),
+                      ("cochain", NON_COCYCLE)):
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(json.dumps(doc))
+    argvs = [["selftest"], ["nope"], ["validate", "--input", "EX1",
+                                      "--pretty", "--out",
+                                      str(tmp_path / "out.json")]]
+    for fixture in ("EX1", "DBL", "ANNULUS", "TORUS", "ANN2", "LOC_3"):
+        for command in ("validate", "info", "basis", "diamond", "hh2",
+                        "cocycles"):
+            argvs.append([command, "--input", fixture])
+        for kind in ("A", "B", "C", "D1", "D2"):
+            for t in (["--t", "formal:4"], ["--t", "1", "--check-semisimple"]):
+                argvs.append(["deform", "--input", fixture,
+                              "--deform-type", kind, *t])
+    argvs += [["validate", "--input", files["triangle"]],
+              ["info", "--input", files["triangle"]],
+              ["diamond", "--input", "ANNULUS", "--rules", files["broken"]],
+              ["hh2", "--input", "ANNULUS", "--rules", files["broken"]],
+              ["info", "--input", "EX1", "--bipartition", "w|v1,v2"]]
+    argvs += [["deform", "--input", "ANNULUS", "--deform-type", "custom",
+               "--cochain", files["cochain"], "--t", t]
+              for t in ("formal:2", "1")]
+    reached = {(module, name) for module, name, _ in reached_functions(argvs)}
+    capsys.readouterr()
+    defined = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
+               for name, _ in defined_functions(path)}
+    unreached = defined - reached
+    assert sorted(unreached - REACHED_BY_NO_COMMAND.keys()) == []
+    assert REACHED_BY_NO_COMMAND.keys() <= unreached

@@ -23,7 +23,7 @@ from bga.hochschild import (
     one_cochain_coords,
     standard_cocycles,
 )
-from bga.paths import Element, Quiver
+from bga.paths import Quiver
 from bga.presentation import reduction_system
 from bga.rewrite import (
     FiniteDimAlgebra,
@@ -93,7 +93,7 @@ def row_words(system, coords):
 
 def coboundary_words(alg):
     monomials = [key for rule in alg.system.rules
-                 for key in (rule.tip, *rule.rhs.terms)]
+                 for key in (rule.tip, *rule.rhs)]
     for name, (_, path) in one_cochain_coords(alg):
         for origin, word in monomials:
             for i, letter in enumerate(word):
@@ -288,7 +288,7 @@ def long_path_system(zero_tips):
         "a": ("1", "2"), "b": ("0", "1"), "c1": ("0", "3"),
         "c2": ("3", "4"), "c3": ("4", "6"), "c4": ("6", "2"),
         "d": ("5", "0"), "f": ("0", "2")})
-    return ReductionSystem(q, [Rule(q.word_key(tip), Element.zero(q))
+    return ReductionSystem(q, [Rule(q.word_key(tip), {})
                                for tip in zero_tips])
 
 

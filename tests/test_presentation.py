@@ -33,7 +33,7 @@ F = Fraction
 
 
 def rules_dict(system):
-    return {r.tip[1]: {k[1]: c for k, c in r.rhs.terms.items()}
+    return {r.tip[1]: {k[1]: c for k, c in r.rhs.items()}
             for r in system.rules}
 
 
@@ -144,12 +144,12 @@ def test_plain_presentation_of_loc_is_one_power():
         assert sorted(pres.quiver.arrows) == ["x"]
         assert len(pres.relations) == 1
         el = pres.relations[0]
-        assert el.terms == {("x|y", ("x",) * (m + 1)): F(1)}
+        assert el == {("x|y", ("x",) * (m + 1)): F(1)}
 
 
 def test_plain_presentation_of_annulus():
     pres = build_presentation(graph("ANNULUS"))
-    got = [rel.terms for rel in pres.relations]
+    got = pres.relations
     e = "x|y"
     assert {(e, ("x", "x")): F(1)} in got
     assert {(e, ("y", "y")): F(1)} in got
@@ -162,6 +162,16 @@ def test_plain_relations_vanish_in_derived_system():
     sys = reduction_system(g, EX1_BP2)  # same quiver as the plain one
     for rel in pres.relations:
         assert not reduce(sys, rel)
+
+
+def test_rules_from_doc_drops_zero_coefficients():
+    q = quiver_from_graph(graph("ANNULUS"))
+    sys = rules_from_doc(q, {"rules": [
+        {"tip": ["x", "y"], "rhs": [["0", ["y", "x"]]]},
+        {"tip": ["y", "y"], "rhs": [["1/2", []], ["-1/2", []]]},
+        {"tip": ["x", "x"], "rhs": [["3", ["y"]], ["0", []]]}]})
+    assert [r.rhs for r in sys.rules] == [{}, {}, {("x|y", ("y",)): 3}]
+    assert sys.zero_pairs == {("x", "y"), ("y", "y")}
 
 
 def test_rules_from_doc_annulus():

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 
 from loaders import NAMED, generated_family, graph, star_doc, system_for
-from oracles import last_redex, reduce_rightmost
+from oracles import last_redex, multiply, reduce_rightmost
 from test_cocycle_oracle import bipartite_graphs
 
 from bga.deform import deformed_algebra, verify_lift
@@ -15,7 +15,7 @@ from bga.errors import (
 )
 from bga.fixtures import fixture_rules
 from bga.hochschild import hh2, standard_cocycles
-from bga.paths import Element, Quiver
+from bga.paths import Quiver
 from bga.presentation import (
     quiver_from_graph,
     reduction_system,
@@ -49,8 +49,8 @@ def two_loop_quiver():
 def planted_broken_system():
     q = two_loop_quiver()
     return ReductionSystem(q, [
-        Rule(q.word_key(("x", "y")), Element.idempotent(q, "1")),
-        Rule(q.word_key(("y", "x")), Element.zero(q)),
+        Rule(q.word_key(("x", "y")), {("1", ()): 1}),
+        Rule(q.word_key(("y", "x")), {}),
     ])
 
 
@@ -59,7 +59,7 @@ def shared_pair_system():
     y*y*x their last two."""
     q = two_loop_quiver()
     return ReductionSystem(q, [
-        Rule(q.word_key(word), Element.zero(q))
+        Rule(q.word_key(word), {})
         for word in (("x", "y", "x"), ("x", "y", "y"), ("y", "y", "x"))])
 
 
@@ -68,7 +68,7 @@ def all_pairs_zero_system():
     letters and is monomial, and each product of two arrows is settled at
     its junction."""
     q = two_loop_quiver()
-    return ReductionSystem(q, [Rule(q.word_key((a, b)), Element.zero(q))
+    return ReductionSystem(q, [Rule(q.word_key((a, b)), {})
                                for a in "xy" for b in "xy"])
 
 
@@ -78,8 +78,7 @@ def half_unit_shift_system():
     g = graph("DBL")
     sys = system_for("DBL")
     a = standard_cocycles(g, sys)[0]
-    half = {ri: Element(sys.quiver, {k: c * F(1, 2)
-                                     for k, c in value.terms.items()})
+    half = {ri: {k: c * F(1, 2) for k, c in value.items()}
             for ri, value in a.cochain.items()}
     return deformed_algebra(sys, half).system
 
@@ -94,15 +93,15 @@ def long_tip_star():
 def test_rejects_short_tip():
     q = two_loop_quiver()
     with pytest.raises(SchemaError):
-        checked_system(q, [Rule(q.word_key(("x",)), Element.zero(q))])
+        checked_system(q, [Rule(q.word_key(("x",)), {})])
 
 
 def test_rejects_subword_tips():
     q = two_loop_quiver()
     with pytest.raises(SchemaError):
         checked_system(q, [
-            Rule(q.word_key(("x", "y")), Element.zero(q)),
-            Rule(q.word_key(("x", "y", "x")), Element.zero(q)),
+            Rule(q.word_key(("x", "y")), {}),
+            Rule(q.word_key(("x", "y", "x")), {}),
         ])
 
 
@@ -111,7 +110,7 @@ def test_tips_sharing_their_last_two_letters():
     # start, and a subword error names the inner tip of least rule index
     q = Quiver(vertices=["1"], arrows={a: ("1", "1") for a in "xyz"})
     tips = [("z", "y", "x"), ("x", "y", "x"), ("y", "y", "x")]
-    sys = ReductionSystem(q, [Rule(q.word_key(t), Element.zero(q))
+    sys = ReductionSystem(q, [Rule(q.word_key(t), {})
                               for t in tips])
     assert sys.first_redex(("y", "y", "x", "y", "x")) == (0, 2)
     assert sys.first_redex(("x", "z", "y", "x", "y", "x")) == (1, 0)
@@ -119,7 +118,7 @@ def test_tips_sharing_their_last_two_letters():
     assert sys.first_redex(("y", "x")) is None
     assert sys.first_redex(("x", "y", "z", "y", "y")) is None
     with pytest.raises(SchemaError) as err:
-        checked_system(q, [Rule(q.word_key(t), Element.zero(q)) for t in
+        checked_system(q, [Rule(q.word_key(t), {}) for t in
                            tips + [("y", "y", "x", "z", "y", "x")]])
     assert str(err.value) == ("tip ('z', 'y', 'x') is a subword of tip "
                               "('y', 'y', 'x', 'z', 'y', 'x')")
@@ -131,7 +130,7 @@ def test_rejects_non_parallel_rhs():
     with pytest.raises(SchemaError):
         # d goes between different vertices; an idempotent is not parallel
         checked_system(quiver, [
-            Rule(quiver.word_key(("d", "a")), Element.idempotent(quiver, "a|d")),
+            Rule(quiver.word_key(("d", "a")), {("a|d", ()): 1}),
         ])
 
 
@@ -139,9 +138,9 @@ def test_rejects_reducible_rhs():
     q = two_loop_quiver()
     with pytest.raises(SchemaError):
         checked_system(q, [
-            Rule(q.word_key(("x", "x")), Element.zero(q)),
+            Rule(q.word_key(("x", "x")), {}),
             Rule(q.word_key(("y", "y")),
-                 Element.path(q, "1", ("x", "x"))),
+                 {q.key("1", ("x", "x")): 1}),
         ])
 
 
@@ -150,8 +149,8 @@ def assert_derived_rules_pass_the_checks(system, label):
     the checks accept them, and the rules, tip index and zero pairs are
     the same."""
     checked = checked_system(system.quiver, system.rules)
-    assert [(r.tip, r.rhs.terms, r.info) for r in checked.rules] \
-        == [(r.tip, r.rhs.terms, r.info) for r in system.rules], label
+    assert [(r.tip, r.rhs, r.info) for r in checked.rules] \
+        == [(r.tip, r.rhs, r.info) for r in system.rules], label
     assert checked._ends == system._ends, label
     assert checked.zero_pairs == system.zero_pairs, label
 
@@ -178,41 +177,57 @@ def test_derived_rules_of_drawn_graphs_pass_the_checks(doc):
         reduction_system(parse_ribbon_graph(doc)), "drawn")
 
 
+def test_with_values_keeps_a_cancelled_rhs_zero_free():
+    # the negated rhs of the ("a", e) rule g*d -> a makes it a zero rule
+    sys = system_for("EX1", EX1_BP1)
+    ri = next(ri for ri, r in enumerate(sys.rules) if r.tip[1] == ("g", "d"))
+    rhs = sys.rules[ri].rhs
+    assert rhs == {("a|d", ("a",)): 1} and ("g", "d") not in sys.zero_pairs
+    t1 = sys.with_values({ri: {k: -c for k, c in rhs.items()}})
+    assert t1.rules[ri].rhs == {}
+    assert sys.rules[ri].rhs == {("a|d", ("a",)): 1}    # nothing changed
+    assert t1.zero_pairs == sys.zero_pairs | {("g", "d")}
+    touching = [amb for amb in enumerate_ambiguities(t1)
+                if ri in (amb.rule_index, amb.completion_index)]
+    assert touching and not any(amb.is_monomial(sys) for amb in touching)
+    assert any(amb.is_monomial(t1) for amb in touching)
+
+
 # -- reduction ----------------------------------------------------------------
 
 def test_reduce_single_steps():
     sys = system_for("EX1", EX1_BP1)
     q = sys.quiver
-    assert reduce(sys, Element.path(q, "a|d", ("g", "d"))) == \
-        Element.path(q, "a|d", ("a",))
-    assert reduce(sys, Element.path(q, "b|g", ("d", "g"))) == \
-        Element.path(q, "b|g", ("b", "b"))
-    assert not reduce(sys, Element.path(q, "b|g", ("b", "b", "b")))
-    assert not reduce(sys, Element.path(q, "b|g", ("b",) * 4))
+    assert reduce(sys, {q.key("a|d", ("g", "d")): 1}) == \
+        {q.key("a|d", ("a",)): 1}
+    assert reduce(sys, {q.key("b|g", ("d", "g")): 1}) == \
+        {q.key("b|g", ("b", "b")): 1}
+    assert not reduce(sys, {q.key("b|g", ("b", "b", "b")): 1})
+    assert not reduce(sys, {q.key("b|g", ("b",) * 4): 1})
 
 
 def test_reduce_is_linear_and_idempotent():
     sys = system_for("EX1", EX1_BP1)
     q = sys.quiver
-    el = Element.path(q, "a|d", ("g", "d"), F(2)) - Element.path(q, "a|d", ("a",))
+    el = {q.key("a|d", ("g", "d")): F(2), q.key("a|d", ("a",)): -1}
     nf = reduce(sys, el)
-    assert nf == Element.path(q, "a|d", ("a",))
+    assert nf == {q.key("a|d", ("a",)): 1}
     assert reduce(sys, nf) == nf
 
 
 def test_reduce_does_not_mutate_input():
     sys = system_for("EX1", EX1_BP1)
     q = sys.quiver
-    el = Element.path(q, "a|d", ("g", "d"))
-    before = dict(el.terms)
+    el = {q.key("a|d", ("g", "d")): 1}
+    before = dict(el)
     reduce(sys, el)
-    assert el.terms == before
+    assert el == before
 
 
 def test_strategies_agree_on_confluent_system():
     sys = system_for("DBL")
     q = sys.quiver
-    el = Element.path(q, "v1|w1", ("v2", "v1", "v2", "v1"))
+    el = {q.key("v1|w1", ("v2", "v1", "v2", "v1")): 1}
     assert reduce(sys, el) == reduce_rightmost(sys, el)
 
 
@@ -220,8 +235,8 @@ def test_strategies_agree_on_confluent_system():
 def test_strategy_picks_the_redex_inside_a_word():
     # x*y*x holds x*y at 0 and y*x at 1; the broken system tells them apart
     sys = planted_broken_system()
-    el = Element.path(sys.quiver, "1", ("x", "y", "x"))
-    assert reduce(sys, el) == Element.path(sys.quiver, "1", ("x",))
+    el = {sys.quiver.key("1", ("x", "y", "x")): 1}
+    assert reduce(sys, el) == {sys.quiver.key("1", ("x",)): 1}
     assert not reduce_rightmost(sys, el)
 
 
@@ -351,14 +366,16 @@ def test_diamond_fails_on_planted_system():
     assert not report.confluent
     amb, left, right = report.failures[0]
     assert amb.word == ("x", "y", "x")
-    nfs = {frozenset(left.terms.items()), frozenset(right.terms.items())}
+    nfs = {frozenset(left.items()), frozenset(right.items())}
     assert nfs == {frozenset({(("1", ("x",)), F(1))}), frozenset()}
+    # the left side is a copy: the memo's entry is shared and stays put
+    uvw = overlap_sides(sys, amb)[0]
+    assert left == sys.normal_form(uvw) and left is not sys.normal_form(uvw)
 
 
 def test_resolve_overlap_gives_the_diamond_failures():
     sys = planted_broken_system()
-    resolved = {amb.word: tuple(Element(sys.quiver, side)
-                                for side in resolve_overlap(sys, amb))
+    resolved = {amb.word: resolve_overlap(sys, amb)
                 for amb in enumerate_ambiguities(sys)}
     report = check_diamond(sys)
     assert [amb.word for amb, _, _ in report.failures] == \
@@ -387,12 +404,13 @@ def test_overlap_left_key_rewrites_its_tip_first():
             assert q.concat_key(q.concat_key(factors[0], factors[1]),
                                 factors[2]) == uvw
             assert sys.steps(uvw)[0] == (1, origin, (), amb.rule_index, amb.w)
-            w_el = Element.path(q, origin, amb.w)
-            rhs_w = reduce(sys, sys.rules[amb.rule_index].rhs * w_el)
-            assert Element(q, nf(uvw)) == rhs_w, (args, amb)
-            u_el = Element.path(q, q.arrows[amb.u][0], (amb.u,))
+            w_el = {q.key(origin, amb.w): 1}
+            rhs_w = reduce(sys, multiply(q, sys.rules[amb.rule_index].rhs,
+                                         w_el))
+            assert nf(uvw) == rhs_w, (args, amb)
+            u_el = {q.key(q.arrows[amb.u][0], (amb.u,)): 1}
             right = {times_u(k): c for k, c in nf(vw).items()}
-            assert Element(q, right) == u_el * Element(q, nf(vw))
+            assert right == multiply(q, u_el, nf(vw))
 
 
 def test_normal_forms_skip_reduce_for_irreducible_paths(monkeypatch):
@@ -435,7 +453,7 @@ def test_normal_forms_scan_each_word_once(monkeypatch):
         by_memo = list(scans)
         sys = ReductionSystem(q, rules)
         scans.clear()
-        reduce(sys, Element.path(q, key[0], word))
+        reduce(sys, {q.key(key[0], word): 1})
         assert by_memo == scans, word
         lengths.add(min(len(sys.steps(key)), 2))
     assert lengths == {0, 1, 2}
@@ -450,16 +468,15 @@ def test_normal_forms_keep_the_letter_budget(monkeypatch):
     sys = shared_pair_system()
     q = sys.quiver
     zero = q.word_key(("x", "y", "x"))
-    assert not sys.rules[sys.first_redex(zero[1])[1]].rhs.terms
+    assert not sys.rules[sys.first_redex(zero[1])[1]].rhs
     with pytest.raises(NonTerminating) as by_reduce:
-        reduce(sys, Element.path(q, *zero))
+        reduce(sys, {zero: 1})
     with pytest.raises(NonTerminating) as by_memo:
         sys.normal_form(zero)
     assert str(by_memo.value) == str(by_reduce.value)
     irreducible = q.word_key(("x",) * 4)
     assert sys.first_redex(irreducible[1]) is None
-    assert reduce(sys, Element.path(q, *irreducible)).terms == \
-        {irreducible: 1}
+    assert reduce(sys, {irreducible: 1}) == {irreducible: 1}
     assert sys.normal_form(irreducible) == {irreducible: 1}
     assert sys.steps(irreducible) == []
     # a product or an overlap that a monomial rule settles without a
@@ -495,7 +512,7 @@ def test_normal_forms_equal_reduce_exactly():
         ("ANNULUS", None), ("TORUS", None), ("ANN2", None))]
     systems.append(half_unit_shift_system())
     assert any(type(c) is F for rule in systems[-1].rules
-               for c in rule.rhs.terms.values())
+               for c in rule.rhs.values())
     for sys in systems:
         q = sys.quiver
         keys = [(q.arrows[word[-1]][0], word)
@@ -505,8 +522,7 @@ def test_normal_forms_equal_reduce_exactly():
         # every memo entry, that is every path asked about
         for key in list(sys._memo):
             steps = []
-            el = Element.path(q, key[0], key[1])
-            expected = reduce(sys, el, trace=steps).terms
+            expected = reduce(sys, {key: 1}, trace=steps)
             assert _exact(sys.normal_form(key)) == _exact(expected), key
             assert sys.steps(key) == steps, key
             assert [type(step[0]) for step in sys.steps(key)] == \
@@ -555,7 +571,7 @@ def test_basis_order_is_breadth_first():
 
 def test_infinite_dimensional_detected():
     q = two_loop_quiver()
-    sys = ReductionSystem(q, [Rule(q.word_key(("x", "y")), Element.zero(q))])
+    sys = ReductionSystem(q, [Rule(q.word_key(("x", "y")), {})])
     with pytest.raises(InfiniteDimensional):
         irreducible_words(sys)
 
@@ -581,9 +597,9 @@ def test_mult_table_is_built_on_first_read():
     q = sys.quiver
     for i, ki in enumerate(alg.basis):
         for j, kj in enumerate(alg.basis):
-            nf = reduce(sys, Element(q, {ki: 1}) * Element(q, {kj: 1}))
+            nf = reduce(sys, multiply(q, {ki: 1}, {kj: 1}))
             assert table.get((i, j), {}) == {
-                alg.index[k]: c for k, c in nf.terms.items()}
+                alg.index[k]: c for k, c in nf.items()}
 
 
 def reference_table(alg):
