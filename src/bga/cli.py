@@ -36,10 +36,13 @@ def _error_code(exc):
 
 
 def emit(doc, args):
+    # a report is a fresh tree of dicts and lists: no cycle to check for
     if args.pretty:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True,
+                          check_circular=False) + "\n"
     else:
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                          check_circular=False) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -62,10 +65,11 @@ def _read(path):
 
 def _json(text):
     """The JSON document of a rules or cochain text; JsonError also for an
-    integer literal too long to convert (a plain ValueError)."""
+    integer literal too long to convert (a plain ValueError) and for
+    arrays or objects nested too deep for the decoder (RecursionError)."""
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise JsonError(str(exc)) from exc
 
 
@@ -340,7 +344,8 @@ def main(argv=None):
 
 def emit_error(code, detail):
     sys.stdout.write(json.dumps({"error": code, "detail": detail},
-                                sort_keys=True, separators=(",", ":")) + "\n")
+                                sort_keys=True, separators=(",", ":"),
+                                check_circular=False) + "\n")
 
 
 if __name__ == "__main__":

@@ -201,8 +201,9 @@ def deformed_algebra(system, cochain):
     structure constants are associative, which
     ``FiniteDimAlgebra.check_associative`` decides at the overlaps; it
     raises NonAssociative naming the first failing basis triple (i, j, k).
-    Nothing here builds the multiplication table: only a caller that reads
-    it, such as ``semisimplicity``, pays for it.
+    Only that failure builds the multiplication table, to name its triple;
+    otherwise only a caller that reads the table, such as the ``basis``
+    command, pays for it.  ``semisimplicity`` takes its own products.
     """
     check_cochain(system, cochain)
     alg = FiniteDimAlgebra(system.with_values(cochain))
@@ -228,20 +229,62 @@ class SemisimplicityReport:
 
 
 def semisimplicity(alg):
-    """Radical of the trace form of the left regular representation.
+    """Radical of the trace form (x, y) -> Tr(L_{xy}) of the left regular
+    representation.
 
     Over the rationals the kernel of this form is the Jacobson radical, so
-    the rank defect of the Gram matrix is the radical dimension.
+    the rank defect of the Gram matrix G_ij = Tr(L_{b_i b_j}) is the
+    radical dimension.  The products are taken by ``alg._product_of``, and
+    only those the form can see; the multiplication table is never read.
+
+    * Only cycles have a trace.  A table row is parallel to its path, so
+      t_m = Tr(L_{b_m}) is nonzero only if b_m is a cycle (origin =
+      target).  The trace of an idempotent e(v) is ``len(ending_at[v])``,
+      read off the basis; any other cycle at o takes one product with each
+      b_k in ``ending_at[o]``.
+    * The Gram matrix splits into blocks.  G_ij = sum_m c_ij^m t_m is
+      nonzero only for b_i: x -> y and b_j: y -> x.  Each (x, y) block owns
+      disjoint rows and disjoint columns, so the rank is the sum of the
+      block ranks (``linalg.rank``).
+    * Half the blocks are enough.  In an associative algebra
+      L_{xy} = L_x L_y, so tau(ab) = tau(ba) for tau = Tr L, and block
+      (y, x) is the transpose of block (x, y).  Only x <= y in vertex order
+      is computed, and an off-diagonal block's rank counts twice.
+
+    Precondition: the algebra is associative.  ``deformed_algebra`` has
+    checked that, and the base algebra of a confluent system is.
     """
-    table = alg.table
+    basis, ending_at = alg.basis, alg.ending_at
+    target = alg.quiver.path_target
+    product = alg._product_of()
     traces = {}
-    for (m, k), row in table.items():
-        c = row.get(k)
-        if c:
-            traces[m] = traces.get(m, 0) + c
-    gram = {}
-    for (i, j), row in table.items():
-        s = sum(c * traces[m] for m, c in row.items() if m in traces)
-        if s:
-            gram.setdefault(i, {})[j] = s
-    return SemisimplicityReport(alg.dim, rank(list(gram.values())))
+    for m, km in enumerate(basis):
+        o = km[0]
+        if not km[1]:
+            traces[m] = len(ending_at[o])
+        elif target(km) == o:
+            t = sum(product(km, kk).get(k, 0) for k, kk in ending_at[o])
+            if t:
+                traces[m] = t
+    # (origin, target) -> the basis indices of the paths between them
+    between = {}
+    for i, ki in enumerate(basis):
+        between.setdefault((ki[0], target(ki)), []).append((i, ki))
+    order = {v: n for n, v in enumerate(alg.quiver.vertices)}
+    gram_rank = 0
+    for (x, y), rows in between.items():
+        if order[x] > order[y]:
+            continue
+        cols = between.get((y, x), ())
+        block = []
+        for i, ki in rows:
+            row = {}
+            for j, kj in cols:
+                s = sum(c * traces[m] for m, c in product(ki, kj).items()
+                        if m in traces)
+                if s:
+                    row[j] = s
+            if row:
+                block.append(row)
+        gram_rank += rank(block) * (1 if x == y else 2)
+    return SemisimplicityReport(alg.dim, gram_rank)

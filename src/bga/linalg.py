@@ -75,7 +75,9 @@ def rref(rows, ncols=None):
 
 
 def rank(rows):
-    """Rank by fraction-free forward elimination (after Bareiss).
+    """Rank by fraction-free forward elimination (after Bareiss): of the
+    Gram blocks of ``deform.semisimplicity`` and of the residues of
+    ``hochschild.verify_basis``.
 
     Each row is scaled to integers by the lcm of its denominators.  While
     its leading column p is the pivot of a kept row, the two are cross

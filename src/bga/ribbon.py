@@ -99,8 +99,9 @@ def parse_ribbon_graph(text):
     if isinstance(text, (str, bytes)):
         try:
             doc = json.loads(text)
-        except ValueError as exc:
-            # a decode error, or an integer literal too long to convert
+        except (ValueError, RecursionError) as exc:
+            # a decode error, an integer literal too long to convert, or
+            # arrays or objects nested too deep for the decoder
             raise SchemaError(f"not valid JSON: {exc}") from exc
     else:
         doc = text

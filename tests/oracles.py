@@ -19,6 +19,10 @@ so each test compares two independent computations:
   arrow, read from the whole table.  Both are oracles of
   ``FiniteDimAlgebra.check_associative``, which checks the overlaps only,
   and then, to name a failure, the composable basis triples.
+* ``trace_form_rank``: the rank of the Gram matrix of the trace form
+  (x, y) -> Tr(L_{xy}), every trace and every Gram entry read from the
+  whole multiplication table; the oracle of ``deform.semisimplicity``,
+  which takes only the products the form can see.
 
 A linear combination of paths is a zero-free term dict {path key:
 coefficient}, as in the package; ``add``, ``multiply`` and
@@ -31,6 +35,7 @@ from fractions import Fraction
 
 from bga.deform import FormalCheck
 from bga.errors import BgaError, NonAssociative
+from bga.linalg import rref
 from bga.rewrite import (
     ReductionSystem,
     Rule,
@@ -432,3 +437,23 @@ def check_generator_triples(alg):
                     raise AssertionError(
                         f"triple {i},{j},{g} fails, but no first failure")
     return True
+
+
+# -- the trace form ---------------------------------------------------------------
+
+def trace_form_rank(alg):
+    """Rank of the Gram matrix G_ij = Tr(L_{b_i b_j}) from the whole table:
+    t_m sums the diagonal entries c_mk^k of L_{b_m}, G_ij sums
+    c_ij^m t_m, and the rank is the pivot count of one ``rref``."""
+    table = alg.table
+    traces = {}
+    for (m, k), row in table.items():
+        c = row.get(k)
+        if c:
+            traces[m] = traces.get(m, 0) + c
+    gram = {}
+    for (i, j), row in table.items():
+        s = sum(c * traces[m] for m, c in row.items() if m in traces)
+        if s:
+            gram.setdefault(i, {})[j] = s
+    return len(rref(list(gram.values()), alg.dim)[1])

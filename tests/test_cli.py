@@ -417,6 +417,41 @@ def test_pretty_output(capsys):
     assert json.loads(out)["ok"]
 
 
+EMIT_RUNS = (
+    ("validate", "--input", "DBL"),
+    ("info", "--input", "DBL"),
+    ("basis", "--input", "DBL"),
+    ("diamond", "--input", "DBL"),
+    ("hh2", "--input", "DBL"),
+    ("cocycles", "--input", "DBL"),
+    ("deform", "--input", "DBL", "--deform-type", "D1", "--t", "formal:4"),
+    ("deform", "--input", "DBL", "--deform-type", "A", "--t", "1",
+     "--check-semisimple"),
+    ("selftest",),
+)
+
+
+@pytest.mark.parametrize("argv", EMIT_RUNS, ids=lambda argv: argv[0])
+def test_emit_writes_the_bytes_of_json_dumps_defaults(capsys, argv):
+    # emit turns the encoder's cycle check off; the bytes must not change
+    code, out = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 0
+    assert out == json.dumps(doc, sort_keys=True,
+                             separators=(",", ":")) + "\n"
+    code, out = run(capsys, *argv, "--pretty")
+    assert code == 0
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_error_writes_the_bytes_of_json_dumps_defaults(capsys):
+    code, out = run(capsys, "hh2", "--input", "LOC_0")
+    doc = json.loads(out)
+    assert code == 2 and set(doc) == {"error", "detail"}
+    assert out == json.dumps(doc, sort_keys=True,
+                             separators=(",", ":")) + "\n"
+
+
 def test_selftest_green(capsys):
     code, doc = run_doc(capsys, "selftest")
     assert code == 0
@@ -479,6 +514,30 @@ def test_a_graph_document_with_one_value_replaced_gets_a_json_report(
         assert code in (0, 1, 2)
         assert isinstance(json.loads(out.getvalue()), dict)
         assert out.getvalue().count("\n") == 1
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("validate", "--input", None), "schema"),
+    (("info", "--input", "EX1", "--rules", None), "json"),
+    (("deform", "--input", "EX1", "--deform-type", "custom",
+      "--cochain", None), "json"),
+], ids=["graph", "rules", "cochain"])
+def test_json_nested_too_deep_is_an_input_error(tmp_path, capsys, argv,
+                                                error):
+    # the decoder raises RecursionError, not a ValueError, on deep nesting
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    start = time.perf_counter()
+    code, out = run(capsys, *[str(path) if a is None else a for a in argv])
+    assert time.perf_counter() - start < 1.0
+    doc = json.loads(out)
+    assert (code, doc["error"], out.count("\n")) == (2, error, 1)
+    assert "maximum recursion depth exceeded" in doc["detail"]
+    if error == "schema":
+        assert doc["detail"].startswith("not valid JSON: ")
 
 
 @pytest.mark.parametrize("rules", [

@@ -3,8 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 from loaders import NAMED, algebra, generated_family, graph, system_for
-from oracles import FormalCtx, add, cochain_sum, deform, verify_formal
+from oracles import (
+    FormalCtx,
+    add,
+    cochain_sum,
+    deform,
+    trace_form_rank,
+    verify_formal,
+)
+from test_cocycle_oracle import bipartite_graphs
 from test_corpus import (
     SLOW_AT_ONE,
     Corpus,
@@ -157,6 +166,64 @@ def test_base_radical_dimensions():
         assert semisimplicity(alg).radical_dim \
             == alg.dim - len(g.edges), label
     assert len(cases) >= 30
+
+
+# -- the trace form against the whole table ---------------------------------------
+
+def assert_trace_form(alg, label):
+    """``semisimplicity`` gives the report of the table-based oracle;
+    returns the radical dimension."""
+    gram_rank = trace_form_rank(alg)
+    radical = alg.dim - gram_rank
+    assert semisimplicity(alg).to_doc() == {
+        "semisimple": radical == 0, "radical_dim": radical,
+        "gram_rank": gram_rank}, label
+    return radical
+
+
+def test_trace_form_on_named_and_family_algebras():
+    cases = [(name, graph(name), system_for(name)) for name in NAMED]
+    for label, doc in generated_family():
+        g = parse_ribbon_graph(doc)
+        cases.append((label, g, reduction_system(g)))
+    radicals = {}
+    for label, g, system in cases:
+        assert_trace_form(FiniteDimAlgebra(system), label)
+        if len(g.edges) < 2 or fixture_rules(label):
+            continue
+        for s in standard_cocycles(g, system):
+            alg = deformed_algebra(system, s.cochain)
+            radicals.setdefault(s.kind, []).append(
+                assert_trace_form(alg, (label, s.label)))
+    # A is semisimple at t = 1, and B, C and D keep a radical
+    assert set(radicals["A"]) == {0}
+    for kind in ("B", "C", "D1", "D2"):
+        assert all(radicals[kind]), kind
+    assert sum(map(len, radicals.values())) >= 100
+
+
+def test_trace_form_on_the_corpus_cochains(tmp_path):
+    checked = 0
+    for label, system, cochain in corpus_cochains(tmp_path):
+        try:
+            alg = deformed_algebra(system, cochain)
+        except (NonAssociative, NonParallelCochain, NonTerminating,
+                SchemaError):
+            continue
+        assert_trace_form(alg, label)
+        checked += 1
+    assert checked >= 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(bipartite_graphs())
+def test_trace_form_on_drawn_graphs(doc):
+    g = parse_ribbon_graph(doc)
+    system = reduction_system(g)
+    assert_trace_form(FiniteDimAlgebra(system), "drawn")
+    if len(g.edges) >= 2:
+        for s in standard_cocycles(g, system):
+            assert_trace_form(deformed_algebra(system, s.cochain), s.label)
 
 
 def test_non_cocycle_specialization_is_caught():
