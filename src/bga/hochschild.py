@@ -43,7 +43,6 @@ from __future__ import annotations
 from .errors import (
     DOCUMENT_ERRORS,
     NotApplicable,
-    RequiresConfluentSystem,
     SchemaError,
     UsageError,
 )
@@ -127,12 +126,13 @@ def cochain_from_values_doc(system, doc):
 
 # -- differentials ------------------------------------------------------------
 
-def _junctions(system):
-    """The zero-pair test at the junctions of a word left * p * right, as
-    a function ``around(left, right)`` -> (za, zb, b): za holds the letters
-    that make a zero pair after the last letter of ``left``, zb those that
-    make one before the first letter b of ``right`` (b is None for an empty
-    ``right``).  A zero pair sits at a junction iff
+def _zero_neighbours(system):
+    """The zero pairs of the system as two dicts of letter sets, (after,
+    before): ``after[a]`` holds the letters b with (a, b) a zero pair and
+    ``before[b]`` the letters a.  For a word left * p * right, let za be
+    ``after`` at the last letter of ``left`` (empty for an empty ``left``)
+    and zb ``before`` at the first letter b of ``right`` (empty for an
+    empty ``right``).  A zero pair sits at a junction iff
     ``p[0] in za or p[-1] in zb`` for a nonempty p, and iff ``b in za``
     for an empty one.  With ``left`` irreducible, the pair at the left
     junction is the leftmost redex, and in a confluent system a pair
@@ -143,21 +143,16 @@ def _junctions(system):
     for a, b in system.zero_pairs:
         after.setdefault(a, set()).add(b)
         before.setdefault(b, set()).add(a)
-
-    def around(left, right):
-        b = right[0] if right else None
-        return after.get(left[-1], ()) if left else (), before.get(b, ()), b
-
-    return around
+    return after, before
 
 
 def _letter_occurrences(system):
     """{arrow: [(rule_index, coeff, origin, left, right, za, zb, b)]} over
     every letter of every monomial of tip - rhs: the tip with coefficient
     +1, the rhs monomials negated, ``left`` and ``right`` the words around
-    the letter, and za, zb, b the junction data of ``_junctions`` for
-    the word left * path * right."""
-    around = _junctions(system)
+    the letter, and za, zb, b the junction data of ``_zero_neighbours``
+    for the word left * path * right."""
+    after, before = _zero_neighbours(system)
     out = {}
     for ri, rule in enumerate(system.rules):
         monomials = [(rule.tip, 1)]
@@ -165,8 +160,11 @@ def _letter_occurrences(system):
         for (origin, word), c in monomials:
             for i, letter in enumerate(word):
                 left, right = word[:i], word[i + 1:]
+                b = right[0] if right else None
                 out.setdefault(letter, []).append(
-                    (ri, c, origin, left, right, *around(left, right)))
+                    (ri, c, origin, left, right,
+                     after.get(left[-1], ()) if left else (),
+                     before.get(b, ()), b))
     return out
 
 
@@ -227,20 +225,26 @@ def _cocycle_rows(system, coords):
     budget.
     """
     nf = system.normal_form
-    around = _junctions(system)
+    after, before = _zero_neighbours(system)
     budget = rewrite.MAX_REDUCE_LETTERS
     by_rule = {}
     for j, (ri, (_, p)) in enumerate(coords):
-        by_rule.setdefault(ri, []).append((j, p))
+        by_rule.setdefault(ri, []).append(
+            (j, p, p[0] if p else None, p[-1] if p else None, len(p)))
     rows = []
     for amb in enumerate_ambiguities(system):
         diff = {}
         for c, o, lw, ri, rw in overlap_steps(system, amb):
-            za, zb, b = around(lw, rw)
+            unknowns = by_rule.get(ri)
+            if unknowns is None:
+                continue
+            za = after.get(lw[-1], ()) if lw else ()
+            b = rw[0] if rw else None
+            zb = before.get(b, ())
             n = len(lw) + len(rw)
-            for j, p in by_rule.get(ri, ()):
-                if (((p[0] in za or p[-1] in zb) if p else b in za)
-                        and n + len(p) <= budget):
+            for j, p, first, last, lp in unknowns:
+                if (((first in za or last in zb) if lp else b in za)
+                        and n + lp <= budget):
                     continue
                 for k, d in nf((o, lw + p + rw)).items():
                     row = diff.setdefault(k, {})
@@ -271,13 +275,11 @@ def cocycle_space(alg):
     over ``coords`` is a cocycle iff its dot product with every row is 0,
     so the cocycle space is the null space of the rows.  ``check_diamond``
     runs before the coordinates are listed, so a system with an unresolved
-    overlap raises RequiresConfluentSystem first.
+    overlap raises RequiresConfluentSystem first, naming the first such
+    overlap.
     """
     system = alg.system
-    report = check_diamond(system)
-    if not report:
-        raise RequiresConfluentSystem(
-            f"{len(report.failures)} unresolved overlaps")
+    check_diamond(system).require_confluent()
     coords = cochain_space(alg)
     return coords, _cocycle_rows(system, coords)
 

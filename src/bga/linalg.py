@@ -5,10 +5,12 @@ list of such rows.  Values are exact rationals: ``int`` when integral, else
 ``Fraction``.  Every value an elimination computes keeps that contract, so
 an integral result never stays a ``Fraction`` and the arithmetic on it stays
 integer.  ``rref``, and ``kernel`` and ``quotient`` through it, are exact
-Gauss-Jordan on these rows, and ``kernel`` reads the RREF of a null space
-off a single one.  Their one division, the pivot inverse in ``rref``,
-divides ``Fraction(1)``.  ``rank`` eliminates forward over the integers and
-divides only by a gcd, so nothing here is numerical.
+Gauss-Jordan on these rows: a forward pass that clears each row only at
+its leading column, then a single back-substitution in decreasing pivot
+order.  ``kernel`` reads the RREF of a null space off a single one.  Their
+one division, the pivot inverse in ``rref``, divides ``Fraction(1)``.
+``rank`` eliminates forward over the integers and divides only by a gcd,
+so nothing here is numerical.
 """
 
 from __future__ import annotations
@@ -34,43 +36,45 @@ def _sub_scaled(row, f, other):
             row[c] = v
 
 
-def _clear_pivots(row, done):
-    """Clear the pivot columns of done {pivot: row} from row, in place.
-
-    Each row in done is zero in every other pivot column, so one pass does.
-    """
-    for p in [c for c in row if c in done]:
-        _sub_scaled(row, row[p], done[p])
-
-
 def rref(rows, ncols=None):
     """Reduced row echelon form.
 
     Returns (reduced_rows, pivot_columns) in increasing pivot order; zero
     rows are dropped, pivot entries are 1 and pivot columns are cleared in
-    every other row.  Each row is cleared of the known pivots, scaled at
-    its leading column p (by the int -1 when that entry is -1, so an int
-    row makes no ``Fraction``), and p is cleared from the rows holding it.
+    every other row.  The rows passed in are not changed.
+
+    Forward, each row is cleared at its leading column only, for as long
+    as that column is a known pivot; a row left nonzero is scaled at its
+    new leading column p (by the int -1 when that entry is -1, so an int
+    row makes no ``Fraction``) and kept as the pivot row of p.  No kept row
+    is touched again until the end: then one back-substitution, in
+    decreasing pivot order, clears from each pivot row the larger pivot
+    columns it holds.  The rows of those columns are already reduced, so
+    they bring in no pivot column, and each row is cleared in one pass.
     ``ncols`` is not read; it stays for callers that pass it positionally.
     """
     done = {}
     for r in rows:
         row = {c: x for c, x in r.items() if x}
-        _clear_pivots(row, done)
+        while row:
+            p = min(row)
+            pivot = done.get(p)
+            if pivot is None:
+                break
+            _sub_scaled(row, row[p], pivot)
         if not row:
             continue
-        p = min(row)
         if row[p] != 1:
             inv = -1 if row[p] == -1 else _F1 / row[p]
             for c, x in row.items():
                 x *= inv
                 row[c] = x.numerator if x.denominator == 1 else x
-        for other in done.values():
-            f = other.get(p)
-            if f:
-                _sub_scaled(other, f, row)
         done[p] = row
     pivots = sorted(done)
+    for p in reversed(pivots):
+        row = done[p]
+        for c in [c for c in row if c != p and c in done]:
+            _sub_scaled(row, row[c], done[c])
     return [done[p] for p in pivots], pivots
 
 
@@ -133,9 +137,12 @@ def kernel(rows, ncols):
 
 
 def residual(red, pivots, vec):
-    """Reduce vec against rref rows; empty iff vec is in their span."""
+    """Reduce vec against rref rows; empty iff vec is in their span.  Each
+    rref row is zero in every other pivot column, so one pass clears them."""
     v = {c: x for c, x in vec.items() if x}
-    _clear_pivots(v, dict(zip(pivots, red)))
+    done = dict(zip(pivots, red))
+    for p in [c for c in v if c in done]:
+        _sub_scaled(v, v[p], done[p])
     return v
 
 

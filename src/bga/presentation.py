@@ -20,7 +20,6 @@ from .errors import (
     NotApplicable,
     NotBipartite,
     NonBipartite,
-    RequiresConfluentSystem,
     SchemaError,
 )
 from .paths import Quiver, rational, word_from_doc
@@ -149,8 +148,15 @@ def _derive_rules(g, bp, quiver):
     half-edge) or ("c", arrow, arrow); no two rules share a tag.  Tips and
     rhs paths are keyed unchecked, and nothing checks the rules: they keep
     the invariants of ``rewrite`` by construction.  Each rule has its own
-    rhs dict, {rhs: 1} or a zero {}."""
+    rhs dict, {rhs: 1} or a zero {}.  The cycle power of each half-edge,
+    ``cycle_word(g, h, m)`` at the multiplicity m of its vertex, is taken
+    once, by rotating the reversed rotation of its vertex."""
     rules = []
+    power = {}
+    for v, cyc in g.rotation.items():
+        once, n, m = tuple(reversed(cyc)), len(cyc), g.multiplicity[v]
+        for i, h in enumerate(cyc):
+            power[h] = (once[n - i:] + once[:n - i]) * m
 
     def path_key(word):
         return (quiver.arrows[word[-1]][0], word)
@@ -159,18 +165,16 @@ def _derive_rules(g, bp, quiver):
     for edge, (h1, h2) in g.edges.items():
         if g.incidence[h1] in bp.part_two:
             h1, h2 = h2, h1
-        v1, v2 = g.incidence[h1], g.incidence[h2]
-        if g.is_truncated(v1):
+        if g.is_truncated(g.incidence[h1]):
             continue
-        tip = path_key(cycle_word(g, h1, g.multiplicity[v1]))
-        rhs = path_key(cycle_word(g, h2, g.multiplicity[v2]))
-        rules.append(Rule(tip, {rhs: 1}, info=("a", edge)))
+        rules.append(Rule(path_key(power[h1]), {path_key(power[h2]): 1},
+                          info=("a", edge)))
     # (b) one step past a part-two cycle power vanishes
     for h in sorted(g.half_edges):
         if g.incidence[h] not in bp.part_two:
             continue
-        word = cycle_word(g, g.successor(h), g.multiplicity[g.incidence[h]]) + (h,)
-        rules.append(Rule(path_key(word), {}, info=("b", h)))
+        rules.append(Rule(path_key(power[g.successor(h)] + (h,)), {},
+                          info=("b", h)))
     # (c) the remaining products of non-successive arrows vanish
     for hu in sorted(quiver.arrows):
         for hv in quiver.arrows_into(quiver.origin(hu)):
@@ -222,8 +226,7 @@ def rules_from_doc(quiver, doc):
 def two_cycle_set(system):
     """Ordered arrow products u*v closing a 2-cycle with both u*v and v*u
     reducing to zero.  Needs a confluent system to decide membership."""
-    if not check_diamond(system):
-        raise RequiresConfluentSystem("system is not confluent")
+    check_diamond(system).require_confluent()
     q = system.quiver
     nf = system.normal_form
     out = []

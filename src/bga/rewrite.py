@@ -50,6 +50,7 @@ from .errors import (
     NonAssociative,
     NonParallelCochain,
     NonTerminating,
+    RequiresConfluentSystem,
     SchemaError,
 )
 from .paths import element_to_doc, render, render_key
@@ -375,19 +376,24 @@ def enumerate_ambiguities(system):
     up the tips that begin with the first letter of x and keeps those that
     go on with the rest of x and are longer than it.  Their w is
     irreducible (a tip ending w would be a subword of the completing tip)
-    and shorter than the longest tip; only the minimality of v*w is left,
-    and since v is a proper subword of a tip, so irreducible, a redex of
-    v*w[:j] must end at its last letter: ``suffix_rule`` decides each prefix
-    with one lookup.  No basis is listed, so the search works on
-    infinite-dimensional algebras too.  At most one tip ends at each
-    position, so each w is found once.  The overlaps are in (rule, word)
-    order: u and v are fixed per rule, so sorting each rule's w is enough.
-    The rules are fixed at construction, so the search runs once per system
-    and later calls return the same tuple.
+    and shorter than the longest tip; only the minimality of v*w is left.
+    v is a proper subword of a tip, so irreducible, and w[:j] is a prefix
+    of w, so a redex of v*w[:j] begins inside v and ends inside w[:j]: it
+    is itself a candidate x'*w' of the same rule, with w' a proper prefix
+    of w.  So a candidate is kept iff no other candidate of its rule is a
+    proper prefix of it.  In sorted order a candidate's proper prefixes
+    come before it, and every candidate between its shortest proper prefix
+    and it extends that prefix and is dropped: when a proper prefix exists,
+    the last candidate kept before this one is one.  One pass over the
+    sorted candidates decides them all.  No basis is listed, so the search
+    works on infinite-dimensional algebras too.  At most one tip ends at
+    each position, so each w is found once.  The overlaps are in (rule,
+    word) order: u and v are fixed per rule, so sorting each rule's w is
+    enough.  The rules are fixed at construction, so the search runs once
+    per system and later calls return the same tuple.
     """
     if system._ambiguities is not None:
         return system._ambiguities
-    suffix_rule = system.suffix_rule
     heads = {}
     for ci, rule in enumerate(system.rules):
         tip = rule.tip[1]
@@ -405,15 +411,14 @@ def enumerate_ambiguities(system):
             n = len(x)
             for ci, tip in tips:
                 if len(tip) > n and tip[:n] == x:
-                    w = tip[n:]
-                    for j in range(1, len(w)):
-                        if suffix_rule(v + w[:j]) is not None:
-                            break
-                    else:
-                        found.append((w, ci))
+                    found.append((tip[n:], ci))
         # each w is found once, so the completing rule never breaks a tie
         found.sort()
-        out += [Ambiguity(u, v, w, ri, ci) for w, ci in found]
+        kept = None
+        for w, ci in found:
+            if kept is None or w[:len(kept)] != kept:
+                kept = w
+                out.append(Ambiguity(u, v, w, ri, ci))
     system._ambiguities = tuple(out)
     return system._ambiguities
 
@@ -443,9 +448,10 @@ def overlap_steps(system, amb):
     ones negated: the steps of u*v*w; then those of v*w under the prefix u
     (a step at origin o with left word lw gets the left word of
     ``times_u((o, lw))``); then, for the terms e * k of NF(v*w), those of
-    ``times_u(k)`` scaled by e.  The lists are read from the memo, except
-    for a monomial overlap, whose two steps are read off its rules: tip u*v
-    at the start of u*v*w, and the completing tip at the end of v*w, each
+    ``times_u(k)`` scaled by e.  The lists are read from the memo, each
+    entry once, as ``normal_form`` and ``steps`` read it; a monomial
+    overlap's two steps are read off its rules instead: tip u*v at the
+    start of u*v*w, and the completing tip at the end of v*w, each
     rewritten to 0 with coefficient 1.
     """
     uvw, vw, times_u, _ = overlap_sides(system, amb)
@@ -454,13 +460,16 @@ def overlap_steps(system, amb):
         r1, r2 = amb.rule_index, amb.completion_index
         return [(1, origin, (), r1, word[len(system.rules[r1].tip[1]):]),
                 (-1, origin, word[:-len(system.rules[r2].tip[1])], r2, ())]
-    path_steps = system.steps
-    steps = list(path_steps(uvw))
-    steps += [(-c, *times_u((o, lw)), ri, rw)
-              for c, o, lw, ri, rw in path_steps(vw)]
-    steps += [(-e * c, o, lw, ri, rw)
-              for k, e in system.normal_form(vw).items()
-              for c, o, lw, ri, rw in path_steps(times_u(k))]
+    memo, reduce_path = system._memo.get, system._reduce_path
+    steps = list((memo(uvw) or reduce_path(uvw))[1])
+    vw_nf, vw_steps = memo(vw) or reduce_path(vw)
+    for c, o, lw, ri, rw in vw_steps:
+        o, lw = times_u((o, lw))
+        steps.append((-c, o, lw, ri, rw))
+    for k, e in vw_nf.items():
+        key = times_u(k)
+        steps += [(-e * c, o, lw, ri, rw)
+                  for c, o, lw, ri, rw in (memo(key) or reduce_path(key))[1]]
     return steps
 
 
@@ -490,6 +499,14 @@ class DiamondReport:
 
     def __bool__(self):
         return self.confluent
+
+    def require_confluent(self):
+        """Raise RequiresConfluentSystem unless every overlap resolved,
+        naming how many did not and the first of them in check order."""
+        if self.failures:
+            raise RequiresConfluentSystem(
+                f"{len(self.failures)} unresolved overlaps, first "
+                f"{'*'.join(self.failures[0][0].word)}")
 
     def to_doc(self):
         return {"confluent": self.confluent,

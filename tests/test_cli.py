@@ -743,8 +743,9 @@ def test_non_confluent_rules_output_is_pinned(tmp_path, capsys):
 
 
 # the finite-dimensional, non-confluent annulus rules of
-# tests/test_hochschild.py::test_requires_confluence: hh2 stops at the
-# diamond check, and cocycles stops earlier, at the annulus loop
+# tests/test_hochschild.py::test_requires_confluence: hh2 and info (for
+# its 2-cycles) stop at the diamond check and name the first unresolved
+# overlap, and cocycles stops earlier, at the annulus loop
 NON_CONFLUENT_ANNULUS = {
     "diamond": (1,
         '{"ambiguities":4,"confluent":false,"failures":['
@@ -753,7 +754,10 @@ NON_CONFLUENT_ANNULUS = {
         '{"left":[],"right":[{"coeff":"1","vertex":"x|y","word":["x"]}],'
         '"word":["x","x","y"]}]}\n'),
     "hh2": (1,
-        '{"detail":"2 unresolved overlaps",'
+        '{"detail":"2 unresolved overlaps, first x*y*y",'
+        '"error":"requires_confluent_system"}\n'),
+    "info": (1,
+        '{"detail":"2 unresolved overlaps, first x*y*y",'
         '"error":"requires_confluent_system"}\n'),
     "cocycles": (2,
         '{"detail":"loop at vertex \'q\'","error":"non_bipartite"}\n'),

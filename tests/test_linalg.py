@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from loaders import algebra, generated_family
+from loaders import NAMED, algebra, generated_family
 
 from bga.errors import NotASubspace
 from bga.hochschild import coboundary_image, cocycle_space
@@ -442,3 +442,79 @@ def test_rref_with_unit_pivots_stays_in_int(mn):
     assert piv == dpiv
     assert [densify(r, ncols) for r in red] == dred
     assert all(type(x) is int for r in red for x in r.values())
+
+
+# -- the forward pass and the back-substitution ------------------------------------
+
+@st.composite
+def shared_lead_matrices(draw):
+    """Integer rows led by few distinct columns, several rows per leading
+    column, shuffled: the forward pass clears a row at one known pivot
+    after another, and the columns a subtraction brings in are often
+    pivots of rows kept earlier, which the back-substitution then meets."""
+    ncols = draw(st.integers(2, 7))
+    leads = draw(st.lists(st.integers(0, ncols - 2), min_size=1, max_size=3,
+                          unique=True))
+    rows = []
+    for p in leads:
+        for _ in range(draw(st.integers(2, 4))):
+            lead = draw(st.integers(-3, 3).filter(bool))
+            rest = draw(st.lists(st.integers(-3, 3), min_size=ncols - p - 1,
+                                 max_size=ncols - p - 1))
+            rows.append([0] * p + [lead] + rest)
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_lead_matrices())
+@example(([[1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 2], [1, 2, 3, 4]], 4))
+@example(([[2, 1, 0, 0], [0, 0, 1, 3], [3, 0, 1, 1], [0, 1, 2, 0]], 4))
+def test_rref_of_rows_sharing_leading_columns_equals_dense_rref(mn):
+    rows, ncols = mn
+    red, piv = rref([{c: x for c, x in enumerate(r) if x} for r in rows])
+    dred, dpiv = dense_rref(rows, ncols)
+    assert piv == dpiv
+    assert [densify(r, ncols) for r in red] == dred
+    for r in red:
+        for x in r.values():
+            assert type(x) is (int if x.denominator == 1 else F)
+
+
+def test_rref_leaves_its_rows_unchanged():
+    rows = [{0: 2, 1: 4, 3: F(1, 3)}, {0: 1, 2: F(3, 2)}, {1: -1, 3: 5},
+            {0: 3, 1: 4, 2: 1, 3: F(2, 3)}, {2: 0, 3: 7}]
+    before = [dict(r) for r in rows]
+    red, _ = rref(rows)
+    assert rows == before
+    assert [[type(x) for x in r.values()] for r in rows] == \
+        [[type(x) for x in r.values()] for r in before]
+    assert not any(r is s for r in red for s in rows)
+
+
+def _hh2_matrices():
+    """(label, rows, ncols) of every matrix ``hh2`` eliminates on the named
+    fixtures and the generated family: the coboundary image, and the
+    cocycle rows with the coboundary pivots deleted and the columns
+    reversed, as ``quotient`` hands them to ``rref`` through ``kernel``."""
+    items = [(name, algebra(name)) for name in NAMED]
+    items += [(label, FiniteDimAlgebra(reduction_system(
+        parse_ribbon_graph(doc)))) for label, doc in generated_family()]
+    for label, alg in items:
+        coords, rows = cocycle_space(alg)
+        n = len(coords)
+        cobs = coboundary_image(alg, coords)
+        yield label + " coboundaries", cobs, n
+        dropped = set(rref(cobs)[1])
+        yield label + " quotient", [
+            {n - 1 - c: x for c, x in r.items() if c not in dropped}
+            for r in rows], n
+
+
+def test_rref_on_the_hh2_matrices_equals_dense_rref():
+    for label, rows, ncols in _hh2_matrices():
+        red, piv = rref(rows)
+        dred, dpiv = dense_rref([densify(r, ncols) for r in rows], ncols)
+        assert piv == dpiv, label
+        assert [densify(r, ncols) for r in red] == dred, label
+        assert all(type(x) is (int if x.denominator == 1 else F)
+                   for r in red for x in r.values()), label

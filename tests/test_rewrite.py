@@ -83,6 +83,15 @@ def half_unit_shift_system():
     return deformed_algebra(sys, half).system
 
 
+def nested_candidates_system():
+    """Rule 0, u*p*q*r, has three completion candidates w: a (tip
+    p*q*r*a), its extension a*c (tip r*a*c), and the sibling a*b (tip
+    q*r*a*b), which sorts between them.  Only w = a is minimal."""
+    q = Quiver(vertices=["1"], arrows={a: ("1", "1") for a in "upqrabc"})
+    return checked_system(q, [Rule(q.word_key(tuple(t)), {})
+                              for t in ("upqr", "pqra", "qrab", "rac")])
+
+
 def long_tip_star():
     """star_doc(2, [6, 1, 1]): its two longest tips have length 12."""
     return reduction_system(parse_ribbon_graph(star_doc(2, [6, 1, 1])))
@@ -337,9 +346,19 @@ def test_ambiguities_match_the_redex_scan_oracle():
                 for _, doc in generated_family()]
     long = long_tip_star()
     assert max(len(rule.tip[1]) for rule in long.rules) >= 12
-    systems += [long, shared_pair_system(), planted_broken_system()]
+    systems += [long, shared_pair_system(), planted_broken_system(),
+                nested_candidates_system()]
     for sys in systems:
         assert_oracle_ambiguities(sys)
+
+
+def test_a_candidate_extending_a_kept_one_is_dropped():
+    # a*c extends a, and the last candidate before it, a*b, does not
+    sys = nested_candidates_system()
+    assert [(a.u, a.v, a.w, a.completion_index)
+            for a in enumerate_ambiguities(sys) if a.rule_index == 0] == \
+        [("u", ("p", "q", "r"), ("a",), 1)]
+    assert_oracle_ambiguities(sys)
 
 
 @settings(max_examples=40, deadline=None)
