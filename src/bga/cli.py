@@ -221,9 +221,12 @@ def cmd_deform(args):
     if not args.deform_type:
         raise UsageError("deform needs --deform-type")
     m = re.fullmatch(r"formal:([0-9]+)", args.t)
+    try:
+        degree = int(m.group(1)) if m else None
+    except ValueError:      # more digits than int() converts
+        m = None
     if m is None and args.t != "1":
         raise UsageError('--t must be "1" or "formal:D"')
-    degree = int(m.group(1)) if m else None
     if degree is not None and degree < 1:
         raise UsageError("truncation degree must be >= 1")
     cochain, label = _select_cochain(args, g, system)

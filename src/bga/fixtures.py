@@ -138,16 +138,20 @@ def fixture_doc(name):
     """JSON text of a bundled graph, or None for a name outside the fixture
     namespace.  LOC_m names the LOC graph of multiplicity m, written in
     ASCII digits only, and LOC is LOC_2; a LOC_ name with any other
-    parameter is a SchemaError."""
+    parameter, or with more digits than ``int`` converts, is a
+    SchemaError."""
     key = name.upper()
     if key in _GRAPHS:
         return json.dumps(_GRAPHS[key])
     if key == "LOC":
         key = "LOC_2"
     if key.startswith("LOC_"):
-        if re.fullmatch(r"[0-9]+", key[4:]) is None:
+        try:
+            m = int(key[4:]) if re.fullmatch(r"[0-9]+", key[4:]) else None
+        except ValueError:      # more digits than int() converts
+            m = None
+        if m is None:
             raise SchemaError(f"bad LOC parameter in {name!r}")
-        m = int(key[4:])
         if m < 1:
             raise SchemaError("LOC multiplicity must be >= 1")
         return json.dumps(_loc(m))

@@ -9,25 +9,13 @@ deterministic.
 A cochain psi is a cocycle iff deforming every rhs to rhs + t * psi
 resolves each tip-on-tip overlap to first order in t.  Both linear maps are
 built from reductions in the base system alone, with exact rational
-coefficients:
-
-* cocycle constraints: ``rewrite.overlap_steps`` lists the reduce steps
-  of both resolutions of each overlap, from the system's normal-form memo
-  or, for a monomial overlap, off its two rules; an unknown coordinate
-  (rule r, path p) contributes the normal form of ``left p right`` for
-  every step that rewrote the tip of r between ``left`` and ``right``
-  (see ``cocycle_space`` for why this is the order-t part of the deformed
-  reduction);
-* coboundaries: the arrow-indexed 1-cochains are substituted into the
-  letter occurrences of every tip - rhs.
-
-Both maps skip a word ``left p right`` with a zero pair of the system at
-one of its two junctions: ``left`` is irreducible in both (the part of a
-word before its leftmost redex, or a prefix of a tip or of an rhs
-monomial), so a zero pair at the left junction is the word's leftmost
-redex, and the system is confluent, so a zero pair at the right one also
-makes the normal form 0 (see ``rewrite``).  Only words within the letter
-budget are skipped.
+coefficients, by one operation, ``_substituted``: a path put into the
+context of a word, and the word reduced.  For the cocycle constraints the
+context is a reduce step of an overlap's resolutions
+(``rewrite.overlap_steps``) and the path one of the rewritten rule's
+coordinates (see ``cocycle_space`` for why this is the order-t part of
+the deformed reduction); for the coboundaries it is a letter of
+tip - rhs and a path parallel to that arrow.
 
 ``hh2`` keeps the constraint rows, and ``verify_basis`` tests cochains for
 being cocycles against them with ``linalg.annihilates``.  The test suite
@@ -126,45 +114,50 @@ def cochain_from_values_doc(system, doc):
 
 # -- differentials ------------------------------------------------------------
 
-def _zero_neighbours(system):
-    """The zero pairs of the system as two dicts of letter sets, (after,
-    before): ``after[a]`` holds the letters b with (a, b) a zero pair and
-    ``before[b]`` the letters a.  For a word left * p * right, let za be
-    ``after`` at the last letter of ``left`` (empty for an empty ``left``)
-    and zb ``before`` at the first letter b of ``right`` (empty for an
-    empty ``right``).  A zero pair sits at a junction iff
-    ``p[0] in za or p[-1] in zb`` for a nonempty p, and iff ``b in za``
-    for an empty one.  With ``left`` irreducible, the pair at the left
-    junction is the leftmost redex, and in a confluent system a pair
-    anywhere settles the word: either way its normal form is 0 (see
-    ``rewrite``).
-    """
-    after, before = {}, {}
-    for a, b in system.zero_pairs:
-        after.setdefault(a, set()).add(b)
-        before.setdefault(b, set()).add(a)
-    return after, before
-
-
-def _letter_occurrences(system):
-    """{arrow: [(rule_index, coeff, origin, left, right, za, zb, b)]} over
-    every letter of every monomial of tip - rhs: the tip with coefficient
-    +1, the rhs monomials negated, ``left`` and ``right`` the words around
-    the letter, and za, zb, b the junction data of ``_zero_neighbours``
-    for the word left * path * right."""
-    after, before = _zero_neighbours(system)
+def _paths_by_key(system, pairs):
+    """{key: [(column, p, first, zero_last, len(p))]} over the pairs
+    (key, (origin, p)) of a coordinate list, columns in list order, with
+    the junction data of ``_substituted``: the first letter of p (None for
+    an idempotent) and ``zero_after`` at its last letter."""
+    after = system.zero_after
     out = {}
-    for ri, rule in enumerate(system.rules):
-        monomials = [(rule.tip, 1)]
-        monomials += [(k, -c) for k, c in rule.rhs.items()]
-        for (origin, word), c in monomials:
-            for i, letter in enumerate(word):
-                left, right = word[:i], word[i + 1:]
-                b = right[0] if right else None
-                out.setdefault(letter, []).append(
-                    (ri, c, origin, left, right,
-                     after.get(left[-1], ()) if left else (),
-                     before.get(b, ()), b))
+    for column, (key, (_, p)) in enumerate(pairs):
+        out.setdefault(key, []).append(
+            (column, p, p[0] if p else None,
+             after.get(p[-1], ()) if p else (), len(p)))
+    return out
+
+
+def _substituted(system, contexts, paths_of):
+    """{k: {column: coeff}}: the sum of c * NF(left p right) at ``origin``
+    over the contexts (c, origin, left, key, right), in the tuple format of
+    ``overlap_steps``, and the paths p of the entries of ``paths_of[key]``
+    (``_paths_by_key``), each under its column.  Coefficients may cancel
+    to 0.
+
+    ``left`` is irreducible in every caller and the system is confluent,
+    so a word with a zero pair at a junction of left|p|right is 0 (see
+    ``rewrite``) and is skipped, unless it is longer than the letter
+    budget.  Every other word is reduced through the system's memo.
+    """
+    nf = system.normal_form
+    after = system.zero_after
+    budget = rewrite.MAX_REDUCE_LETTERS
+    out = {}
+    for c, o, lw, key, rw in contexts:
+        paths = paths_of.get(key)
+        if paths is None:
+            continue
+        za = after.get(lw[-1], ()) if lw else ()
+        b = rw[0] if rw else None
+        n = len(lw) + len(rw)
+        for column, p, first, zero_last, lp in paths:
+            if (((first in za or b in zero_last) if lp else b in za)
+                    and n + lp <= budget):
+                continue
+            for k, d in nf((o, lw + p + rw)).items():
+                row = out.setdefault(k, {})
+                row[column] = row.get(column, 0) + c * d
     return out
 
 
@@ -184,28 +177,26 @@ def coboundary_image(alg, coords):
     ``coords`` of ``cochain_space(alg)``, for a confluent system.
 
     One vector per ``one_cochain_coords`` pair (arrow, path): the first
-    differential of that 1-cochain.  Each occurrence of the arrow in
-    tip - rhs is replaced by the path, and the word so made is reduced once,
-    through the system's memo that the cocycle rows share.  Its left part
-    is a prefix of a tip or of an rhs monomial, so it is irreducible, and a
-    word with a zero pair at a junction of left|path|right is 0 and is
-    skipped, unless it is longer than the letter budget.
+    differential of that 1-cochain.  Per rule, ``_substituted`` replaces
+    each occurrence of an arrow in tip - rhs (the tip with coefficient +1,
+    the rhs monomials negated) by each of its paths; the word left of the
+    letter is a prefix of a tip or of an rhs monomial, so irreducible.
     """
-    nf = alg.system.normal_form
-    budget = rewrite.MAX_REDUCE_LETTERS
+    system = alg.system
     index = {pair: j for j, pair in enumerate(coords)}
-    occurrences = _letter_occurrences(alg.system)
-    vecs = []
-    for name, (_, path) in one_cochain_coords(alg):
-        vec = {}
-        for ri, c, origin, left, right, za, zb, b in occurrences.get(name, ()):
-            if (((path[0] in za or path[-1] in zb) if path else b in za)
-                    and len(left) + len(path) + len(right) <= budget):
-                continue
-            for k, d in nf((origin, left + path + right)).items():
-                j = index[(ri, k)]
-                vec[j] = vec.get(j, 0) + c * d
-        vecs.append({j: c for j, c in vec.items() if c})
+    pairs = one_cochain_coords(alg)
+    paths_of = _paths_by_key(system, pairs)
+    vecs = [{} for _ in pairs]
+    for ri, rule in enumerate(system.rules):
+        monomials = [(rule.tip, 1)] + [(k, -c) for k, c in rule.rhs.items()]
+        contexts = [(c, origin, word[:i], letter, word[i + 1:])
+                    for (origin, word), c in monomials
+                    for i, letter in enumerate(word)]
+        for k, row in _substituted(system, contexts, paths_of).items():
+            j = index[(ri, k)]
+            for column, c in row.items():
+                if c:
+                    vecs[column][j] = c
     return vecs
 
 
@@ -218,37 +209,14 @@ def _cocycle_rows(system, coords):
     Unknown j = (rule r, path p) enters the rhs of r as t * x_j * p.  A base
     step c * left (tip r) right then adds c * t * x_j * left p right; the
     t-part of a resolution is the normal form of the sum over its steps,
-    which ``rewrite.overlap_steps`` lists for both sides.  The left word of
-    a step is the part before a leftmost redex, so it is irreducible, and
-    the system is confluent: a word with a zero pair at a junction of
-    left|p|right is 0 and is skipped, unless it is longer than the letter
-    budget.
+    which ``rewrite.overlap_steps`` lists for both sides, and
+    ``_substituted`` sums.  The left word of a step is the part before a
+    leftmost redex, so it is irreducible.
     """
-    nf = system.normal_form
-    after, before = _zero_neighbours(system)
-    budget = rewrite.MAX_REDUCE_LETTERS
-    by_rule = {}
-    for j, (ri, (_, p)) in enumerate(coords):
-        by_rule.setdefault(ri, []).append(
-            (j, p, p[0] if p else None, p[-1] if p else None, len(p)))
+    paths_of = _paths_by_key(system, coords)
     rows = []
     for amb in enumerate_ambiguities(system):
-        diff = {}
-        for c, o, lw, ri, rw in overlap_steps(system, amb):
-            unknowns = by_rule.get(ri)
-            if unknowns is None:
-                continue
-            za = after.get(lw[-1], ()) if lw else ()
-            b = rw[0] if rw else None
-            zb = before.get(b, ())
-            n = len(lw) + len(rw)
-            for j, p, first, last, lp in unknowns:
-                if (((first in za or last in zb) if lp else b in za)
-                        and n + lp <= budget):
-                    continue
-                for k, d in nf((o, lw + p + rw)).items():
-                    row = diff.setdefault(k, {})
-                    row[j] = row.get(j, 0) + c * d
+        diff = _substituted(system, overlap_steps(system, amb), paths_of)
         for k in sorted(diff):
             row = {j: c for j, c in diff[k].items() if c}
             if row:

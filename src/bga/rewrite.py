@@ -23,13 +23,20 @@ memo.
 Two facts about the monomial rules (rhs 0) settle a result without a
 reduction, and every consumer uses them:
 
-* A zero pair at a junction.  ``zero_pairs`` is the set of length-2 tips
-  whose rhs is 0.  Let x be irreducible and the pair (x[-1], y[0]) a zero
-  pair.  No redex of x*y ends inside x, and the length-2 tip ending at the
-  junction is the only tip ending there, so it is the leftmost redex and
-  NF(x*y) = 0 in any system.  In a confluent system the normal form is
+* A zero pair at a junction.  A zero pair is a length-2 tip a*b whose rhs
+  is 0, and ``zero_after`` maps each letter a to the set of letters b that
+  follow it in one.  Let x be irreducible and y[0] in ``zero_after``
+  at x[-1].  No redex of x*y ends inside x, and the length-2 tip ending at
+  the junction is the only tip ending there, so it is the leftmost redex
+  and NF(x*y) = 0 in any system.  In a confluent system the normal form is
   reduction-unique (Bergman's diamond lemma), so a zero pair anywhere in a
-  word, rewritten first, makes its normal form 0.
+  word, rewritten first, makes its normal form 0.  So for a word x*p*y
+  with x irreducible and the system confluent, a zero pair sits at a
+  junction iff ``p[0] in zero_after[x[-1]]`` or ``y[0] in
+  zero_after[p[-1]]`` for a nonempty path p, and iff ``y[0] in
+  zero_after[x[-1]]`` for an idempotent one.  The table tests the left
+  junction of x*y (``FiniteDimAlgebra``), the HH^2 maps both junctions
+  (``hochschild._substituted``).
 * A monomial overlap.  When both rules of an overlap u|v|w rewrite to 0,
   the leftmost redex of u*v*w is the tip u*v and that of v*w is the
   completing tip, which ends at its last letter; each is one step to 0.
@@ -98,12 +105,11 @@ class ReductionSystem:
     The memo refers to nothing that refers back to the system, so a system
     is freed without the cyclic garbage collector.
 
-    ``zero_pairs`` is the set of the length-2 tips, as letter pairs, whose
-    rhs is 0; see the module docstring for what a zero pair at a junction
-    settles.
+    ``zero_after`` is the zero pairs as ``{a: set of b}``; see the module
+    docstring for what a zero pair at a junction settles.
     """
 
-    __slots__ = ("quiver", "rules", "zero_pairs", "_ends", "_ambiguities",
+    __slots__ = ("quiver", "rules", "zero_after", "_ends", "_ambiguities",
                  "_memo")
 
     def __init__(self, quiver, rules):
@@ -113,7 +119,7 @@ class ReductionSystem:
         for ri, rule in enumerate(self.rules):
             tip = rule.tip[1]
             ends.setdefault(tip[-2:], []).append((len(tip), tip, ri))
-        self.zero_pairs = _zero_pairs(self.rules)
+        self.zero_after = _zero_after(self.rules)
         self._ambiguities = None    # filled by enumerate_ambiguities
         self._memo = {}             # path key -> (normal form, steps)
 
@@ -122,8 +128,8 @@ class ReductionSystem:
         a cochain {rule index: term dict} that ``check_cochain`` passed, so
         the new rules keep the invariants.  Each sum is a new zero-free
         dict.  The tips are unchanged: the new system shares the tip index
-        and ambiguities, and gets an empty memo.  Its zero pairs are
-        rebuilt, since a value may land on a zero rule or cancel an rhs."""
+        and ambiguities, and gets an empty memo.  Its ``zero_after``
+        is rebuilt, since a value may land on a zero rule or cancel an rhs."""
         out = object.__new__(ReductionSystem)
         out.quiver = self.quiver
         out.rules = rules = list(self.rules)
@@ -134,7 +140,7 @@ class ReductionSystem:
                 rhs[k] = rhs.get(k, 0) + c
             rules[ri] = Rule(rule.tip, {k: c for k, c in rhs.items() if c},
                              rule.info)
-        out.zero_pairs = _zero_pairs(out.rules)
+        out.zero_after = _zero_after(out.rules)
         out._ends = self._ends
         out._ambiguities = self._ambiguities
         out._memo = {}
@@ -194,10 +200,14 @@ class ReductionSystem:
         return (self._memo.get(key) or self._reduce_path(key))[1]
 
 
-def _zero_pairs(rules):
-    """The length-2 tips with rhs 0, as a set of letter pairs."""
-    return frozenset(rule.tip[1] for rule in rules
-                     if len(rule.tip[1]) == 2 and not rule.rhs)
+def _zero_after(rules):
+    """{a: set of b} over the length-2 tips a*b with rhs 0."""
+    after = {}
+    for rule in rules:
+        tip = rule.tip[1]
+        if len(tip) == 2 and not rule.rhs:
+            after.setdefault(tip[0], set()).add(tip[1])
+    return after
 
 
 def checked_system(quiver, rules):
@@ -623,7 +633,7 @@ class FiniteDimAlgebra:
         table takes one product per composable basis pair."""
         system, index = self.system, self.index
         memo, reduce_path = system._memo.get, system._reduce_path
-        zero, concat = system.zero_pairs, system.quiver.concat_key
+        after, concat = system.zero_after, system.quiver.concat_key
 
         def product(x, y):
             wx, wy = x[1], y[1]
@@ -631,7 +641,7 @@ class FiniteDimAlgebra:
                 return {index[y]: 1}
             if not wy:
                 return {index[x]: 1}
-            if (wx[-1], wy[0]) in zero \
+            if wy[0] in after.get(wx[-1], ()) \
                     and len(wx) + len(wy) <= MAX_REDUCE_LETTERS:
                 return {}
             key = concat(x, y)

@@ -14,6 +14,8 @@ from bga import hochschild
 from bga.cli import main
 from bga.fixtures import fixture_doc, fixture_rules
 
+HUGE_INTEGER = "1" + "0" * 5000     # past the 4300-digit conversion limit
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -169,9 +171,10 @@ def test_deform_bad_t_is_usage_error_before_the_cochain(capsys):
 
 def test_deform_degree_takes_ascii_digits_only(capsys):
     # int() reads any Unicode digit, so the pattern must not let one in:
-    # Arabic-Indic, fullwidth and superscript threes are not a degree
+    # Arabic-Indic, fullwidth and superscript threes are not a degree; nor
+    # is a number with more digits than int() converts
     for t in ("formal:٣", "formal:３", "formal:³",
-              "formal:1٣"):
+              "formal:1٣", f"formal:{HUGE_INTEGER}"):
         code, doc = run_doc(capsys, "deform", "--input", "EX1",
                             "--deform-type", "A", "--t", t)
         assert (code, doc) == (2, {
@@ -262,11 +265,12 @@ def test_a_bad_loc_name_keeps_its_own_message(capsys, name, out):
 
 @pytest.mark.parametrize("name", [
     "LOC_ 3", "LOC_3 ", "LOC_+3", "LOC_-1", "LOC_\u0663", "LOC_\uff13",
-    "LOC_\u00b3", "LOC_1_0", "LOC_3\n",
+    "LOC_\u00b3", "LOC_1_0", "LOC_3\n", "LOC_" + HUGE_INTEGER,
 ], ids=["space", "trailing-space", "plus", "minus", "arabic-indic",
-        "fullwidth", "superscript", "underscore", "newline"])
+        "fullwidth", "superscript", "underscore", "newline", "huge"])
 def test_a_loc_parameter_takes_ascii_digits_only(capsys, name):
-    # int() would read each of these as a number: LOC_3, LOC_-1 or LOC_10
+    # int() would read each of these as a number (LOC_3, LOC_-1 or LOC_10)
+    # or, past its digit limit, raise ValueError
     detail = json.dumps(f"bad LOC parameter in {name!r}")
     assert run(capsys, "validate", "--input", name) == (
         2, f'{{"detail":{detail},"error":"schema"}}\n')
@@ -674,9 +678,6 @@ def test_a_coefficient_takes_only_the_spelling_documents_write(tmp_path,
             {"detail": detail, "error": "schema"}, sort_keys=True,
             separators=(",", ":")) + "\n")
         assert time.perf_counter() - start < 1, argv
-
-
-HUGE_INTEGER = "1" + "0" * 5000     # past the 4300-digit conversion limit
 
 
 def test_a_huge_json_integer_is_a_json_error(tmp_path, capsys):

@@ -11,8 +11,9 @@ rules.  The oracles here are the older whole-system computations:
   1-cochain, by term-dict products, each rule's sum reduced at once.
 
 Both sides must agree row for row and vector for vector, on the fixtures
-with and without bundled rules, on ``generated_family()`` and on
-hypothesis-drawn bipartite ribbon graphs.  A ``reduce`` trace must replay
+with and without bundled rules, on ``generated_family()``, on the t = 1
+systems of their standard cocycles and on hypothesis-drawn bipartite
+ribbon graphs.  A ``reduce`` trace must replay
 its input into the returned normal form.
 """
 
@@ -29,6 +30,7 @@ from bga.hochschild import (
     coboundary_image,
     cochain_space,
     one_cochain_coords,
+    standard_cocycles,
     vector_from_cochain,
 )
 from bga.presentation import (
@@ -266,6 +268,20 @@ SYSTEMS = [(label, sys_, FiniteDimAlgebra(sys_))
            for label, sys_ in fixture_systems()]
 
 
+def t1_systems():
+    """(label, t = 1 system) for every standard cocycle of EX1, DBL and
+    the family graphs with at least two edges.  ``with_values`` rebuilt
+    their zero pairs, and D1 and D2 give c-rules a value."""
+    docs = [(name, fixture_doc(name)) for name in ("EX1", "DBL")]
+    for label, doc in docs + list(generated_family()):
+        g = parse_ribbon_graph(doc)
+        if len(g.edges) < 2:
+            continue
+        system = reduction_system(g)
+        for s in standard_cocycles(g, system):
+            yield (label, s.label), system.with_values(s.cochain)
+
+
 def assert_same_maps(label, system, alg):
     coords = cochain_space(alg)
     traced = _cocycle_rows(system, coords)
@@ -278,6 +294,14 @@ def test_cocycle_rows_and_coboundaries_match_on_fixtures():
     assert len(SYSTEMS) == 28
     for label, system, alg in SYSTEMS:
         assert_same_maps(label, system, alg)
+
+
+def test_cocycle_rows_and_coboundaries_match_at_t1():
+    cases = list(t1_systems())
+    assert len(cases) == 121
+    assert any(member.startswith("D") for (_, member), _ in cases)
+    for label, system in cases:
+        assert_same_maps(label, system, FiniteDimAlgebra(system))
 
 
 def test_traces_replay_to_the_normal_form():

@@ -2,7 +2,8 @@
 private name a package module defines at module level, is read in that
 module; every parameter of a function, method or lambda is read in its
 body; every public function, class and method is read somewhere in the
-package; only ``rewrite`` knows the layout of an overlap; no module reads
+package; only ``rewrite`` knows the layout of an overlap; only the
+junction tests read a system's zero pairs; no module reads
 a rule's tag by position, only the ``--bipartition`` reader splits
 text at "|", and only ``ribbon`` and ``presentation`` read the parts of a
 bipartition; the docstring examples run; every method that the bench spans hook is reached by the
@@ -77,6 +78,12 @@ UNREAD_PARAMETERS = {
 
 # the only code that reads the parts u, v, w of an overlap u|v|w
 LAYOUT_OWNERS = {("rewrite", "Ambiguity"), ("rewrite", "overlap_sides")}
+
+# the only code that reads a system's zero pairs: the table's product and
+# the HH^2 substitution loop, each with one junction test
+ZERO_PAIR_READERS = {("rewrite", "FiniteDimAlgebra"),
+                     ("hochschild", "_paths_by_key"),
+                     ("hochschild", "_substituted")}
 
 # the only code that splits text at "|": the --bipartition override
 # "v1,v2|w"; edge ids are looked up in the graph's edge table instead
@@ -196,6 +203,14 @@ def layout_readers(tree):
                               and n.attr in ("u", "v", "w"))
 
 
+def zero_pair_readers(tree):
+    """What reads an attribute ``zero_after``, the zero pairs of a
+    system."""
+    return _top_level_holders(tree, lambda n: isinstance(n, ast.Attribute)
+                              and isinstance(n.ctx, ast.Load)
+                              and n.attr == "zero_after")
+
+
 def tag_position_readers(tree):
     """What subscripts an attribute ``info``: a rule's tag read by position
     instead of looked up whole."""
@@ -313,6 +328,23 @@ def test_only_overlap_sides_lays_out_an_overlap():
     found = _found(layout_readers)
     assert sorted(found - LAYOUT_OWNERS) == []
     assert LAYOUT_OWNERS <= found
+
+
+def test_the_scan_finds_a_zero_pair_read_outside_a_junction_test():
+    tree = ast.parse("class System:\n"
+                     "    def __init__(self, r): self.zero_after = r\n"
+                     "def killed(s, a, b): return b in s.zero_after[a]\n"
+                     "def rows(system): return dict(system.zero_after)\n"
+                     "def build(out, s): out.zero_after = s.zero_after\n"
+                     "after = system.zero_after.get('a', ())\n")
+    assert zero_pair_readers(tree) == {"killed", "rows", "build",
+                                       "<module>"}
+
+
+def test_only_the_junction_tests_read_the_zero_pairs():
+    found = _found(zero_pair_readers)
+    assert sorted(found - ZERO_PAIR_READERS) == []
+    assert ZERO_PAIR_READERS <= found
 
 
 def test_the_scan_finds_a_tag_read_by_position():

@@ -171,7 +171,7 @@ def test_rules_from_doc_drops_zero_coefficients():
         {"tip": ["y", "y"], "rhs": [["1/2", []], ["-1/2", []]]},
         {"tip": ["x", "x"], "rhs": [["3", ["y"]], ["0", []]]}]})
     assert [r.rhs for r in sys.rules] == [{}, {}, {("x|y", ("y",)): 3}]
-    assert sys.zero_pairs == {("x", "y"), ("y", "y")}
+    assert sys.zero_after == {"x": {"y"}, "y": {"y"}}
 
 
 def test_rules_from_doc_annulus():

@@ -161,7 +161,7 @@ def assert_derived_rules_pass_the_checks(system, label):
     assert [(r.tip, r.rhs, r.info) for r in checked.rules] \
         == [(r.tip, r.rhs, r.info) for r in system.rules], label
     assert checked._ends == system._ends, label
-    assert checked.zero_pairs == system.zero_pairs, label
+    assert checked.zero_after == system.zero_after, label
 
 
 def test_derived_rules_pass_the_checks():
@@ -191,11 +191,13 @@ def test_with_values_keeps_a_cancelled_rhs_zero_free():
     sys = system_for("EX1", EX1_BP1)
     ri = next(ri for ri, r in enumerate(sys.rules) if r.tip[1] == ("g", "d"))
     rhs = sys.rules[ri].rhs
-    assert rhs == {("a|d", ("a",)): 1} and ("g", "d") not in sys.zero_pairs
+    assert rhs == {("a|d", ("a",)): 1} \
+        and "d" not in sys.zero_after.get("g", ())
     t1 = sys.with_values({ri: {k: -c for k, c in rhs.items()}})
     assert t1.rules[ri].rhs == {}
     assert sys.rules[ri].rhs == {("a|d", ("a",)): 1}    # nothing changed
-    assert t1.zero_pairs == sys.zero_pairs | {("g", "d")}
+    assert t1.zero_after == {**sys.zero_after,
+                             "g": sys.zero_after.get("g", set()) | {"d"}}
     touching = [amb for amb in enumerate_ambiguities(t1)
                 if ri in (amb.rule_index, amb.completion_index)]
     assert touching and not any(amb.is_monomial(sys) for amb in touching)
